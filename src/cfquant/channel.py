@@ -97,15 +97,11 @@ def path_loss(d, model):
 
 
 def noise_variance(model, l_serv, snr_edge):
-    """Noise variance putting a user at distance l_serv/2 at the given SNR.
-
-    Equals path_loss(l_serv/2)/snr_edge for any l_serv beyond the second
-    breakpoint.
-    """
+    """Noise variance putting a user at distance l_serv/2 at the given SNR:
+    path_loss(l_serv/2)/snr_edge, on every slope of the path loss model."""
     if not snr_edge > 0.0:
         raise ValueError("snr_edge must be positive")
-    gain = (model.d1 / model.d0) ** (-model.gamma0) * (0.5 * l_serv / model.d1) ** (-model.gamma1)
-    return gain / snr_edge
+    return path_loss(l_serv / 2.0, model) / snr_edge
 
 
 def draw_geometry(m_aps, k_users, l_serv, rng):

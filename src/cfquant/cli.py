@@ -7,7 +7,7 @@ import logging
 import math
 import sys
 
-from .quantizer import UniformQuantizer, bussgang_alpha, optimal_step, power_gain_gamma, sdnr
+from .quantizer import UniformQuantizer, bussgang_factors, optimal_step
 from .simulation import (
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
@@ -36,6 +36,13 @@ _CONFIG_FLAGS = {
     "gamma1": float,
 }
 
+# Small defaults for validate unless the user says otherwise: the
+# sample-level pipeline is quadratic in the network size.  Shadowing is off
+# by default because it only rescales the gains while pushing the
+# quantized-pipeline bridge checks into the regime where the closed forms'
+# cross-AP independence approximation becomes visible.
+_VALIDATE_DEFAULTS = {"m_aps": 10, "k_users": 4, "sigma_sh_db": 0.0}
+
 
 def _add_config_args(parser):
     parser.add_argument("--config", metavar="FILE", help="flat key=value settings file")
@@ -44,8 +51,10 @@ def _add_config_args(parser):
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind)
 
 
-def _build_config(args, bits=None, geoms=None, smallscale=None):
-    settings = dict(parse_config_file(args.config)) if args.config else {}
+def _build_config(args, bits=None, geoms=None, smallscale=None, defaults=None):
+    settings = dict(defaults or {})
+    if args.config:
+        settings.update(parse_config_file(args.config))
     for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
@@ -100,22 +109,7 @@ def _cmd_sinr(args):
 
 
 def _cmd_validate(args):
-    settings = dict(parse_config_file(args.config)) if args.config else {}
-    # Small defaults unless the user says otherwise: the sample-level
-    # pipeline is quadratic in the network size.  Shadowing is off by
-    # default because it only rescales the gains while pushing the
-    # quantized-pipeline bridge checks into the regime where the closed
-    # forms' cross-AP independence approximation becomes visible.
-    settings.setdefault("m_aps", 10)
-    settings.setdefault("k_users", 4)
-    settings.setdefault("sigma_sh_db", 0.0)
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            settings[name] = value
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    cfg = SimulationConfig.from_mapping(settings)
+    cfg = _build_config(args, defaults=_VALIDATE_DEFAULTS)
     logger.info("validation: M=%d K=%d trials=%d seed=%d", cfg.m_aps, cfg.k_users, args.trials, cfg.seed)
     results = validate_closed_forms(cfg, n_trials=args.trials)
     failures = 0
@@ -134,12 +128,9 @@ def _cmd_quantizer_table(args):
         if levels < 2 or levels % 2 != 0:
             raise SystemExit(f"levels must be even and >= 2, got {levels}")
         step = optimal_step(levels)
-        q = UniformQuantizer(levels, step)
-        alpha = bussgang_alpha(q, 1.0)
-        gamma = power_gain_gamma(q, 1.0)
-        ratio = sdnr(alpha, gamma)
-        ratio_db = math.inf if math.isinf(ratio) else 10.0 * math.log10(ratio)
-        print(f"{levels},{math.log2(levels):.6g},{step:.6g},{alpha:.6g},{gamma:.6g},{ratio_db:.6g}")
+        f = bussgang_factors(UniformQuantizer(levels, step), 1.0)
+        ratio_db = math.inf if math.isinf(f.sdnr) else 10.0 * math.log10(f.sdnr)
+        print(f"{levels},{math.log2(levels):.6g},{step:.6g},{f.alpha:.6g},{f.gamma:.6g},{ratio_db:.6g}")
     return 0
 
 

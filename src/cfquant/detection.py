@@ -3,18 +3,15 @@
 With every AP quantizing at the same bit depth, the forwarded vector obeys
 the linearized model y = alpha*G*s + alpha*n + d, where the distortion d
 has a diagonal covariance set by the per-AP received variance.  The
-central unit applies the MMSE receiver for this model; its error
-covariance is available both as a direct M x M solve and as the
-numerically friendlier K x K information form, and per-user SINR follows
-from the error covariance diagonal.  Jensen-style lower bounds on two
-averaged inverse Gram matrices are provided as diagnostics.
+central unit applies the MMSE receiver for this model; receiver and error
+covariance both come from one K x K information-form inverse, and per-user
+SINR follows from the error covariance diagonal.  Jensen-style lower
+bounds on two averaged inverse Gram matrices are provided as diagnostics.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .quantizer import quantize_complex
 
@@ -25,15 +22,10 @@ __all__ = [
     "mmse_weights",
     "detect",
     "error_covariance",
-    "error_covariance_direct",
     "error_covariance_for_weights",
     "per_user_sinr",
     "jensen_bound_diagonals",
 ]
-
-logger = logging.getLogger(__name__)
-
-_COND_WARN = 1e12
 
 
 @dataclass(frozen=True)
@@ -85,49 +77,34 @@ def distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2):
     return gap * (sigma_s2 * beta.sum(axis=1) + sigma_n2)
 
 
-def _system_matrix(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21):
-    """Covariance of the linearized observation, alpha**2*sigma_s2*G*G^H
-    plus the noise and distortion diagonal."""
-    c_delta = np.asarray(c_delta, dtype=float)
-    noise_scale = sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2
-    A = alpha**2 * sigma_s2 * (G @ G.conj().T)
-    diag = c_delta + noise_scale
-    A[np.diag_indices_from(A)] += diag
-    return A
+def _information_inverse(G, alpha, sigma_s2, b):
+    """(I/sigma_s2 + alpha**2 * G^H * diag(b)^-1 * G)^-1, shape (K, K): the
+    one kernel behind the MMSE receiver and its error covariance."""
+    if np.any(b <= 0.0):
+        raise np.linalg.LinAlgError(
+            "noise-plus-distortion diagonal is singular (distortion-free and "
+            "noiseless corner); no MMSE receiver exists"
+        )
+    info = alpha**2 * (G.conj().T @ (G / b[:, None]))
+    info[np.diag_indices_from(info)] += 1.0 / sigma_s2
+    info = 0.5 * (info + info.conj().T)
+    cov = np.linalg.inv(info)
+    return 0.5 * (cov + cov.conj().T) if G.shape[1] > 1 else cov
 
 
 def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
     """MMSE receive matrix W, shape (K, M), for the linearized model.
 
-    Computed as alpha*sigma_s2*G^H times the inverse observation
-    covariance, via a Hermitian positive-definite solve.  With
-    ``legacy_eq21`` the noise term enters unscaled by alpha**2, an
+    alpha*sigma_s2*G^H times the inverse M x M observation covariance,
+    computed by the Woodbury identity as alpha*P*G^H*diag(b)^-1 with P the
+    K x K information-form inverse and b = c_delta + alpha**2*sigma_n2.
+    With ``legacy_eq21`` the noise term enters b unscaled by alpha**2, an
     alternative bookkeeping kept for comparison; the default scaling is the
-    one consistent with the observation covariance of the linearized
-    model.
+    one consistent with the linearized model.  Raises LinAlgError unless b > 0.
     """
-    A = _system_matrix(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
-    _check_conditioning(A)
-    try:
-        X = scipy.linalg.solve(A, G, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "observation covariance is singular (distortion-free and "
-            "noiseless corner); no MMSE receiver exists"
-        ) from exc
-    return alpha * sigma_s2 * X.conj().T
-
-
-def _check_conditioning(A):
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 0.0:
-        raise np.linalg.LinAlgError(
-            "observation covariance is singular (distortion-free and "
-            "noiseless corner); no MMSE receiver exists"
-        )
-    cond = eigs[-1] / eigs[0]
-    if cond > _COND_WARN:
-        logger.warning("observation covariance condition number %.3e", cond)
+    noise_scale = sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2
+    b = np.asarray(c_delta, dtype=float) + noise_scale
+    return alpha * (_information_inverse(G, alpha, sigma_s2, b) @ G.conj().T) / b
 
 
 def detect(W, y):
@@ -144,32 +121,8 @@ def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta):
     nonsingular.  Hermitian positive semidefinite with diagonal in
     (0, sigma_s2].
     """
-    c_delta = np.asarray(c_delta, dtype=float)
-    b = c_delta + alpha**2 * sigma_n2
-    if np.any(b <= 0.0):
-        raise np.linalg.LinAlgError(
-            "noise-plus-distortion diagonal is singular; error covariance undefined"
-        )
-    k_users = G.shape[1]
-    info = alpha**2 * (G.conj().T @ (G / b[:, None]))
-    info[np.diag_indices_from(info)] += 1.0 / sigma_s2
-    info = 0.5 * (info + info.conj().T)
-    cov = np.linalg.inv(info)
-    return 0.5 * (cov + cov.conj().T) if k_users > 1 else cov
-
-
-def error_covariance_direct(G, alpha, sigma_s2, sigma_n2, c_delta):
-    """Error covariance via the direct M x M solve,
-    sigma_s2*I - alpha**2*sigma_s2**2 * G^H * A^-1 * G.
-
-    Algebraically identical to ``error_covariance``; kept as the
-    cross-checkable second route.
-    """
-    A = _system_matrix(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21=False)
-    X = scipy.linalg.solve(A, G, assume_a="pos")
-    cov = -(alpha**2 * sigma_s2**2) * (G.conj().T @ X)
-    cov[np.diag_indices_from(cov)] += sigma_s2
-    return 0.5 * (cov + cov.conj().T)
+    b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
+    return _information_inverse(G, alpha, sigma_s2, b)
 
 
 def error_covariance_for_weights(W, G, alpha, sigma_s2, sigma_n2, c_delta):
@@ -220,9 +173,11 @@ def jensen_bound_diagonals(beta, c_delta):
 
 
 def detection_result(G, noise, c_delta, alpha, y):
-    """Bundle receiver, estimates, error covariance and SINR for one block."""
-    W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, noise.sigma_s2)
-    cov = error_covariance(G, alpha, noise.sigma_s2, noise.sigma_n2, c_delta)
+    """Bundle receiver, estimates, error covariance and SINR for one block;
+    the K x K kernel is evaluated once for both receiver and covariance."""
+    b = np.asarray(c_delta, dtype=float) + alpha**2 * noise.sigma_n2
+    cov = _information_inverse(G, alpha, noise.sigma_s2, b)
+    W = alpha * (cov @ G.conj().T) / b
     return DetectionResult(
         s_hat=detect(W, y),
         weights=W,

@@ -10,7 +10,7 @@ sources can be varied without disturbing the others.
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from .detection import (
     error_covariance,
     error_covariance_for_weights,
     mmse_weights,
+    per_user_sinr,
 )
 
 __all__ = [
@@ -93,6 +94,10 @@ class SimulationConfig:
     gamma1: float = 3.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.m_aps < 1 or self.k_users < 1:
             raise ValueError("m_aps and k_users must be at least 1")
         if self.l_serv_m <= 0.0:
@@ -106,6 +111,10 @@ class SimulationConfig:
                 raise ValueError("bits_list must not be empty")
             if any(b < 0 or b != int(b) for b in self.bits_list):
                 raise ValueError("bits entries must be nonnegative integers (0 = unquantized)")
+            if max(self.bits_list) > 14:
+                raise ValueError(
+                    "bits above 14 are not supported: the step solver is validated up to 2**14 levels"
+                )
         if self.n_geometries < 1 or self.n_smallscale < 1:
             raise ValueError("trial counts must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -241,8 +250,13 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
                 )
             else:
                 cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
-            sinr = cfg.sigma_s2 / np.real(np.diagonal(cov)) - 1.0
-            out[bits].append(10.0 * np.log10(np.maximum(sinr, 1e-300)))
+            sinr = per_user_sinr(cov, cfg.sigma_s2)
+            if np.any(sinr == 0.0):
+                raise ValueError(
+                    f"zero SINR in geometry trial {trial}, fading draw {fade}, "
+                    f"bits={bits}: no finite dB value"
+                )
+            out[bits].append(10.0 * np.log10(sinr))
     return {bits: np.concatenate(chunks) for bits, chunks in out.items()}
 
 

@@ -69,7 +69,7 @@ class TestNoiseVariance:
         assert noise_variance(model, 1000.0, 1.0) == pytest.approx(3.5777e-5, rel=1e-4)
 
     def test_equals_midrange_path_loss_over_snr(self, model):
-        for l_serv in (400.0, 1000.0, 3000.0):
+        for l_serv in (100.0, 150.0, 400.0, 1000.0, 3000.0):
             for snr in (1.0, 10.0, 100.0):
                 assert noise_variance(model, l_serv, snr) == pytest.approx(
                     path_loss(l_serv / 2.0, model) / snr, rel=1e-12

@@ -9,7 +9,6 @@ from cfquant.detection import (
     detection_result,
     distortion_covariance,
     error_covariance,
-    error_covariance_direct,
     error_covariance_for_weights,
     jensen_bound_diagonals,
     mmse_weights,
@@ -45,6 +44,20 @@ def random_network(rng, m_aps, k_users, unit_modulus=False):
     else:
         h = crandn(rng, m_aps, k_users)
     return beta, h * np.sqrt(beta)
+
+
+def observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
+    """M x M covariance of the linearized observation, with the same noise
+    scaling as ``mmse_weights``."""
+    noise_scale = sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2
+    return alpha**2 * sigma_s2 * (G @ G.conj().T) + np.diag(c_delta + noise_scale)
+
+
+def direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
+    """Reference receiver alpha*sigma_s2*G^H*A^-1 from the M x M observation
+    covariance A."""
+    A = observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
+    return alpha * sigma_s2 * np.linalg.solve(A, G).conj().T
 
 
 class TestSimulateUplink:
@@ -213,6 +226,40 @@ class TestMmseWeights:
         with pytest.raises(np.linalg.LinAlgError):
             mmse_weights(G, 1.0, 0.0, np.zeros(6))
 
+    def test_singular_diagonal_reported_with_invertible_observation_covariance(self):
+        # With no more APs than users, G G^H is invertible on its own, but
+        # the receiver is defined through diag(b)^-1 and b = 0 here.
+        rng = np.random.default_rng(24)
+        _, G = random_network(rng, 2, 4)
+        with pytest.raises(np.linalg.LinAlgError):
+            mmse_weights(G, 1.0, 0.0, np.zeros(2))
+
+    @pytest.mark.parametrize("legacy_eq21", [False, True])
+    def test_matches_direct_form(self, legacy_eq21):
+        # Entrywise agreement degrades with the conditioning of the M x M
+        # observation covariance for both forms alike, so the gap is
+        # measured against the largest entry.
+        rng = np.random.default_rng(25)
+        cases = []
+        for _ in range(5):
+            beta, G = random_network(rng, 12, 5)
+            alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
+            cases.append((G, alpha, NOISE.sigma_n2, beta, gamma, 1.0 + rng.uniform()))
+        # A fine quantizer at high SNR leaves the observation covariance
+        # badly conditioned.
+        beta, G = random_network(rng, 20, 4)
+        alpha, gamma = factors_at_optimum(14)
+        cases.append((G, alpha, 1e-5, beta, gamma, 1.0))
+        conds = []
+        for G, alpha, sigma_n2, beta, gamma, sigma_s2 in cases:
+            c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2)
+            W = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21=legacy_eq21)
+            ref = direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
+            assert np.max(np.abs(W - ref)) / np.max(np.abs(ref)) < 1e-9
+            A = observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
+            conds.append(np.linalg.cond(A))
+        assert max(conds) >= 1e6
+
 
 class TestDetect:
     def test_zero_observation(self):
@@ -287,7 +334,8 @@ class TestErrorCovariance:
             alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
             c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
             a = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
-            b = error_covariance_direct(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+            W = direct_mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
+            b = np.eye(5) - alpha * (W @ G)
             assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-9
 
     def test_quadratic_form_matches_at_mmse_weights(self):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ class TestConfig:
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"l_serv_m": math.inf},
+            {"l_serv_m": math.nan},
+            {"snr_edge_db": math.inf},
+            {"sigma_sh_db": math.inf},
+            {"sigma_s2": math.nan},
+            {"d1_m": math.inf},
+            {"gamma1": math.nan},
+            {"bits_list": (15,)},
+            {"bits_list": (8, 20)},
+        ],
+    )
+    def test_unsupported_configs_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite|not supported"):
             SimulationConfig(**kwargs)
 
     def test_from_mapping_coercion(self):
@@ -221,6 +240,18 @@ class TestSinrCampaign:
         cov = error_covariance(h * np.sqrt(beta), alpha, 1.0, noise.sigma_n2, c_delta)
         expected = 10.0 * np.log10(per_user_sinr(cov, 1.0))
         assert series[0].values[0] == pytest.approx(expected[0], abs=1e-9)
+
+    def test_zero_sinr_reported_not_clamped(self, monkeypatch):
+        # An error covariance at the prior, sigma_s2*I, means a SINR of
+        # exactly zero, which has no dB value.
+        import cfquant.simulation as simulation
+
+        def uninformative(G, alpha, sigma_s2, sigma_n2, c_delta):
+            return sigma_s2 * np.eye(G.shape[1])
+
+        monkeypatch.setattr(simulation, "error_covariance", uninformative)
+        with pytest.raises(ValueError, match=r"trial 0, fading draw 0, bits=6"):
+            run_sinr_campaign(SMALL)
 
     def test_worker_independence(self):
         first = run_sinr_campaign(SMALL, n_workers=1)
