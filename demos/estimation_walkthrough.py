@@ -19,7 +19,6 @@ from cfquant import (
     make_pilot_book,
     optimal_step,
     power_gain_gamma,
-    received_variance,
     simulate_pilot_phase,
 )
 
@@ -38,15 +37,13 @@ G = h * np.sqrt(beta)
 # Every AP quantizes with the same normalized step; the absolute step
 # follows its own received variance, so the linearization coefficients
 # are shared across APs.
-sigma_m2 = received_variance(beta, 1.0, noise.sigma_n2)
-quantizers = [UniformQuantizer.for_complex_variance(LEVELS, v) for v in sigma_m2]
 ref = UniformQuantizer(LEVELS, optimal_step(LEVELS))
 alpha = bussgang_alpha(ref, 1.0)
 gamma = power_gain_gamma(ref, 1.0)
 print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={gamma:.5f}")
 
 pilots = make_pilot_book(K, tau=K)
-y = simulate_pilot_phase(G, pilots, noise, quantizers, rng, beta=beta)
+y = simulate_pilot_phase(G, pilots, noise, BITS, rng, beta)
 est = estimate_from_pilots(y, pilots, beta, alpha, gamma, noise.sigma_n2)
 
 realized = np.abs(est.g_hat - G) ** 2
@@ -62,7 +59,7 @@ acc = np.zeros((M, K))
 for _ in range(trials):
     h = draw_small_scale(M, K, rng)
     G = h * np.sqrt(beta)
-    y = simulate_pilot_phase(G, pilots, noise, quantizers, rng, beta=beta)
+    y = simulate_pilot_phase(G, pilots, noise, BITS, rng, beta)
     est = estimate_from_pilots(y, pilots, beta, alpha, gamma, noise.sigma_n2)
     acc += np.abs(est.g_hat - G) ** 2
 ratio = (acc / trials) / est.mse

@@ -15,6 +15,7 @@ from .quantizer import (
     bussgang_alpha,
     bussgang_factors,
     distortion_power,
+    fronthaul,
     optimal_step,
     power_gain_gamma,
     quantize,
@@ -41,7 +42,6 @@ from .estimation import (
     estimation_mse,
     lmmse_coefficient,
     make_pilot_book,
-    pilot_correlate,
     pilot_mse_at_coefficient,
     simulate_pilot_phase,
 )

@@ -111,7 +111,10 @@ def _cmd_sinr(args):
 def _cmd_validate(args):
     cfg = _build_config(args, defaults=_VALIDATE_DEFAULTS)
     logger.info("validation: M=%d K=%d trials=%d seed=%d", cfg.m_aps, cfg.k_users, args.trials, cfg.seed)
-    results = validate_closed_forms(cfg, n_trials=args.trials)
+    try:
+        results = validate_closed_forms(cfg, n_trials=args.trials)
+    except ValueError as exc:
+        raise SystemExit(f"validate: {exc}") from exc
     failures = 0
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -125,9 +128,10 @@ def _cmd_validate(args):
 def _cmd_quantizer_table(args):
     print("levels,bits,step_opt,alpha,gamma,sdnr_db")
     for levels in args.levels:
-        if levels < 2 or levels % 2 != 0:
-            raise SystemExit(f"levels must be even and >= 2, got {levels}")
-        step = optimal_step(levels)
+        try:
+            step = optimal_step(levels)
+        except ValueError as exc:
+            raise SystemExit(f"quantizer-table: {exc}") from exc
         f = bussgang_factors(UniformQuantizer(levels, step), 1.0)
         ratio_db = math.inf if math.isinf(f.sdnr) else 10.0 * math.log10(f.sdnr)
         print(f"{levels},{math.log2(levels):.6g},{step:.6g},{f.alpha:.6g},{f.gamma:.6g},{ratio_db:.6g}")

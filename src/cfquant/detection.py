@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import quantize_complex
+from .channel import received_variance
+from .quantizer import fronthaul
 
 __all__ = [
     "DetectionResult",
@@ -39,26 +40,25 @@ class DetectionResult:
     sinr: np.ndarray
 
 
-def simulate_uplink(G, symbols, noise, q_per_ap, rng):
-    """Quantized uplink observation y, shape (M,) or (M, T).
+def simulate_uplink(G, symbols, noise, bits, rng, beta):
+    """Uplink observation as forwarded over a ``bits``-bit fronthaul,
+    shape (M,) or (..., M, T).
 
-    ``symbols`` holds one or more transmit vectors of power sigma_s2 in its
-    first axis (K,) or (K, T).  Receiver noise is drawn from ``rng`` and
-    each AP's sample is quantized with its own step; pass None for an
-    unquantized fronthaul.
+    ``symbols`` holds one transmit vector (K,) or blocks (..., K, T) of
+    power sigma_s2; ``G`` may carry the same leading trial axes.  Receiver
+    noise is drawn from ``rng`` and each AP quantizes at the step optimal
+    for its data-phase variance sigma_s2 * sum_k beta_mk + sigma_n2, from
+    the large-scale gains ``beta``; ``bits == 0`` leaves the samples
+    unquantized.
     """
     symbols = np.asarray(symbols)
-    x = G @ symbols
-    n = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-    x = x + np.sqrt(noise.sigma_n2 / 2.0) * n
-    if q_per_ap is None:
-        return x
-    if len(q_per_ap) != G.shape[0]:
-        raise ValueError(f"expected {G.shape[0]} quantizers, got {len(q_per_ap)}")
-    y = np.empty_like(x)
-    for m, q in enumerate(q_per_ap):
-        y[m] = x[m] if q is None else quantize_complex(x[m], q)
-    return y
+    vector = symbols.ndim == 1
+    x = (G @ (symbols[:, None] if vector else symbols)).astype(complex, copy=False)
+    x += np.sqrt(noise.sigma_n2 / 2.0) * (
+        rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+    )
+    y = fronthaul(x, bits, received_variance(beta, noise.sigma_s2, noise.sigma_n2))
+    return y[:, 0] if vector else y
 
 
 def distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2):

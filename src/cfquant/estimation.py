@@ -9,19 +9,18 @@ distortion variance taken at the per-AP received variance.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import optimal_step, quantize_complex
+from .channel import received_variance
+from .quantizer import fronthaul
 
 __all__ = [
     "PilotBook",
     "ChannelEstimate",
     "make_pilot_book",
     "simulate_pilot_phase",
-    "pilot_correlate",
     "correlate_all",
     "lmmse_coefficient",
     "estimate_channel",
@@ -29,10 +28,6 @@ __all__ = [
     "pilot_mse_at_coefficient",
     "estimate_from_pilots",
 ]
-
-# Relative step mismatch beyond which the Gaussian sizing assumption behind
-# the Bussgang coefficients is considered violated.
-_STEP_MISMATCH_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -68,62 +63,30 @@ def make_pilot_book(k_users, tau):
     return PilotBook(tau=tau, phi=phi)
 
 
-def simulate_pilot_phase(G, pilots, noise, q_per_ap, rng, beta=None):
-    """Quantized pilot observations, shape (M, tau).
+def simulate_pilot_phase(G, pilots, noise, bits, rng, beta):
+    """Pilot observations as forwarded over a ``bits``-bit fronthaul,
+    shape (..., M, tau).
 
-    The clean sample at AP m and symbol t is sqrt(tau) * sum_k g_mk *
-    phi[t, k] plus receiver noise.  ``q_per_ap`` is a length-M sequence of
-    quantizers, or None for an unquantized fronthaul.  When the large-scale
-    gains are supplied, each quantizer step is checked against the pilot
-    phase variance it should have been sized for, and a mismatch beyond 10%
-    raises a warning since the linearization coefficients then no longer
-    describe the configuration.
+    ``G`` is one (M, K) channel draw or a stack (..., M, K) of them.  The
+    clean sample at AP m and symbol t is sqrt(tau) * sum_k g_mk * phi[t, k];
+    receiver noise is drawn from ``rng`` and added.  Pilot symbols have
+    unit power, so each AP quantizes at the step optimal for its pilot-phase
+    variance sum_k beta_mk + sigma_n2, from the large-scale gains ``beta``;
+    ``bits == 0`` leaves the samples unquantized.
     """
-    m_aps, k_users = G.shape
+    k_users = G.shape[-1]
     tau, k_pilots = pilots.phi.shape
     if k_pilots != k_users:
         raise ValueError(f"pilot book has {k_pilots} columns for {k_users} users")
-    clean = math.sqrt(tau) * (G @ pilots.phi.T)
-    noise_samp = rng.normal(size=(m_aps, tau)) + 1j * rng.normal(size=(m_aps, tau))
-    x = clean + math.sqrt(noise.sigma_n2 / 2.0) * noise_samp
-    if q_per_ap is None:
-        return x
-    if len(q_per_ap) != m_aps:
-        raise ValueError(f"expected {m_aps} quantizers, got {len(q_per_ap)}")
-    if beta is not None:
-        _warn_on_step_mismatch(beta, noise.sigma_n2, q_per_ap)
-    y = np.empty_like(x)
-    for m, q in enumerate(q_per_ap):
-        y[m] = x[m] if q is None else quantize_complex(x[m], q)
-    return y
-
-
-def _warn_on_step_mismatch(beta, sigma_n2, q_per_ap):
-    # Pilot symbols have unit power, so the per-symbol variance at AP m is
-    # sum(beta_m) + sigma_n2 regardless of the data-phase symbol power.
-    sigma2 = np.asarray(beta, dtype=float).sum(axis=1) + sigma_n2
-    for m, q in enumerate(q_per_ap):
-        if q is None:
-            continue
-        expected = optimal_step(q.levels) * math.sqrt(sigma2[m] / 2.0)
-        if abs(q.step - expected) > _STEP_MISMATCH_TOL * expected:
-            warnings.warn(
-                f"quantizer step at AP {m} is {q.step:.4g} but the pilot-phase "
-                f"variance implies {expected:.4g}; linearization coefficients "
-                "may not describe this configuration",
-                stacklevel=3,
-            )
-
-
-def pilot_correlate(y_m, phi_k):
-    """Correlation of one AP's quantized pilot block with one pilot column."""
-    if len(y_m) != len(phi_k):
-        raise ValueError("sample block and pilot length differ")
-    return complex(np.vdot(phi_k, y_m))
+    x = math.sqrt(tau) * (G @ pilots.phi.T)
+    x += math.sqrt(noise.sigma_n2 / 2.0) * (
+        rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+    )
+    return fronthaul(x, bits, received_variance(beta, 1.0, noise.sigma_n2))
 
 
 def correlate_all(y, pilots):
-    """All AP-user pilot correlations at once, shape (M, K)."""
+    """All AP-user pilot correlations at once, shape (..., M, K)."""
     return y @ pilots.phi.conj()
 
 

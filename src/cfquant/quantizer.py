@@ -23,13 +23,14 @@ __all__ = [
     "BussgangFactors",
     "quantize",
     "quantize_complex",
-    "quantize_complex_with_steps",
+    "fronthaul",
     "bussgang_alpha",
     "power_gain_gamma",
     "bussgang_factors",
     "distortion_power",
     "sdnr",
     "optimal_step",
+    "MAX_LEVELS",
 ]
 
 # Slack when testing gamma >= alpha**2; the closed forms satisfy the
@@ -41,8 +42,9 @@ _CONSISTENCY_TOL = 1e-12
 # Gaussian input (the classical table value 1.596).
 _TWO_LEVEL_STEP = 2.0 * math.sqrt(2.0 / math.pi)
 
-# Search interval for the step-size solver, wide enough to bracket the
-# optimum for every level count up to 2**14.
+# Largest level count the step solver accepts: its search interval
+# (0, _SEARCH_HI] is validated to bracket the optimum only up to here.
+MAX_LEVELS = 2**14
 _SEARCH_HI = 8.0
 _COARSE_RES = 1e-3
 _REFINE_TOL = 1e-6
@@ -84,18 +86,6 @@ class UniformQuantizer:
         """Largest output magnitude, (L-1)/2 * step."""
         return 0.5 * (self.levels - 1) * self.step
 
-    @classmethod
-    def for_complex_variance(cls, levels, variance):
-        """Quantizer sized for a complex signal of the given total variance.
-
-        I and Q are quantized separately, each with variance ``variance/2``,
-        so the absolute step is the SDNR-optimal normalized step scaled by
-        the per-component standard deviation.
-        """
-        if not variance > 0.0:
-            raise ValueError("variance must be positive")
-        return cls(levels, optimal_step(levels) * math.sqrt(variance / 2.0))
-
 
 @dataclass(frozen=True)
 class BussgangFactors:
@@ -134,22 +124,40 @@ def _midrise(x, levels, step):
     return (idx + 0.5) * step
 
 
-def quantize_complex(x, q):
-    """Quantize in-phase and quadrature components independently."""
+def quantize_complex(x, levels, steps):
+    """Quantize in-phase and quadrature components independently.
+
+    ``steps`` is one step or an array that broadcasts against ``x``, so
+    every row (AP) may carry its own step.  Rejects non-finite input.
+    """
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantizer input must be finite")
-    out = _midrise(x.real, q.levels, q.step) + 1j * _midrise(x.imag, q.levels, q.step)
+    out = _midrise(x.real, levels, steps) + 1j * _midrise(x.imag, levels, steps)
     return out if out.ndim else complex(out)
 
 
-def quantize_complex_with_steps(x, levels, steps):
-    """Componentwise midrise quantization with a broadcastable step array.
+def fronthaul(x, bits, variance):
+    """Samples as forwarded over a ``bits``-bit fronthaul, same shape as ``x``.
 
-    Vectorized kernel for pipelines where each row (AP) carries its own
-    step; ``steps`` must broadcast against ``x``.
+    ``x`` holds complex samples shaped (..., M, T), AP m in row m, with any
+    leading trial axes.  AP m quantizes I and Q at the SDNR-optimal step
+    for its complex variance ``variance[m]``, i.e. the normalized optimum
+    times sqrt(variance[m]/2).  ``bits == 0`` is the unquantized fronthaul
+    and returns ``x`` itself.
     """
-    return _midrise(x.real, levels, steps) + 1j * _midrise(x.imag, levels, steps)
+    if bits == 0:
+        return x
+    variance = np.asarray(variance, dtype=float)
+    if variance.shape != np.shape(x)[-2:-1]:
+        raise ValueError(
+            f"expected one variance per AP row of the samples {np.shape(x)}, got {variance.shape}"
+        )
+    if not np.all(variance > 0.0):
+        raise ValueError("per-AP variances must be positive")
+    levels = 2**bits
+    steps = np.sqrt(variance / 2.0) * optimal_step(levels)
+    return quantize_complex(x, levels, steps[:, None])
 
 
 def _alpha_normalized(levels, step_norm):
@@ -282,12 +290,19 @@ def optimal_step(levels):
     """SDNR-optimal normalized step (step/sigma_x) for an L-level quantizer.
 
     Solved by a coarse grid scan over (0, 8] followed by golden-section
-    refinement.  For levels == 2 the objective is flat in the step; the
-    canonical minimum-distortion value 2*sqrt(2/pi) is returned and a
+    refinement; level counts above MAX_LEVELS are rejected, since that
+    interval is validated to bracket the optimum only up to there.  For
+    levels == 2 the objective is flat in the step; the canonical
+    minimum-distortion value 2*sqrt(2/pi) is returned and a
     FlatObjectiveWarning is issued.
     """
     if levels < 2 or levels % 2 != 0:
         raise ValueError(f"levels must be even and >= 2, got {levels}")
+    if levels > MAX_LEVELS:
+        raise ValueError(
+            f"levels={levels} exceeds {MAX_LEVELS}, the largest level count the step "
+            "solver is validated for"
+        )
     if levels == 2:
         warnings.warn(
             "SDNR objective is constant in the step for a 2-level quantizer; "

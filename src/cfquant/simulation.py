@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .quantizer import (
+    MAX_LEVELS,
     UniformQuantizer,
     bussgang_alpha,
+    fronthaul,
     optimal_step,
     power_gain_gamma,
-    quantize_complex_with_steps,
 )
 from .channel import (
     NoiseModel,
@@ -32,13 +33,20 @@ from .channel import (
     path_loss,
     received_variance,
 )
-from .estimation import estimation_mse, lmmse_coefficient, make_pilot_book
+from .estimation import (
+    correlate_all,
+    estimation_mse,
+    lmmse_coefficient,
+    make_pilot_book,
+    simulate_pilot_phase,
+)
 from .detection import (
     distortion_covariance,
     error_covariance,
     error_covariance_for_weights,
     mmse_weights,
     per_user_sinr,
+    simulate_uplink,
 )
 
 __all__ = [
@@ -111,9 +119,10 @@ class SimulationConfig:
                 raise ValueError("bits_list must not be empty")
             if any(b < 0 or b != int(b) for b in self.bits_list):
                 raise ValueError("bits entries must be nonnegative integers (0 = unquantized)")
-            if max(self.bits_list) > 14:
+            if max(self.bits_list) > math.log2(MAX_LEVELS):
                 raise ValueError(
-                    "bits above 14 are not supported: the step solver is validated up to 2**14 levels"
+                    f"bits={max(self.bits_list)} is not supported: the step solver is "
+                    f"validated up to {MAX_LEVELS} levels"
                 )
         if self.n_geometries < 1 or self.n_smallscale < 1:
             raise ValueError("trial counts must be at least 1")
@@ -377,16 +386,11 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials):
     """Empirical pilot-phase MSE per AP-user pair against the closed form,
     on a co-located-users instance where the closed form is exact."""
     beta = _colocated_gains(cfg)
-    sigma_n2 = cfg.noise_model().sigma_n2
+    noise = cfg.noise_model()
     tau = cfg.resolved_tau()
     pilots = make_pilot_book(cfg.k_users, tau)
-    # Pilot symbols have unit power, so quantizers are sized at the
-    # pilot-phase per-AP variance.
-    sigma_m2 = received_variance(beta, 1.0, sigma_n2)
-    levels = 2**bits
-    steps = optimal_step(levels) * np.sqrt(sigma_m2 / 2.0)
-    c = lmmse_coefficient(beta, beta, tau, alpha, gamma, sigma_n2)
-    mse, _ = estimation_mse(beta, beta, tau, alpha, gamma, sigma_n2)
+    c = lmmse_coefficient(beta, beta, tau, alpha, gamma, noise.sigma_n2)
+    mse, _ = estimation_mse(beta, beta, tau, alpha, gamma, noise.sigma_n2)
     sqrt_beta = np.sqrt(beta)
 
     rng_h = substream(cfg.seed, _FADING, 100, bits)
@@ -401,13 +405,8 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials):
             + 1j * rng_h.normal(size=(block, cfg.m_aps, cfg.k_users))
         ) / math.sqrt(2.0)
         g = h * sqrt_beta
-        x = math.sqrt(tau) * (g @ pilots.phi.T)
-        x += math.sqrt(sigma_n2 / 2.0) * (
-            rng_n.normal(size=x.shape) + 1j * rng_n.normal(size=x.shape)
-        )
-        y = quantize_complex_with_steps(x, levels, steps[:, None])
-        g_hat = c * (y @ pilots.phi.conj())
-        err = np.abs(g_hat - g) ** 2
+        y = simulate_pilot_phase(g, pilots, noise, bits, rng_n, beta)
+        err = np.abs(c * correlate_all(y, pilots) - g) ** 2
         total += err.sum(axis=0)
         total_sq += (err**2).sum(axis=0)
         done += block
@@ -448,8 +447,6 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials):
     cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
     diag = np.real(np.diagonal(cov))
     sigma_m2 = received_variance(beta, cfg.sigma_s2, noise.sigma_n2)
-    levels = 2**bits
-    steps = optimal_step(levels) * np.sqrt(sigma_m2 / 2.0)
 
     rng_s = substream(cfg.seed, _SYMBOLS, 200, bits)
     rng_n = substream(cfg.seed, _NOISE, 200, bits)
@@ -462,15 +459,14 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials):
         s = math.sqrt(cfg.sigma_s2 / 2.0) * (
             rng_s.normal(size=(k, block)) + 1j * rng_s.normal(size=(k, block))
         )
-        x = G @ s
-        n = math.sqrt(noise.sigma_n2 / 2.0) * (
-            rng_n.normal(size=x.shape) + 1j * rng_n.normal(size=x.shape)
-        )
+        # One unquantized observation feeds both pipelines; fronthaul at the
+        # data-phase variance is what simulate_uplink applies at ``bits``.
+        x = simulate_uplink(G, s, noise, 0, rng_n, beta)
         d = np.sqrt(c_delta / 2.0)[:, None] * (
             rng_n.normal(size=x.shape) + 1j * rng_n.normal(size=x.shape)
         )
-        y_model = alpha * (x + n) + d
-        y_quant = quantize_complex_with_steps(x + n, levels, steps[:, None])
+        y_model = alpha * x + d
+        y_quant = fronthaul(x, bits, sigma_m2)
         model.add(W @ y_model - s, y_model)
         quantized.add(W @ y_quant - s, y_quant)
         done += block
@@ -550,8 +546,11 @@ def validate_closed_forms(cfg, n_trials=100_000):
     Returns a list of CheckResult: algebraic identity checks for the
     unquantized limit, then Monte Carlo agreement of the pilot-phase MSE
     and of the detection error power at each requested bit depth.
-    Intended for small configurations.
+    Intended for small configurations; ``n_trials`` must be at least 2,
+    the fewest that give a sample variance.
     """
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be at least 2, got {n_trials}")
     results = [_unquantized_estimation_identity(cfg), _unquantized_detection_identity(cfg)]
     est_bits = cfg.resolved_bits((4, 8, 12))
     det_bits = cfg.resolved_bits((6, 10, 14))

@@ -13,7 +13,6 @@ import pytest
 from scipy.special import erfc
 
 import cfquant as cq
-from cfquant.quantizer import quantize_complex_with_steps
 from cfquant.simulation import substream
 
 SEC = {"c1": 120.0, "c7": 600.0, "c8": 900.0}
@@ -141,8 +140,8 @@ def test_criterion_4_lmmse_identity_and_optimality():
 
 
 def test_criterion_5_sample_level_estimation():
-    """Pilot-phase pipeline (quantize, correlate, scale) against the
-    closed-form MSE at 10 APs and 4 users.
+    """Pilot-phase pipeline (the shipped simulate_pilot_phase, then
+    correlate and scale) against the closed-form MSE at 10 APs and 4 users.
 
     The users are co-located, so every AP sees equal gains; that is the
     condition under which the quantization distortion is white across
@@ -158,26 +157,18 @@ def test_criterion_5_sample_level_estimation():
     beta = np.repeat(cq.path_loss(dist, cq.PathLossModel())[:, None], k_users, axis=1)
     tau = k_users
     book = cq.make_pilot_book(k_users, tau)
-    sigma_m2 = cq.received_variance(beta, 1.0, noise.sigma_n2)
     worst = 0.0
     for bits in (4, 8, 12):
-        levels = 2**bits
         alpha, gamma = factors(bits)
-        steps = opt_step_quiet(levels) * np.sqrt(sigma_m2 / 2.0)
         c = cq.lmmse_coefficient(beta, beta, tau, alpha, gamma, noise.sigma_n2)
         mse, _ = cq.estimation_mse(beta, beta, tau, alpha, gamma, noise.sigma_n2)
         total = np.zeros((m_aps, k_users))
         total_sq = np.zeros((m_aps, k_users))
         rng = np.random.default_rng(777 + bits)
         for _ in range(trials // 10_000):
-            h = crandn(rng, 10_000, m_aps, k_users)
-            g = h * np.sqrt(beta)
-            x = math.sqrt(tau) * (g @ book.phi.T)
-            x += math.sqrt(noise.sigma_n2 / 2.0) * (
-                rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-            )
-            y = quantize_complex_with_steps(x, levels, steps[:, None])
-            err = np.abs(c * (y @ book.phi.conj()) - g) ** 2
+            g = crandn(rng, 10_000, m_aps, k_users) * np.sqrt(beta)
+            y = cq.simulate_pilot_phase(g, book, noise, bits, rng, beta)
+            err = np.abs(c * cq.correlate_all(y, book) - g) ** 2
             total += err.sum(axis=0)
             total_sq += (err**2).sum(axis=0)
         emp = total / trials

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ class TestQuantizerTable:
     def test_rejects_odd_levels(self):
         with pytest.raises(SystemExit):
             main(["quantizer-table", "--levels", "3"])
+
+    def test_largest_supported_level_count(self, capsys):
+        assert main(["quantizer-table", "--levels", "16384"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("16384,14,")
+
+    def test_rejects_level_count_beyond_solver_domain(self):
+        # Fails before the step solver allocates or scans anything.
+        start = time.monotonic()
+        with pytest.raises(SystemExit, match="16384"):
+            main(["quantizer-table", "--levels", "32768"])
+        assert time.monotonic() - start < 1.0
 
 
 class TestCampaignCommands:
@@ -110,6 +122,13 @@ class TestValidateCommand:
         assert "PASS unquantized_detection_identity" in out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("trials", ["0", "1", "-5"])
+    def test_rejects_too_few_trials(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--trials", trials])
+        assert exc.value.code == f"validate: n_trials must be at least 2, got {trials}"
+        assert "checks passed" not in capsys.readouterr().out
 
 
 class TestEntryPoint:

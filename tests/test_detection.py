@@ -18,9 +18,9 @@ from cfquant.detection import (
 from cfquant.quantizer import (
     UniformQuantizer,
     bussgang_alpha,
+    fronthaul,
     optimal_step,
     power_gain_gamma,
-    quantize_complex_with_steps,
 )
 
 NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
@@ -63,19 +63,38 @@ def direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=F
 class TestSimulateUplink:
     def test_unquantized_bypass(self):
         rng = np.random.default_rng(0)
-        _, G = random_network(rng, 5, 3)
+        beta, G = random_network(rng, 5, 3)
         s = crandn(np.random.default_rng(1), 3)
-        y = simulate_uplink(G, s, NOISE, None, np.random.default_rng(2))
+        y = simulate_uplink(G, s, NOISE, 0, np.random.default_rng(2), beta)
         rng2 = np.random.default_rng(2)
         n = rng2.normal(size=5) + 1j * rng2.normal(size=5)
         np.testing.assert_allclose(y, G @ s + math.sqrt(NOISE.sigma_n2 / 2.0) * n)
 
     def test_zero_symbols_gives_quantized_noise(self):
+        # Output lands on each AP's midrise alphabet, whose step is sized at
+        # the data-phase variance.
         rng = np.random.default_rng(3)
-        _, G = random_network(rng, 4, 2)
-        q = UniformQuantizer.for_complex_variance(16, NOISE.sigma_n2)
-        y = simulate_uplink(G, np.zeros(2, dtype=complex), NOISE, [q] * 4, np.random.default_rng(4))
-        assert np.all(np.isin(np.abs(y.real) / q.step - 0.5, np.arange(8)))
+        beta, G = random_network(rng, 4, 2)
+        y = simulate_uplink(G, np.zeros(2, dtype=complex), NOISE, 4, np.random.default_rng(4), beta)
+        steps = optimal_step(16) * np.sqrt(received_variance(beta, 1.0, NOISE.sigma_n2) / 2.0)
+        assert y.shape == (4,)
+        np.testing.assert_allclose(
+            np.abs(y.real) / steps - 0.5, np.round(np.abs(y.real) / steps - 0.5), atol=1e-9
+        )
+        assert np.all(np.abs(y.real) < 8 * steps)
+
+    def test_leading_trial_axis(self):
+        rng = np.random.default_rng(24)
+        beta, G = random_network(rng, 3, 2)
+        s = crandn(rng, 5, 2, 7)
+        y = simulate_uplink(G, s, NOISE, 6, np.random.default_rng(25), beta)
+        rng2 = np.random.default_rng(25)
+        n = rng2.normal(size=(5, 3, 7)) + 1j * rng2.normal(size=(5, 3, 7))
+        x = G @ s + np.sqrt(NOISE.sigma_n2 / 2.0) * n
+        assert y.shape == (5, 3, 7)
+        np.testing.assert_array_equal(
+            y, fronthaul(x, 6, received_variance(beta, 1.0, NOISE.sigma_n2))
+        )
 
     def test_output_power_matches_gamma(self):
         # With unit-modulus fading the received variance at each AP equals
@@ -87,20 +106,12 @@ class TestSimulateUplink:
         sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
         bits = 3
         alpha, gamma = factors_at_optimum(bits)
-        steps = optimal_step(2**bits) * np.sqrt(sigma_m2 / 2.0)
-        qs = [UniformQuantizer(2**bits, float(s)) for s in steps]
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            y = simulate_uplink(G, s, NOISE, qs, rng)
+            y = simulate_uplink(G, s, NOISE, bits, rng, beta)
             acc += np.mean(np.abs(y) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), gamma * sigma_m2, rtol=0.02)
-
-    def test_wrong_quantizer_count(self):
-        rng = np.random.default_rng(6)
-        _, G = random_network(rng, 3, 2)
-        with pytest.raises(ValueError):
-            simulate_uplink(G, np.zeros(2), NOISE, [UniformQuantizer(4, 1.0)], rng)
 
 
 class TestDistortionCovariance:
@@ -127,17 +138,12 @@ class TestDistortionCovariance:
         bits = 3
         alpha, gamma = factors_at_optimum(bits)
         c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        steps = optimal_step(2**bits) * np.sqrt(
-            received_variance(beta, 1.0, NOISE.sigma_n2) / 2.0
-        )
+        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            x = G @ s
-            x += math.sqrt(NOISE.sigma_n2 / 2.0) * (
-                rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-            )
-            y = quantize_complex_with_steps(x, 2**bits, steps[:, None])
+            x = simulate_uplink(G, s, NOISE, 0, rng, beta)
+            y = fronthaul(x, bits, sigma_m2)
             acc += np.mean(np.abs(y - alpha * x) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), c_delta, rtol=0.03)
 
@@ -149,20 +155,15 @@ class TestDistortionCovariance:
         beta = rng.uniform(0.05, 0.6, size=(m_aps, k_users))
         bits = 3
         alpha, _ = factors_at_optimum(bits)
-        steps = optimal_step(2**bits) * np.sqrt(
-            received_variance(beta, 1.0, NOISE.sigma_n2) / 2.0
-        )
+        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
         cross = np.zeros((m_aps, m_aps), dtype=complex)
         cross_re = np.zeros((m_aps, m_aps))
         cross_im = np.zeros((m_aps, m_aps))
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             s = crandn(rng, 10_000, k_users, 1)
-            x = ((h * np.sqrt(beta)) @ s)[..., 0]
-            x += math.sqrt(NOISE.sigma_n2 / 2.0) * (
-                rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-            )
-            d = quantize_complex_with_steps(x, 2**bits, steps) - alpha * x
+            x = simulate_uplink(h * np.sqrt(beta), s, NOISE, 0, rng, beta)
+            d = (fronthaul(x, bits, sigma_m2) - alpha * x)[..., 0]
             prod = d[:, :, None] * d.conj()[:, None, :]
             cross += prod.sum(axis=0)
             cross_re += (prod.real**2).sum(axis=0)
@@ -291,19 +292,13 @@ class TestDetect:
         G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
         bits = 6
         alpha, gamma = factors_at_optimum(bits)
-        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
-        steps = optimal_step(2**bits) * np.sqrt(sigma_m2 / 2.0)
         c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
         W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
         cov = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
         acc = np.zeros(k_users)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            x = G @ s
-            x += math.sqrt(NOISE.sigma_n2 / 2.0) * (
-                rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-            )
-            y = quantize_complex_with_steps(x, 2**bits, steps[:, None])
+            y = simulate_uplink(G, s, NOISE, bits, rng, beta)
             acc += np.mean(np.abs(W @ y - s) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), np.real(np.diag(cov)), rtol=0.03)
 
@@ -489,7 +484,7 @@ class TestDetectionResult:
         alpha, gamma = factors_at_optimum(4)
         c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
         s = crandn(rng, 3)
-        y = simulate_uplink(G, s, NOISE, None, rng)
+        y = simulate_uplink(G, s, NOISE, 0, rng, beta)
         result = detection_result(G, NOISE, c_delta, alpha, y)
         np.testing.assert_allclose(result.s_hat, result.weights @ y)
         np.testing.assert_allclose(

@@ -11,16 +11,15 @@ from cfquant.estimation import (
     estimation_mse,
     lmmse_coefficient,
     make_pilot_book,
-    pilot_correlate,
     pilot_mse_at_coefficient,
     simulate_pilot_phase,
 )
 from cfquant.quantizer import (
     UniformQuantizer,
     bussgang_alpha,
+    fronthaul,
     optimal_step,
     power_gain_gamma,
-    quantize_complex_with_steps,
 )
 
 NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
@@ -28,6 +27,13 @@ NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
 
 def crandn(rng, *shape):
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+
+
+def pilot_correlate(y_m, phi_k):
+    """Scalar oracle for ``correlate_all``: one AP's pilot block against
+    one pilot column."""
+    assert len(y_m) == len(phi_k)
+    return complex(np.vdot(phi_k, y_m))
 
 
 def factors_at_optimum(bits):
@@ -65,24 +71,37 @@ class TestSimulatePilotPhase:
         rng = np.random.default_rng(0)
         G = crandn(rng, 6, 3) * 0.4
         book = make_pilot_book(3, 3)
-        y = simulate_pilot_phase(G, book, NOISE, None, np.random.default_rng(77))
+        y = simulate_pilot_phase(G, book, NOISE, 0, np.random.default_rng(77), np.abs(G) ** 2)
         rng2 = np.random.default_rng(77)
         clean = math.sqrt(3) * (G @ book.phi.T)
         noise = rng2.normal(size=(6, 3)) + 1j * rng2.normal(size=(6, 3))
         np.testing.assert_allclose(y, clean + math.sqrt(NOISE.sigma_n2 / 2.0) * noise)
 
     def test_matches_vectorized_kernel(self):
-        # The per-AP loop and the broadcast kernel quantize identically.
+        # Quantized pilots are the unquantized ones through the fronthaul,
+        # sized at the pilot-phase (unit symbol power) variance.
         rng = np.random.default_rng(1)
         G = crandn(rng, 5, 2) * 0.3
         beta = np.abs(G) ** 2
         book = make_pilot_book(2, 2)
         sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
-        steps = optimal_step(16) * np.sqrt(sigma_m2 / 2.0)
-        qs = [UniformQuantizer(16, float(s)) for s in steps]
-        y = simulate_pilot_phase(G, book, NOISE, qs, np.random.default_rng(5))
-        x = simulate_pilot_phase(G, book, NOISE, None, np.random.default_rng(5))
-        np.testing.assert_allclose(y, quantize_complex_with_steps(x, 16, steps[:, None]))
+        y = simulate_pilot_phase(G, book, NOISE, 4, np.random.default_rng(5), beta)
+        x = simulate_pilot_phase(G, book, NOISE, 0, np.random.default_rng(5), beta)
+        np.testing.assert_array_equal(y, fronthaul(x, 4, sigma_m2))
+
+    def test_leading_trial_axis(self):
+        rng = np.random.default_rng(17)
+        beta = rng.uniform(0.05, 0.5, size=(3, 2))
+        G = crandn(rng, 6, 3, 2) * np.sqrt(beta)
+        book = make_pilot_book(2, 4)
+        y = simulate_pilot_phase(G, book, NOISE, 5, np.random.default_rng(18), beta)
+        rng2 = np.random.default_rng(18)
+        noise = rng2.normal(size=(6, 3, 4)) + 1j * rng2.normal(size=(6, 3, 4))
+        x = 2.0 * (G @ book.phi.T) + math.sqrt(NOISE.sigma_n2 / 2.0) * noise
+        assert y.shape == (6, 3, 4)
+        np.testing.assert_array_equal(
+            y, fronthaul(x, 5, received_variance(beta, 1.0, NOISE.sigma_n2))
+        )
 
     def test_noise_only_power_matches_gamma(self):
         # With no users the quantized samples carry gamma times the input
@@ -90,12 +109,11 @@ class TestSimulatePilotPhase:
         m_aps, tau, trials = 4, 4, 4000
         G = np.zeros((m_aps, 0), dtype=complex)
         book = make_pilot_book(0, tau)
-        q = UniformQuantizer.for_complex_variance(16, NOISE.sigma_n2)
-        gamma = power_gain_gamma(q, math.sqrt(NOISE.sigma_n2 / 2.0))
+        _, gamma = factors_at_optimum(4)
         rng = np.random.default_rng(2)
         powers = np.empty(trials)
         for t in range(trials):
-            y = simulate_pilot_phase(G, book, NOISE, [q] * m_aps, rng)
+            y = simulate_pilot_phase(G, book, NOISE, 4, rng, np.zeros((m_aps, 0)))
             powers[t] = np.mean(np.abs(y) ** 2)
         se = powers.std() / math.sqrt(trials)
         assert abs(powers.mean() - gamma * NOISE.sigma_n2) < 4.0 * se
@@ -116,22 +134,6 @@ class TestSimulatePilotPhase:
         per_symbol = acc / (trials // 1000)
         expected = received_variance(beta, 1.0, NOISE.sigma_n2)
         np.testing.assert_allclose(per_symbol, expected[:, None] * np.ones((1, k_users)), rtol=0.02)
-
-    def test_step_mismatch_warns(self):
-        rng = np.random.default_rng(4)
-        G = crandn(rng, 3, 2)
-        beta = np.abs(G) ** 2
-        book = make_pilot_book(2, 2)
-        qs = [UniformQuantizer(16, 1e-3)] * 3  # far too fine for this variance
-        with pytest.warns(UserWarning, match="quantizer step"):
-            simulate_pilot_phase(G, book, NOISE, qs, rng, beta=beta)
-
-    def test_wrong_quantizer_count_rejected(self):
-        rng = np.random.default_rng(5)
-        G = crandn(rng, 3, 2)
-        book = make_pilot_book(2, 2)
-        with pytest.raises(ValueError):
-            simulate_pilot_phase(G, book, NOISE, [UniformQuantizer(4, 1.0)], rng)
 
 
 class TestPilotCorrelate:
@@ -172,15 +174,11 @@ class TestPilotCorrelate:
         tau = 4
         book = make_pilot_book(1, tau)
         alpha, _ = factors_at_optimum(3)
-        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
-        steps = optimal_step(8) * np.sqrt(sigma_m2 / 2.0)
         trials = 100_000
         samples = np.empty(trials, dtype=complex)
         for start in range(0, trials, 10_000):
             h = crandn(rng, 10_000, 1, 1)
-            x = math.sqrt(tau) * ((h * np.sqrt(beta)) @ book.phi.T)
-            x += math.sqrt(NOISE.sigma_n2 / 2.0) * crandn(rng, 10_000, 1, tau) * math.sqrt(2.0)
-            y = quantize_complex_with_steps(x, 8, steps[:, None])
+            y = simulate_pilot_phase(h * np.sqrt(beta), book, NOISE, 3, rng, beta)
             samples[start : start + 10_000] = (y @ book.phi.conj())[:, 0, 0] * np.conj(h[:, 0, 0])
         expected = alpha * math.sqrt(tau * beta[0, 0])
         z_re = abs(samples.real.mean() - expected) / (samples.real.std() / math.sqrt(trials))
@@ -247,8 +245,6 @@ class TestEstimateChannel:
         beta = rng.uniform(0.05, 0.8, size=(m_aps, k_users))
         book = make_pilot_book(k_users, tau)
         alpha, gamma = factors_at_optimum(8)
-        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
-        steps = optimal_step(256) * np.sqrt(sigma_m2 / 2.0)
         c = lmmse_coefficient(beta, beta, tau, alpha, gamma, NOISE.sigma_n2)
         mse, _ = estimation_mse(beta, beta, tau, alpha, gamma, NOISE.sigma_n2)
         total = np.zeros((m_aps, k_users))
@@ -256,9 +252,7 @@ class TestEstimateChannel:
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             g = h * np.sqrt(beta)
-            x = math.sqrt(tau) * (g @ book.phi.T)
-            x += math.sqrt(NOISE.sigma_n2 / 2.0) * crandn(rng, 10_000, m_aps, tau) * math.sqrt(2.0)
-            y = quantize_complex_with_steps(x, 256, steps[:, None])
+            y = simulate_pilot_phase(g, book, NOISE, 8, rng, beta)
             g_hat = c * (y @ book.phi.conj())
             total += np.sum(np.abs(g_hat - g) ** 2, axis=0)
         np.testing.assert_allclose(total / trials, mse, rtol=0.02)
@@ -336,7 +330,7 @@ class TestEstimateFromPilots:
         g = crandn(rng, 5, 3) * np.sqrt(beta)
         book = make_pilot_book(3, 3)
         alpha, gamma = factors_at_optimum(6)
-        y = simulate_pilot_phase(g, book, NOISE, None, rng)
+        y = simulate_pilot_phase(g, book, NOISE, 0, rng, beta)
         est = estimate_from_pilots(y, book, beta, alpha, gamma, NOISE.sigma_n2)
         np.testing.assert_allclose(
             est.g_hat, est.c * correlate_all(y, book), atol=1e-15

@@ -1,20 +1,22 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from cfquant.quantizer import (
+    MAX_LEVELS,
     BussgangFactors,
     FlatObjectiveWarning,
     UniformQuantizer,
     bussgang_alpha,
     bussgang_factors,
     distortion_power,
+    fronthaul,
     optimal_step,
     power_gain_gamma,
     quantize,
     quantize_complex,
-    quantize_complex_with_steps,
     sdnr,
 )
 
@@ -68,7 +70,7 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(bad, q)
         with pytest.raises(ValueError):
-            quantize_complex(complex(bad, 0.0), q)
+            quantize_complex(complex(bad, 0.0), q.levels, q.step)
 
     def test_invalid_quantizer(self):
         with pytest.raises(ValueError):
@@ -83,22 +85,19 @@ class TestQuantize:
 
 class TestQuantizeComplex:
     def test_componentwise(self):
-        q = UniformQuantizer(4, 1.0)
-        assert quantize_complex(0.3 - 0.2j, q) == 0.5 - 0.5j
+        assert quantize_complex(0.3 - 0.2j, 4, 1.0) == 0.5 - 0.5j
 
     def test_zero_convention(self):
-        q = UniformQuantizer(4, 1.0)
-        assert quantize_complex(0.0 + 0.0j, q) == -0.5 - 0.5j
+        assert quantize_complex(0.0 + 0.0j, 4, 1.0) == -0.5 - 0.5j
 
     def test_double_saturation(self):
-        q = UniformQuantizer(4, 1.0)
-        assert quantize_complex(10 + 10j, q) == 1.5 + 1.5j
+        assert quantize_complex(10 + 10j, 4, 1.0) == 1.5 + 1.5j
 
     def test_matches_real_quantizer(self):
         q = UniformQuantizer(16, 0.23)
         rng = np.random.default_rng(5)
         x = rng.normal(size=200) + 1j * rng.normal(size=200)
-        out = quantize_complex(x, q)
+        out = quantize_complex(x, q.levels, q.step)
         np.testing.assert_allclose(out.real, quantize(x.real, q))
         np.testing.assert_allclose(out.imag, quantize(x.imag, q))
 
@@ -106,9 +105,36 @@ class TestQuantizeComplex:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 50)) + 1j * rng.normal(size=(3, 50))
         steps = np.array([0.2, 0.5, 1.1])
-        out = quantize_complex_with_steps(x, 8, steps[:, None])
+        out = quantize_complex(x, 8, steps[:, None])
         for m, step in enumerate(steps):
-            np.testing.assert_allclose(out[m], quantize_complex(x[m], UniformQuantizer(8, step)))
+            q = UniformQuantizer(8, step)
+            np.testing.assert_array_equal(out[m].real, quantize(x[m].real, q))
+            np.testing.assert_array_equal(out[m].imag, quantize(x[m].imag, q))
+
+
+class TestFronthaul:
+    def test_zero_bits_is_identity(self):
+        x = np.ones((3, 2), dtype=complex)
+        assert fronthaul(x, 0, np.ones(3)) is x
+
+    def test_leading_trial_axis(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 3, 4)) + 1j * rng.normal(size=(5, 3, 4))
+        variance = np.array([1.0, 2.0, 0.5])
+        out = fronthaul(x, 6, variance)
+        for t in range(5):
+            np.testing.assert_array_equal(out[t], fronthaul(x[t], 6, variance))
+
+    @pytest.mark.parametrize("variance", [np.ones(2), np.ones(4), np.array([1.0, 0.0, 1.0])])
+    def test_rejects_bad_variances(self, variance):
+        with pytest.raises(ValueError):
+            fronthaul(np.ones((3, 2), dtype=complex), 4, variance)
+
+    def test_rejects_non_finite(self):
+        x = np.ones((2, 2), dtype=complex)
+        x[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fronthaul(x, 4, np.ones(2))
 
 
 class TestClosedForms:
@@ -290,7 +316,19 @@ class TestOptimalStep:
         with pytest.raises(ValueError):
             optimal_step(levels)
 
-    def test_sizing_for_complex_variance(self):
-        q = UniformQuantizer.for_complex_variance(16, 3.0)
-        assert q.levels == 16
-        assert q.step == pytest.approx(optimal_step(16) * math.sqrt(1.5), rel=1e-12)
+    def test_sizing_at_complex_variance(self):
+        # AP m quantizes each component at the normalized optimum times the
+        # component std sqrt(variance[m]/2).
+        rng = np.random.default_rng(7)
+        variance = np.array([0.5, 2.0, 3.0])
+        x = (rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))) * np.sqrt(variance)[:, None]
+        out = fronthaul(x, 4, variance)
+        for m, v in enumerate(variance):
+            step = optimal_step(16) * math.sqrt(v / 2.0)
+            np.testing.assert_array_equal(out[m], quantize_complex(x[m], 16, step))
+
+    def test_level_limit_fails_fast(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=str(MAX_LEVELS)):
+            optimal_step(2 * MAX_LEVELS)
+        assert time.monotonic() - start < 1.0

@@ -65,6 +65,7 @@ class TestConfig:
             {"gamma1": math.nan},
             {"bits_list": (15,)},
             {"bits_list": (8, 20)},
+            {"bits_list": (10**9,)},
         ],
     )
     def test_unsupported_configs_rejected(self, kwargs):
@@ -288,6 +289,12 @@ class TestValidation:
         assert any(n.startswith("detection_orthogonality") for n in names)
         for r in results:
             assert r.passed, f"{r.name}: statistic={r.statistic} threshold={r.threshold}"
+
+    @pytest.mark.parametrize("n_trials", [0, 1, -5])
+    def test_rejects_too_few_trials(self, n_trials):
+        cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
+        with pytest.raises(ValueError, match=f"n_trials .*got {n_trials}$"):
+            validate_closed_forms(cfg, n_trials=n_trials)
 
     def test_identity_checks_are_tight(self):
         cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
