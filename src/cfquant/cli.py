@@ -12,6 +12,7 @@ from .simulation import (
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     SimulationConfig,
+    bussgang_table,
     campaign_manifest,
     parse_config_file,
     run_nmse_campaign,
@@ -84,8 +85,9 @@ def _cmd_nmse(args):
         "nmse campaign: M=%d K=%d geometries=%d bits=%s seed=%d",
         cfg.m_aps, cfg.k_users, cfg.n_geometries, list(bits_list), cfg.seed,
     )
-    series = run_nmse_campaign(cfg, n_workers=args.workers)
-    manifest = campaign_manifest(cfg, "nmse", bits_list)
+    table = bussgang_table(bits_list)
+    series = run_nmse_campaign(cfg, n_workers=args.workers, table=table)
+    manifest = campaign_manifest(cfg, "nmse", bits_list, bussgang_table=table)
     paths = write_cdf_csv(series, args.out, campaign="nmse", manifest=manifest)
     for path in paths:
         logger.info("wrote %s", path)
@@ -100,8 +102,13 @@ def _cmd_sinr(args):
         cfg.m_aps, cfg.k_users, cfg.n_geometries, cfg.n_smallscale, list(bits_list),
         cfg.seed, " (legacy noise scaling)" if args.legacy_eq21 else "",
     )
-    series = run_sinr_campaign(cfg, n_workers=args.workers, legacy_eq21=args.legacy_eq21)
-    manifest = campaign_manifest(cfg, "sinr", bits_list, legacy_eq21=args.legacy_eq21)
+    table = bussgang_table(bits_list)
+    series = run_sinr_campaign(
+        cfg, n_workers=args.workers, legacy_eq21=args.legacy_eq21, table=table
+    )
+    manifest = campaign_manifest(
+        cfg, "sinr", bits_list, legacy_eq21=args.legacy_eq21, bussgang_table=table
+    )
     paths = write_cdf_csv(series, args.out, campaign="sinr", manifest=manifest)
     for path in paths:
         logger.info("wrote %s", path)

@@ -58,6 +58,7 @@ __all__ = [
     "substream",
     "make_cdf",
     "parse_config_file",
+    "bussgang_table",
     "campaign_manifest",
     "run_nmse_campaign",
     "run_sinr_campaign",
@@ -205,16 +206,25 @@ def make_cdf(values, label):
     return CdfSeries(label=str(label), values=values, probs=probs)
 
 
-def _bussgang_table(bits_list):
-    """(alpha, gamma) at the SDNR-optimal normalized step per bit depth;
-    bits=0 marks the unquantized fronthaul."""
+def bussgang_table(bits_list):
+    """Bit depth -> {"step", "alpha", "gamma"}: the SDNR-optimal normalized
+    step and the linear gain and power ratio there, at unit input variance.
+
+    bits=0 marks the unquantized fronthaul (step None, alpha = gamma = 1).
+    This is the table the campaigns run with and their manifests record.
+    """
     table = {}
     for bits in bits_list:
         if bits == 0:
-            table[0] = (1.0, 1.0)
+            table[0] = {"step": None, "alpha": 1.0, "gamma": 1.0}
             continue
-        q = UniformQuantizer(2**bits, optimal_step(2**bits))
-        table[bits] = (bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0))
+        step = optimal_step(2**bits)
+        q = UniformQuantizer(2**bits, step)
+        table[bits] = {
+            "step": step,
+            "alpha": bussgang_alpha(q, 1.0),
+            "gamma": power_gain_gamma(q, 1.0),
+        }
     return table
 
 
@@ -233,8 +243,8 @@ def _nmse_trial(cfg, table, trial):
     sigma_n2 = cfg.noise_model().sigma_n2
     tau = cfg.resolved_tau()
     out = {}
-    for bits, (alpha, gamma) in table.items():
-        _, nmse = estimation_mse(beta, beta, tau, alpha, gamma, sigma_n2)
+    for bits, row in table.items():
+        _, nmse = estimation_mse(beta, beta, tau, row["alpha"], row["gamma"], sigma_n2)
         out[bits] = nmse.ravel()
     return out
 
@@ -248,7 +258,8 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     for fade in range(cfg.n_smallscale):
         h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
         G = h * np.sqrt(beta)
-        for bits, (alpha, gamma) in table.items():
+        for bits, row in table.items():
+            alpha, gamma = row["alpha"], row["gamma"]
             c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, noise.sigma_n2)
             if legacy_eq21:
                 W = mmse_weights(
@@ -283,27 +294,32 @@ def _pool_series(per_trial, bits_list):
     ]
 
 
-def run_nmse_campaign(cfg, n_workers=1):
+def run_nmse_campaign(cfg, n_workers=1, table=None):
     """Empirical CDFs of the closed-form normalized channel-estimation MSE.
 
     One geometry and shadowing realization per trial; all AP-user pairs are
     pooled across trials into one CDF per bit depth (0 = unquantized).
+    ``table`` is the ``bussgang_table`` of those bit depths, built here
+    when not given; pass it to record in a manifest the table the run used.
     """
     bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
-    table = _bussgang_table(bits_list)
+    if table is None:
+        table = bussgang_table(bits_list)
     per_trial = _run_trials(partial(_nmse_trial, cfg, table), cfg.n_geometries, n_workers)
     return _pool_series(per_trial, bits_list)
 
 
-def run_sinr_campaign(cfg, n_workers=1, legacy_eq21=False):
+def run_sinr_campaign(cfg, n_workers=1, legacy_eq21=False, table=None):
     """Empirical CDFs of per-user SINR in dB under perfect channel knowledge.
 
     Pools k_users * n_smallscale samples per geometry trial and bit depth.
     ``legacy_eq21`` selects the receiver variant whose noise term is not
-    scaled by the linear gain squared, for comparison.
+    scaled by the linear gain squared, for comparison.  ``table`` is as in
+    ``run_nmse_campaign``.
     """
     bits_list = cfg.resolved_bits(SINR_DEFAULT_BITS)
-    table = _bussgang_table(bits_list)
+    if table is None:
+        table = bussgang_table(bits_list)
     per_trial = _run_trials(
         partial(_sinr_trial, cfg, table, legacy_eq21), cfg.n_geometries, n_workers
     )
@@ -557,15 +573,13 @@ def validate_closed_forms(cfg, n_trials=100_000):
     for bits in est_bits:
         if bits == 0:
             continue
-        table = _bussgang_table((bits,))
-        alpha, gamma = table[bits]
-        results.append(_estimation_check(cfg, bits, alpha, gamma, n_trials))
+        row = bussgang_table((bits,))[bits]
+        results.append(_estimation_check(cfg, bits, row["alpha"], row["gamma"], n_trials))
     for bits in det_bits:
         if bits == 0:
             continue
-        table = _bussgang_table((bits,))
-        alpha, gamma = table[bits]
-        results.extend(_detection_checks(cfg, bits, alpha, gamma, n_trials))
+        row = bussgang_table((bits,))[bits]
+        results.extend(_detection_checks(cfg, bits, row["alpha"], row["gamma"], n_trials))
     return results
 
 

@@ -1,13 +1,30 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfquant.cli import main
+from cfquant.quantizer import UniformQuantizer, bussgang_factors, optimal_step
+
+
+def assert_records_bussgang_table(manifest):
+    """The manifest holds, per bit depth, the exact step, alpha and gamma."""
+    table = manifest["bussgang_table"]
+    assert {int(key) for key in table} == set(manifest["bits_list"])
+    for key, row in table.items():
+        bits = int(key)
+        if bits == 0:
+            assert row == {"step": None, "alpha": 1.0, "gamma": 1.0}
+            continue
+        step = optimal_step(2**bits)
+        factors = bussgang_factors(UniformQuantizer(2**bits, step), 1.0)
+        assert row == {"step": step, "alpha": factors.alpha, "gamma": factors.gamma}
 
 
 class TestQuantizerTable:
@@ -61,6 +78,7 @@ class TestCampaignCommands:
         assert manifest["m_aps"] == 10
         assert manifest["seed"] == 9
         assert manifest["bits_list"] == [4, 0]
+        assert_records_bussgang_table(manifest)
         lines = (tmp_path / "nmse_b4.csv").read_text().splitlines()
         assert lines[0] == "value,cum_prob"
         assert len(lines) == 1 + 10 * 4 * 2
@@ -82,6 +100,7 @@ class TestCampaignCommands:
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["legacy_eq21"] is True
+        assert_records_bussgang_table(manifest)
         assert (tmp_path / "sinr_b6.csv").exists()
         assert (tmp_path / "sinr_b0.csv").exists()
 
@@ -133,8 +152,11 @@ class TestValidateCommand:
 
 class TestEntryPoint:
     def test_installed_script_runs(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "cfquant.cli", "quantizer-table", "--levels", "4"],
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
         )

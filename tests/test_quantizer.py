@@ -3,8 +3,18 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 
 from cfquant.quantizer import (
+    _COARSE_RES,
+    _SCAN_RUN,
+    _SEARCH_HI,
+    _UNDERFLOW_ARG,
+    _alpha_normalized,
+    _gamma_normalized,
+    _gaussian_tail,
+    _sdnr_objective,
+    _series_orders,
     MAX_LEVELS,
     BussgangFactors,
     FlatObjectiveWarning,
@@ -19,6 +29,26 @@ from cfquant.quantizer import (
     quantize_complex,
     sdnr,
 )
+
+
+# The solver's coarse grid, k*1e-3 for k = 1..8000, in the runs it
+# evaluates together.
+COARSE_GRID = np.arange(_COARSE_RES, _SEARCH_HI + 0.5 * _COARSE_RES, _COARSE_RES)
+SCAN_RUNS = [COARSE_GRID[i : i + _SCAN_RUN] for i in range(0, COARSE_GRID.size, _SCAN_RUN)]
+
+
+def untruncated_alpha(levels, d):
+    """Oracle: the alpha series over every order l = 1..L/2-1, no cutoff."""
+    ls = np.arange(1, levels // 2, dtype=float)
+    series = 2.0 * np.exp(-0.5 * np.multiply.outer(ls**2, d**2)).sum(axis=0)
+    return d / math.sqrt(2.0 * math.pi) * (series + 1.0)
+
+
+def untruncated_gamma(levels, d):
+    """Oracle: the gamma series over every order l = 1..L/2-1, no cutoff."""
+    ls = np.arange(1, levels // 2, dtype=float)
+    series = 4.0 * (ls @ (0.5 * erfc(np.multiply.outer(ls, d) / math.sqrt(2.0))))
+    return d**2 * (0.25 + series)
 
 
 def opt_step_quiet(levels):
@@ -332,3 +362,67 @@ class TestOptimalStep:
         with pytest.raises(ValueError, match=str(MAX_LEVELS)):
             optimal_step(2 * MAX_LEVELS)
         assert time.monotonic() - start < 1.0
+
+    # Steps found by the solver with the untruncated series, to the last
+    # bit: skipping underflowed terms must not move any of them.
+    UNTRUNCATED_STEPS = {
+        2: 0.9956869176962472,
+        3: 0.5860194738208371,
+        4: 0.3352007199160436,
+        5: 0.18813895365628416,
+        6: 0.10406295250104906,
+        7: 0.05686781765091026,
+        8: 0.03076257271093886,
+        9: 0.016498900293846215,
+        10: 0.008785391329024131,
+        11: 0.004649996396608883,
+        12: 0.002448304165896375,
+        13: 0.0012836654487448475,
+        14: 0.0006704153759025105,
+    }
+
+    @pytest.mark.parametrize("bits", sorted(UNTRUNCATED_STEPS))
+    def test_bit_identical_to_untruncated_solver(self, bits):
+        assert repr(optimal_step(2**bits)) == repr(self.UNTRUNCATED_STEPS[bits])
+
+    @pytest.mark.parametrize("bits", range(10, 15))
+    def test_deep_quantizer_optimum_against_dense_scan(self, bits):
+        # From 2**13 levels on the optimum lies below the coarse grid's
+        # spacing, so check the result against a scan dense at small steps.
+        levels = 2**bits
+        scan = np.geomspace(1e-5, _SEARCH_HI, 10_001)
+        best = max(_sdnr_objective(levels, part).max() for part in np.array_split(scan, 50))
+        assert _sdnr_objective(levels, optimal_step(levels)) >= best * (1.0 - 1e-12)
+
+
+class TestSeriesTruncation:
+    def test_cutoff_underflows(self):
+        assert math.exp(-0.5 * _UNDERFLOW_ARG**2) == 0.0
+        assert _gaussian_tail(_UNDERFLOW_ARG) == 0.0
+
+    @pytest.mark.parametrize("levels", [4, 6, 100, 2**10, 10000, 2**14])
+    def test_bit_identical_to_untruncated_series(self, levels):
+        # Over the whole coarse grid, run by run as the solver scans it.
+        # Exact equality also relies on the BLAS giving each row of the
+        # gamma product the same float whether or not it splits the product
+        # over threads, as OpenBLAS does at 1 and 2 threads for 200 rows.
+        for run in SCAN_RUNS:
+            np.testing.assert_array_equal(
+                _alpha_normalized(levels, run), untruncated_alpha(levels, run)
+            )
+            np.testing.assert_array_equal(
+                _gamma_normalized(levels, run), untruncated_gamma(levels, run)
+            )
+
+    def test_scalar_matches_untruncated_series(self):
+        for levels in (100, 2**14):
+            for d in (1e-4, 0.3, 0.8, 2.5, 7.9):
+                assert _alpha_normalized(levels, d) == untruncated_alpha(levels, np.array([d]))[0]
+                assert _gamma_normalized(levels, d) == untruncated_gamma(levels, np.array([d]))[0]
+
+    def test_scan_tables_bounded_and_truncated(self):
+        # At the deepest quantizer no term table of the coarse scan exceeds
+        # 2e6 entries, and the scan evaluates under 3% of the full series.
+        sizes = [run.size * _series_orders(MAX_LEVELS, run).size for run in SCAN_RUNS]
+        assert max(sizes) <= 2_000_000
+        assert sum(sizes) < 0.03 * COARSE_GRID.size * (MAX_LEVELS // 2 - 1)

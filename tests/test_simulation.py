@@ -231,11 +231,12 @@ class TestSinrCampaign:
         series = run_sinr_campaign(cfg)
         from cfquant.channel import draw_small_scale
         from cfquant.detection import distortion_covariance, error_covariance, per_user_sinr
-        from cfquant.simulation import _bussgang_table, _draw_gains, _FADING
+        from cfquant.simulation import _draw_gains, _FADING, bussgang_table
 
         beta = _draw_gains(cfg, 0)
         h = draw_small_scale(1, 1, substream(cfg.seed, _FADING, 0, 0))
-        alpha, gamma = _bussgang_table((6,))[6]
+        row = bussgang_table((6,))[6]
+        alpha, gamma = row["alpha"], row["gamma"]
         noise = cfg.noise_model()
         c_delta = distortion_covariance(beta, alpha, gamma, 1.0, noise.sigma_n2)
         cov = error_covariance(h * np.sqrt(beta), alpha, 1.0, noise.sigma_n2, c_delta)
