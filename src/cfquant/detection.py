@@ -78,18 +78,20 @@ def distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2):
 
 
 def _information_inverse(G, alpha, sigma_s2, b):
-    """(I/sigma_s2 + alpha**2 * G^H * diag(b)^-1 * G)^-1, shape (K, K): the
-    one kernel behind the MMSE receiver and its error covariance."""
+    """(I/sigma_s2 + alpha**2 * G^H * diag(b)^-1 * G)^-1, shape (..., K, K), for b (..., M)
+    and ``alpha`` scalar or (..., 1): the one kernel behind the MMSE receiver and its error
+    covariance.  G is scaled by 1/b, as numpy's complex division does, at a third of its cost."""
     if np.any(b <= 0.0):
         raise np.linalg.LinAlgError(
             "noise-plus-distortion diagonal is singular (distortion-free and "
             "noiseless corner); no MMSE receiver exists"
         )
-    info = alpha**2 * (G.conj().T @ (G / b[:, None]))
-    info[np.diag_indices_from(info)] += 1.0 / sigma_s2
-    info = 0.5 * (info + info.conj().T)
+    info = np.asarray(alpha)[..., None] ** 2 * (G.conj().T @ (G * (1.0 / b)[..., :, None]))
+    k = np.arange(G.shape[1])
+    info[..., k, k] += 1.0 / sigma_s2
+    info = 0.5 * (info + info.conj().swapaxes(-1, -2))
     cov = np.linalg.inv(info)
-    return 0.5 * (cov + cov.conj().T) if G.shape[1] > 1 else cov
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2)) if G.shape[1] > 1 else cov
 
 
 def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
@@ -101,10 +103,12 @@ def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
     With ``legacy_eq21`` the noise term enters b unscaled by alpha**2, an
     alternative bookkeeping kept for comparison; the default scaling is the
     one consistent with the linearized model.  Raises LinAlgError unless b > 0.
+    A stack of bit depths, ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, M).
     """
-    noise_scale = sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2
-    b = np.asarray(c_delta, dtype=float) + noise_scale
-    return alpha * (_information_inverse(G, alpha, sigma_s2, b) @ G.conj().T) / b
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    b = np.asarray(c_delta, dtype=float) + (sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2)
+    P = _information_inverse(G, alpha, sigma_s2, b)
+    return alpha[..., None] * (P @ G.conj().T) / b[..., None, :]
 
 
 def detect(W, y):
@@ -119,8 +123,9 @@ def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta):
     (I/sigma_s2 + alpha**2 * G^H * diag(B)^-1 * G)^-1 with B the noise-plus-
     distortion diagonal, which stays well conditioned whenever B is
     nonsingular.  Hermitian positive semidefinite with diagonal in
-    (0, sigma_s2].
+    (0, sigma_s2].  A stack of bit depths, ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, K).
     """
+    alpha = np.asarray(alpha, dtype=float)[..., None]
     b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
     return _information_inverse(G, alpha, sigma_s2, b)
 
@@ -131,14 +136,14 @@ def error_covariance_for_weights(W, G, alpha, sigma_s2, sigma_n2, c_delta):
     General quadratic form (alpha*W*G - I) sigma_s2 (.)^H + W (alpha**2*
     sigma_n2*I + C_delta) W^H; used for receiver perturbation checks and
     for the legacy noise-scaling variant, where W is not the exact MMSE
-    receiver of the linearized model.
+    receiver of the linearized model.  Takes the stacks of ``mmse_weights``.
     """
-    c_delta = np.asarray(c_delta, dtype=float)
-    k_users = G.shape[1]
-    bias = alpha * (W @ G) - np.eye(k_users)
-    noise_diag = c_delta + alpha**2 * sigma_n2
-    cov = sigma_s2 * (bias @ bias.conj().T) + (W * noise_diag[None, :]) @ W.conj().T
-    return 0.5 * (cov + cov.conj().T)
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    bias = alpha[..., None] * (W @ G) - np.eye(G.shape[1])
+    noise_diag = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
+    W_h = W.conj().swapaxes(-1, -2)
+    cov = sigma_s2 * (bias @ bias.conj().swapaxes(-1, -2)) + (W * noise_diag[..., None, :]) @ W_h
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
 def per_user_sinr(error_cov, sigma_s2):
@@ -146,9 +151,9 @@ def per_user_sinr(error_cov, sigma_s2):
 
     sinr_k = sigma_s2/[C_e]_kk - 1, the SINR of the biased MMSE symbol
     estimate; zero when the observation carries no information about the
-    user.
+    user.  A stack of covariances (..., K, K) gives SINRs of shape (..., K).
     """
-    diag = np.real(np.diagonal(error_cov)).copy()
+    diag = np.real(np.diagonal(error_cov, axis1=-2, axis2=-1)).copy()
     if np.any(diag <= 0.0) or np.any(diag > sigma_s2 * (1.0 + 1e-9)):
         raise ValueError("error covariance diagonal must lie in (0, sigma_s2]")
     return np.maximum(sigma_s2 / diag - 1.0, 0.0)
@@ -173,14 +178,7 @@ def jensen_bound_diagonals(beta, c_delta):
 
 
 def detection_result(G, noise, c_delta, alpha, y):
-    """Bundle receiver, estimates, error covariance and SINR for one block;
-    the K x K kernel is evaluated once for both receiver and covariance."""
-    b = np.asarray(c_delta, dtype=float) + alpha**2 * noise.sigma_n2
-    cov = _information_inverse(G, alpha, noise.sigma_s2, b)
-    W = alpha * (cov @ G.conj().T) / b
-    return DetectionResult(
-        s_hat=detect(W, y),
-        weights=W,
-        error_cov=cov,
-        sinr=per_user_sinr(cov, noise.sigma_s2),
-    )
+    """Bundle receiver, estimates, error covariance and SINR for one block."""
+    W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, noise.sigma_s2)
+    cov = error_covariance(G, alpha, noise.sigma_s2, noise.sigma_n2, c_delta)
+    return DetectionResult(detect(W, y), W, cov, per_user_sinr(cov, noise.sigma_s2))

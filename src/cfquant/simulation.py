@@ -251,33 +251,33 @@ def _nmse_trial(cfg, table, trial):
 
 def _sinr_trial(cfg, table, legacy_eq21, trial):
     """Per-user SINR samples (dB) for one geometry draw, pooled over the
-    small-scale fading draws, assuming perfect channel knowledge."""
+    small-scale fading draws, assuming perfect channel knowledge.  Each
+    fading draw makes one receiver-kernel call for the stack of bit depths."""
     beta = _draw_gains(cfg, trial)
     noise = cfg.noise_model()
-    out = {bits: [] for bits in table}
+    alpha = np.array([row["alpha"] for row in table.values()])
+    c_delta = np.stack([
+        distortion_covariance(beta, row["alpha"], row["gamma"], cfg.sigma_s2, noise.sigma_n2)
+        for row in table.values()
+    ])
+    out = []
     for fade in range(cfg.n_smallscale):
         h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
         G = h * np.sqrt(beta)
-        for bits, row in table.items():
-            alpha, gamma = row["alpha"], row["gamma"]
-            c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, noise.sigma_n2)
-            if legacy_eq21:
-                W = mmse_weights(
-                    G, alpha, noise.sigma_n2, c_delta, cfg.sigma_s2, legacy_eq21=True
-                )
-                cov = error_covariance_for_weights(
-                    W, G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta
-                )
-            else:
-                cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
-            sinr = per_user_sinr(cov, cfg.sigma_s2)
-            if np.any(sinr == 0.0):
-                raise ValueError(
-                    f"zero SINR in geometry trial {trial}, fading draw {fade}, "
-                    f"bits={bits}: no finite dB value"
-                )
-            out[bits].append(10.0 * np.log10(sinr))
-    return {bits: np.concatenate(chunks) for bits, chunks in out.items()}
+        if legacy_eq21:
+            W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, cfg.sigma_s2, legacy_eq21=True)
+            cov = error_covariance_for_weights(W, G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
+        else:
+            cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
+        sinr = per_user_sinr(cov, cfg.sigma_s2)
+        zero = np.any(sinr == 0.0, axis=-1)
+        if zero.any():
+            raise ValueError(
+                f"zero SINR in geometry trial {trial}, fading draw {fade}, "
+                f"bits={list(table)[np.argmax(zero)]}: no finite dB value"
+            )
+        out.append(10.0 * np.log10(sinr))
+    return dict(zip(table, np.concatenate(out, axis=-1)))
 
 
 def _run_trials(worker, n_trials, n_workers):
@@ -341,15 +341,17 @@ def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     paths = []
+    tails = {}  # probs dtype and bytes -> ",{p}\n" rows, shared by series with equal probs
     for entry in series:
         if entry.values.size == 0:
             raise ValueError(f"series {entry.label!r} is empty")
         path = out_dir / f"{campaign}_b{entry.label}.csv"
+        if (key := (entry.probs.dtype.str, entry.probs.tobytes())) not in tails:
+            tails[key] = [f",{p:.9g}\n" for p in entry.probs.tolist()]
         try:
             with open(path, "w", newline="\n") as handle:
                 handle.write("value,cum_prob\n")
-                for value, prob in zip(entry.values, entry.probs):
-                    handle.write(f"{value:.9g},{prob:.9g}\n")
+                handle.writelines(f"{v:.9g}{t}" for v, t in zip(entry.values.tolist(), tails[key]))
         except OSError as exc:
             raise OSError(f"cannot write CDF file {path}: {exc}") from exc
         paths.append(path)

@@ -421,6 +421,48 @@ class TestPerUserSinr:
             per_user_sinr(np.diag([0.0]), 1.0)
 
 
+class TestBitDepthStack:
+    """A stack of bit depths, alpha (B,) with c_delta (B, M), must give
+    exactly the per-bit-depth results, so campaigns can batch them."""
+
+    @staticmethod
+    def stack(rng, k_users):
+        beta, G = random_network(rng, 30, k_users)
+        rows = [factors_at_optimum(bits) for bits in (6, 10, 14)] + [(1.0, 1.0)]
+        alpha = np.array([a for a, _ in rows])
+        c_delta = np.stack(
+            [distortion_covariance(beta, a, g, 1.0, NOISE.sigma_n2) for a, g in rows]
+        )
+        return G, alpha, c_delta
+
+    @pytest.mark.parametrize("k_users", [1, 5])
+    def test_error_covariance_and_sinr(self, k_users):
+        G, alpha, c_delta = self.stack(np.random.default_rng(40), k_users)
+        stacked = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+        assert stacked.shape == (4, k_users, k_users)
+        sinr = per_user_sinr(stacked, 1.0)
+        assert sinr.shape == (4, k_users)
+        for i, (a, c) in enumerate(zip(alpha, c_delta)):
+            cov = error_covariance(G, float(a), 1.0, NOISE.sigma_n2, c)
+            np.testing.assert_array_equal(stacked[i], cov)
+            np.testing.assert_array_equal(sinr[i], per_user_sinr(cov, 1.0))
+
+    @pytest.mark.parametrize("legacy_eq21", [False, True])
+    @pytest.mark.parametrize("k_users", [1, 5])
+    def test_weights_and_their_covariance(self, k_users, legacy_eq21):
+        G, alpha, c_delta = self.stack(np.random.default_rng(41), k_users)
+        W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta, legacy_eq21=legacy_eq21)
+        assert W.shape == (4, k_users, 30)
+        cov = error_covariance_for_weights(W, G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+        assert cov.shape == (4, k_users, k_users)
+        for i, (a, c) in enumerate(zip(alpha, c_delta)):
+            w = mmse_weights(G, float(a), NOISE.sigma_n2, c, legacy_eq21=legacy_eq21)
+            np.testing.assert_array_equal(W[i], w)
+            np.testing.assert_array_equal(
+                cov[i], error_covariance_for_weights(w, G, float(a), 1.0, NOISE.sigma_n2, c)
+            )
+
+
 class TestJensenBounds:
     def test_single_link_plugin(self):
         bound_gram, bound_distortion = jensen_bound_diagonals(

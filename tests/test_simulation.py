@@ -4,11 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from cfquant.channel import draw_small_scale
+from cfquant.detection import (
+    distortion_covariance,
+    error_covariance,
+    error_covariance_for_weights,
+    mmse_weights,
+    per_user_sinr,
+)
 from cfquant.simulation import (
+    _FADING,
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     CdfSeries,
     SimulationConfig,
+    _draw_gains,
+    bussgang_table,
     campaign_manifest,
     make_cdf,
     parse_config_file,
@@ -20,6 +31,29 @@ from cfquant.simulation import (
 )
 
 SMALL = SimulationConfig(m_aps=15, k_users=6, n_geometries=4, n_smallscale=2, seed=11)
+
+
+def per_draw_sinr_trial(cfg, table, legacy_eq21, trial):
+    """Reference for one SINR geometry trial: one receiver-kernel call per
+    fading draw and bit depth, each bit depth on its own."""
+    beta = _draw_gains(cfg, trial)
+    noise = cfg.noise_model()
+    out = {bits: [] for bits in table}
+    for fade in range(cfg.n_smallscale):
+        h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
+        G = h * np.sqrt(beta)
+        for bits, row in table.items():
+            alpha, gamma = row["alpha"], row["gamma"]
+            c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, noise.sigma_n2)
+            if legacy_eq21:
+                W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, cfg.sigma_s2, legacy_eq21=True)
+                cov = error_covariance_for_weights(
+                    W, G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta
+                )
+            else:
+                cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
+            out[bits].append(10.0 * np.log10(per_user_sinr(cov, cfg.sigma_s2)))
+    return {bits: np.concatenate(chunks) for bits, chunks in out.items()}
 
 
 class TestConfig:
@@ -143,6 +177,20 @@ class TestWriteCsv:
         assert lines[1].startswith("0.1,")
         assert len(lines) == 4
 
+    def test_series_with_different_probs_of_equal_length(self, tmp_path):
+        # The formatted probability column is shared only between series
+        # whose probabilities are equal, not merely of equal length.
+        values = np.array([-3.25e-7, 0.1, 2.0 / 3.0, 12345.678901234])
+        series = [
+            CdfSeries(label="4", values=values, probs=np.arange(1, 5) / 4.0),
+            CdfSeries(label="6", values=values[::-1] * 1.5, probs=np.array([0.1, 0.2, 0.7, 1.0])),
+            CdfSeries(label="8", values=values + 1.0, probs=np.arange(1, 5) / 4.0),
+        ]
+        paths = write_cdf_csv(series, tmp_path, campaign="sinr")
+        for entry, path in zip(series, paths):
+            rows = "".join(f"{v:.9g},{p:.9g}\n" for v, p in zip(entry.values, entry.probs))
+            assert path.read_bytes() == ("value,cum_prob\n" + rows).encode()
+
     def test_manifest_written(self, tmp_path):
         series = make_cdf([1.0], label="0")
         manifest = campaign_manifest(SMALL, "nmse", (0,))
@@ -254,6 +302,35 @@ class TestSinrCampaign:
         monkeypatch.setattr(simulation, "error_covariance", uninformative)
         with pytest.raises(ValueError, match=r"trial 0, fading draw 0, bits=6"):
             run_sinr_campaign(SMALL)
+
+    def test_zero_sinr_names_first_bit_depth(self, monkeypatch):
+        # Zero SINR at bits 10 and 0 of the first draw: the error names the
+        # first of them in table order.
+        import cfquant.simulation as simulation
+
+        def partly_uninformative(G, alpha, sigma_s2, sigma_n2, c_delta):
+            cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta)
+            cov[[2, 5]] = sigma_s2 * np.eye(G.shape[1])
+            return cov
+
+        monkeypatch.setattr(simulation, "error_covariance", partly_uninformative)
+        with pytest.raises(ValueError, match=r"trial 0, fading draw 0, bits=10:"):
+            run_sinr_campaign(SMALL)
+
+    @pytest.mark.parametrize("legacy_eq21", [False, True])
+    def test_matches_per_draw_reference(self, legacy_eq21):
+        bits_list = SINR_DEFAULT_BITS
+        table = bussgang_table(bits_list)
+        per_trial = [
+            per_draw_sinr_trial(SMALL, table, legacy_eq21, trial)
+            for trial in range(SMALL.n_geometries)
+        ]
+        series = run_sinr_campaign(SMALL, legacy_eq21=legacy_eq21)
+        assert [s.label for s in series] == [str(b) for b in bits_list]
+        for entry, bits in zip(series, bits_list):
+            expected = make_cdf(np.concatenate([t[bits] for t in per_trial]), label=bits)
+            np.testing.assert_array_equal(entry.values, expected.values)
+            np.testing.assert_array_equal(entry.probs, expected.probs)
 
     def test_worker_independence(self):
         first = run_sinr_campaign(SMALL, n_workers=1)
