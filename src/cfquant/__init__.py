@@ -26,6 +26,7 @@ from .channel import (
     NetworkGeometry,
     NoiseModel,
     PathLossModel,
+    complex_normal,
     draw_geometry,
     draw_small_scale,
     large_scale_gains,
@@ -46,8 +47,6 @@ from .estimation import (
     simulate_pilot_phase,
 )
 from .detection import (
-    DetectionResult,
-    detect,
     distortion_covariance,
     error_covariance,
     error_covariance_for_weights,

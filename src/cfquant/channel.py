@@ -21,6 +21,7 @@ __all__ = [
     "draw_geometry",
     "large_scale_gains",
     "draw_small_scale",
+    "complex_normal",
     "received_variance",
 ]
 
@@ -128,9 +129,25 @@ def large_scale_gains(geo, model, sigma_sh_db, rng):
 
 def draw_small_scale(m_aps, k_users, rng):
     """I.i.d. unit-variance circularly-symmetric complex normal matrix (M, K)."""
-    re = rng.normal(size=(m_aps, k_users))
-    im = rng.normal(size=(m_aps, k_users))
-    return (re + 1j * im) / math.sqrt(2.0)
+    return complex_normal(rng, (m_aps, k_users), 1.0 / math.sqrt(2.0))
+
+
+def complex_normal(rng, shape, scale):
+    """``scale * (re + 1j*im)`` for i.i.d. standard normal ``re`` and ``im`` of ``shape``.
+
+    All real parts are drawn before all imaginary parts, as by two consecutive
+    ``rng.normal(size=shape)`` calls, through one 128 KB buffer.  ``scale``
+    broadcasts against ``shape`` and multiplies each part, the same bits as the
+    complex product; numpy divides complex by a real d as a product with 1.0 / d.
+    """
+    out = np.empty(shape, dtype=complex)
+    flat, run = out.reshape(-1), np.empty(16_384)
+    scale = np.broadcast_to(scale, out.shape).reshape(-1)
+    for part in (flat.real, flat.imag):
+        for i in range(0, flat.size, run.size):
+            draws = rng.standard_normal(out=run[: flat.size - i])
+            np.multiply(draws, scale[i : i + run.size], out=part[i : i + run.size])
+    return out
 
 
 def received_variance(beta_row, sigma_s2, sigma_n2):

@@ -9,35 +9,20 @@ SINR follows from the error covariance diagonal.  Jensen-style lower
 bounds on two averaged inverse Gram matrices are provided as diagnostics.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import received_variance
+from .channel import complex_normal, received_variance
 from .quantizer import fronthaul
 
 __all__ = [
-    "DetectionResult",
     "simulate_uplink",
     "distortion_covariance",
     "mmse_weights",
-    "detect",
     "error_covariance",
     "error_covariance_for_weights",
     "per_user_sinr",
     "jensen_bound_diagonals",
 ]
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Soft symbol estimates with the receiver that produced them, the
-    error covariance and the per-user SINR (linear)."""
-
-    s_hat: np.ndarray
-    weights: np.ndarray
-    error_cov: np.ndarray
-    sinr: np.ndarray
 
 
 def simulate_uplink(G, symbols, noise, bits, rng, beta):
@@ -54,9 +39,7 @@ def simulate_uplink(G, symbols, noise, bits, rng, beta):
     symbols = np.asarray(symbols)
     vector = symbols.ndim == 1
     x = (G @ (symbols[:, None] if vector else symbols)).astype(complex, copy=False)
-    x += np.sqrt(noise.sigma_n2 / 2.0) * (
-        rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-    )
+    x += complex_normal(rng, x.shape, np.sqrt(noise.sigma_n2 / 2.0))
     y = fronthaul(x, bits, received_variance(beta, noise.sigma_s2, noise.sigma_n2))
     return y[:, 0] if vector else y
 
@@ -108,12 +91,7 @@ def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
     alpha = np.asarray(alpha, dtype=float)[..., None]
     b = np.asarray(c_delta, dtype=float) + (sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2)
     P = _information_inverse(G, alpha, sigma_s2, b)
-    return alpha[..., None] * (P @ G.conj().T) / b[..., None, :]
-
-
-def detect(W, y):
-    """Soft symbol estimates W @ y."""
-    return W @ y
+    return alpha[..., None] * (P @ G.conj().T) * (1.0 / b)[..., None, :]
 
 
 def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta):
@@ -176,9 +154,3 @@ def jensen_bound_diagonals(beta, c_delta):
     bound_distortion = 1.0 / (beta / c_delta[:, None]).sum(axis=0)
     return bound_gram, bound_distortion
 
-
-def detection_result(G, noise, c_delta, alpha, y):
-    """Bundle receiver, estimates, error covariance and SINR for one block."""
-    W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, noise.sigma_s2)
-    cov = error_covariance(G, alpha, noise.sigma_s2, noise.sigma_n2, c_delta)
-    return DetectionResult(detect(W, y), W, cov, per_user_sinr(cov, noise.sigma_s2))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import received_variance
+from .channel import complex_normal, received_variance
 from .quantizer import fronthaul
 
 __all__ = [
@@ -78,16 +78,22 @@ def simulate_pilot_phase(G, pilots, noise, bits, rng, beta):
     tau, k_pilots = pilots.phi.shape
     if k_pilots != k_users:
         raise ValueError(f"pilot book has {k_pilots} columns for {k_users} users")
-    x = math.sqrt(tau) * (G @ pilots.phi.T)
-    x += math.sqrt(noise.sigma_n2 / 2.0) * (
-        rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-    )
+    x = _stacked_product(G, pilots.phi.T)
+    x *= math.sqrt(tau)
+    x += complex_normal(rng, x.shape, math.sqrt(noise.sigma_n2 / 2.0))
     return fronthaul(x, bits, received_variance(beta, 1.0, noise.sigma_n2))
 
 
 def correlate_all(y, pilots):
     """All AP-user pilot correlations at once, shape (..., M, K)."""
-    return y @ pilots.phi.conj()
+    return _stacked_product(y, pilots.phi.conj())
+
+
+def _stacked_product(a, b):
+    """``a @ b`` for a stack ``a`` (..., n) and one ``b`` (n, p) as one BLAS call: the bits
+    of numpy's stacked matmul (a call per matrix).  ``math.prod``, not -1: n may be 0."""
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) @ b
+    return rows.reshape(*a.shape[:-1], b.shape[-1])
 
 
 def _interference_term(beta_mk, beta_row, alpha, gamma, sigma_n2):

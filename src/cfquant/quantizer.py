@@ -124,27 +124,35 @@ def quantize(x, q):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantizer input must be finite")
-    out = _midrise(x, q.levels, q.step)
+    out = _midrise(x, q.levels, q.step, np.empty_like(x))
     return out if out.ndim else float(out)
 
 
-def _midrise(x, levels, step):
-    """Core midrise map; ``step`` may be an array broadcast against ``x``."""
+def _midrise(x, levels, step, out):
+    """Core midrise map into ``out``; ``step`` may be an array broadcast against ``x``."""
     half = levels // 2
-    idx = np.clip(np.ceil(x / step) - 1.0, -half, half - 1)
-    return (idx + 0.5) * step
+    np.divide(x, step, out=out)
+    np.ceil(out, out=out)
+    out -= 1.0
+    np.clip(out, -half, half - 1, out=out)
+    out += 0.5
+    out *= step
+    return out
 
 
 def quantize_complex(x, levels, steps):
     """Quantize in-phase and quadrature components independently.
 
     ``steps`` is one step or an array that broadcasts against ``x``, so
-    every row (AP) may carry its own step.  Rejects non-finite input.
+    every row (AP) may carry its own step.  Rejects non-finite input.  Both
+    components go through one pass over the interleaved floats.
     """
-    x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
+    parts = np.asarray(x, dtype=complex)[..., None].view(float)
+    if not np.all(np.isfinite(parts)):
         raise ValueError("quantizer input must be finite")
-    out = _midrise(x.real, levels, steps) + 1j * _midrise(x.imag, levels, steps)
+    steps = np.asarray(steps, dtype=float)[..., None]
+    out = np.empty(np.broadcast_shapes(parts.shape[:-1], steps.shape[:-1]), dtype=complex)
+    _midrise(parts, levels, steps, out[..., None].view(float))
     return out if out.ndim else complex(out)
 
 

@@ -27,6 +27,7 @@ from .quantizer import (
 from .channel import (
     NoiseModel,
     PathLossModel,
+    complex_normal,
     draw_geometry,
     draw_small_scale,
     large_scale_gains,
@@ -72,6 +73,9 @@ SINR_DEFAULT_BITS = (6, 8, 10, 12, 14, 0)
 # Named substreams of the master seed.
 _GEOMETRY, _SHADOWING, _FADING, _NOISE, _SYMBOLS = range(5)
 
+# Trials per Monte Carlo block.  The block and the real-then-imaginary draw order
+# (channel.complex_normal) are part of the random-stream contract: changing either
+# changes every Monte Carlo statistic and the README's 40-seed false-alarm table.
 _MC_CHUNK = 10_000
 
 
@@ -418,15 +422,13 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials):
     done = 0
     while done < n_trials:
         block = min(_MC_CHUNK, n_trials - done)
-        h = (
-            rng_h.normal(size=(block, cfg.m_aps, cfg.k_users))
-            + 1j * rng_h.normal(size=(block, cfg.m_aps, cfg.k_users))
-        ) / math.sqrt(2.0)
-        g = h * sqrt_beta
+        g = complex_normal(rng_h, (block, *beta.shape), 1.0 / math.sqrt(2.0))
+        g *= sqrt_beta
         y = simulate_pilot_phase(g, pilots, noise, bits, rng_n, beta)
         err = np.abs(c * correlate_all(y, pilots) - g) ** 2
         total += err.sum(axis=0)
         total_sq += (err**2).sum(axis=0)
+        del g, y, err  # freed before the next block allocates: no heap churn
         done += block
     emp = total / n_trials
     var = total_sq / n_trials - emp**2
@@ -474,19 +476,13 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials):
     done = 0
     while done < n_trials:
         block = min(_MC_CHUNK, n_trials - done)
-        s = math.sqrt(cfg.sigma_s2 / 2.0) * (
-            rng_s.normal(size=(k, block)) + 1j * rng_s.normal(size=(k, block))
-        )
+        s = complex_normal(rng_s, (k, block), math.sqrt(cfg.sigma_s2 / 2.0))
         # One unquantized observation feeds both pipelines; fronthaul at the
         # data-phase variance is what simulate_uplink applies at ``bits``.
         x = simulate_uplink(G, s, noise, 0, rng_n, beta)
-        d = np.sqrt(c_delta / 2.0)[:, None] * (
-            rng_n.normal(size=x.shape) + 1j * rng_n.normal(size=x.shape)
-        )
-        y_model = alpha * x + d
-        y_quant = fronthaul(x, bits, sigma_m2)
-        model.add(W @ y_model - s, y_model)
-        quantized.add(W @ y_quant - s, y_quant)
+        y_model = alpha * x + complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None])
+        for acc, y in ((model, y_model), (quantized, fronthaul(x, bits, sigma_m2))):
+            acc.add(W @ y - s, y)
         done += block
 
     z_model, z_orth = model.z_scores(diag, n_trials)
@@ -538,10 +534,12 @@ class _ErrAccumulator:
         p = np.abs(e) ** 2
         self.err += p.sum(axis=1)
         self.err_sq += (p**2).sum(axis=1)
-        cross = e[:, None, :] * y.conj()[None, :, :]
-        self.resid += cross.sum(axis=2)
-        self.resid_re_sq += (cross.real**2).sum(axis=2)
-        self.resid_im_sq += (cross.imag**2).sum(axis=2)
+        y_conj = y.conj()
+        for k, e_k in enumerate(e):
+            cross = e_k * y_conj
+            self.resid[k] += cross.sum(axis=1)
+            self.resid_re_sq[k] += (cross.real**2).sum(axis=1)
+            self.resid_im_sq[k] += (cross.imag**2).sum(axis=1)
 
     def error_power(self, n_trials):
         emp = self.err / n_trials

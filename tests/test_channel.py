@@ -8,6 +8,7 @@ from cfquant.channel import (
     NoiseModel,
     PathLossModel,
     draw_geometry,
+    complex_normal,
     draw_small_scale,
     large_scale_gains,
     noise_variance,
@@ -193,6 +194,22 @@ class TestSmallScaleFading:
         a = draw_small_scale(20, 20, np.random.default_rng(10))
         b = draw_small_scale(20, 20, np.random.default_rng(10))
         np.testing.assert_array_equal(a, b)
+
+
+class TestComplexNormal:
+    def test_same_bits_as_two_normal_draws(self):
+        # Real parts first, then imaginary parts; a per-row scale multiplies
+        # both, as the complex product with a real array does.
+        scale = np.array([[0.5], [2.0], [1e-3]])
+        z = complex_normal(np.random.default_rng(3), (3, 7), scale)
+        rng = np.random.default_rng(3)
+        expected = scale * (rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7)))
+        np.testing.assert_array_equal(z, expected)
+
+    def test_small_scale_draw_is_division_by_sqrt2(self):
+        rng = np.random.default_rng(4)
+        expected = (rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))) / math.sqrt(2.0)
+        np.testing.assert_array_equal(draw_small_scale(6, 5, np.random.default_rng(4)), expected)
 
 
 class TestReceivedVariance:

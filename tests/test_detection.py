@@ -1,12 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from cfquant.channel import NoiseModel, received_variance
 from cfquant.detection import (
-    detect,
-    detection_result,
     distortion_covariance,
     error_covariance,
     error_covariance_for_weights,
@@ -24,6 +23,29 @@ from cfquant.quantizer import (
 )
 
 NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
+
+
+@dataclass(frozen=True)
+class DetectionResult:
+    """Soft symbol estimates with the receiver that produced them, the
+    error covariance and the per-user SINR (linear)."""
+
+    s_hat: np.ndarray
+    weights: np.ndarray
+    error_cov: np.ndarray
+    sinr: np.ndarray
+
+
+def detect(W, y):
+    """Soft symbol estimates W @ y."""
+    return W @ y
+
+
+def detection_result(G, noise, c_delta, alpha, y):
+    """Bundle receiver, estimates, error covariance and SINR for one block."""
+    W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, noise.sigma_s2)
+    cov = error_covariance(G, alpha, noise.sigma_s2, noise.sigma_n2, c_delta)
+    return DetectionResult(detect(W, y), W, cov, per_user_sinr(cov, noise.sigma_s2))
 
 
 def crandn(rng, *shape):
@@ -260,6 +282,20 @@ class TestMmseWeights:
             A = observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
             conds.append(np.linalg.cond(A))
         assert max(conds) >= 1e6
+
+
+    @pytest.mark.parametrize("k_users", [1, 3])
+    def test_reciprocal_scaling_is_division_bitwise(self, k_users):
+        # The receiver is scaled by 1.0 / b: the bits of dividing by b.
+        rng = np.random.default_rng(31)
+        beta, G = random_network(rng, 12, k_users)
+        alpha, gamma = factors_at_optimum(6)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
+        P = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+        b = c_delta + alpha**2 * NOISE.sigma_n2
+        np.testing.assert_array_equal(
+            mmse_weights(G, alpha, NOISE.sigma_n2, c_delta), alpha * (P @ G.conj().T) / b
+        )
 
 
 class TestDetect:

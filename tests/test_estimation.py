@@ -103,6 +103,27 @@ class TestSimulatePilotPhase:
             y, fronthaul(x, 5, received_variance(beta, 1.0, NOISE.sigma_n2))
         )
 
+    @pytest.mark.parametrize("k_users", [3, 0])
+    def test_stack_matches_per_trial_products(self, k_users):
+        # Two leading trial axes, and no users at all, against one 2-D
+        # product per trial, bit for bit.
+        rng = np.random.default_rng(21)
+        lead, m_aps, tau = (2, 3), 5, 4
+        beta = rng.uniform(0.05, 0.5, size=(m_aps, k_users))
+        G = crandn(rng, *lead, m_aps, k_users) * np.sqrt(beta)
+        book = make_pilot_book(k_users, tau)
+        y = simulate_pilot_phase(G, book, NOISE, 5, np.random.default_rng(22), beta)
+        clean = np.array([math.sqrt(tau) * (g @ book.phi.T) for g in G.reshape(6, m_aps, k_users)])
+        rng2 = np.random.default_rng(22)
+        shape = (*lead, m_aps, tau)
+        noise = rng2.normal(size=shape) + 1j * rng2.normal(size=shape)
+        x = clean.reshape(shape) + math.sqrt(NOISE.sigma_n2 / 2.0) * noise
+        np.testing.assert_array_equal(
+            y, fronthaul(x, 5, received_variance(beta, 1.0, NOISE.sigma_n2))
+        )
+        r = np.array([y_t @ book.phi.conj() for y_t in y.reshape(6, m_aps, tau)])
+        np.testing.assert_array_equal(correlate_all(y, book), r.reshape(*lead, m_aps, k_users))
+
     def test_noise_only_power_matches_gamma(self):
         # With no users the quantized samples carry gamma times the input
         # noise power.

@@ -131,6 +131,32 @@ class TestQuantizeComplex:
         np.testing.assert_allclose(out.real, quantize(x.real, q))
         np.testing.assert_allclose(out.imag, quantize(x.imag, q))
 
+    @pytest.mark.parametrize("case", ["transposed", "sliced", "empty"])
+    def test_stack_matches_per_rail_quantizer(self, case):
+        # Non-contiguous and zero-size stacks with per-row steps against
+        # quantize() on each rail of each row, bit for bit.
+        rng = np.random.default_rng(9)
+        stack = 3.0 * (rng.normal(size=(5, 4, 6)) + 1j * rng.normal(size=(5, 4, 6)))
+        x = {
+            "transposed": stack.transpose(0, 2, 1),
+            "sliced": stack[::2, 1:, ::3],
+            "empty": stack[:0],
+        }[case]
+        steps = np.linspace(0.2, 1.3, x.shape[-2])
+        out = quantize_complex(x, 16, steps[:, None])
+        assert out.shape == x.shape
+        for m, step in enumerate(steps):
+            q = UniformQuantizer(16, step)
+            np.testing.assert_array_equal(out[..., m, :].real, quantize(x[..., m, :].real, q))
+            np.testing.assert_array_equal(out[..., m, :].imag, quantize(x[..., m, :].imag, q))
+
+    def test_scalar_matches_per_rail_quantizer(self):
+        q = UniformQuantizer(16, 0.7)
+        for x in (np.asarray(1.3 - 2.9j), 0.05 + 0.4j):
+            out = quantize_complex(x, q.levels, q.step)
+            assert type(out) is complex
+            assert (out.real, out.imag) == (quantize(np.real(x), q), quantize(np.imag(x), q))
+
     def test_per_row_steps_kernel(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 50)) + 1j * rng.normal(size=(3, 50))
