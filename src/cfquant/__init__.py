@@ -49,7 +49,6 @@ from .estimation import (
 from .detection import (
     distortion_covariance,
     error_covariance,
-    error_covariance_for_weights,
     jensen_bound_diagonals,
     mmse_weights,
     per_user_sinr,

@@ -9,10 +9,10 @@ import sys
 
 from .quantizer import UniformQuantizer, bussgang_factors, optimal_step
 from .simulation import (
+    _FIELD_TYPES,
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     SimulationConfig,
-    bussgang_table,
     campaign_manifest,
     parse_config_file,
     run_nmse_campaign,
@@ -23,18 +23,11 @@ from .simulation import (
 
 logger = logging.getLogger("cfquant")
 
+# One flag per config field, in field order; these four have flags of their own.
 _CONFIG_FLAGS = {
-    "m_aps": int,
-    "k_users": int,
-    "l_serv_m": float,
-    "snr_edge_db": float,
-    "sigma_sh_db": float,
-    "tau": int,
-    "sigma_s2": float,
-    "d0_m": float,
-    "d1_m": float,
-    "gamma0": float,
-    "gamma1": float,
+    name: kind
+    for name, kind in _FIELD_TYPES.items()
+    if name not in {"bits_list", "n_geometries", "n_smallscale", "seed"}
 }
 
 # Small defaults for validate unless the user says otherwise: the
@@ -85,9 +78,8 @@ def _cmd_nmse(args):
         "nmse campaign: M=%d K=%d geometries=%d bits=%s seed=%d",
         cfg.m_aps, cfg.k_users, cfg.n_geometries, list(bits_list), cfg.seed,
     )
-    table = bussgang_table(bits_list)
-    series = run_nmse_campaign(cfg, n_workers=args.workers, table=table)
-    manifest = campaign_manifest(cfg, "nmse", bits_list, bussgang_table=table)
+    series = run_nmse_campaign(cfg, n_workers=args.workers)
+    manifest = campaign_manifest(cfg, "nmse", bits_list)
     paths = write_cdf_csv(series, args.out, campaign="nmse", manifest=manifest)
     for path in paths:
         logger.info("wrote %s", path)
@@ -102,13 +94,8 @@ def _cmd_sinr(args):
         cfg.m_aps, cfg.k_users, cfg.n_geometries, cfg.n_smallscale, list(bits_list),
         cfg.seed, " (legacy noise scaling)" if args.legacy_eq21 else "",
     )
-    table = bussgang_table(bits_list)
-    series = run_sinr_campaign(
-        cfg, n_workers=args.workers, legacy_eq21=args.legacy_eq21, table=table
-    )
-    manifest = campaign_manifest(
-        cfg, "sinr", bits_list, legacy_eq21=args.legacy_eq21, bussgang_table=table
-    )
+    series = run_sinr_campaign(cfg, n_workers=args.workers, legacy_eq21=args.legacy_eq21)
+    manifest = campaign_manifest(cfg, "sinr", bits_list, legacy_eq21=args.legacy_eq21)
     paths = write_cdf_csv(series, args.out, campaign="sinr", manifest=manifest)
     for path in paths:
         logger.info("wrote %s", path)

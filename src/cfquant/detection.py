@@ -5,21 +5,22 @@ the linearized model y = alpha*G*s + alpha*n + d, where the distortion d
 has a diagonal covariance set by the per-AP received variance.  The
 central unit applies the MMSE receiver for this model; receiver and error
 covariance both come from one K x K information-form inverse, and per-user
-SINR follows from the error covariance diagonal.  Jensen-style lower
-bounds on two averaged inverse Gram matrices are provided as diagnostics.
+SINR follows from the error covariance diagonal.  The legacy receiver, whose
+noise term is not scaled by alpha**2, gets its error covariance from the same
+kernel without being formed.  Jensen-style lower bounds on two averaged
+inverse Gram matrices are provided as diagnostics.
 """
 
 import numpy as np
 
 from .channel import complex_normal, received_variance
-from .quantizer import fronthaul
+from .quantizer import distortion_power, fronthaul
 
 __all__ = [
     "simulate_uplink",
     "distortion_covariance",
     "mmse_weights",
     "error_covariance",
-    "error_covariance_for_weights",
     "per_user_sinr",
     "jensen_bound_diagonals",
 ]
@@ -51,13 +52,12 @@ def distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2):
     distortion is uncorrelated across APs, so the diagonal fully describes
     the covariance.  All entries are zero in the distortion-free limit.
     """
-    beta = np.asarray(beta, dtype=float)
-    gap = gamma - alpha**2
-    if gap < 0.0 and gap > -1e-12:
-        gap = 0.0
-    if gap < 0.0:
-        raise ValueError(f"gamma={gamma} < alpha^2={alpha**2}")
-    return gap * (sigma_s2 * beta.sum(axis=1) + sigma_n2)
+    return distortion_power(alpha, gamma, received_variance(beta, sigma_s2, sigma_n2))
+
+
+def _weighted_gram(G, w):
+    """G^H * diag(w) * G, shape (..., K, K), for weights w (..., M)."""
+    return G.conj().T @ (G * w[..., :, None])
 
 
 def _information_inverse(G, alpha, sigma_s2, b):
@@ -69,7 +69,7 @@ def _information_inverse(G, alpha, sigma_s2, b):
             "noise-plus-distortion diagonal is singular (distortion-free and "
             "noiseless corner); no MMSE receiver exists"
         )
-    info = np.asarray(alpha)[..., None] ** 2 * (G.conj().T @ (G * (1.0 / b)[..., :, None]))
+    info = np.asarray(alpha)[..., None] ** 2 * _weighted_gram(G, 1.0 / b)
     k = np.arange(G.shape[1])
     info[..., k, k] += 1.0 / sigma_s2
     info = 0.5 * (info + info.conj().swapaxes(-1, -2))
@@ -77,24 +77,22 @@ def _information_inverse(G, alpha, sigma_s2, b):
     return 0.5 * (cov + cov.conj().swapaxes(-1, -2)) if G.shape[1] > 1 else cov
 
 
-def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
+def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0):
     """MMSE receive matrix W, shape (K, M), for the linearized model.
 
     alpha*sigma_s2*G^H times the inverse M x M observation covariance,
     computed by the Woodbury identity as alpha*P*G^H*diag(b)^-1 with P the
     K x K information-form inverse and b = c_delta + alpha**2*sigma_n2.
-    With ``legacy_eq21`` the noise term enters b unscaled by alpha**2, an
-    alternative bookkeeping kept for comparison; the default scaling is the
-    one consistent with the linearized model.  Raises LinAlgError unless b > 0.
-    A stack of bit depths, ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, M).
+    Raises LinAlgError unless b > 0.  A stack of bit depths, ``alpha`` (B,)
+    and ``c_delta`` (B, M), gives (B, K, M).
     """
     alpha = np.asarray(alpha, dtype=float)[..., None]
-    b = np.asarray(c_delta, dtype=float) + (sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2)
+    b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
     P = _information_inverse(G, alpha, sigma_s2, b)
     return alpha[..., None] * (P @ G.conj().T) * (1.0 / b)[..., None, :]
 
 
-def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta):
+def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
     """Error covariance of the MMSE detector given the channel, shape (K, K).
 
     Uses the K x K information form
@@ -102,25 +100,23 @@ def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta):
     distortion diagonal, which stays well conditioned whenever B is
     nonsingular.  Hermitian positive semidefinite with diagonal in
     (0, sigma_s2].  A stack of bit depths, ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, K).
+
+    ``legacy_eq21`` gives the error covariance of the alternative receiver
+    whose noise term enters B unscaled by alpha**2, kept for comparison; the
+    default scaling is the one consistent with the linearized model.  With
+    P_L the kernel at B_L = c_delta + sigma_n2, that receiver has
+    alpha*W*G - I = -P_L/sigma_s2, so its error covariance is
+    P_L**2/sigma_s2 + alpha**2 * P_L * G^H * diag(B/B_L**2) * G * P_L.
     """
     alpha = np.asarray(alpha, dtype=float)[..., None]
-    b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
-    return _information_inverse(G, alpha, sigma_s2, b)
-
-
-def error_covariance_for_weights(W, G, alpha, sigma_s2, sigma_n2, c_delta):
-    """Error covariance of an arbitrary linear receiver W.
-
-    General quadratic form (alpha*W*G - I) sigma_s2 (.)^H + W (alpha**2*
-    sigma_n2*I + C_delta) W^H; used for receiver perturbation checks and
-    for the legacy noise-scaling variant, where W is not the exact MMSE
-    receiver of the linearized model.  Takes the stacks of ``mmse_weights``.
-    """
-    alpha = np.asarray(alpha, dtype=float)[..., None]
-    bias = alpha[..., None] * (W @ G) - np.eye(G.shape[1])
-    noise_diag = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
-    W_h = W.conj().swapaxes(-1, -2)
-    cov = sigma_s2 * (bias @ bias.conj().swapaxes(-1, -2)) + (W * noise_diag[..., None, :]) @ W_h
+    c_delta = np.asarray(c_delta, dtype=float)
+    b = c_delta + alpha**2 * sigma_n2
+    if not legacy_eq21:
+        return _information_inverse(G, alpha, sigma_s2, b)
+    b_legacy = c_delta + sigma_n2
+    P = _information_inverse(G, alpha, sigma_s2, b_legacy)
+    spread = alpha[..., None] ** 2 * _weighted_gram(G, b / b_legacy**2)
+    cov = P @ (P / sigma_s2 + spread @ P)
     return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 

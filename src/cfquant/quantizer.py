@@ -235,8 +235,9 @@ def power_gain_gamma(q, sigma_x):
 
 
 def distortion_power(alpha, gamma, sigma_x2):
-    """Variance of the Bussgang distortion term, sigma_x2*(gamma - alpha**2)."""
-    if not sigma_x2 > 0.0:
+    """Variance of the Bussgang distortion term, sigma_x2*(gamma - alpha**2),
+    for one input variance or an array of them."""
+    if not np.all(sigma_x2 > 0.0):
         raise ValueError("sigma_x2 must be positive")
     gap = gamma - alpha * alpha
     if gap < -_CONSISTENCY_TOL * max(1.0, alpha * alpha):

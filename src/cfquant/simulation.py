@@ -9,6 +9,7 @@ sources can be varied without disturbing the others.
 
 import json
 import math
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -44,7 +45,6 @@ from .estimation import (
 from .detection import (
     distortion_covariance,
     error_covariance,
-    error_covariance_for_weights,
     mmse_weights,
     per_user_sinr,
     simulate_uplink,
@@ -165,7 +165,12 @@ class SimulationConfig:
         return cls(**kwargs)
 
 
-_INT_FIELDS = {"m_aps", "k_users", "tau", "n_geometries", "n_smallscale", "seed"}
+# Field name -> annotated type, reading ``X | None`` as X: coerces config-file
+# values and types the CLI flags.
+_FIELD_TYPES = {
+    f.name: next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
+    for f in fields(SimulationConfig)
+}
 
 
 def _coerce(key, raw):
@@ -173,9 +178,7 @@ def _coerce(key, raw):
         if isinstance(raw, str):
             raw = [part for part in raw.replace(",", " ").split() if part]
         return tuple(int(b) for b in raw)
-    if key in _INT_FIELDS:
-        return int(raw)
-    return float(raw)
+    return _FIELD_TYPES[key](raw)
 
 
 def parse_config_file(path):
@@ -215,7 +218,8 @@ def bussgang_table(bits_list):
     step and the linear gain and power ratio there, at unit input variance.
 
     bits=0 marks the unquantized fronthaul (step None, alpha = gamma = 1).
-    This is the table the campaigns run with and their manifests record.
+    This is the table the campaigns run with and their manifests record;
+    its steps are cached, so building it again is cheap.
     """
     table = {}
     for bits in bits_list:
@@ -256,7 +260,7 @@ def _nmse_trial(cfg, table, trial):
 def _sinr_trial(cfg, table, legacy_eq21, trial):
     """Per-user SINR samples (dB) for one geometry draw, pooled over the
     small-scale fading draws, assuming perfect channel knowledge.  Each
-    fading draw makes one receiver-kernel call for the stack of bit depths."""
+    fading draw makes one error-covariance call for the stack of bit depths."""
     beta = _draw_gains(cfg, trial)
     noise = cfg.noise_model()
     alpha = np.array([row["alpha"] for row in table.values()])
@@ -268,11 +272,7 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     for fade in range(cfg.n_smallscale):
         h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
         G = h * np.sqrt(beta)
-        if legacy_eq21:
-            W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, cfg.sigma_s2, legacy_eq21=True)
-            cov = error_covariance_for_weights(W, G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
-        else:
-            cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
+        cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta, legacy_eq21)
         sinr = per_user_sinr(cov, cfg.sigma_s2)
         zero = np.any(sinr == 0.0, axis=-1)
         if zero.any():
@@ -298,32 +298,27 @@ def _pool_series(per_trial, bits_list):
     ]
 
 
-def run_nmse_campaign(cfg, n_workers=1, table=None):
+def run_nmse_campaign(cfg, n_workers=1):
     """Empirical CDFs of the closed-form normalized channel-estimation MSE.
 
     One geometry and shadowing realization per trial; all AP-user pairs are
     pooled across trials into one CDF per bit depth (0 = unquantized).
-    ``table`` is the ``bussgang_table`` of those bit depths, built here
-    when not given; pass it to record in a manifest the table the run used.
     """
     bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
-    if table is None:
-        table = bussgang_table(bits_list)
+    table = bussgang_table(bits_list)
     per_trial = _run_trials(partial(_nmse_trial, cfg, table), cfg.n_geometries, n_workers)
     return _pool_series(per_trial, bits_list)
 
 
-def run_sinr_campaign(cfg, n_workers=1, legacy_eq21=False, table=None):
+def run_sinr_campaign(cfg, n_workers=1, legacy_eq21=False):
     """Empirical CDFs of per-user SINR in dB under perfect channel knowledge.
 
     Pools k_users * n_smallscale samples per geometry trial and bit depth.
     ``legacy_eq21`` selects the receiver variant whose noise term is not
-    scaled by the linear gain squared, for comparison.  ``table`` is as in
-    ``run_nmse_campaign``.
+    scaled by the linear gain squared, for comparison.
     """
     bits_list = cfg.resolved_bits(SINR_DEFAULT_BITS)
-    if table is None:
-        table = bussgang_table(bits_list)
+    table = bussgang_table(bits_list)
     per_trial = _run_trials(
         partial(_sinr_trial, cfg, table, legacy_eq21), cfg.n_geometries, n_workers
     )
@@ -367,11 +362,13 @@ def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
 
 
 def campaign_manifest(cfg, campaign, bits_list, **extra):
-    """Plain dict recording the full configuration of a campaign run."""
+    """Plain dict recording the full configuration of a campaign run,
+    including the ``bussgang_table`` of its bit depths."""
     manifest = {"campaign": campaign}
     manifest.update(asdict(cfg))
     manifest["tau"] = cfg.resolved_tau()
     manifest["bits_list"] = [int(b) for b in bits_list]
+    manifest["bussgang_table"] = bussgang_table(bits_list)
     manifest.update(extra)
     return manifest
 

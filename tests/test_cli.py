@@ -4,13 +4,16 @@ import os
 import subprocess
 import sys
 import time
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfquant.cli import main
+from cfquant.cli import _build_config, build_parser, main
 from cfquant.quantizer import UniformQuantizer, bussgang_factors, optimal_step
+from cfquant.simulation import SimulationConfig, parse_config_file
 
 
 def assert_records_bussgang_table(manifest):
@@ -127,6 +130,46 @@ class TestCampaignCommands:
         main(args + ["--out", str(tmp_path / "b"), "--workers", "2"])
         for name in ("nmse_b4.csv", "nmse_b0.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def has_annotated_type(value, annotation):
+    """``value`` is of the annotated type, reading ``X | None`` as X."""
+    (kind,) = [t for t in typing.get_args(annotation) or (annotation,) if t is not type(None)]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return type(value) is tuple and all(type(v) is item for v in value)
+    return type(value) is kind
+
+
+class TestConfigFields:
+    # One non-default value per SimulationConfig field, as text.
+    SETTINGS = {
+        "m_aps": "7", "k_users": "3", "l_serv_m": "500.5", "snr_edge_db": "15.5",
+        "sigma_sh_db": "4.5", "tau": "5", "bits_list": "4,6", "n_geometries": "2",
+        "n_smallscale": "3", "seed": "9", "sigma_s2": "1.5", "d0_m": "10.5", "d1_m": "90.5",
+        "gamma0": "2.5", "gamma1": "3.25",
+    }
+    OWN_FLAGS = {"bits_list": "--bits", "n_geometries": "--geoms",
+                 "n_smallscale": "--smallscale", "seed": "--seed"}
+
+    def test_every_field_reachable_with_its_annotated_type(self, tmp_path):
+        # Each field is set from the config file and from a flag, and lands
+        # with its annotated type on both routes.
+        assert list(self.SETTINGS) == [f.name for f in fields(SimulationConfig)]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in self.SETTINGS.items()))
+        from_file = SimulationConfig.from_mapping(parse_config_file(cfg_file))
+        argv = ["sinr-cdf"]
+        for name, value in self.SETTINGS.items():
+            argv += [self.OWN_FLAGS.get(name, "--" + name.replace("_", "-")), value]
+        args = build_parser().parse_args(argv)
+        from_flags = _build_config(args, bits=args.bits, geoms=args.geoms, smallscale=args.smallscale)
+        assert from_flags == from_file
+        for f in fields(SimulationConfig):
+            for cfg in (from_file, from_flags):
+                value = getattr(cfg, f.name)
+                assert has_annotated_type(value, f.type), (f.name, value)
+                assert value != f.default, f.name
 
 
 class TestValidateCommand:

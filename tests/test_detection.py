@@ -8,7 +8,6 @@ from cfquant.channel import NoiseModel, received_variance
 from cfquant.detection import (
     distortion_covariance,
     error_covariance,
-    error_covariance_for_weights,
     jensen_bound_diagonals,
     mmse_weights,
     per_user_sinr,
@@ -77,9 +76,44 @@ def observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq2
 
 def direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
     """Reference receiver alpha*sigma_s2*G^H*A^-1 from the M x M observation
-    covariance A."""
+    covariance A; with ``legacy_eq21`` the receiver whose noise term is not
+    scaled by alpha**2."""
     A = observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
     return alpha * sigma_s2 * np.linalg.solve(A, G).conj().T
+
+
+def error_covariance_for_weights(W, G, alpha, sigma_s2, sigma_n2, c_delta):
+    """Error covariance of an arbitrary linear receiver W.
+
+    General quadratic form (alpha*W*G - I) sigma_s2 (.)^H + W (alpha**2*
+    sigma_n2*I + C_delta) W^H; used for receiver perturbation checks and
+    as the reference for the legacy noise-scaling variant, where W is not
+    the exact MMSE receiver of the linearized model.  Takes the stacks of
+    ``mmse_weights``.
+    """
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    bias = alpha[..., None] * (W @ G) - np.eye(G.shape[1])
+    noise_diag = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
+    W_h = W.conj().swapaxes(-1, -2)
+    cov = sigma_s2 * (bias @ bias.conj().swapaxes(-1, -2)) + (W * noise_diag[..., None, :]) @ W_h
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
+
+
+def direct_form_cases():
+    """(G, alpha, sigma_n2, beta, gamma, sigma_s2) draws for comparisons with
+    the direct M x M forms; the last is badly conditioned."""
+    rng = np.random.default_rng(25)
+    cases = []
+    for _ in range(5):
+        beta, G = random_network(rng, 12, 5)
+        alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
+        cases.append((G, alpha, NOISE.sigma_n2, beta, gamma, 1.0 + rng.uniform()))
+    # A fine quantizer at high SNR leaves the observation covariance
+    # badly conditioned.
+    beta, G = random_network(rng, 20, 4)
+    alpha, gamma = factors_at_optimum(14)
+    cases.append((G, alpha, 1e-5, beta, gamma, 1.0))
+    return cases
 
 
 class TestSimulateUplink:
@@ -261,24 +295,18 @@ class TestMmseWeights:
     def test_matches_direct_form(self, legacy_eq21):
         # Entrywise agreement degrades with the conditioning of the M x M
         # observation covariance for both forms alike, so the gap is
-        # measured against the largest entry.
-        rng = np.random.default_rng(25)
-        cases = []
-        for _ in range(5):
-            beta, G = random_network(rng, 12, 5)
-            alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
-            cases.append((G, alpha, NOISE.sigma_n2, beta, gamma, 1.0 + rng.uniform()))
-        # A fine quantizer at high SNR leaves the observation covariance
-        # badly conditioned.
-        beta, G = random_network(rng, 20, 4)
-        alpha, gamma = factors_at_optimum(14)
-        cases.append((G, alpha, 1e-5, beta, gamma, 1.0))
+        # measured against the largest entry.  The library forms no legacy
+        # receiver, so that variant is checked through its error covariance.
         conds = []
-        for G, alpha, sigma_n2, beta, gamma, sigma_s2 in cases:
+        for G, alpha, sigma_n2, beta, gamma, sigma_s2 in direct_form_cases():
             c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2)
-            W = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21=legacy_eq21)
             ref = direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
-            assert np.max(np.abs(W - ref)) / np.max(np.abs(ref)) < 1e-9
+            if legacy_eq21:
+                got = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
+                ref = error_covariance_for_weights(ref, G, alpha, sigma_s2, sigma_n2, c_delta)
+            else:
+                got = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2)
+            assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-9
             A = observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
             conds.append(np.linalg.cond(A))
         assert max(conds) >= 1e6
@@ -402,7 +430,7 @@ class TestErrorCovariance:
         beta, G = random_network(rng, 9, 4)
         alpha, gamma = factors_at_optimum(3)
         c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        W_legacy = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta, legacy_eq21=True)
+        W_legacy = direct_mmse_weights(G, alpha, NOISE.sigma_n2, c_delta, legacy_eq21=True)
         W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
         assert np.max(np.abs(W - W_legacy)) > 0.0
         base = np.real(np.diag(error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)))
@@ -410,12 +438,35 @@ class TestErrorCovariance:
             np.diag(error_covariance_for_weights(W_legacy, G, alpha, 1.0, NOISE.sigma_n2, c_delta))
         )
         assert np.all(legacy >= base - 1e-15)
+        library = np.real(
+            np.diag(error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta, legacy_eq21=True))
+        )
+        assert np.all(library >= base - 1e-15)
+
+    def test_legacy_matches_direct_receiver(self):
+        # The legacy covariance comes from the K x K kernel alone; the
+        # reference forms that receiver from the M x M observation covariance
+        # and evaluates the general quadratic form.  Cases: stacks of bit
+        # depths at K = 1 and 5, and the badly conditioned direct-form case.
+        G, alpha, sigma_n2, beta, gamma, sigma_s2 = direct_form_cases()[-1]
+        c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2)
+        cases = [(G, np.array([alpha]), sigma_n2, c_delta[None], sigma_s2)]
+        for k_users in (1, 5):
+            G, alpha, c_delta = TestBitDepthStack.stack(np.random.default_rng(42), k_users)
+            cases.append((G, alpha, NOISE.sigma_n2, c_delta, 1.0))
+        for G, alpha, sigma_n2, c_delta, sigma_s2 in cases:
+            cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
+            for a, c, got in zip(alpha, c_delta, cov):
+                W = direct_mmse_weights(G, a, sigma_n2, c, sigma_s2, legacy_eq21=True)
+                ref = error_covariance_for_weights(W, G, a, sigma_s2, sigma_n2, c)
+                assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
 
     def test_singular_corner(self):
         rng = np.random.default_rng(19)
         _, G = random_network(rng, 5, 2)
-        with pytest.raises(np.linalg.LinAlgError):
-            error_covariance(G, 1.0, 1.0, 0.0, np.zeros(5))
+        for legacy_eq21 in (False, True):
+            with pytest.raises(np.linalg.LinAlgError):
+                error_covariance(G, 1.0, 1.0, 0.0, np.zeros(5), legacy_eq21=legacy_eq21)
 
 
 class TestPerUserSinr:
@@ -486,17 +537,24 @@ class TestBitDepthStack:
     @pytest.mark.parametrize("legacy_eq21", [False, True])
     @pytest.mark.parametrize("k_users", [1, 5])
     def test_weights_and_their_covariance(self, k_users, legacy_eq21):
+        # The library never forms the legacy receiver: its covariance comes
+        # from error_covariance, which must stack exactly too.
         G, alpha, c_delta = self.stack(np.random.default_rng(41), k_users)
-        W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta, legacy_eq21=legacy_eq21)
-        assert W.shape == (4, k_users, 30)
-        cov = error_covariance_for_weights(W, G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+        if legacy_eq21:
+            cov = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta, legacy_eq21=True)
+        else:
+            W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
+            assert W.shape == (4, k_users, 30)
+            cov = error_covariance_for_weights(W, G, alpha, 1.0, NOISE.sigma_n2, c_delta)
         assert cov.shape == (4, k_users, k_users)
         for i, (a, c) in enumerate(zip(alpha, c_delta)):
-            w = mmse_weights(G, float(a), NOISE.sigma_n2, c, legacy_eq21=legacy_eq21)
-            np.testing.assert_array_equal(W[i], w)
-            np.testing.assert_array_equal(
-                cov[i], error_covariance_for_weights(w, G, float(a), 1.0, NOISE.sigma_n2, c)
-            )
+            if legacy_eq21:
+                expected = error_covariance(G, float(a), 1.0, NOISE.sigma_n2, c, legacy_eq21=True)
+            else:
+                w = mmse_weights(G, float(a), NOISE.sigma_n2, c)
+                np.testing.assert_array_equal(W[i], w)
+                expected = error_covariance_for_weights(w, G, float(a), 1.0, NOISE.sigma_n2, c)
+            np.testing.assert_array_equal(cov[i], expected)
 
 
 class TestJensenBounds:

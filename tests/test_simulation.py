@@ -8,8 +8,6 @@ from cfquant.channel import draw_small_scale
 from cfquant.detection import (
     distortion_covariance,
     error_covariance,
-    error_covariance_for_weights,
-    mmse_weights,
     per_user_sinr,
 )
 from cfquant.simulation import (
@@ -46,13 +44,7 @@ def per_draw_sinr_trial(cfg, table, legacy_eq21, trial):
         for bits, row in table.items():
             alpha, gamma = row["alpha"], row["gamma"]
             c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, noise.sigma_n2)
-            if legacy_eq21:
-                W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, cfg.sigma_s2, legacy_eq21=True)
-                cov = error_covariance_for_weights(
-                    W, G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta
-                )
-            else:
-                cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
+            cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta, legacy_eq21)
             out[bits].append(10.0 * np.log10(per_user_sinr(cov, cfg.sigma_s2)))
     return {bits: np.concatenate(chunks) for bits, chunks in out.items()}
 
@@ -297,7 +289,7 @@ class TestSinrCampaign:
         # exactly zero, which has no dB value.
         import cfquant.simulation as simulation
 
-        def uninformative(G, alpha, sigma_s2, sigma_n2, c_delta):
+        def uninformative(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
             return sigma_s2 * np.eye(G.shape[1])
 
         monkeypatch.setattr(simulation, "error_covariance", uninformative)
@@ -309,8 +301,8 @@ class TestSinrCampaign:
         # first of them in table order.
         import cfquant.simulation as simulation
 
-        def partly_uninformative(G, alpha, sigma_s2, sigma_n2, c_delta):
-            cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta)
+        def partly_uninformative(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
+            cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21)
             cov[[2, 5]] = sigma_s2 * np.eye(G.shape[1])
             return cov
 
