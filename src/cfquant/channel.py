@@ -132,21 +132,33 @@ def draw_small_scale(m_aps, k_users, rng):
     return complex_normal(rng, (m_aps, k_users), 1.0 / math.sqrt(2.0))
 
 
-def complex_normal(rng, shape, scale):
+def complex_normal(rng, shape, scale, add_to=None):
     """``scale * (re + 1j*im)`` for i.i.d. standard normal ``re`` and ``im`` of ``shape``.
 
     All real parts are drawn before all imaginary parts, as by two consecutive
     ``rng.normal(size=shape)`` calls, through one 128 KB buffer.  ``scale``
     broadcasts against ``shape`` and multiplies each part, the same bits as the
     complex product; numpy divides complex by a real d as a product with 1.0 / d.
+
+    ``add_to``, a C-contiguous complex array of ``shape``, receives the draws in
+    place and is returned: the bits of ``add_to + complex_normal(rng, shape,
+    scale)``, since complex addition adds part by part, without the temporary.
     """
-    out = np.empty(shape, dtype=complex)
+    if add_to is None:
+        out = np.empty(shape, dtype=complex)
+    elif add_to.shape != tuple(shape) or add_to.dtype != complex or not add_to.flags.c_contiguous:
+        raise ValueError(f"add_to must be a C-contiguous complex array of shape {tuple(shape)}")
+    else:
+        out = add_to
     flat, run = out.reshape(-1), np.empty(16_384)
     scale = np.broadcast_to(scale, out.shape).reshape(-1)
     for part in (flat.real, flat.imag):
         for i in range(0, flat.size, run.size):
             draws = rng.standard_normal(out=run[: flat.size - i])
-            np.multiply(draws, scale[i : i + run.size], out=part[i : i + run.size])
+            if add_to is None:
+                np.multiply(draws, scale[i : i + run.size], out=part[i : i + run.size])
+            else:
+                part[i : i + run.size] += np.multiply(draws, scale[i : i + run.size], out=draws)
     return out
 
 

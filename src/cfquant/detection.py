@@ -40,8 +40,8 @@ def simulate_uplink(G, symbols, noise, bits, rng, beta):
     symbols = np.asarray(symbols)
     vector = symbols.ndim == 1
     x = (G @ (symbols[:, None] if vector else symbols)).astype(complex, copy=False)
-    x += complex_normal(rng, x.shape, np.sqrt(noise.sigma_n2 / 2.0))
-    y = fronthaul(x, bits, received_variance(beta, noise.sigma_s2, noise.sigma_n2))
+    complex_normal(rng, x.shape, np.sqrt(noise.sigma_n2 / 2.0), add_to=x)
+    y = fronthaul(x, bits, received_variance(beta, noise.sigma_s2, noise.sigma_n2), out=x)
     return y[:, 0] if vector else y
 
 

@@ -80,8 +80,8 @@ def simulate_pilot_phase(G, pilots, noise, bits, rng, beta):
         raise ValueError(f"pilot book has {k_pilots} columns for {k_users} users")
     x = _stacked_product(G, pilots.phi.T)
     x *= math.sqrt(tau)
-    x += complex_normal(rng, x.shape, math.sqrt(noise.sigma_n2 / 2.0))
-    return fronthaul(x, bits, received_variance(beta, 1.0, noise.sigma_n2))
+    complex_normal(rng, x.shape, math.sqrt(noise.sigma_n2 / 2.0), add_to=x)
+    return fronthaul(x, bits, received_variance(beta, 1.0, noise.sigma_n2), out=x)
 
 
 def correlate_all(y, pilots):

@@ -140,30 +140,44 @@ def _midrise(x, levels, step, out):
     return out
 
 
-def quantize_complex(x, levels, steps):
+def quantize_complex(x, levels, steps, out=None):
     """Quantize in-phase and quadrature components independently.
 
     ``steps`` is one step or an array that broadcasts against ``x``, so
     every row (AP) may carry its own step.  Rejects non-finite input.  Both
-    components go through one pass over the interleaved floats.
+    components go through one pass over the interleaved floats, into
+    ``out`` when given (a complex array of the result's shape, which may be
+    ``x`` itself).
     """
     parts = np.asarray(x, dtype=complex)[..., None].view(float)
     if not np.all(np.isfinite(parts)):
         raise ValueError("quantizer input must be finite")
     steps = np.asarray(steps, dtype=float)[..., None]
-    out = np.empty(np.broadcast_shapes(parts.shape[:-1], steps.shape[:-1]), dtype=complex)
+    shape = np.broadcast_shapes(parts.shape[:-1], steps.shape[:-1])
+    if steps.size > 1 and steps.ndim < parts.ndim:
+        # Steps reused over leading (trial) axes: lay them out once over the trailing
+        # axes they span, so each pass runs long contiguous inner loops, not a stride-0
+        # broadcast over a few samples.  Elementwise, so the bits are the same.
+        steps = np.ascontiguousarray(
+            np.broadcast_to(steps, np.broadcast_shapes(steps.shape, parts.shape[-steps.ndim :]))
+        )
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex:
+        raise ValueError(f"out must be a complex array of shape {shape}")
     _midrise(parts, levels, steps, out[..., None].view(float))
     return out if out.ndim else complex(out)
 
 
-def fronthaul(x, bits, variance):
+def fronthaul(x, bits, variance, out=None):
     """Samples as forwarded over a ``bits``-bit fronthaul, same shape as ``x``.
 
     ``x`` holds complex samples shaped (..., M, T), AP m in row m, with any
     leading trial axes.  AP m quantizes I and Q at the SDNR-optimal step
     for its complex variance ``variance[m]``, i.e. the normalized optimum
     times sqrt(variance[m]/2).  ``bits == 0`` is the unquantized fronthaul
-    and returns ``x`` itself.
+    and returns ``x`` itself.  ``out``, which may be ``x``, receives the
+    quantized samples (``quantize_complex``).
     """
     if bits == 0:
         return x
@@ -176,7 +190,7 @@ def fronthaul(x, bits, variance):
         raise ValueError("per-AP variances must be positive")
     levels = 2**bits
     steps = np.sqrt(variance / 2.0) * optimal_step(levels)
-    return quantize_complex(x, levels, steps[:, None])
+    return quantize_complex(x, levels, steps[:, None], out)
 
 
 def _series_orders(levels, d):

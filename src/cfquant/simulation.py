@@ -7,10 +7,15 @@ byte for byte independent of the worker count, and individual randomness
 sources can be varied without disturbing the others.
 """
 
+import ctypes
 import json
 import math
+import numbers
+import os
+import threading
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -77,6 +82,9 @@ _GEOMETRY, _SHADOWING, _FADING, _NOISE, _SYMBOLS = range(5)
 # (channel.complex_normal) are part of the random-stream contract: changing either
 # changes every Monte Carlo statistic and the README's 40-seed false-alarm table.
 _MC_CHUNK = 10_000
+# Trials per correlation run inside an estimation block: bounds the complex
+# temporaries, not part of the stream contract.
+_CORRELATE_ROWS = 1_000
 
 
 def substream(seed, stream, *keys):
@@ -107,10 +115,12 @@ class SimulationConfig:
     gamma1: float = 3.5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if kind is int and value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m_aps < 1 or self.k_users < 1:
             raise ValueError("m_aps and k_users must be at least 1")
         if self.l_serv_m <= 0.0:
@@ -165,8 +175,8 @@ class SimulationConfig:
         return cls(**kwargs)
 
 
-# Field name -> annotated type, reading ``X | None`` as X: coerces config-file
-# values and types the CLI flags.
+# Field name -> annotated type, reading ``X | None`` as X: checked at construction,
+# coerces config-file values and types the CLI flags.
 _FIELD_TYPES = {
     f.name: next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
     for f in fields(SimulationConfig)
@@ -401,9 +411,11 @@ def _colocated_gains(cfg):
     return np.repeat(gain[:, None], cfg.k_users, axis=1)
 
 
-def _estimation_check(cfg, bits, alpha, gamma, n_trials):
+def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     """Empirical pilot-phase MSE per AP-user pair against the closed form,
-    on a co-located-users instance where the closed form is exact."""
+    on a co-located-users instance where the closed form is exact.  A list
+    of one CheckResult, as ``_detection_checks`` returns a list; an empty
+    one when the event ``stop`` is set before a block starts."""
     beta = _colocated_gains(cfg)
     noise = cfg.noise_model()
     tau = cfg.resolved_tau()
@@ -418,30 +430,46 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials):
     total_sq = np.zeros_like(beta)
     done = 0
     while done < n_trials:
+        if stop.is_set():
+            return []
         block = min(_MC_CHUNK, n_trials - done)
         g = complex_normal(rng_h, (block, *beta.shape), 1.0 / math.sqrt(2.0))
         g *= sqrt_beta
         y = simulate_pilot_phase(g, pilots, noise, bits, rng_n, beta)
-        err = np.abs(c * correlate_all(y, pilots) - g) ** 2
+        # The error c*r - g overwrites g in row runs, so the block holds no complex
+        # temporary beyond g and y; the reductions still run over the whole block.
+        for i in range(0, block, _CORRELATE_ROWS):
+            rows = slice(i, i + _CORRELATE_ROWS)
+            d = correlate_all(y[rows], pilots)
+            d *= c
+            np.subtract(d, g[rows], out=g[rows])
+        del y, d
+        err = np.abs(g)
+        del g  # freed before the reductions and the next block allocate
+        err **= 2
         total += err.sum(axis=0)
-        total_sq += (err**2).sum(axis=0)
-        del g, y, err  # freed before the next block allocates: no heap churn
+        err **= 2
+        total_sq += err.sum(axis=0)
+        del err
         done += block
     emp = total / n_trials
     var = total_sq / n_trials - emp**2
     se = np.sqrt(np.maximum(var, 0.0) / n_trials)
     z = np.max(np.abs(emp - mse) / se)
-    return CheckResult(
-        name=f"estimation_mse_mc_b{bits}",
-        passed=bool(z <= 3.0),
-        statistic=float(z),
-        threshold=3.0,
-        detail=f"max |z| over {beta.size} AP-user pairs, {n_trials} trials",
-    )
+    return [
+        CheckResult(
+            name=f"estimation_mse_mc_b{bits}",
+            passed=bool(z <= 3.0),
+            statistic=float(z),
+            threshold=3.0,
+            detail=f"max |z| over {beta.size} AP-user pairs, {n_trials} trials",
+        )
+    ]
 
 
-def _detection_checks(cfg, bits, alpha, gamma, n_trials):
-    """Per-user error power and orthogonality residual at one fixed channel.
+def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
+    """Per-user error power and orthogonality residual at one fixed channel;
+    no result when the event ``stop`` is set before a block starts.
 
     Two error-power comparisons are run.  The first simulates the
     linearized observation itself (scaled signal plus scaled noise plus
@@ -472,6 +500,8 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials):
     quantized = _ErrAccumulator(k, m)
     done = 0
     while done < n_trials:
+        if stop.is_set():
+            return []
         block = min(_MC_CHUNK, n_trials - done)
         s = complex_normal(rng_s, (k, block), math.sqrt(cfg.sigma_s2 / 2.0))
         # One unquantized observation feeds both pipelines; fronthaul at the
@@ -561,23 +591,75 @@ def validate_closed_forms(cfg, n_trials=100_000):
     and of the detection error power at each requested bit depth.
     Intended for small configurations; ``n_trials`` must be at least 2,
     the fewest that give a sample variance.
+
+    The Monte Carlo checks draw from substreams of their own, so they run
+    concurrently on the usable cores, with BLAS held to one thread; their
+    statistics and order do not depend on it.
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be at least 2, got {n_trials}")
     results = [_unquantized_estimation_identity(cfg), _unquantized_detection_identity(cfg)]
-    est_bits = cfg.resolved_bits((4, 8, 12))
-    det_bits = cfg.resolved_bits((6, 10, 14))
-    for bits in est_bits:
-        if bits == 0:
-            continue
-        row = bussgang_table((bits,))[bits]
-        results.append(_estimation_check(cfg, bits, row["alpha"], row["gamma"], n_trials))
-    for bits in det_bits:
-        if bits == 0:
-            continue
-        row = bussgang_table((bits,))[bits]
-        results.extend(_detection_checks(cfg, bits, row["alpha"], row["gamma"], n_trials))
+    # Every Bussgang row is built here, so the step solver never runs in the pool.
+    # The estimation checks take longest and go first.
+    checks = [
+        (check, bits, bussgang_table((bits,))[bits])
+        for check, bits in [
+            *((_estimation_check, b) for b in cfg.resolved_bits((4, 8, 12))),
+            *((_detection_checks, b) for b in cfg.resolved_bits((6, 10, 14))),
+        ]
+        if bits != 0
+    ]
+    if not checks:
+        return results
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cores or 1, len(checks))
+    stop = threading.Event()
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(check, cfg, bits, row["alpha"], row["gamma"], n_trials, stop)
+            for check, bits, row in checks
+        ]
+        try:
+            for future in futures:
+                results.extend(future.result())
+        except BaseException:
+            stop.set()  # an error or an interrupt ends the other checks at their next block
+            raise
     return results
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS that numpy loaded, or
+    None: the ``scipy_openblas`` build that numpy wheels bundle in ``numpy.libs``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, restoring the previous count on
+    exit, also on an exception; without that library, do nothing.  Threads
+    that each run their own small products then leave no BLAS helper
+    threads spinning on the cores they need."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _unquantized_estimation_identity(cfg):

@@ -206,6 +206,24 @@ class TestComplexNormal:
         expected = scale * (rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7)))
         np.testing.assert_array_equal(z, expected)
 
+    def test_add_to_same_bits_as_sum(self):
+        # Over more draws than the 16,384-value buffer holds.
+        scale = np.array([[0.5], [2.0], [1e-3]])
+        base = np.random.default_rng(8).normal(size=(3, 7000)) * (1.0 - 2.0j)
+        expected = base + complex_normal(np.random.default_rng(3), (3, 7000), scale)
+        x = base.copy()
+        assert complex_normal(np.random.default_rng(3), (3, 7000), scale, add_to=x) is x
+        np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize(
+        "add_to",
+        [np.zeros((7, 3), dtype=complex).T, np.zeros((3, 7)), np.zeros((3, 6), dtype=complex)],
+        ids=["strided", "real", "shape"],
+    )
+    def test_add_to_rejects_unfit_arrays(self, add_to):
+        with pytest.raises(ValueError, match="add_to"):
+            complex_normal(np.random.default_rng(3), (3, 7), 1.0, add_to=add_to)
+
     def test_small_scale_draw_is_division_by_sqrt2(self):
         rng = np.random.default_rng(4)
         expected = (rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))) / math.sqrt(2.0)

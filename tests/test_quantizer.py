@@ -181,6 +181,19 @@ class TestFronthaul:
         for t in range(5):
             np.testing.assert_array_equal(out[t], fronthaul(x[t], 6, variance))
 
+    def test_in_place_same_bits(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(5, 3, 4)) + 1j * rng.normal(size=(5, 3, 4))
+        variance = np.array([1.0, 2.0, 0.5])
+        expected = fronthaul(x, 6, variance)
+        assert fronthaul(x, 6, variance, out=x) is x
+        np.testing.assert_array_equal(x, expected)
+
+    def test_rejects_out_of_wrong_shape(self):
+        x = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="out must be"):
+            fronthaul(x, 4, np.ones(3), out=np.empty((3, 3), dtype=complex))
+
     @pytest.mark.parametrize("variance", [np.ones(2), np.ones(4), np.array([1.0, 0.0, 1.0])])
     def test_rejects_bad_variances(self, variance):
         with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
 import json
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cfquant import simulation
 from cfquant.channel import draw_small_scale
+from cfquant.cli import _VALIDATE_DEFAULTS
 from cfquant.detection import (
     distortion_covariance,
     error_covariance,
@@ -12,12 +17,15 @@ from cfquant.detection import (
 )
 from cfquant.simulation import (
     _FADING,
+    _MC_CHUNK,
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     CdfSeries,
     SimulationConfig,
     _draw_gains,
     _ErrAccumulator,
+    _estimation_check,
+    _openblas_threads,
     bussgang_table,
     campaign_manifest,
     make_cdf,
@@ -98,6 +106,19 @@ class TestConfig:
     def test_unsupported_configs_rejected(self, kwargs):
         with pytest.raises(ValueError, match="finite|not supported"):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tau": 3.5}, {"m_aps": 7.5}, {"n_geometries": 1.5}, {"seed": 2.5}],
+    )
+    def test_non_integer_int_fields_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimulationConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimulationConfig(m_aps=np.int64(7), tau=np.int32(40), seed=np.uint64(3))
+        assert (cfg.m_aps, cfg.resolved_tau(), cfg.seed) == (7, 40, 3)
 
     def test_from_mapping_coercion(self):
         cfg = SimulationConfig.from_mapping(
@@ -434,6 +455,103 @@ class TestValidation:
         cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
         with pytest.raises(ValueError, match=f"n_trials .*got {n_trials}$"):
             validate_closed_forms(cfg, n_trials=n_trials)
+
+    def test_check_names_in_order(self, monkeypatch):
+        # The first check submitted finishes last; the report keeps the fixed order.
+        estimation_check = simulation._estimation_check
+
+        def slow_at_4_bits(cfg, bits, *args):
+            if bits == 4:
+                time.sleep(0.2)
+            return estimation_check(cfg, bits, *args)
+
+        monkeypatch.setattr(simulation, "_estimation_check", slow_at_4_bits)
+        cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
+        names = [r.name for r in validate_closed_forms(cfg, n_trials=1000)]
+        detection = [
+            f"detection_{kind}_b{bits}"
+            for bits in (6, 10, 14)
+            for kind in ("mse_model", "orthogonality", "mse_quantized")
+        ]
+        assert names == [
+            "unquantized_estimation_identity",
+            "unquantized_detection_identity",
+            "estimation_mse_mc_b4",
+            "estimation_mse_mc_b8",
+            "estimation_mse_mc_b12",
+            *detection,
+        ]
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["passes", "check_raises"])
+    def test_blas_threads_held_to_one_and_restored(self, monkeypatch, fail):
+        threads = _openblas_threads()
+        if threads is None:
+            pytest.skip("numpy does not use a bundled OpenBLAS here")
+        get, put = threads
+        estimation_check = simulation._estimation_check
+        seen = []
+
+        def recording_check(*args):
+            seen.append(get())
+            if fail:
+                raise RuntimeError("check failed")
+            return estimation_check(*args)
+
+        monkeypatch.setattr(simulation, "_estimation_check", recording_check)
+        cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
+        original = get()
+        put(2)
+        try:
+            before = get()
+            if fail:
+                with pytest.raises(RuntimeError, match="check failed"):
+                    validate_closed_forms(cfg, n_trials=1000)
+            else:
+                validate_closed_forms(cfg, n_trials=1000)
+            after = get()
+        finally:
+            put(original)
+        assert seen and set(seen) == {1}
+        assert after == before
+
+    def test_error_in_one_check_stops_the_others(self, monkeypatch):
+        # The 4-bit check fails at once; the 8- and 12-bit checks, running or queued,
+        # must end at their next block instead of drawing all 50.
+        blocks = []
+        pilot_phase = simulation.simulate_pilot_phase
+        estimation_check = simulation._estimation_check
+
+        def counting_pilot_phase(G, pilots, noise, bits, rng, beta):
+            blocks.append(bits)
+            return pilot_phase(G, pilots, noise, bits, rng, beta)
+
+        def failing_at_4_bits(cfg, bits, *args):
+            if bits == 4:
+                raise RuntimeError("check failed")
+            return estimation_check(cfg, bits, *args)
+
+        monkeypatch.setattr(simulation, "simulate_pilot_phase", counting_pilot_phase)
+        monkeypatch.setattr(simulation, "_estimation_check", failing_at_4_bits)
+        cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
+        with pytest.raises(RuntimeError, match="check failed"):
+            validate_closed_forms(cfg, n_trials=50 * _MC_CHUNK)
+        assert blocks.count(8) < 25
+        assert blocks.count(12) < 25
+
+    def test_estimation_check_memory_bounded(self):
+        # tracemalloc peak of one check at the validate defaults: the block's draws g
+        # and y (6.4e6 bytes each) and row-run temporaries, 14.1e6 bytes; 25.7e6 when
+        # the error was formed for the whole block at once, and 19.2e6 with the
+        # pilot noise or the quantizer out of place.
+        cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
+        row = bussgang_table((4,))[4]
+        tracemalloc.start()
+        try:
+            _estimation_check(cfg, 4, row["alpha"], row["gamma"], 100_000, threading.Event())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
 
     def test_identity_checks_are_tight(self):
         cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
