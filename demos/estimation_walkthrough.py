@@ -10,15 +10,14 @@ import numpy as np
 from cfquant import (
     NoiseModel,
     PathLossModel,
-    UniformQuantizer,
-    bussgang_alpha,
+    bussgang_row,
+    correlate_all,
     draw_geometry,
     draw_small_scale,
-    estimate_from_pilots,
+    estimation_mse,
     large_scale_gains,
+    lmmse_coefficient,
     make_pilot_book,
-    optimal_step,
-    power_gain_gamma,
     simulate_pilot_phase,
 )
 
@@ -37,20 +36,24 @@ G = h * np.sqrt(beta)
 # Every AP quantizes with the same normalized step; the absolute step
 # follows its own received variance, so the linearization coefficients
 # are shared across APs.
-ref = UniformQuantizer(LEVELS, optimal_step(LEVELS))
-alpha = bussgang_alpha(ref, 1.0)
-gamma = power_gain_gamma(ref, 1.0)
+row = bussgang_row(LEVELS)
+alpha, gamma = row["alpha"], row["gamma"]
 print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={gamma:.5f}")
 
+# The central unit correlates each AP's pilot block with every pilot and
+# scales each correlation by its LMMSE coefficient, built from the
+# large-scale gains; the closed forms give the resulting (normalized) MSE.
 pilots = make_pilot_book(K, tau=K)
+c = lmmse_coefficient(beta, beta, pilots.tau, alpha, gamma, noise.sigma_n2)
+mse, nmse = estimation_mse(beta, beta, pilots.tau, alpha, gamma, noise.sigma_n2)
 y = simulate_pilot_phase(G, pilots, noise, BITS, rng, beta)
-est = estimate_from_pilots(y, pilots, beta, alpha, gamma, noise.sigma_n2)
+g_hat = c * correlate_all(y, pilots)
 
-realized = np.abs(est.g_hat - G) ** 2
+realized = np.abs(g_hat - G) ** 2
 print(f"\nrealized squared error, one shot: median {np.median(realized):.3e}")
-print(f"closed-form MSE:                  median {np.median(est.mse):.3e}")
-print(f"normalized MSE across pairs: median {np.median(est.nmse):.4f}, "
-      f"worst {est.nmse.max():.4f}")
+print(f"closed-form MSE:                  median {np.median(mse):.3e}")
+print(f"normalized MSE across pairs: median {np.median(nmse):.4f}, "
+      f"worst {nmse.max():.4f}")
 
 # The closed form predicts the average over fading and noise; averaging
 # the realized error over many pilot phases converges to it.
@@ -60,8 +63,7 @@ for _ in range(trials):
     h = draw_small_scale(M, K, rng)
     G = h * np.sqrt(beta)
     y = simulate_pilot_phase(G, pilots, noise, BITS, rng, beta)
-    est = estimate_from_pilots(y, pilots, beta, alpha, gamma, noise.sigma_n2)
-    acc += np.abs(est.g_hat - G) ** 2
-ratio = (acc / trials) / est.mse
+    acc += np.abs(c * correlate_all(y, pilots) - G) ** 2
+ratio = (acc / trials) / mse
 print(f"\nempirical/closed-form MSE ratio over {trials} pilot phases: "
       f"median {np.median(ratio):.3f} (should be near 1)")

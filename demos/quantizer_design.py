@@ -7,29 +7,25 @@ import warnings
 
 import numpy as np
 
-from cfquant import (
-    FlatObjectiveWarning,
-    UniformQuantizer,
-    bussgang_factors,
-    optimal_step,
-    quantize,
-)
+from cfquant import FlatObjectiveWarning, UniformQuantizer, bussgang_row, quantize, sdnr
 
 # ---------------------------------------------------------------
 # Optimal normalized step per bit depth
 # ---------------------------------------------------------------
-# The SDNR objective is flat for the 2-level quantizer, so the solver
-# warns and returns the canonical minimum-distortion step.
+# bussgang_row(L) is the row the campaigns run with: the SDNR-optimal
+# step and the linear gain alpha and power ratio gamma there, at unit
+# input variance.  The SDNR objective is flat for the 2-level quantizer,
+# so the solver warns and returns the canonical minimum-distortion step.
 print("bits  levels  step/sigma   alpha     gamma     SDNR [dB]")
 for bits in range(1, 11):
     levels = 2**bits
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FlatObjectiveWarning)
-        step = optimal_step(levels)
-    fac = bussgang_factors(UniformQuantizer(levels, step), 1.0)
+        row = bussgang_row(levels)
+    step, alpha, gamma = row["step"], row["alpha"], row["gamma"]
     print(
-        f"{bits:4d}  {levels:6d}  {step:10.6f}  {fac.alpha:.6f}  {fac.gamma:.6f}"
-        f"  {10 * np.log10(fac.sdnr):9.3f}"
+        f"{bits:4d}  {levels:6d}  {step:10.6f}  {alpha:.6f}  {gamma:.6f}"
+        f"  {10 * np.log10(sdnr(alpha, gamma)):9.3f}"
     )
 
 # Roughly 5.3 dB of SDNR per extra bit once the quantizer is fine enough,
@@ -41,10 +37,10 @@ for bits in range(1, 11):
 # ---------------------------------------------------------------
 rng = np.random.default_rng(7)
 x = rng.normal(size=2_000_000)
-q = UniformQuantizer(16, optimal_step(16))
-fac = bussgang_factors(q, 1.0)
+row = bussgang_row(16)
+q = UniformQuantizer(16, row["step"])
 alpha_mc = np.mean(x * quantize(x, q))
-print(f"\n16-level quantizer: closed-form alpha {fac.alpha:.6f}, "
+print(f"\n16-level quantizer: closed-form alpha {row['alpha']:.6f}, "
       f"sampled E[x g(x)] {alpha_mc:.6f}")
-resid = np.mean(x * (quantize(x, q) - fac.alpha * x))
+resid = np.mean(x * (quantize(x, q) - row["alpha"] * x))
 print(f"input-distortion correlation (should be ~0): {resid:+.2e}")

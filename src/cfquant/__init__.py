@@ -9,11 +9,9 @@ empirical CDFs of normalized estimation MSE and per-user SINR.
 """
 
 from .quantizer import (
-    BussgangFactors,
     FlatObjectiveWarning,
     UniformQuantizer,
     bussgang_alpha,
-    bussgang_factors,
     distortion_power,
     fronthaul,
     optimal_step,
@@ -35,15 +33,11 @@ from .channel import (
     received_variance,
 )
 from .estimation import (
-    ChannelEstimate,
     PilotBook,
     correlate_all,
-    estimate_channel,
-    estimate_from_pilots,
     estimation_mse,
     lmmse_coefficient,
     make_pilot_book,
-    pilot_mse_at_coefficient,
     simulate_pilot_phase,
 )
 from .detection import (
@@ -57,6 +51,7 @@ from .detection import (
 from .simulation import (
     CdfSeries,
     SimulationConfig,
+    bussgang_row,
     run_nmse_campaign,
     run_sinr_campaign,
     validate_closed_forms,

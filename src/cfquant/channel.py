@@ -51,14 +51,6 @@ class NetworkGeometry:
     ut_positions: np.ndarray
     service_width: float
 
-    @property
-    def n_aps(self):
-        return self.ap_positions.shape[0]
-
-    @property
-    def n_users(self):
-        return self.ut_positions.shape[0]
-
     def distances(self):
         """Euclidean AP-to-UT distance matrix, shape (M, K)."""
         diff = self.ap_positions[:, None, :] - self.ut_positions[None, :, :]

@@ -7,12 +7,13 @@ import logging
 import math
 import sys
 
-from .quantizer import UniformQuantizer, bussgang_factors, optimal_step
+from .quantizer import sdnr
 from .simulation import (
     _FIELD_TYPES,
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     SimulationConfig,
+    bussgang_row,
     campaign_manifest,
     parse_config_file,
     run_nmse_campaign,
@@ -123,12 +124,13 @@ def _cmd_quantizer_table(args):
     print("levels,bits,step_opt,alpha,gamma,sdnr_db")
     for levels in args.levels:
         try:
-            step = optimal_step(levels)
+            row = bussgang_row(levels)
         except ValueError as exc:
             raise SystemExit(f"quantizer-table: {exc}") from exc
-        f = bussgang_factors(UniformQuantizer(levels, step), 1.0)
-        ratio_db = math.inf if math.isinf(f.sdnr) else 10.0 * math.log10(f.sdnr)
-        print(f"{levels},{math.log2(levels):.6g},{step:.6g},{f.alpha:.6g},{f.gamma:.6g},{ratio_db:.6g}")
+        step, alpha, gamma = row["step"], row["alpha"], row["gamma"]
+        ratio = sdnr(alpha, gamma)
+        ratio_db = math.inf if math.isinf(ratio) else 10.0 * math.log10(ratio)
+        print(f"{levels},{math.log2(levels):.6g},{step:.6g},{alpha:.6g},{gamma:.6g},{ratio_db:.6g}")
     return 0
 
 

@@ -18,15 +18,11 @@ from .quantizer import fronthaul
 
 __all__ = [
     "PilotBook",
-    "ChannelEstimate",
     "make_pilot_book",
     "simulate_pilot_phase",
     "correlate_all",
     "lmmse_coefficient",
-    "estimate_channel",
     "estimation_mse",
-    "pilot_mse_at_coefficient",
-    "estimate_from_pilots",
 ]
 
 
@@ -36,17 +32,6 @@ class PilotBook:
 
     tau: int
     phi: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Per-coefficient estimates with their LMMSE scalings and closed-form
-    (normalized) mean square errors, all shaped (M, K)."""
-
-    g_hat: np.ndarray
-    c: np.ndarray
-    mse: np.ndarray
-    nmse: np.ndarray
 
 
 def make_pilot_book(k_users, tau):
@@ -85,7 +70,8 @@ def simulate_pilot_phase(G, pilots, noise, bits, rng, beta):
 
 
 def correlate_all(y, pilots):
-    """All AP-user pilot correlations at once, shape (..., M, K)."""
+    """All AP-user pilot correlations at once, shape (..., M, K); scaled by
+    ``lmmse_coefficient`` they are the channel estimates."""
     return _stacked_product(y, pilots.phi.conj())
 
 
@@ -121,15 +107,6 @@ def lmmse_coefficient(beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
     return out if out.ndim else float(out)
 
 
-def estimate_channel(r, c):
-    """Channel estimate: elementwise scaling of the pilot correlations."""
-    r = np.asarray(r)
-    c = np.asarray(c)
-    if r.shape != c.shape:
-        raise ValueError(f"shape mismatch: correlations {r.shape}, coefficients {c.shape}")
-    return c * r
-
-
 def estimation_mse(beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
     """Closed-form MSE of the LMMSE estimate and its normalized value.
 
@@ -142,29 +119,3 @@ def estimation_mse(beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
     if mse.ndim:
         return mse, nmse
     return float(mse), float(nmse)
-
-
-def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
-    """Estimation MSE for an arbitrary (not necessarily optimal) scaling c.
-
-    Quadratic in c: beta*(c*sqrt(tau)*alpha - 1)**2 plus c**2 times the
-    noise-plus-distortion power seen by the correlator.  Minimized exactly
-    at ``lmmse_coefficient``, where it equals ``estimation_mse``.
-    """
-    c = np.asarray(c, dtype=float)
-    beta_mk, interference = _interference_term(beta_mk, beta_row, alpha, gamma, sigma_n2)
-    out = beta_mk * (c * math.sqrt(tau) * alpha - 1.0) ** 2 + c**2 * interference
-    return out if out.ndim else float(out)
-
-
-def estimate_from_pilots(y, pilots, beta, alpha, gamma, sigma_n2):
-    """Full estimation pipeline from quantized pilot blocks.
-
-    Correlates, builds the per-coefficient LMMSE scalings from the
-    large-scale gains, and returns the estimates together with the
-    closed-form (normalized) MSEs.
-    """
-    r = correlate_all(y, pilots)
-    c = lmmse_coefficient(beta, beta, pilots.tau, alpha, gamma, sigma_n2)
-    mse, nmse = estimation_mse(beta, beta, pilots.tau, alpha, gamma, sigma_n2)
-    return ChannelEstimate(g_hat=estimate_channel(r, c), c=c, mse=mse, nmse=nmse)

@@ -20,13 +20,11 @@ from scipy.special import erfc
 __all__ = [
     "FlatObjectiveWarning",
     "UniformQuantizer",
-    "BussgangFactors",
     "quantize",
     "quantize_complex",
     "fronthaul",
     "bussgang_alpha",
     "power_gain_gamma",
-    "bussgang_factors",
     "distortion_power",
     "sdnr",
     "optimal_step",
@@ -42,8 +40,9 @@ _CONSISTENCY_TOL = 1e-12
 # Gaussian input (the classical table value 1.596).
 _TWO_LEVEL_STEP = 2.0 * math.sqrt(2.0 / math.pi)
 
-# Largest level count the step solver accepts: its search interval
-# (0, _SEARCH_HI] is validated to bracket the optimum only up to here.
+# Largest level count the step solver accepts.  Its coarse grid starts at
+# _COARSE_RES, above the 2**14 optimum (6.70e-4), so at 2**14 the golden
+# section runs on [1e-6, 2e-3] and relies on the objective being unimodal there.
 MAX_LEVELS = 2**14
 _SEARCH_HI = 8.0
 _COARSE_RES = 1e-3
@@ -86,32 +85,6 @@ class UniformQuantizer:
             raise ValueError(f"levels must be even and >= 2, got {self.levels}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError(f"step must be positive and finite, got {self.step}")
-
-    @property
-    def bits(self):
-        """Fronthaul bits per real sample, log2(levels)."""
-        return math.log2(self.levels)
-
-    @property
-    def saturation(self):
-        """Largest output magnitude, (L-1)/2 * step."""
-        return 0.5 * (self.levels - 1) * self.step
-
-
-@dataclass(frozen=True)
-class BussgangFactors:
-    """Linearization coefficients of a quantizer for a Gaussian input.
-
-    alpha is the linear gain, gamma the output/input power ratio,
-    distortion_power the variance of the uncorrelated distortion term and
-    sdnr = alpha**2/(gamma - alpha**2) the signal-to-distortion ratio
-    (infinite in the distortion-free limit).
-    """
-
-    alpha: float
-    gamma: float
-    distortion_power: float
-    sdnr: float
 
 
 def quantize(x, q):
@@ -275,18 +248,6 @@ def sdnr(alpha, gamma):
     return a2 / gap
 
 
-def bussgang_factors(q, sigma_x):
-    """All linearization coefficients of ``q`` at input std sigma_x."""
-    a = bussgang_alpha(q, sigma_x)
-    g = power_gain_gamma(q, sigma_x)
-    return BussgangFactors(
-        alpha=a,
-        gamma=g,
-        distortion_power=distortion_power(a, g, sigma_x * sigma_x),
-        sdnr=sdnr(a, g),
-    )
-
-
 def _sdnr_objective(levels, step_norm):
     """alpha**2/gamma at unit variance; the quantity maximized over the step."""
     a = _alpha_normalized(levels, step_norm)
@@ -328,14 +289,16 @@ def _optimal_step_cached(levels):
 def optimal_step(levels):
     """SDNR-optimal normalized step (step/sigma_x) for an L-level quantizer.
 
-    Solved by a coarse grid scan over (0, 8] followed by golden-section
-    refinement; level counts above MAX_LEVELS are rejected, since that
-    interval is validated to bracket the optimum only up to there.  The
-    alpha and gamma series of L/2 - 1 terms keep only the orders l with
-    l*step < 40 at the smallest step evaluated together: every later term
-    is exactly 0.0 in float64, so the result is the same float as with all
-    terms, while the coarse scan at MAX_LEVELS evaluates 2.8% of them.  For
-    levels == 2 the objective is flat in the step; the canonical
+    Solved by a scan of the grid 1e-3, 2e-3, ..., 8 and golden-section
+    refinement between the neighbours of its best point, or on [1e-6, 2e-3]
+    when the best is the first point.  That is the case at MAX_LEVELS, whose
+    optimum 6.70e-4 lies below the grid, so there the refinement relies on
+    the objective being unimodal on that interval; larger level counts are
+    rejected.  The alpha and gamma series of L/2 - 1 terms keep only the
+    orders l with l*step < 40 at the smallest step evaluated together: every
+    later term is exactly 0.0 in float64, so the result is the same float as
+    with all terms, while the coarse scan at MAX_LEVELS evaluates 2.8% of
+    them.  For levels == 2 the objective is flat in the step; the canonical
     minimum-distortion value 2*sqrt(2/pi) is returned and a
     FlatObjectiveWarning is issued.
     """

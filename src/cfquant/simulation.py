@@ -64,6 +64,7 @@ __all__ = [
     "substream",
     "make_cdf",
     "parse_config_file",
+    "bussgang_row",
     "bussgang_table",
     "campaign_manifest",
     "run_nmse_campaign",
@@ -134,6 +135,8 @@ class SimulationConfig:
                 raise ValueError("bits_list must not be empty")
             if any(b < 0 or b != int(b) for b in self.bits_list):
                 raise ValueError("bits entries must be nonnegative integers (0 = unquantized)")
+            if len(set(self.bits_list)) < len(self.bits_list):
+                raise ValueError(f"bits_list repeats a bit depth: {list(self.bits_list)}")
             if max(self.bits_list) > math.log2(MAX_LEVELS):
                 raise ValueError(
                     f"bits={max(self.bits_list)} is not supported: the step solver is "
@@ -223,27 +226,22 @@ def make_cdf(values, label):
     return CdfSeries(label=str(label), values=values, probs=probs)
 
 
-def bussgang_table(bits_list):
-    """Bit depth -> {"step", "alpha", "gamma"}: the SDNR-optimal normalized
-    step and the linear gain and power ratio there, at unit input variance.
+def bussgang_row(levels):
+    """{"step", "alpha", "gamma"} of an L-level quantizer: the SDNR-optimal
+    normalized step and the linear gain and power ratio there, at unit input
+    variance.  Its steps are cached, so building a row again is cheap."""
+    q = UniformQuantizer(levels, optimal_step(levels))
+    return {"step": q.step, "alpha": bussgang_alpha(q, 1.0), "gamma": power_gain_gamma(q, 1.0)}
 
-    bits=0 marks the unquantized fronthaul (step None, alpha = gamma = 1).
-    This is the table the campaigns run with and their manifests record;
-    its steps are cached, so building it again is cheap.
-    """
-    table = {}
-    for bits in bits_list:
-        if bits == 0:
-            table[0] = {"step": None, "alpha": 1.0, "gamma": 1.0}
-            continue
-        step = optimal_step(2**bits)
-        q = UniformQuantizer(2**bits, step)
-        table[bits] = {
-            "step": step,
-            "alpha": bussgang_alpha(q, 1.0),
-            "gamma": power_gain_gamma(q, 1.0),
-        }
-    return table
+
+def bussgang_table(bits_list):
+    """Bit depth -> ``bussgang_row(2**bits)``, with bits=0 the unquantized
+    fronthaul (step None, alpha = gamma = 1): the table the campaigns run
+    with and their manifests record."""
+    return {
+        bits: bussgang_row(2**bits) if bits else {"step": None, "alpha": 1.0, "gamma": 1.0}
+        for bits in bits_list
+    }
 
 
 def _draw_gains(cfg, trial):
@@ -602,7 +600,7 @@ def validate_closed_forms(cfg, n_trials=100_000):
     # Every Bussgang row is built here, so the step solver never runs in the pool.
     # The estimation checks take longest and go first.
     checks = [
-        (check, bits, bussgang_table((bits,))[bits])
+        (check, bits, bussgang_row(2**bits))
         for check, bits in [
             *((_estimation_check, b) for b in cfg.resolved_bits((4, 8, 12))),
             *((_detection_checks, b) for b in cfg.resolved_bits((6, 10, 14))),

@@ -41,6 +41,14 @@ def factors(bits):
     return cq.bussgang_alpha(q, 1.0), cq.power_gain_gamma(q, 1.0)
 
 
+def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
+    """Oracle: estimation MSE of one AP-user pair at an arbitrary scaling c,
+    beta*(c*sqrt(tau)*alpha - 1)**2 plus c**2 times the correlator's
+    noise-plus-distortion power."""
+    interference = (gamma - alpha**2) * np.sum(beta_row) + gamma * sigma_n2
+    return beta_mk * (c * math.sqrt(tau) * alpha - 1.0) ** 2 + c**2 * interference
+
+
 def test_criterion_1_closed_forms_vs_sampling(unit_normal_pool):
     """Linear gain and power ratio closed forms against 1e7-sample Monte
     Carlo estimates for every level count and step combination."""
@@ -124,10 +132,10 @@ def test_criterion_4_lmmse_identity_and_optimality():
         gamma = alpha**2 * (1.0 + float(np.exp(rng.uniform(-12.0, 0.0))))
         c_opt = cq.lmmse_coefficient(beta, row, tau, alpha, gamma, sn2)
         closed, _ = cq.estimation_mse(beta, row, tau, alpha, gamma, sn2)
-        quad = cq.pilot_mse_at_coefficient(c_opt, beta, row, tau, alpha, gamma, sn2)
+        quad = pilot_mse_at_coefficient(c_opt, beta, row, tau, alpha, gamma, sn2)
         worst_rel = max(worst_rel, abs(quad - closed) / closed)
         for eps in (0.01, -0.01):
-            bumped = cq.pilot_mse_at_coefficient(
+            bumped = pilot_mse_at_coefficient(
                 c_opt * (1.0 + eps), beta, row, tau, alpha, gamma, sn2
             )
             all_increase = all_increase and bumped > quad

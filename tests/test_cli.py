@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfquant.cli import _build_config, build_parser, main
-from cfquant.quantizer import UniformQuantizer, bussgang_factors, optimal_step
+from cfquant.quantizer import UniformQuantizer, bussgang_alpha, optimal_step, power_gain_gamma
 from cfquant.simulation import SimulationConfig, parse_config_file
 
 
@@ -25,9 +25,9 @@ def assert_records_bussgang_table(manifest):
         if bits == 0:
             assert row == {"step": None, "alpha": 1.0, "gamma": 1.0}
             continue
-        step = optimal_step(2**bits)
-        factors = bussgang_factors(UniformQuantizer(2**bits, step), 1.0)
-        assert row == {"step": step, "alpha": factors.alpha, "gamma": factors.gamma}
+        q = UniformQuantizer(2**bits, optimal_step(2**bits))
+        alpha, gamma = bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0)
+        assert row == {"step": q.step, "alpha": alpha, "gamma": gamma}
 
 
 class TestQuantizerTable:
@@ -107,6 +107,14 @@ class TestCampaignCommands:
         assert (tmp_path / "sinr_b6.csv").exists()
         assert (tmp_path / "sinr_b0.csv").exists()
 
+    @pytest.mark.parametrize("command", ["nmse-cdf", "sinr-cdf"])
+    def test_repeated_bit_depth_rejected_before_output(self, command, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="repeats a bit depth"):
+            main([command, "--m-aps", "6", "--k-users", "3", "--geoms", "1",
+                  "--bits", "6,6,0", "--out", str(out)])
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("m_aps = 6\nk_users = 3\nn_geometries = 2\nseed = 4\n")
@@ -184,6 +192,13 @@ class TestValidateCommand:
         assert "PASS unquantized_detection_identity" in out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_repeated_bit_depth_rejected_before_any_check(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("bits_list = 6, 6\n")
+        with pytest.raises(ValueError, match="repeats a bit depth"):
+            main(["validate", "--config", str(cfg_file), "--trials", "1000"])
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("trials", ["0", "1", "-5"])
     def test_rejects_too_few_trials(self, trials, capsys):

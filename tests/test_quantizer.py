@@ -16,11 +16,9 @@ from cfquant.quantizer import (
     _sdnr_objective,
     _series_orders,
     MAX_LEVELS,
-    BussgangFactors,
     FlatObjectiveWarning,
     UniformQuantizer,
     bussgang_alpha,
-    bussgang_factors,
     distortion_power,
     fronthaul,
     optimal_step,
@@ -332,15 +330,6 @@ class TestDistortionAndSdnr:
             ratio = bussgang_alpha(qq, 1.0) ** 2 / power_gain_gamma(qq, 1.0)
             best = max(best, ratio / (1.0 - ratio))
         assert value == pytest.approx(best, rel=1e-4)
-
-    def test_factors_bundle(self):
-        q = UniformQuantizer(8, 0.6)
-        fac = bussgang_factors(q, 2.0)
-        assert isinstance(fac, BussgangFactors)
-        assert fac.alpha == pytest.approx(bussgang_alpha(q, 2.0))
-        assert fac.gamma == pytest.approx(power_gain_gamma(q, 2.0))
-        assert fac.distortion_power == pytest.approx(4.0 * (fac.gamma - fac.alpha**2))
-        assert fac.sdnr == pytest.approx(fac.alpha**2 / (fac.gamma - fac.alpha**2))
 
 
 class TestOptimalStep:

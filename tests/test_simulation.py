@@ -15,6 +15,13 @@ from cfquant.detection import (
     error_covariance,
     per_user_sinr,
 )
+from cfquant.quantizer import (
+    FlatObjectiveWarning,
+    UniformQuantizer,
+    bussgang_alpha,
+    optimal_step,
+    power_gain_gamma,
+)
 from cfquant.simulation import (
     _FADING,
     _MC_CHUNK,
@@ -26,6 +33,7 @@ from cfquant.simulation import (
     _ErrAccumulator,
     _estimation_check,
     _openblas_threads,
+    bussgang_row,
     bussgang_table,
     campaign_manifest,
     make_cdf,
@@ -115,6 +123,10 @@ class TestConfig:
         (name,) = kwargs
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SimulationConfig(**kwargs)
+
+    def test_repeated_bit_depths_rejected(self):
+        with pytest.raises(ValueError, match=r"repeats a bit depth: \[6, 6, 0\]"):
+            SimulationConfig(bits_list=(6, 6, 0))
 
     def test_numpy_integers_accepted(self):
         cfg = SimulationConfig(m_aps=np.int64(7), tau=np.int32(40), seed=np.uint64(3))
@@ -237,6 +249,29 @@ class TestWriteCsv:
         series = make_cdf([1.0], label="4")
         with pytest.raises(OSError, match="blocker"):
             write_cdf_csv([series], blocker / "sub", campaign="nmse")
+
+
+class TestBussgangRow:
+    @pytest.mark.parametrize("levels", [4, 6, 100, 10_000, 16_384])
+    def test_bit_identical_to_primitives(self, levels):
+        # repr: the same floats, and Python floats, as the manifests record them.
+        q = UniformQuantizer(levels, optimal_step(levels))
+        expected = (q.step, bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0))
+        row = bussgang_row(levels)
+        assert list(row) == ["step", "alpha", "gamma"]
+        assert [repr(value) for value in row.values()] == [repr(value) for value in expected]
+
+    def test_two_levels_warn_flat_objective(self):
+        with pytest.warns(FlatObjectiveWarning):
+            row = bussgang_row(2)
+        assert row["step"] == 2.0 * math.sqrt(2.0 / math.pi)
+
+    def test_table_maps_bit_depths_onto_rows(self):
+        assert bussgang_table((8, 0, 4)) == {
+            8: bussgang_row(256),
+            0: {"step": None, "alpha": 1.0, "gamma": 1.0},
+            4: bussgang_row(16),
+        }
 
 
 class TestNmseCampaign:
