@@ -45,11 +45,10 @@ class PathLossModel:
 
 @dataclass(frozen=True)
 class NetworkGeometry:
-    """AP and UT drop positions inside the [0, service_width]^2 area."""
+    """AP and UT drop positions, shapes (M, 2) and (K, 2), in meters."""
 
     ap_positions: np.ndarray
     ut_positions: np.ndarray
-    service_width: float
 
     def distances(self):
         """Euclidean AP-to-UT distance matrix, shape (M, K)."""
@@ -103,7 +102,7 @@ def draw_geometry(m_aps, k_users, l_serv, rng):
         raise ValueError("need at least one AP and one user")
     ap = rng.uniform(0.0, l_serv, size=(m_aps, 2))
     ut = rng.uniform(0.0, l_serv, size=(k_users, 2))
-    return NetworkGeometry(ap_positions=ap, ut_positions=ut, service_width=l_serv)
+    return NetworkGeometry(ap_positions=ap, ut_positions=ut)
 
 
 def large_scale_gains(geo, model, sigma_sh_db, rng):

@@ -47,22 +47,19 @@ def _add_config_args(parser):
 
 
 def _build_config(args, bits=None, geoms=None, smallscale=None, defaults=None):
+    """The run's config: defaults, then the config file, then the flags.  An
+    invalid setting or an unreadable file ends the command with a one-line
+    message."""
+    flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
+    flags.update(seed=args.seed, bits_list=bits, n_geometries=geoms, n_smallscale=smallscale)
     settings = dict(defaults or {})
-    if args.config:
-        settings.update(parse_config_file(args.config))
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            settings[name] = value
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if bits is not None:
-        settings["bits_list"] = bits
-    if geoms is not None:
-        settings["n_geometries"] = geoms
-    if smallscale is not None:
-        settings["n_smallscale"] = smallscale
-    return SimulationConfig.from_mapping(settings)
+    try:
+        if args.config:
+            settings.update(parse_config_file(args.config))
+        settings.update((name, value) for name, value in flags.items() if value is not None)
+        return SimulationConfig.from_mapping(settings)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{args.command}: {exc}") from exc
 
 
 def _parse_int_list(text):

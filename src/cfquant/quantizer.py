@@ -226,10 +226,7 @@ def distortion_power(alpha, gamma, sigma_x2):
     for one input variance or an array of them."""
     if not np.all(sigma_x2 > 0.0):
         raise ValueError("sigma_x2 must be positive")
-    gap = gamma - alpha * alpha
-    if gap < -_CONSISTENCY_TOL * max(1.0, alpha * alpha):
-        raise ValueError(f"inconsistent factors: gamma={gamma} < alpha^2={alpha * alpha}")
-    return sigma_x2 * max(gap, 0.0)
+    return sigma_x2 * max(_distortion_gap(alpha, gamma), 0.0)
 
 
 def sdnr(alpha, gamma):
@@ -240,12 +237,19 @@ def sdnr(alpha, gamma):
     a2 = alpha * alpha
     if not a2 > 0.0:
         raise ValueError("alpha must be nonzero")
-    gap = gamma - a2
-    if gap < -_CONSISTENCY_TOL * max(1.0, a2):
-        raise ValueError(f"inconsistent factors: gamma={gamma} < alpha^2={a2}")
+    gap = _distortion_gap(alpha, gamma)
     if gap <= 0.0:
         return math.inf
     return a2 / gap
+
+
+def _distortion_gap(alpha, gamma):
+    """gamma - alpha**2, rejecting factors whose gap is below zero by more than rounding."""
+    a2 = alpha * alpha
+    gap = gamma - a2
+    if gap < -_CONSISTENCY_TOL * max(1.0, a2):
+        raise ValueError(f"inconsistent factors: gamma={gamma} < alpha^2={a2}")
+    return gap
 
 
 def _sdnr_objective(levels, step_norm):

@@ -120,8 +120,10 @@ class SimulationConfig:
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if kind is int and value is not None and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if kind is int and value is not None:
+                if not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))  # numpy integers are not JSON
         if self.m_aps < 1 or self.k_users < 1:
             raise ValueError("m_aps and k_users must be at least 1")
         if self.l_serv_m <= 0.0:
@@ -137,6 +139,7 @@ class SimulationConfig:
                 raise ValueError("bits entries must be nonnegative integers (0 = unquantized)")
             if len(set(self.bits_list)) < len(self.bits_list):
                 raise ValueError(f"bits_list repeats a bit depth: {list(self.bits_list)}")
+            object.__setattr__(self, "bits_list", tuple(int(b) for b in self.bits_list))
             if max(self.bits_list) > math.log2(MAX_LEVELS):
                 raise ValueError(
                     f"bits={max(self.bits_list)} is not supported: the step solver is "
@@ -383,14 +386,62 @@ def campaign_manifest(cfg, campaign, bits_list, **extra):
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verification outcome: the statistic observed, the threshold it
-    was held to, and whether it passed."""
+    """One verification outcome: the statistic observed and the threshold it
+    was held to; it passes when the statistic is at most the threshold, so a
+    NaN statistic fails."""
 
     name: str
-    passed: bool
     statistic: float
     threshold: float
     detail: str = ""
+
+    @property
+    def passed(self):
+        return bool(self.statistic <= self.threshold)
+
+
+def _blocks(n_trials, stop):
+    """Sizes of the ``_MC_CHUNK``-trial blocks of a Monte Carlo check; none
+    more once the event ``stop`` is set."""
+    for done in range(0, n_trials, _MC_CHUNK):
+        if stop.is_set():
+            return
+        yield min(_MC_CHUNK, n_trials - done)
+
+
+def _parts(x):
+    """``x`` itself, or its real and imaginary parts when it is complex."""
+    return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+
+
+class _Moments:
+    """Running sum and sum of squares, of the given shape, of Monte Carlo
+    samples along one trial axis.  A complex sum stays complex; squares are
+    summed per part, so each part gets its own standard error."""
+
+    def __init__(self, shape, axis, dtype=float):
+        self.axis = axis
+        self.total = np.zeros(shape, dtype)
+        self.total_sq = np.zeros((len(_parts(self.total)), *self.total.shape))
+
+    def add(self, x, row=...):
+        """Add a block of samples to the sums at ``row`` (all of them by
+        default); ``x`` is left holding their squares, per part."""
+        self.total[row] += x.sum(axis=self.axis)
+        for total_sq, part in zip(self.total_sq, _parts(x)):
+            part **= 2
+            total_sq[row] += part.sum(axis=self.axis)
+
+    def mean_se(self, n_trials):
+        """Sample mean and its standard error, per part along a new first axis."""
+        mean = np.stack(_parts(self.total / n_trials))
+        var = self.total_sq / n_trials - mean**2
+        return mean, np.sqrt(np.maximum(var, 0.0) / n_trials)
+
+    def max_z(self, n_trials, expected=0.0):
+        """Largest |mean - expected| / standard error over entries and parts."""
+        mean, se = self.mean_se(n_trials)
+        return float(np.max(np.abs(mean - expected) / se))
 
 
 def _colocated_gains(cfg):
@@ -413,7 +464,7 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     """Empirical pilot-phase MSE per AP-user pair against the closed form,
     on a co-located-users instance where the closed form is exact.  A list
     of one CheckResult, as ``_detection_checks`` returns a list; an empty
-    one when the event ``stop`` is set before a block starts."""
+    one when the event ``stop`` is set."""
     beta = _colocated_gains(cfg)
     noise = cfg.noise_model()
     tau = cfg.resolved_tau()
@@ -424,13 +475,8 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
 
     rng_h = substream(cfg.seed, _FADING, 100, bits)
     rng_n = substream(cfg.seed, _NOISE, 100, bits)
-    total = np.zeros_like(beta)
-    total_sq = np.zeros_like(beta)
-    done = 0
-    while done < n_trials:
-        if stop.is_set():
-            return []
-        block = min(_MC_CHUNK, n_trials - done)
+    err_power = _Moments(beta.shape, axis=0)
+    for block in _blocks(n_trials, stop):
         g = complex_normal(rng_h, (block, *beta.shape), 1.0 / math.sqrt(2.0))
         g *= sqrt_beta
         y = simulate_pilot_phase(g, pilots, noise, bits, rng_n, beta)
@@ -445,20 +491,14 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
         err = np.abs(g)
         del g  # freed before the reductions and the next block allocate
         err **= 2
-        total += err.sum(axis=0)
-        err **= 2
-        total_sq += err.sum(axis=0)
+        err_power.add(err)
         del err
-        done += block
-    emp = total / n_trials
-    var = total_sq / n_trials - emp**2
-    se = np.sqrt(np.maximum(var, 0.0) / n_trials)
-    z = np.max(np.abs(emp - mse) / se)
+    if stop.is_set():
+        return []
     return [
         CheckResult(
             name=f"estimation_mse_mc_b{bits}",
-            passed=bool(z <= 3.0),
-            statistic=float(z),
+            statistic=err_power.max_z(n_trials, mse),
             threshold=3.0,
             detail=f"max |z| over {beta.size} AP-user pairs, {n_trials} trials",
         )
@@ -467,19 +507,21 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
 
 def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
     """Per-user error power and orthogonality residual at one fixed channel;
-    no result when the event ``stop`` is set before a block starts.
+    no result when the event ``stop`` is set.
 
     Two error-power comparisons are run.  The first simulates the
     linearized observation itself (scaled signal plus scaled noise plus
     independent distortion of the modeled covariance) and must match the
-    closed-form error covariance to pure Monte Carlo accuracy.  The second
-    replaces the modeled distortion with the actual quantizer; it probes
-    the bridge between the two and can legitimately drift beyond the
-    statistical tolerance at high trial counts, because the closed form
-    neglects the correlation of quantization distortion across APs heard
-    by the same users.  The channel draw uses unit-modulus fading so each
-    AP's realized received variance equals the variance its quantizer was
-    sized for; a Rayleigh draw would add a second, ensemble-level gap.
+    closed-form error covariance to pure Monte Carlo accuracy; its
+    error-observation correlation is the orthogonality residual.  The second
+    replaces the modeled distortion with the actual quantizer and is checked
+    on error power only.  It probes the bridge between the two and can
+    legitimately drift beyond the statistical tolerance at high trial
+    counts, because the closed form neglects the correlation of
+    quantization distortion across APs heard by the same users.  The
+    channel draw uses unit-modulus fading so each AP's realized received
+    variance equals the variance its quantizer was sized for; a Rayleigh
+    draw would add a second, ensemble-level gap.
     """
     beta = _draw_gains(cfg, 0)
     noise = cfg.noise_model()
@@ -494,45 +536,41 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
     rng_s = substream(cfg.seed, _SYMBOLS, 200, bits)
     rng_n = substream(cfg.seed, _NOISE, 200, bits)
     k, m = cfg.k_users, cfg.m_aps
-    model = _ErrAccumulator(k, m)
-    quantized = _ErrAccumulator(k, m)
-    done = 0
-    while done < n_trials:
-        if stop.is_set():
-            return []
-        block = min(_MC_CHUNK, n_trials - done)
+    model, quantized = _Moments(k, axis=1), _Moments(k, axis=1)
+    orthogonality = _Moments((k, m), axis=1, dtype=complex)  # row k: e_k * conj(y)
+    for block in _blocks(n_trials, stop):
         s = complex_normal(rng_s, (k, block), math.sqrt(cfg.sigma_s2 / 2.0))
         # One unquantized observation feeds both pipelines; fronthaul at the
         # data-phase variance is what simulate_uplink applies at ``bits``.
         x = simulate_uplink(G, s, noise, 0, rng_n, beta)
-        y_model = alpha * x + complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None])
-        for acc, y in ((model, y_model), (quantized, fronthaul(x, bits, sigma_m2))):
-            acc.add(W @ y - s, y)
-        done += block
+        y = alpha * x + complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None])
+        e = W @ y - s
+        model.add(np.abs(e) ** 2)
+        y_conj = y.conj()
+        for user, e_k in enumerate(e):
+            orthogonality.add(e_k * y_conj, user)
+        quantized.add(np.abs(W @ fronthaul(x, bits, sigma_m2) - s) ** 2)
+    if stop.is_set():
+        return []
 
-    z_model, z_orth = model.z_scores(diag, n_trials)
-    emp, se = quantized.error_power(n_trials)
+    (emp,), (se,) = quantized.mean_se(n_trials)
     rel_bias = float(np.max(np.abs(emp - diag) / diag))
-    rel_floor = float(np.max(3.0 * se / diag))
-    bridge_threshold = max(0.05, rel_floor)
+    bridge_threshold = max(0.05, float(np.max(3.0 * se / diag)))
     return [
         CheckResult(
             name=f"detection_mse_model_b{bits}",
-            passed=bool(z_model <= 3.0),
-            statistic=float(z_model),
+            statistic=model.max_z(n_trials, diag),
             threshold=3.0,
             detail=f"linearized-model pipeline, max |z| over {k} users, {n_trials} trials",
         ),
         CheckResult(
             name=f"detection_orthogonality_b{bits}",
-            passed=bool(z_orth <= 4.0),
-            statistic=float(z_orth),
+            statistic=orthogonality.max_z(n_trials),
             threshold=4.0,
             detail="max |z| of the error-observation correlation, entrywise",
         ),
         CheckResult(
             name=f"detection_mse_quantized_b{bits}",
-            passed=bool(rel_bias <= bridge_threshold),
             statistic=rel_bias,
             threshold=bridge_threshold,
             detail=(
@@ -542,43 +580,6 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
             ),
         ),
     ]
-
-
-class _ErrAccumulator:
-    """Running sums for per-user error power and error-observation cross
-    moments of one detection pipeline."""
-
-    def __init__(self, k_users, m_aps):
-        self.err = np.zeros(k_users)
-        self.err_sq = np.zeros(k_users)
-        self.resid = np.zeros((k_users, m_aps), dtype=complex)
-        self.resid_re_sq = np.zeros((k_users, m_aps))
-        self.resid_im_sq = np.zeros((k_users, m_aps))
-
-    def add(self, e, y):
-        p = np.abs(e) ** 2
-        self.err += p.sum(axis=1)
-        self.err_sq += (p**2).sum(axis=1)
-        y_conj = y.conj()
-        for k, e_k in enumerate(e):
-            cross = e_k * y_conj
-            self.resid[k] += cross.sum(axis=1)
-            self.resid_re_sq[k] += (cross.real**2).sum(axis=1)
-            self.resid_im_sq[k] += (cross.imag**2).sum(axis=1)
-
-    def error_power(self, n_trials):
-        emp = self.err / n_trials
-        var = self.err_sq / n_trials - emp**2
-        return emp, np.sqrt(np.maximum(var, 0.0) / n_trials)
-
-    def z_scores(self, expected_diag, n_trials):
-        emp, se = self.error_power(n_trials)
-        z_mse = np.max(np.abs(emp - expected_diag) / se)
-        mean = self.resid / n_trials
-        se_re = np.sqrt(np.maximum(self.resid_re_sq / n_trials - mean.real**2, 0.0) / n_trials)
-        se_im = np.sqrt(np.maximum(self.resid_im_sq / n_trials - mean.imag**2, 0.0) / n_trials)
-        z_orth = max(np.max(np.abs(mean.real) / se_re), np.max(np.abs(mean.imag) / se_im))
-        return float(z_mse), float(z_orth)
 
 
 def validate_closed_forms(cfg, n_trials=100_000):
@@ -669,7 +670,6 @@ def _unquantized_estimation_identity(cfg):
     err = np.max(np.abs(mse - textbook) / textbook)
     return CheckResult(
         name="unquantized_estimation_identity",
-        passed=bool(err <= 1e-12),
         statistic=float(err),
         threshold=1e-12,
         detail="closed form vs textbook LMMSE error at alpha=gamma=1",
@@ -687,7 +687,6 @@ def _unquantized_detection_identity(cfg):
     err = np.max(np.abs(cov - textbook))
     return CheckResult(
         name="unquantized_detection_identity",
-        passed=bool(err <= 1e-12),
         statistic=float(err),
         threshold=1e-12,
         detail="error covariance vs textbook MMSE at alpha=gamma=1, sigma_s2=1",

@@ -114,7 +114,6 @@ class TestGeometry:
         geo = NetworkGeometry(
             ap_positions=np.array([[0.0, 0.0], [3.0, 4.0]]),
             ut_positions=np.array([[0.0, 0.0]]),
-            service_width=10.0,
         )
         np.testing.assert_allclose(geo.distances(), [[0.0], [5.0]])
 
@@ -134,7 +133,6 @@ class TestLargeScaleGains:
         geo = NetworkGeometry(
             ap_positions=np.array([[5.0, 5.0]]),
             ut_positions=np.array([[5.0, 5.0]]),
-            service_width=10.0,
         )
         beta = large_scale_gains(geo, model, 0.0, np.random.default_rng(0))
         assert beta[0, 0] == 1.0
@@ -147,7 +145,6 @@ class TestLargeScaleGains:
         geo = NetworkGeometry(
             ap_positions=np.full((1000, 2), 5.0),
             ut_positions=np.full((1000, 2), 5.0),
-            service_width=10.0,
         )
         beta = large_scale_gains(geo, model, sigma_sh, rng)  # PL = 1 everywhere
         expected = math.exp((sigma_sh * math.log(10.0) / 10.0) ** 2 / 2.0)

@@ -108,12 +108,33 @@ class TestCampaignCommands:
         assert (tmp_path / "sinr_b0.csv").exists()
 
     @pytest.mark.parametrize("command", ["nmse-cdf", "sinr-cdf"])
-    def test_repeated_bit_depth_rejected_before_output(self, command, tmp_path):
+    def test_repeated_bit_depth_rejected_before_output(self, command, tmp_path, capsys):
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="repeats a bit depth"):
+        with pytest.raises(SystemExit) as exc:
             main([command, "--m-aps", "6", "--k-users", "3", "--geoms", "1",
                   "--bits", "6,6,0", "--out", str(out)])
+        assert exc.value.code == f"{command}: bits_list repeats a bit depth: [6, 6, 0]"
         assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["nmse-cdf", "sinr-cdf", "validate"])
+    def test_invalid_config_value_exits_cleanly(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--m-aps", "0"] + (["--out", str(out)] if command != "validate" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"{command}: m_aps and k_users must be at least 1"
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+    def test_missing_config_file_exits_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["nmse-cdf", "--config", str(missing), "--out", str(tmp_path / "out")])
+        assert exc.value.code.startswith("nmse-cdf: ")
+        assert str(missing) in exc.value.code
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().out == ""
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -196,8 +217,9 @@ class TestValidateCommand:
     def test_repeated_bit_depth_rejected_before_any_check(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bits_list = 6, 6\n")
-        with pytest.raises(ValueError, match="repeats a bit depth"):
+        with pytest.raises(SystemExit) as exc:
             main(["validate", "--config", str(cfg_file), "--trials", "1000"])
+        assert exc.value.code == "validate: bits_list repeats a bit depth: [6, 6]"
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("trials", ["0", "1", "-5"])

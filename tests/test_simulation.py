@@ -28,9 +28,10 @@ from cfquant.simulation import (
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     CdfSeries,
+    CheckResult,
     SimulationConfig,
     _draw_gains,
-    _ErrAccumulator,
+    _Moments,
     _estimation_check,
     _openblas_threads,
     bussgang_row,
@@ -131,6 +132,19 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = SimulationConfig(m_aps=np.int64(7), tau=np.int32(40), seed=np.uint64(3))
         assert (cfg.m_aps, cfg.resolved_tau(), cfg.seed) == (7, 40, 3)
+        assert {type(cfg.m_aps), type(cfg.tau), type(cfg.seed)} == {int}
+
+    def test_numpy_integer_bit_depths_write_a_manifest(self, tmp_path):
+        cfg = SimulationConfig(
+            m_aps=np.int64(6), k_users=3, n_geometries=1, bits_list=(np.int64(6), 0)
+        )
+        bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
+        assert [type(b) for b in bits_list] == [int, int]
+        manifest = campaign_manifest(cfg, "nmse", bits_list)
+        write_cdf_csv(run_nmse_campaign(cfg), tmp_path, campaign="nmse", manifest=manifest)
+        data = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(data["bussgang_table"]) == {"6", "0"}
+        assert data["m_aps"] == 6
 
     def test_from_mapping_coercion(self):
         cfg = SimulationConfig.from_mapping(
@@ -451,24 +465,39 @@ class TestValidation:
         got = {r.name: (r.statistic, r.threshold) for r in results if "identity" not in r.name}
         assert got == expected
 
-    def test_err_accumulator_matches_broadcast_sums(self):
-        # Per-user accumulation against the (K, M, T) cross array it replaces.
+    def test_moments_match_broadcast_sums(self):
+        # Running sums over two blocks against sums of the whole arrays: a real
+        # (K, T) error power, and per-user (M, T) error-observation products, added
+        # row by row, against the (K, M, T) cross array they replace.
         rng = np.random.default_rng(41)
         k_users, m_aps = 3, 5
-        acc = _ErrAccumulator(k_users, m_aps)
+        power = _Moments(k_users, axis=1)
+        cross_moments = _Moments((k_users, m_aps), axis=1, dtype=complex)
+        total, total_sq = np.zeros(k_users), np.zeros(k_users)
         resid = np.zeros((k_users, m_aps), dtype=complex)
         re_sq, im_sq = np.zeros((k_users, m_aps)), np.zeros((k_users, m_aps))
         for trials in (700, 300):
             e = rng.normal(size=(k_users, trials)) + 1j * rng.normal(size=(k_users, trials))
             y = rng.normal(size=(m_aps, trials)) + 1j * rng.normal(size=(m_aps, trials))
-            acc.add(e, y)
+            p = np.abs(e) ** 2
+            total += p.sum(axis=1)
+            total_sq += (p**2).sum(axis=1)
+            power.add(p)
+            for user, e_k in enumerate(e):
+                cross_moments.add(e_k * y.conj(), user)
             cross = e[:, None, :] * y.conj()[None, :, :]
             resid += cross.sum(axis=2)
             re_sq += (cross.real**2).sum(axis=2)
             im_sq += (cross.imag**2).sum(axis=2)
-        np.testing.assert_array_equal(acc.resid, resid)
-        np.testing.assert_array_equal(acc.resid_re_sq, re_sq)
-        np.testing.assert_array_equal(acc.resid_im_sq, im_sq)
+        np.testing.assert_array_equal(power.total, total)
+        np.testing.assert_array_equal(power.total_sq, [total_sq])
+        np.testing.assert_array_equal(cross_moments.total, resid)
+        np.testing.assert_array_equal(cross_moments.total_sq, [re_sq, im_sq])
+
+    def test_nan_statistic_fails(self):
+        assert CheckResult("check", statistic=1.0, threshold=1.0).passed
+        assert not CheckResult("check", statistic=1.5, threshold=1.0).passed
+        assert not CheckResult("check", statistic=math.nan, threshold=1.0).passed
 
     def test_report_passes_on_small_config(self):
         cfg = SimulationConfig(
