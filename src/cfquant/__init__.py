@@ -43,7 +43,6 @@ from .estimation import (
 from .detection import (
     distortion_covariance,
     error_covariance,
-    jensen_bound_diagonals,
     mmse_weights,
     per_user_sinr,
     simulate_uplink,

@@ -69,6 +69,13 @@ def _parse_int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _worker_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _cmd_nmse(args):
     cfg = _build_config(args, bits=args.bits, geoms=args.geoms)
     bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
@@ -143,7 +150,7 @@ def build_parser():
     p_nmse.add_argument("--bits", type=_parse_int_list, help="bit depths, e.g. 4,6,8 (0 = unquantized)")
     p_nmse.add_argument("--geoms", type=int, help="number of geometry draws")
     p_nmse.add_argument("--out", default="results", help="output directory (default: results)")
-    p_nmse.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
+    p_nmse.add_argument("--workers", type=_worker_count, help="trial threads (default: usable cores)")
     p_nmse.set_defaults(func=_cmd_nmse)
 
     p_sinr = sub.add_parser("sinr-cdf", help="CDF of per-user SINR with perfect CSI")
@@ -154,7 +161,7 @@ def build_parser():
     p_sinr.add_argument("--legacy-eq21", action="store_true",
                         help="receiver noise term without the squared linear gain")
     p_sinr.add_argument("--out", default="results", help="output directory (default: results)")
-    p_sinr.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
+    p_sinr.add_argument("--workers", type=_worker_count, help="trial threads (default: usable cores)")
     p_sinr.set_defaults(func=_cmd_sinr)
 
     p_val = sub.add_parser("validate", help="compare closed forms against direct simulation")

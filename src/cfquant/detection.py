@@ -7,8 +7,7 @@ central unit applies the MMSE receiver for this model; receiver and error
 covariance both come from one K x K information-form inverse, and per-user
 SINR follows from the error covariance diagonal.  The legacy receiver, whose
 noise term is not scaled by alpha**2, gets its error covariance from the same
-kernel without being formed.  Jensen-style lower bounds on two averaged
-inverse Gram matrices are provided as diagnostics.
+kernel without being formed.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "mmse_weights",
     "error_covariance",
     "per_user_sinr",
-    "jensen_bound_diagonals",
 ]
 
 
@@ -131,22 +129,3 @@ def per_user_sinr(error_cov, sigma_s2):
     if np.any(diag <= 0.0) or np.any(diag > sigma_s2 * (1.0 + 1e-9)):
         raise ValueError("error covariance diagonal must lie in (0, sigma_s2]")
     return np.maximum(sigma_s2 / diag - 1.0, 0.0)
-
-
-def jensen_bound_diagonals(beta, c_delta):
-    """Jensen lower bounds for two fading-averaged inverse Gram diagonals.
-
-    For each user k returns a pair of bounds: 1/sum_m(beta_mk) for the
-    average of diag((G^H G)^-1), and 1/sum_m(beta_mk/c_delta_m) for the
-    average of diag((G^H C_delta^-1 G)^-1).  Diagnostic only; both follow
-    from Jensen's inequality applied entrywise under uncorrelated Rayleigh
-    fading.
-    """
-    beta = np.asarray(beta, dtype=float)
-    c_delta = np.asarray(c_delta, dtype=float)
-    if np.any(c_delta <= 0.0):
-        raise ValueError("distortion covariance diagonal must be positive")
-    bound_gram = 1.0 / beta.sum(axis=0)
-    bound_distortion = 1.0 / (beta / c_delta[:, None]).sum(axis=0)
-    return bound_gram, bound_distortion
-

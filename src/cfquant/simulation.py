@@ -3,8 +3,9 @@ CDF assembly and CSV output.
 
 All randomness flows from one master seed through named substreams keyed
 by purpose and trial index, so identical configurations reproduce outputs
-byte for byte independent of the worker count, and individual randomness
-sources can be varied without disturbing the others.
+byte for byte, and individual randomness sources can be varied without
+disturbing the others.  Campaign trials and validation checks run on one
+thread pool (``_run_tasks``); how many threads it has changes no output.
 """
 
 import ctypes
@@ -14,7 +15,7 @@ import numbers
 import os
 import threading
 import typing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -151,8 +152,12 @@ class SimulationConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.sigma_s2 <= 0.0:
             raise ValueError("sigma_s2 must be positive")
-        # Path loss validity is checked by the model itself.
-        self.path_loss_model()
+        try:  # path loss validity is checked by the model itself
+            self.noise_model()
+        except OverflowError:
+            raise ValueError(
+                f"snr_edge_db={self.snr_edge_db} is not supported: 10**(snr_edge_db/10) overflows"
+            ) from None
 
     def path_loss_model(self):
         return PathLossModel(d0=self.d0_m, d1=self.d1_m, gamma0=self.gamma0, gamma1=self.gamma1)
@@ -295,45 +300,39 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     return dict(zip(table, np.concatenate(out, axis=-1)))
 
 
-def _run_trials(worker, n_trials, n_workers):
-    if n_workers <= 1:
-        return [worker(trial) for trial in range(n_trials)]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, range(n_trials)))
-
-
-def _pool_series(per_trial, bits_list):
+def _run_campaign(trial, cfg, default_bits, n_workers, *args):
+    """One CDF per bit depth, pooling ``trial(cfg, table, *args, t)`` over the trials t."""
+    bits_list = cfg.resolved_bits(default_bits)
+    table = bussgang_table(bits_list)
+    tasks = [partial(trial, cfg, table, *args, t) for t in range(cfg.n_geometries)]
+    per_trial = _run_tasks(tasks, n_workers)
     return [
-        make_cdf(np.concatenate([trial[bits] for trial in per_trial]), label=bits)
+        make_cdf(np.concatenate([out[bits] for out in per_trial]), label=bits)
         for bits in bits_list
     ]
 
 
-def run_nmse_campaign(cfg, n_workers=1):
+def run_nmse_campaign(cfg, n_workers=None):
     """Empirical CDFs of the closed-form normalized channel-estimation MSE.
 
     One geometry and shadowing realization per trial; all AP-user pairs are
-    pooled across trials into one CDF per bit depth (0 = unquantized).
+    pooled across trials into one CDF per bit depth (0 = unquantized).  The
+    trials run on ``n_workers`` threads, by default the usable cores
+    (``_run_tasks``); the CDFs do not depend on it.
     """
-    bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
-    table = bussgang_table(bits_list)
-    per_trial = _run_trials(partial(_nmse_trial, cfg, table), cfg.n_geometries, n_workers)
-    return _pool_series(per_trial, bits_list)
+    return _run_campaign(_nmse_trial, cfg, NMSE_DEFAULT_BITS, n_workers)
 
 
-def run_sinr_campaign(cfg, n_workers=1, legacy_eq21=False):
+def run_sinr_campaign(cfg, n_workers=None, legacy_eq21=False):
     """Empirical CDFs of per-user SINR in dB under perfect channel knowledge.
 
     Pools k_users * n_smallscale samples per geometry trial and bit depth.
     ``legacy_eq21`` selects the receiver variant whose noise term is not
-    scaled by the linear gain squared, for comparison.
+    scaled by the linear gain squared, for comparison.  The trials run on
+    ``n_workers`` threads, by default the usable cores (``_run_tasks``);
+    the CDFs do not depend on it.
     """
-    bits_list = cfg.resolved_bits(SINR_DEFAULT_BITS)
-    table = bussgang_table(bits_list)
-    per_trial = _run_trials(
-        partial(_sinr_trial, cfg, table, legacy_eq21), cfg.n_geometries, n_workers
-    )
-    return _pool_series(per_trial, bits_list)
+    return _run_campaign(_sinr_trial, cfg, SINR_DEFAULT_BITS, n_workers, legacy_eq21)
 
 
 def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
@@ -592,39 +591,54 @@ def validate_closed_forms(cfg, n_trials=100_000):
     the fewest that give a sample variance.
 
     The Monte Carlo checks draw from substreams of their own, so they run
-    concurrently on the usable cores, with BLAS held to one thread; their
-    statistics and order do not depend on it.
+    concurrently, one thread per usable core (``_run_tasks``); their
+    statistics and order do not depend on it.  When one check fails, the
+    others end at their next block.
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be at least 2, got {n_trials}")
     results = [_unquantized_estimation_identity(cfg), _unquantized_detection_identity(cfg)]
     # Every Bussgang row is built here, so the step solver never runs in the pool.
     # The estimation checks take longest and go first.
+    stop = threading.Event()
     checks = [
-        (check, bits, bussgang_row(2**bits))
+        partial(check, cfg, bits, row["alpha"], row["gamma"], n_trials, stop)
         for check, bits in [
             *((_estimation_check, b) for b in cfg.resolved_bits((4, 8, 12))),
             *((_detection_checks, b) for b in cfg.resolved_bits((6, 10, 14))),
         ]
         if bits != 0
+        for row in [bussgang_row(2**bits)]
     ]
-    if not checks:
-        return results
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cores or 1, len(checks))
-    stop = threading.Event()
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(check, cfg, bits, row["alpha"], row["gamma"], n_trials, stop)
-            for check, bits, row in checks
-        ]
-        try:
-            for future in futures:
-                results.extend(future.result())
-        except BaseException:
-            stop.set()  # an error or an interrupt ends the other checks at their next block
-            raise
+    for check_results in _run_tasks(checks, stop=stop):
+        results.extend(check_results)
     return results
+
+
+def _run_tasks(tasks, n_workers=None, stop=None):
+    """Results of ``tasks``, callables of no argument, in submission order.
+
+    The one place that runs anything concurrently: a pool of ``n_workers``
+    threads (default: the usable cores), at most one per task, with numpy's
+    OpenBLAS held to one thread.  The step solver's bits depend on the BLAS
+    thread count, so no task may build a Bussgang row.  On an error or an
+    interrupt the event ``stop`` is set, for tasks that poll it, and the
+    queued tasks are cancelled.
+    """
+    if n_workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        n_workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    elif n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    with _one_blas_thread(), ThreadPoolExecutor(min(n_workers, len(tasks) or 1)) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            if stop is not None:
+                stop.set()
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 def _openblas_threads():

@@ -127,6 +127,17 @@ class TestCampaignCommands:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["nmse-cdf", "sinr-cdf"])
+    def test_fewer_than_one_worker_rejected(self, command, workers, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", workers, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"sim {command}: error: argument --workers: must be at least 1, got {workers}"
+        assert not out.exists()
+
     def test_missing_config_file_exits_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,6 @@ from cfquant.channel import NoiseModel, received_variance
 from cfquant.detection import (
     distortion_covariance,
     error_covariance,
-    jensen_bound_diagonals,
     mmse_weights,
     per_user_sinr,
     simulate_uplink,
@@ -555,6 +554,24 @@ class TestBitDepthStack:
                 np.testing.assert_array_equal(W[i], w)
                 expected = error_covariance_for_weights(w, G, float(a), 1.0, NOISE.sigma_n2, c)
             np.testing.assert_array_equal(cov[i], expected)
+
+
+def jensen_bound_diagonals(beta, c_delta):
+    """Oracle: Jensen lower bounds for two fading-averaged inverse Gram diagonals.
+
+    For each user k returns a pair of bounds: 1/sum_m(beta_mk) for the
+    average of diag((G^H G)^-1), and 1/sum_m(beta_mk/c_delta_m) for the
+    average of diag((G^H C_delta^-1 G)^-1).  Diagnostic only; both follow
+    from Jensen's inequality applied entrywise under uncorrelated Rayleigh
+    fading.
+    """
+    beta = np.asarray(beta, dtype=float)
+    c_delta = np.asarray(c_delta, dtype=float)
+    if np.any(c_delta <= 0.0):
+        raise ValueError("distortion covariance diagonal must be positive")
+    bound_gram = 1.0 / beta.sum(axis=0)
+    bound_distortion = 1.0 / (beta / c_delta[:, None]).sum(axis=0)
+    return bound_gram, bound_distortion
 
 
 class TestJensenBounds:

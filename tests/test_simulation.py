@@ -110,6 +110,7 @@ class TestConfig:
             {"bits_list": (15,)},
             {"bits_list": (8, 20)},
             {"bits_list": (10**9,)},
+            {"snr_edge_db": 4000.0},
         ],
     )
     def test_unsupported_configs_rejected(self, kwargs):
@@ -395,11 +396,44 @@ class TestSinrCampaign:
             np.testing.assert_array_equal(entry.values, expected.values)
             np.testing.assert_array_equal(entry.probs, expected.probs)
 
-    def test_worker_independence(self):
-        first = run_sinr_campaign(SMALL, n_workers=1)
-        second = run_sinr_campaign(SMALL, n_workers=2)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.values, b.values)
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("legacy_eq21", [False, True], ids=["default", "legacy"])
+    def test_worker_independence(self, legacy_eq21, n_workers):
+        # Reference: the trials one after another in this thread, at the
+        # default BLAS thread count.
+        table = bussgang_table(SINR_DEFAULT_BITS)
+        serial = [
+            simulation._sinr_trial(SMALL, table, legacy_eq21, trial)
+            for trial in range(SMALL.n_geometries)
+        ]
+        series = run_sinr_campaign(SMALL, n_workers=n_workers, legacy_eq21=legacy_eq21)
+        for entry, bits in zip(series, SINR_DEFAULT_BITS):
+            expected = np.sort(np.concatenate([out[bits] for out in serial]))
+            np.testing.assert_array_equal(entry.values, expected)
+
+    def test_error_in_a_trial_cancels_the_queued_ones(self, monkeypatch):
+        # One thread: trial 0 fails while the other 19 wait in the queue.
+        ran = []
+        sinr_trial = simulation._sinr_trial
+
+        def failing_first(cfg, table, legacy_eq21, trial):
+            ran.append(trial)
+            if trial == 0:
+                raise RuntimeError("trial failed")
+            time.sleep(0.01)
+            return sinr_trial(cfg, table, legacy_eq21, trial)
+
+        monkeypatch.setattr(simulation, "_sinr_trial", failing_first)
+        cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=20, n_smallscale=1, seed=4)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_sinr_campaign(cfg, n_workers=1)
+        assert ran[0] == 0
+        assert len(ran) < 20
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, n_workers):
+        with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {n_workers}$"):
+            run_sinr_campaign(SMALL, n_workers=n_workers)
 
     def test_legacy_receiver_changes_results(self):
         default = run_sinr_campaign(SMALL)
@@ -548,35 +582,40 @@ class TestValidation:
 
     @pytest.mark.parametrize("fail", [False, True], ids=["passes", "check_raises"])
     def test_blas_threads_held_to_one_and_restored(self, monkeypatch, fail):
+        # In validate's checks and in a campaign's trials alike.
         threads = _openblas_threads()
         if threads is None:
             pytest.skip("numpy does not use a bundled OpenBLAS here")
         get, put = threads
-        estimation_check = simulation._estimation_check
-        seen = []
+        cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=2, seed=4)
+        for task_name, run in [
+            ("_estimation_check", lambda: validate_closed_forms(cfg, n_trials=1000)),
+            ("_sinr_trial", lambda: run_sinr_campaign(cfg, n_workers=2)),
+        ]:
+            task = getattr(simulation, task_name)
+            seen = []
 
-        def recording_check(*args):
-            seen.append(get())
-            if fail:
-                raise RuntimeError("check failed")
-            return estimation_check(*args)
+            def recording_task(*args):
+                seen.append(get())
+                if fail:
+                    raise RuntimeError("task failed")
+                return task(*args)
 
-        monkeypatch.setattr(simulation, "_estimation_check", recording_check)
-        cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
-        original = get()
-        put(2)
-        try:
-            before = get()
-            if fail:
-                with pytest.raises(RuntimeError, match="check failed"):
-                    validate_closed_forms(cfg, n_trials=1000)
-            else:
-                validate_closed_forms(cfg, n_trials=1000)
-            after = get()
-        finally:
-            put(original)
-        assert seen and set(seen) == {1}
-        assert after == before
+            monkeypatch.setattr(simulation, task_name, recording_task)
+            original = get()
+            put(2)
+            try:
+                before = get()
+                if fail:
+                    with pytest.raises(RuntimeError, match="task failed"):
+                        run()
+                else:
+                    run()
+                after = get()
+            finally:
+                put(original)
+            assert seen and set(seen) == {1}, task_name
+            assert after == before, task_name
 
     def test_error_in_one_check_stops_the_others(self, monkeypatch):
         # The 4-bit check fails at once; the 8- and 12-bit checks, running or queued,
