@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from cfquant import FlatObjectiveWarning, UniformQuantizer, bussgang_row, quantize, sdnr
+from cfquant import FlatObjectiveWarning, bussgang_row, quantize, sdnr
 
 # ---------------------------------------------------------------
 # Optimal normalized step per bit depth
@@ -35,12 +35,15 @@ for bits in range(1, 11):
 # ---------------------------------------------------------------
 # The closed-form gain really is the regression of output on input
 # ---------------------------------------------------------------
+# A quantizer is its level count and its step.  The input here has unit
+# variance, so the normalized step is the step itself; at input std sigma
+# the same row would quantize with step row["step"] * sigma.
 rng = np.random.default_rng(7)
 x = rng.normal(size=2_000_000)
 row = bussgang_row(16)
-q = UniformQuantizer(16, row["step"])
-alpha_mc = np.mean(x * quantize(x, q))
+gx = quantize(x, 16, row["step"])
+alpha_mc = np.mean(x * gx)
 print(f"\n16-level quantizer: closed-form alpha {row['alpha']:.6f}, "
       f"sampled E[x g(x)] {alpha_mc:.6f}")
-resid = np.mean(x * (quantize(x, q) - row["alpha"] * x))
+resid = np.mean(x * (gx - row["alpha"] * x))
 print(f"input-distortion correlation (should be ~0): {resid:+.2e}")

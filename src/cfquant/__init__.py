@@ -10,14 +10,12 @@ empirical CDFs of normalized estimation MSE and per-user SINR.
 
 from .quantizer import (
     FlatObjectiveWarning,
-    UniformQuantizer,
     bussgang_alpha,
     distortion_power,
     fronthaul,
     optimal_step,
     power_gain_gamma,
     quantize,
-    quantize_complex,
     sdnr,
 )
 from .channel import (

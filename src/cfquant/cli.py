@@ -47,19 +47,14 @@ def _add_config_args(parser):
 
 
 def _build_config(args, bits=None, geoms=None, smallscale=None, defaults=None):
-    """The run's config: defaults, then the config file, then the flags.  An
-    invalid setting or an unreadable file ends the command with a one-line
-    message."""
+    """The run's config: defaults, then the config file, then the flags."""
     flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
     flags.update(seed=args.seed, bits_list=bits, n_geometries=geoms, n_smallscale=smallscale)
     settings = dict(defaults or {})
-    try:
-        if args.config:
-            settings.update(parse_config_file(args.config))
-        settings.update((name, value) for name, value in flags.items() if value is not None)
-        return SimulationConfig.from_mapping(settings)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{args.command}: {exc}") from exc
+    if args.config:
+        settings.update(parse_config_file(args.config))
+    settings.update((name, value) for name, value in flags.items() if value is not None)
+    return SimulationConfig.from_mapping(settings)
 
 
 def _parse_int_list(text):
@@ -110,10 +105,7 @@ def _cmd_sinr(args):
 def _cmd_validate(args):
     cfg = _build_config(args, defaults=_VALIDATE_DEFAULTS)
     logger.info("validation: M=%d K=%d trials=%d seed=%d", cfg.m_aps, cfg.k_users, args.trials, cfg.seed)
-    try:
-        results = validate_closed_forms(cfg, n_trials=args.trials)
-    except ValueError as exc:
-        raise SystemExit(f"validate: {exc}") from exc
+    results = validate_closed_forms(cfg, n_trials=args.trials)
     failures = 0
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -127,10 +119,7 @@ def _cmd_validate(args):
 def _cmd_quantizer_table(args):
     print("levels,bits,step_opt,alpha,gamma,sdnr_db")
     for levels in args.levels:
-        try:
-            row = bussgang_row(levels)
-        except ValueError as exc:
-            raise SystemExit(f"quantizer-table: {exc}") from exc
+        row = bussgang_row(levels)
         step, alpha, gamma = row["step"], row["alpha"], row["gamma"]
         ratio = sdnr(alpha, gamma)
         ratio_db = math.inf if math.isinf(ratio) else 10.0 * math.log10(ratio)
@@ -179,7 +168,12 @@ def build_parser():
 def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # An invalid setting, an unreadable or unwritable file, or a run the
+        # models cannot complete ends the command with a one-line message.
+        raise SystemExit(f"{args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -5,13 +5,13 @@ written as g(x) = alpha*x + d, where the distortion d is uncorrelated with
 the input.  This module provides the quantizer transfer function, closed
 forms for the linear gain alpha and the output power ratio gamma, the
 resulting distortion power and SDNR, and a numerical solver for the
-SDNR-optimal step size.  All coefficients depend on the step only through
-the normalized step delta/sigma, so the solver works in normalized units.
+SDNR-optimal step size.  A quantizer is its level count and its step.  The
+coefficients depend on the step only through the normalized step
+delta/sigma, so they and the solver take the step at unit input variance.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,9 +19,7 @@ from scipy.special import erfc
 
 __all__ = [
     "FlatObjectiveWarning",
-    "UniformQuantizer",
     "quantize",
-    "quantize_complex",
     "fronthaul",
     "bussgang_alpha",
     "power_gain_gamma",
@@ -69,63 +67,38 @@ def _gaussian_tail(x):
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class UniformQuantizer:
-    """L-level midrise quantizer with step size ``step``.
+def _check_levels(levels):
+    if levels < 2 or levels % 2 != 0:
+        raise ValueError(f"levels must be even and >= 2, got {levels}")
 
-    Output alphabet is {(l + 1/2)*step : l = -L/2, ..., L/2 - 1}, symmetric
-    about zero and saturating at +/-(L-1)/2*step.
+
+def _valid_steps(levels, step):
+    """``step`` as a float array, once it and ``levels`` name a quantizer."""
+    _check_levels(levels)
+    step = np.asarray(step, dtype=float)
+    if not np.all(np.isfinite(step) & (step > 0.0)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    return step
+
+
+def quantize(x, levels, step, out=None):
+    """The L-level midrise quantizer with step ``step``, applied to real
+    samples, or to the in-phase and quadrature rails of complex ones.
+
+    Output alphabet {(l + 1/2)*step : l = -L/2, ..., L/2 - 1}: bins are half
+    open, (l*step, (l+1)*step], so x = 0 maps to -step/2, and the output
+    saturates at +/-(L-1)/2*step.  ``step`` is one step or an array that
+    broadcasts against ``x``, so every row (AP) may carry its own.  Rejects
+    non-finite input.  A complex input goes through one pass over its
+    interleaved floats.  The result goes into ``out`` when given (an array
+    of the result's shape and of the input's kind, real or complex, which
+    may be ``x`` itself); a 0-d input gives a Python scalar.
     """
-
-    levels: int
-    step: float
-
-    def __post_init__(self):
-        if self.levels < 2 or self.levels % 2 != 0:
-            raise ValueError(f"levels must be even and >= 2, got {self.levels}")
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
-
-
-def quantize(x, q):
-    """Apply the midrise transfer function of ``q`` to real samples.
-
-    Bins are half open, (l*step, (l+1)*step], so x = 0 maps to -step/2.
-    Saturates at +/-(L-1)/2*step.  Accepts scalars or arrays; rejects
-    non-finite input.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("quantizer input must be finite")
-    out = _midrise(x, q.levels, q.step, np.empty_like(x))
-    return out if out.ndim else float(out)
-
-
-def _midrise(x, levels, step, out):
-    """Core midrise map into ``out``; ``step`` may be an array broadcast against ``x``."""
-    half = levels // 2
-    np.divide(x, step, out=out)
-    np.ceil(out, out=out)
-    out -= 1.0
-    np.clip(out, -half, half - 1, out=out)
-    out += 0.5
-    out *= step
-    return out
-
-
-def quantize_complex(x, levels, steps, out=None):
-    """Quantize in-phase and quadrature components independently.
-
-    ``steps`` is one step or an array that broadcasts against ``x``, so
-    every row (AP) may carry its own step.  Rejects non-finite input.  Both
-    components go through one pass over the interleaved floats, into
-    ``out`` when given (a complex array of the result's shape, which may be
-    ``x`` itself).
-    """
-    parts = np.asarray(x, dtype=complex)[..., None].view(float)
+    steps = _valid_steps(levels, step)[..., None]
+    kind = complex if np.iscomplexobj(x) else float
+    parts = np.asarray(x, dtype=kind)[..., None].view(float)
     if not np.all(np.isfinite(parts)):
         raise ValueError("quantizer input must be finite")
-    steps = np.asarray(steps, dtype=float)[..., None]
     shape = np.broadcast_shapes(parts.shape[:-1], steps.shape[:-1])
     if steps.size > 1 and steps.ndim < parts.ndim:
         # Steps reused over leading (trial) axes: lay them out once over the trailing
@@ -135,11 +108,18 @@ def quantize_complex(x, levels, steps, out=None):
             np.broadcast_to(steps, np.broadcast_shapes(steps.shape, parts.shape[-steps.ndim :]))
         )
     if out is None:
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape or out.dtype != complex:
-        raise ValueError(f"out must be a complex array of shape {shape}")
-    _midrise(parts, levels, steps, out[..., None].view(float))
-    return out if out.ndim else complex(out)
+        out = np.empty(shape, dtype=kind)
+    elif out.shape != shape or out.dtype != kind:
+        raise ValueError(f"out must be a {kind.__name__} array of shape {shape}")
+    half = levels // 2
+    dst = out[..., None].view(float)
+    np.divide(parts, steps, out=dst)
+    np.ceil(dst, out=dst)
+    dst -= 1.0
+    np.clip(dst, -half, half - 1, out=dst)
+    dst += 0.5
+    dst *= steps
+    return out if out.ndim else kind(out)
 
 
 def fronthaul(x, bits, variance, out=None):
@@ -150,7 +130,7 @@ def fronthaul(x, bits, variance, out=None):
     for its complex variance ``variance[m]``, i.e. the normalized optimum
     times sqrt(variance[m]/2).  ``bits == 0`` is the unquantized fronthaul
     and returns ``x`` itself.  ``out``, which may be ``x``, receives the
-    quantized samples (``quantize_complex``).
+    quantized samples (``quantize``).
     """
     if bits == 0:
         return x
@@ -163,7 +143,7 @@ def fronthaul(x, bits, variance, out=None):
         raise ValueError("per-AP variances must be positive")
     levels = 2**bits
     steps = np.sqrt(variance / 2.0) * optimal_step(levels)
-    return quantize_complex(x, levels, steps[:, None], out)
+    return quantize(x, levels, steps[:, None], out)
 
 
 def _series_orders(levels, d):
@@ -177,48 +157,34 @@ def _series_orders(levels, d):
     return ls[ls * d.min() < _UNDERFLOW_ARG]
 
 
-def _alpha_normalized(levels, step_norm):
-    """Linear gain for unit input variance; step_norm may be an array.
-    The series skips only underflowed terms (_series_orders)."""
-    d = np.atleast_1d(np.asarray(step_norm, dtype=float))
+def bussgang_alpha(levels, step):
+    """Linear gain E[x*g(x)] of the L-level quantizer g with step ``step``
+    for a unit-variance Gaussian input x; for an input of std sigma, pass
+    step/sigma.  ``step`` may be an array.  The series skips only
+    underflowed terms (_series_orders)."""
+    d = np.atleast_1d(_valid_steps(levels, step))
     ls = _series_orders(levels, d)
     if ls.size:
         series = 2.0 * np.exp(-0.5 * np.multiply.outer(ls**2, d**2)).sum(axis=0)
     else:
         series = np.zeros_like(d)
     out = d / math.sqrt(2.0 * math.pi) * (series + 1.0)
-    return out if np.ndim(step_norm) else float(out[0])
+    return out if np.ndim(step) else float(out[0])
 
 
-def _gamma_normalized(levels, step_norm):
-    """Output power ratio for unit input variance; step_norm may be an array.
-    The series skips only underflowed terms (_series_orders)."""
-    d = np.atleast_1d(np.asarray(step_norm, dtype=float))
+def power_gain_gamma(levels, step):
+    """Output power E[g(x)**2] of the L-level quantizer g with step ``step``
+    for a unit-variance Gaussian input x; for an input of std sigma, pass
+    step/sigma.  ``step`` may be an array.  The series skips only
+    underflowed terms (_series_orders)."""
+    d = np.atleast_1d(_valid_steps(levels, step))
     ls = _series_orders(levels, d)
     if ls.size:
         series = 4.0 * (ls @ _gaussian_tail(np.multiply.outer(ls, d)))
     else:
         series = np.zeros_like(d)
     out = d**2 * (0.25 + series)
-    return out if np.ndim(step_norm) else float(out[0])
-
-
-def bussgang_alpha(q, sigma_x):
-    """Linear gain of ``q`` for zero-mean Gaussian input with std sigma_x.
-
-    Equals E[x*g(x)]/sigma_x**2 and depends only on the normalized step
-    step/sigma_x and the level count.
-    """
-    if not sigma_x > 0.0:
-        raise ValueError("sigma_x must be positive")
-    return float(_alpha_normalized(q.levels, q.step / sigma_x))
-
-
-def power_gain_gamma(q, sigma_x):
-    """Output/input power ratio E[g(x)**2]/sigma_x**2 for Gaussian input."""
-    if not sigma_x > 0.0:
-        raise ValueError("sigma_x must be positive")
-    return float(_gamma_normalized(q.levels, q.step / sigma_x))
+    return out if np.ndim(step) else float(out[0])
 
 
 def distortion_power(alpha, gamma, sigma_x2):
@@ -254,8 +220,8 @@ def _distortion_gap(alpha, gamma):
 
 def _sdnr_objective(levels, step_norm):
     """alpha**2/gamma at unit variance; the quantity maximized over the step."""
-    a = _alpha_normalized(levels, step_norm)
-    return a * a / _gamma_normalized(levels, step_norm)
+    a = bussgang_alpha(levels, step_norm)
+    return a * a / power_gain_gamma(levels, step_norm)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -291,7 +257,7 @@ def _optimal_step_cached(levels):
 
 
 def optimal_step(levels):
-    """SDNR-optimal normalized step (step/sigma_x) for an L-level quantizer.
+    """SDNR-optimal normalized step (step/sigma) for an L-level quantizer.
 
     Solved by a scan of the grid 1e-3, 2e-3, ..., 8 and golden-section
     refinement between the neighbours of its best point, or on [1e-6, 2e-3]
@@ -306,8 +272,7 @@ def optimal_step(levels):
     minimum-distortion value 2*sqrt(2/pi) is returned and a
     FlatObjectiveWarning is issued.
     """
-    if levels < 2 or levels % 2 != 0:
-        raise ValueError(f"levels must be even and >= 2, got {levels}")
+    _check_levels(levels)
     if levels > MAX_LEVELS:
         raise ValueError(
             f"levels={levels} exceeds {MAX_LEVELS}, the largest level count the step "

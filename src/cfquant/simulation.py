@@ -15,7 +15,7 @@ import numbers
 import os
 import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
@@ -25,7 +25,6 @@ import numpy as np
 
 from .quantizer import (
     MAX_LEVELS,
-    UniformQuantizer,
     bussgang_alpha,
     fronthaul,
     optimal_step,
@@ -238,8 +237,8 @@ def bussgang_row(levels):
     """{"step", "alpha", "gamma"} of an L-level quantizer: the SDNR-optimal
     normalized step and the linear gain and power ratio there, at unit input
     variance.  Its steps are cached, so building a row again is cheap."""
-    q = UniformQuantizer(levels, optimal_step(levels))
-    return {"step": q.step, "alpha": bussgang_alpha(q, 1.0), "gamma": power_gain_gamma(q, 1.0)}
+    step = optimal_step(levels)
+    return {"step": step, "alpha": bussgang_alpha(levels, step), "gamma": power_gain_gamma(levels, step)}
 
 
 def bussgang_table(bits_list):
@@ -621,9 +620,11 @@ def _run_tasks(tasks, n_workers=None, stop=None):
     The one place that runs anything concurrently: a pool of ``n_workers``
     threads (default: the usable cores), at most one per task, with numpy's
     OpenBLAS held to one thread.  The step solver's bits depend on the BLAS
-    thread count, so no task may build a Bussgang row.  On an error or an
-    interrupt the event ``stop`` is set, for tasks that poll it, and the
-    queued tasks are cancelled.
+    thread count, so no task may build a Bussgang row.  As soon as any task
+    raises, or on an interrupt, the event ``stop`` is set, for tasks that
+    poll it, and the queued tasks are cancelled.  The error raised is then
+    that of the first failed task in submission order, so it does not depend
+    on the thread count.
     """
     if n_workers is None:
         affinity = getattr(os, "sched_getaffinity", None)
@@ -633,12 +634,14 @@ def _run_tasks(tasks, n_workers=None, stop=None):
     with _one_blas_thread(), ThreadPoolExecutor(min(n_workers, len(tasks) or 1)) as pool:
         futures = [pool.submit(task) for task in tasks]
         try:
-            return [future.result() for future in futures]
-        except BaseException:
-            if stop is not None:
-                stop.set()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            if not all(future.done() for future in futures):  # a task raised, or an interrupt
+                if stop is not None:
+                    stop.set()
+                pool.shutdown(wait=False, cancel_futures=True)
+        # Cancelled tasks never ran; after a failure this raises the first one.
+        return [future.result() for future in futures if not future.cancelled()]
 
 
 def _openblas_threads():

@@ -37,8 +37,8 @@ def crandn(rng, *shape):
 
 
 def factors(bits):
-    q = cq.UniformQuantizer(2**bits, opt_step_quiet(2**bits))
-    return cq.bussgang_alpha(q, 1.0), cq.power_gain_gamma(q, 1.0)
+    row = cq.bussgang_row(2**bits)
+    return row["alpha"], row["gamma"]
 
 
 def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
@@ -75,12 +75,11 @@ def test_criterion_1_closed_forms_vs_sampling(unit_normal_pool):
     worst = 0.0
     for levels in (2, 4, 8, 16, 64, 256):
         for step in (0.1, 0.5, 1.0, opt_step_quiet(levels)):
-            q = cq.UniformQuantizer(levels, step)
-            gx = cq.quantize(x, q)
+            gx = cq.quantize(x, levels, step)
             prod = x * gx
             sq = gx * gx
-            alpha_err = abs(prod.mean() - cq.bussgang_alpha(q, 1.0))
-            gamma_err = abs(sq.mean() - cq.power_gain_gamma(q, 1.0))
+            alpha_err = abs(prod.mean() - cq.bussgang_alpha(levels, step))
+            gamma_err = abs(sq.mean() - cq.power_gain_gamma(levels, step))
             alpha_tol = max(2e-3, 4.0 * prod.std() / math.sqrt(x.size))
             gamma_tol = max(2e-3, 4.0 * sq.std() / math.sqrt(x.size))
             worst = max(worst, alpha_err / alpha_tol, gamma_err / gamma_tol)
@@ -99,8 +98,7 @@ def test_criterion_2_two_level_sdnr_flat():
     expected = (2.0 / math.pi) / (1.0 - 2.0 / math.pi)
     worst = 0.0
     for step in (0.5, 1.0, 2.0):
-        q = cq.UniformQuantizer(2, step)
-        value = cq.sdnr(cq.bussgang_alpha(q, 1.0), cq.power_gain_gamma(q, 1.0))
+        value = cq.sdnr(cq.bussgang_alpha(2, step), cq.power_gain_gamma(2, step))
         worst = max(worst, abs(value - expected))
     report(2, worst <= 1e-9, f"max deviation {worst:.2e} from {expected:.6f} (tol 1e-9)")
 

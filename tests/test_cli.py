@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cfquant.cli import _build_config, build_parser, main
-from cfquant.quantizer import UniformQuantizer, bussgang_alpha, optimal_step, power_gain_gamma
+from cfquant.quantizer import bussgang_alpha, optimal_step, power_gain_gamma
 from cfquant.simulation import SimulationConfig, parse_config_file
 
 
@@ -25,9 +25,10 @@ def assert_records_bussgang_table(manifest):
         if bits == 0:
             assert row == {"step": None, "alpha": 1.0, "gamma": 1.0}
             continue
-        q = UniformQuantizer(2**bits, optimal_step(2**bits))
-        alpha, gamma = bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0)
-        assert row == {"step": q.step, "alpha": alpha, "gamma": gamma}
+        levels = 2**bits
+        step = optimal_step(levels)
+        alpha, gamma = bussgang_alpha(levels, step), power_gain_gamma(levels, step)
+        assert row == {"step": step, "alpha": alpha, "gamma": gamma}
 
 
 class TestQuantizerTable:
@@ -117,13 +118,28 @@ class TestCampaignCommands:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("command", ["nmse-cdf", "sinr-cdf", "validate"])
-    def test_invalid_config_value_exits_cleanly(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("nmse-cdf", ["--m-aps", "0"], "m_aps and k_users must be at least 1"),
+            ("sinr-cdf", ["--m-aps", "0"], "m_aps and k_users must be at least 1"),
+            ("validate", ["--m-aps", "0"], "m_aps and k_users must be at least 1"),
+            # Accepted at construction, but the signal power underflows every SINR.
+            (
+                "sinr-cdf",
+                ["--sigma-s2", "1e-300", "--m-aps", "8", "--k-users", "3", "--geoms", "1",
+                 "--smallscale", "1"],
+                "zero SINR in geometry trial 0, fading draw 0, bits=6: no finite dB value",
+            ),
+        ],
+        ids=["nmse-cdf", "sinr-cdf", "validate", "sinr-cdf-zero-sinr"],
+    )
+    def test_invalid_config_value_exits_cleanly(self, command, flags, message, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = [command, "--m-aps", "0"] + (["--out", str(out)] if command != "validate" else [])
+        argv = [command, *flags] + (["--out", str(out)] if command != "validate" else [])
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == f"{command}: m_aps and k_users must be at least 1"
+        assert exc.value.code == f"{command}: {message}"
         assert not out.exists()
         assert capsys.readouterr().out == ""
 

@@ -12,13 +12,8 @@ from cfquant.detection import (
     per_user_sinr,
     simulate_uplink,
 )
-from cfquant.quantizer import (
-    UniformQuantizer,
-    bussgang_alpha,
-    fronthaul,
-    optimal_step,
-    power_gain_gamma,
-)
+from cfquant.quantizer import fronthaul, optimal_step
+from cfquant.simulation import bussgang_row
 
 NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
 
@@ -51,8 +46,8 @@ def crandn(rng, *shape):
 
 
 def factors_at_optimum(bits):
-    q = UniformQuantizer(2**bits, optimal_step(2**bits))
-    return bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0)
+    row = bussgang_row(2**bits)
+    return row["alpha"], row["gamma"]
 
 
 def random_network(rng, m_aps, k_users, unit_modulus=False):

@@ -11,13 +11,8 @@ from cfquant.estimation import (
     make_pilot_book,
     simulate_pilot_phase,
 )
-from cfquant.quantizer import (
-    UniformQuantizer,
-    bussgang_alpha,
-    fronthaul,
-    optimal_step,
-    power_gain_gamma,
-)
+from cfquant.quantizer import fronthaul
+from cfquant.simulation import bussgang_row
 
 NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
 
@@ -42,8 +37,8 @@ def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
 
 
 def factors_at_optimum(bits):
-    q = UniformQuantizer(2**bits, optimal_step(2**bits))
-    return bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0)
+    row = bussgang_row(2**bits)
+    return row["alpha"], row["gamma"]
 
 
 class TestPilotBook:

@@ -10,21 +10,17 @@ from cfquant.quantizer import (
     _SCAN_RUN,
     _SEARCH_HI,
     _UNDERFLOW_ARG,
-    _alpha_normalized,
-    _gamma_normalized,
     _gaussian_tail,
     _sdnr_objective,
     _series_orders,
     MAX_LEVELS,
     FlatObjectiveWarning,
-    UniformQuantizer,
     bussgang_alpha,
     distortion_power,
     fronthaul,
     optimal_step,
     power_gain_gamma,
     quantize,
-    quantize_complex,
     sdnr,
 )
 
@@ -56,83 +52,85 @@ def opt_step_quiet(levels):
     return optimal_step(levels)
 
 
+# (levels, step) pairs that name no quantizer: odd or fewer than 2 levels,
+# or a step that is not positive and finite anywhere in an array.
+BAD_QUANTIZERS = [
+    (3, 1.0),
+    (1, 1.0),
+    (0, 1.0),
+    (-2, 1.0),
+    (4, 0.0),
+    (4, -1.0),
+    (4, np.nan),
+    (4, np.inf),
+    (4, np.array([0.5, 0.0])),
+]
+
+
 class TestQuantize:
     def test_interior_bins(self):
-        q = UniformQuantizer(4, 1.0)
-        assert quantize(0.3, q) == 0.5
-        assert quantize(-0.2, q) == -0.5
+        assert quantize(0.3, 4, 1.0) == 0.5
+        assert quantize(-0.2, 4, 1.0) == -0.5
 
     def test_saturation(self):
-        q = UniformQuantizer(4, 1.0)
-        assert quantize(7.2, q) == 1.5
-        assert quantize(-7.2, q) == -1.5
+        assert quantize(7.2, 4, 1.0) == 1.5
+        assert quantize(-7.2, 4, 1.0) == -1.5
 
     def test_zero_falls_in_lower_bin(self):
         # Half-open bins (l*step, (l+1)*step]: 0 belongs to (-step, 0].
-        q = UniformQuantizer(4, 1.0)
-        assert quantize(0.0, q) == -0.5
+        assert quantize(0.0, 4, 1.0) == -0.5
 
     def test_output_alphabet(self):
-        q = UniformQuantizer(8, 0.5)
         x = np.linspace(-5, 5, 4001)
-        out = np.unique(quantize(x, q))
+        out = np.unique(quantize(x, 8, 0.5))
         expected = (np.arange(-4, 4) + 0.5) * 0.5
         np.testing.assert_allclose(out, expected)
 
     def test_odd_symmetry_off_boundaries(self):
-        q = UniformQuantizer(16, 0.3)
+        step = 0.3
         rng = np.random.default_rng(3)
         x = rng.normal(size=1000) * 2.0
-        x = x[np.abs(x / q.step - np.round(x / q.step)) > 1e-6]
-        np.testing.assert_allclose(quantize(-x, q), -quantize(x, q))
+        x = x[np.abs(x / step - np.round(x / step)) > 1e-6]
+        np.testing.assert_allclose(quantize(-x, 16, step), -quantize(x, 16, step))
 
     def test_nondecreasing(self):
-        q = UniformQuantizer(8, 0.7)
         x = np.linspace(-6, 6, 20001)
-        out = quantize(x, q)
+        out = quantize(x, 8, 0.7)
         assert np.all(np.diff(out) >= 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
-        q = UniformQuantizer(4, 1.0)
-        with pytest.raises(ValueError):
-            quantize(bad, q)
-        with pytest.raises(ValueError):
-            quantize_complex(complex(bad, 0.0), q.levels, q.step)
+        with pytest.raises(ValueError, match="finite"):
+            quantize(bad, 4, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            quantize(complex(bad, 0.0), 4, 1.0)
 
     def test_invalid_quantizer(self):
-        with pytest.raises(ValueError):
-            UniformQuantizer(3, 1.0)
-        with pytest.raises(ValueError):
-            UniformQuantizer(0, 1.0)
-        with pytest.raises(ValueError):
-            UniformQuantizer(4, 0.0)
-        with pytest.raises(ValueError):
-            UniformQuantizer(4, -1.0)
+        for levels, step in BAD_QUANTIZERS:
+            with pytest.raises(ValueError, match="levels must be even|step must be positive"):
+                quantize(0.3, levels, step)
 
-
-class TestQuantizeComplex:
     def test_componentwise(self):
-        assert quantize_complex(0.3 - 0.2j, 4, 1.0) == 0.5 - 0.5j
+        assert quantize(0.3 - 0.2j, 4, 1.0) == 0.5 - 0.5j
 
     def test_zero_convention(self):
-        assert quantize_complex(0.0 + 0.0j, 4, 1.0) == -0.5 - 0.5j
+        assert quantize(0.0 + 0.0j, 4, 1.0) == -0.5 - 0.5j
 
     def test_double_saturation(self):
-        assert quantize_complex(10 + 10j, 4, 1.0) == 1.5 + 1.5j
+        assert quantize(10 + 10j, 4, 1.0) == 1.5 + 1.5j
 
     def test_matches_real_quantizer(self):
-        q = UniformQuantizer(16, 0.23)
         rng = np.random.default_rng(5)
         x = rng.normal(size=200) + 1j * rng.normal(size=200)
-        out = quantize_complex(x, q.levels, q.step)
-        np.testing.assert_allclose(out.real, quantize(x.real, q))
-        np.testing.assert_allclose(out.imag, quantize(x.imag, q))
+        out = quantize(x, 16, 0.23)
+        assert out.dtype == complex
+        np.testing.assert_array_equal(out.real, quantize(x.real, 16, 0.23))
+        np.testing.assert_array_equal(out.imag, quantize(x.imag, 16, 0.23))
 
     @pytest.mark.parametrize("case", ["transposed", "sliced", "empty"])
     def test_stack_matches_per_rail_quantizer(self, case):
-        # Non-contiguous and zero-size stacks with per-row steps against
-        # quantize() on each rail of each row, bit for bit.
+        # Non-contiguous and zero-size stacks with per-row steps against the
+        # real map on each rail of each row, bit for bit.
         rng = np.random.default_rng(9)
         stack = 3.0 * (rng.normal(size=(5, 4, 6)) + 1j * rng.normal(size=(5, 4, 6)))
         x = {
@@ -141,29 +139,47 @@ class TestQuantizeComplex:
             "empty": stack[:0],
         }[case]
         steps = np.linspace(0.2, 1.3, x.shape[-2])
-        out = quantize_complex(x, 16, steps[:, None])
+        out = quantize(x, 16, steps[:, None])
         assert out.shape == x.shape
         for m, step in enumerate(steps):
-            q = UniformQuantizer(16, step)
-            np.testing.assert_array_equal(out[..., m, :].real, quantize(x[..., m, :].real, q))
-            np.testing.assert_array_equal(out[..., m, :].imag, quantize(x[..., m, :].imag, q))
+            np.testing.assert_array_equal(out[..., m, :].real, quantize(x[..., m, :].real, 16, step))
+            np.testing.assert_array_equal(out[..., m, :].imag, quantize(x[..., m, :].imag, 16, step))
 
     def test_scalar_matches_per_rail_quantizer(self):
-        q = UniformQuantizer(16, 0.7)
         for x in (np.asarray(1.3 - 2.9j), 0.05 + 0.4j):
-            out = quantize_complex(x, q.levels, q.step)
+            out = quantize(x, 16, 0.7)
             assert type(out) is complex
-            assert (out.real, out.imag) == (quantize(np.real(x), q), quantize(np.imag(x), q))
+            real, imag = quantize(np.real(x), 16, 0.7), quantize(np.imag(x), 16, 0.7)
+            assert type(real) is float
+            assert (out.real, out.imag) == (real, imag)
 
     def test_per_row_steps_kernel(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 50)) + 1j * rng.normal(size=(3, 50))
         steps = np.array([0.2, 0.5, 1.1])
-        out = quantize_complex(x, 8, steps[:, None])
+        out = quantize(x, 8, steps[:, None])
         for m, step in enumerate(steps):
-            q = UniformQuantizer(8, step)
-            np.testing.assert_array_equal(out[m].real, quantize(x[m].real, q))
-            np.testing.assert_array_equal(out[m].imag, quantize(x[m].imag, q))
+            np.testing.assert_array_equal(out[m].real, quantize(x[m].real, 8, step))
+            np.testing.assert_array_equal(out[m].imag, quantize(x[m].imag, 8, step))
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_in_place(self, kind):
+        # Per-row steps over a leading trial axis, written back into x.
+        rng = np.random.default_rng(13)
+        x = 2.0 * rng.normal(size=(5, 4, 6)).astype(kind)
+        if kind is complex:
+            x += 2j * rng.normal(size=x.shape)
+        steps = np.linspace(0.2, 1.3, 4)[:, None]
+        expected = quantize(x, 16, steps)
+        assert expected.dtype == kind
+        assert quantize(x, 16, steps, out=x) is x
+        np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_rejects_out_of_other_kind(self, kind):
+        other = complex if kind is float else float
+        with pytest.raises(ValueError, match="out must be"):
+            quantize(np.ones(3, dtype=kind), 4, 1.0, out=np.empty(3, dtype=other))
 
 
 class TestFronthaul:
@@ -206,7 +222,7 @@ class TestFronthaul:
 
 class TestClosedForms:
     def test_two_level_alpha(self):
-        assert bussgang_alpha(UniformQuantizer(2, 1.0), 1.0) == pytest.approx(
+        assert bussgang_alpha(2, 1.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), rel=1e-14
         )
 
@@ -215,60 +231,60 @@ class TestClosedForms:
         for levels in (4, 8):
             step = 1e-7
             expected = (levels - 1) * step / math.sqrt(2.0 * math.pi)
-            assert bussgang_alpha(UniformQuantizer(levels, step), 1.0) == pytest.approx(
-                expected, rel=1e-9
-            )
+            assert bussgang_alpha(levels, step) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("step,expected", [(1.0, 0.25), (2.0, 1.0)])
     def test_two_level_gamma(self, step, expected):
-        assert power_gain_gamma(UniformQuantizer(2, step), 1.0) == pytest.approx(expected, rel=1e-14)
+        assert power_gain_gamma(2, step) == pytest.approx(expected, rel=1e-14)
 
     def test_scale_invariance(self):
+        # Scaling input and step together scales the output, bit for bit at
+        # power-of-two scales: so a quantizer's factors at input std sigma
+        # are those of its step/sigma at unit variance, which is all the
+        # closed forms take.
         rng = np.random.default_rng(7)
         for _ in range(20):
             levels = int(rng.choice([2, 4, 16, 64]))
             step = float(rng.uniform(0.05, 3.0))
-            sigma = float(rng.uniform(0.1, 10.0))
-            scale = float(rng.uniform(0.01, 100.0))
-            q1 = UniformQuantizer(levels, step)
-            q2 = UniformQuantizer(levels, step * scale)
-            assert bussgang_alpha(q2, sigma * scale) == pytest.approx(
-                bussgang_alpha(q1, sigma), rel=1e-12
+            scale = 2.0 ** int(rng.integers(-7, 8))
+            x = rng.normal(size=500) + 1j * rng.normal(size=500)
+            np.testing.assert_array_equal(
+                quantize(scale * x, levels, scale * step), scale * quantize(x, levels, step)
             )
-            assert power_gain_gamma(q2, sigma * scale) == pytest.approx(
-                power_gain_gamma(q1, sigma), rel=1e-12
-            )
+
+    @pytest.mark.parametrize("factor", [bussgang_alpha, power_gain_gamma])
+    def test_rejects_bad_quantizer(self, factor):
+        for levels, step in BAD_QUANTIZERS:
+            with pytest.raises(ValueError, match="levels must be even|step must be positive"):
+                factor(levels, step)
 
     def test_gamma_dominates_alpha_squared(self):
         for levels in (2, 4, 8, 32, 256):
             for step in np.linspace(0.02, 6.0, 80):
-                q = UniformQuantizer(levels, float(step))
-                a = bussgang_alpha(q, 1.0)
-                g = power_gain_gamma(q, 1.0)
+                a = bussgang_alpha(levels, float(step))
+                g = power_gain_gamma(levels, float(step))
                 assert g - a * a >= -1e-12
 
     def test_alpha_against_sampling_oracle(self, unit_normal_pool):
         # alpha is the correlation estimate E[x*g(x)]/var(x).
-        q = UniformQuantizer(16, 0.4)
-        gx = quantize(unit_normal_pool, q)
+        gx = quantize(unit_normal_pool, 16, 0.4)
         prod = unit_normal_pool * gx
         estimate = prod.mean()
         se = prod.std() / math.sqrt(prod.size)
-        closed = bussgang_alpha(q, 1.0)
+        closed = bussgang_alpha(16, 0.4)
         assert abs(estimate - closed) <= max(2e-3, 4.0 * se)
 
     def test_gamma_against_sampling_oracle(self, unit_normal_pool):
-        q = UniformQuantizer(8, 0.6)
-        sq = quantize(unit_normal_pool, q) ** 2
+        sq = quantize(unit_normal_pool, 8, 0.6) ** 2
         estimate = sq.mean()
         se = sq.std() / math.sqrt(sq.size)
-        closed = power_gain_gamma(q, 1.0)
+        closed = power_gain_gamma(8, 0.6)
         assert abs(estimate - closed) <= max(2e-3, 4.0 * se)
 
     def test_bussgang_orthogonality(self, unit_normal_pool):
-        q = UniformQuantizer(8, opt_step_quiet(8))
-        a = bussgang_alpha(q, 1.0)
-        resid = unit_normal_pool * (quantize(unit_normal_pool, q) - a * unit_normal_pool)
+        step = opt_step_quiet(8)
+        a = bussgang_alpha(8, step)
+        resid = unit_normal_pool * (quantize(unit_normal_pool, 8, step) - a * unit_normal_pool)
         se = resid.std() / math.sqrt(resid.size)
         assert abs(resid.mean()) < 4.0 * se
 
@@ -281,9 +297,9 @@ class TestClosedForms:
         x = sig_x * rng.normal(size=n)
         z = sig_z * rng.normal(size=n)
         total_sigma = math.hypot(sig_x, sig_z)
-        q = UniformQuantizer(8, opt_step_quiet(8) * total_sigma)
-        a = bussgang_alpha(q, total_sigma)
-        d = quantize(x + z, q) - a * (x + z)
+        step = opt_step_quiet(8) * total_sigma
+        a = bussgang_alpha(8, step / total_sigma)
+        d = quantize(x + z, 8, step) - a * (x + z)
         prod = z * d
         se = prod.std() / math.sqrt(n)
         assert abs(prod.mean()) < 4.0 * se
@@ -298,10 +314,10 @@ class TestDistortionAndSdnr:
         assert distortion_power(a, 0.25, 1.0) == pytest.approx(0.25 - 1.0 / (2.0 * math.pi), rel=1e-12)
 
     def test_distortion_against_sampling_oracle(self, unit_normal_pool):
-        q = UniformQuantizer(4, opt_step_quiet(4))
-        a = bussgang_alpha(q, 1.0)
-        g = power_gain_gamma(q, 1.0)
-        resid_sq = (quantize(unit_normal_pool, q) - a * unit_normal_pool) ** 2
+        step = opt_step_quiet(4)
+        a = bussgang_alpha(4, step)
+        g = power_gain_gamma(4, step)
+        resid_sq = (quantize(unit_normal_pool, 4, step) - a * unit_normal_pool) ** 2
         assert abs(resid_sq.mean() - distortion_power(a, g, 1.0)) <= 2e-3
 
     def test_inconsistent_inputs_rejected(self):
@@ -313,8 +329,7 @@ class TestDistortionAndSdnr:
     def test_sdnr_two_level_flat(self):
         expected = (2.0 / math.pi) / (1.0 - 2.0 / math.pi)
         for step in (0.5, 1.0, 2.0):
-            q = UniformQuantizer(2, step)
-            value = sdnr(bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0))
+            value = sdnr(bussgang_alpha(2, step), power_gain_gamma(2, step))
             assert value == pytest.approx(expected, abs=1e-9)
 
     def test_sdnr_infinite_without_distortion(self):
@@ -322,12 +337,11 @@ class TestDistortionAndSdnr:
 
     def test_sdnr_matches_grid_scan(self):
         # Independent scan of alpha**2/gamma over the normalized step.
-        q = UniformQuantizer(4, opt_step_quiet(4))
-        value = sdnr(bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0))
+        step_opt = opt_step_quiet(4)
+        value = sdnr(bussgang_alpha(4, step_opt), power_gain_gamma(4, step_opt))
         best = -np.inf
         for step in np.arange(1e-3, 4.0, 1e-3):
-            qq = UniformQuantizer(4, float(step))
-            ratio = bussgang_alpha(qq, 1.0) ** 2 / power_gain_gamma(qq, 1.0)
+            ratio = bussgang_alpha(4, float(step)) ** 2 / power_gain_gamma(4, float(step))
             best = max(best, ratio / (1.0 - ratio))
         assert value == pytest.approx(best, rel=1e-4)
 
@@ -349,8 +363,7 @@ class TestOptimalStep:
         grid = np.arange(1e-3, 8.0, 1e-3)
         best_step, best_val = 0.0, -np.inf
         for step in grid:
-            q = UniformQuantizer(levels, float(step))
-            val = bussgang_alpha(q, 1.0) ** 2 / power_gain_gamma(q, 1.0)
+            val = bussgang_alpha(levels, float(step)) ** 2 / power_gain_gamma(levels, float(step))
             if val > best_val:
                 best_step, best_val = float(step), val
         assert abs(optimal_step(levels) - best_step) <= 1e-3
@@ -359,9 +372,9 @@ class TestOptimalStep:
         prev_alpha, prev_gamma = -np.inf, -np.inf
         levels = 2
         while levels <= 4096:
-            q = UniformQuantizer(levels, opt_step_quiet(levels))
-            a = bussgang_alpha(q, 1.0)
-            g = power_gain_gamma(q, 1.0)
+            step = opt_step_quiet(levels)
+            a = bussgang_alpha(levels, step)
+            g = power_gain_gamma(levels, step)
             assert a >= prev_alpha - 1e-12
             assert g >= prev_gamma - 1e-12
             prev_alpha, prev_gamma = a, g
@@ -383,7 +396,7 @@ class TestOptimalStep:
         out = fronthaul(x, 4, variance)
         for m, v in enumerate(variance):
             step = optimal_step(16) * math.sqrt(v / 2.0)
-            np.testing.assert_array_equal(out[m], quantize_complex(x[m], 16, step))
+            np.testing.assert_array_equal(out[m], quantize(x[m], 16, step))
 
     def test_level_limit_fails_fast(self):
         start = time.monotonic()
@@ -436,17 +449,17 @@ class TestSeriesTruncation:
         # over threads, as OpenBLAS does at 1 and 2 threads for 200 rows.
         for run in SCAN_RUNS:
             np.testing.assert_array_equal(
-                _alpha_normalized(levels, run), untruncated_alpha(levels, run)
+                bussgang_alpha(levels, run), untruncated_alpha(levels, run)
             )
             np.testing.assert_array_equal(
-                _gamma_normalized(levels, run), untruncated_gamma(levels, run)
+                power_gain_gamma(levels, run), untruncated_gamma(levels, run)
             )
 
     def test_scalar_matches_untruncated_series(self):
         for levels in (100, 2**14):
             for d in (1e-4, 0.3, 0.8, 2.5, 7.9):
-                assert _alpha_normalized(levels, d) == untruncated_alpha(levels, np.array([d]))[0]
-                assert _gamma_normalized(levels, d) == untruncated_gamma(levels, np.array([d]))[0]
+                assert bussgang_alpha(levels, d) == untruncated_alpha(levels, np.array([d]))[0]
+                assert power_gain_gamma(levels, d) == untruncated_gamma(levels, np.array([d]))[0]
 
     def test_scan_tables_bounded_and_truncated(self):
         # At the deepest quantizer no term table of the coarse scan exceeds

@@ -17,7 +17,6 @@ from cfquant.detection import (
 )
 from cfquant.quantizer import (
     FlatObjectiveWarning,
-    UniformQuantizer,
     bussgang_alpha,
     optimal_step,
     power_gain_gamma,
@@ -270,8 +269,8 @@ class TestBussgangRow:
     @pytest.mark.parametrize("levels", [4, 6, 100, 10_000, 16_384])
     def test_bit_identical_to_primitives(self, levels):
         # repr: the same floats, and Python floats, as the manifests record them.
-        q = UniformQuantizer(levels, optimal_step(levels))
-        expected = (q.step, bussgang_alpha(q, 1.0), power_gain_gamma(q, 1.0))
+        step = optimal_step(levels)
+        expected = (step, bussgang_alpha(levels, step), power_gain_gamma(levels, step))
         row = bussgang_row(levels)
         assert list(row) == ["step", "alpha", "gamma"]
         assert [repr(value) for value in row.values()] == [repr(value) for value in expected]
@@ -616,6 +615,24 @@ class TestValidation:
                 put(original)
             assert seen and set(seen) == {1}, task_name
             assert after == before, task_name
+
+    def test_first_failure_raises_while_earlier_tasks_run(self):
+        # Task 1 fails while task 0 still runs: the error propagates and sets
+        # stop at once, not after task 0 has finished.
+        stop, started = threading.Event(), threading.Event()
+        seen = []
+
+        def waiting():
+            started.set()
+            seen.append(stop.wait(10))
+
+        def failing():
+            started.wait(10)
+            raise RuntimeError("task 1 failed")
+
+        with pytest.raises(RuntimeError, match="task 1 failed"):
+            simulation._run_tasks([waiting, failing], n_workers=2, stop=stop)
+        assert seen == [True]
 
     def test_error_in_one_check_stops_the_others(self, monkeypatch):
         # The 4-bit check fails at once; the 8- and 12-bit checks, running or queued,
