@@ -3,9 +3,11 @@ quantizer design table.  Results go to CSV files or stdout; logs to stderr.
 """
 
 import argparse
+import ctypes
 import logging
 import math
 import sys
+import warnings
 
 from .quantizer import sdnr
 from .simulation import (
@@ -165,11 +167,31 @@ def build_parser():
     return parser
 
 
+def _keep_freed_blocks():
+    """Set glibc's mmap and trim thresholds to the maxima its own dynamic
+    thresholds reach, 32 and 64 MiB, so the multi-MB arrays that each Monte
+    Carlo block and fading draw allocates and frees are reused from the heap,
+    not mapped and faulted in afresh every time.  Without glibc, do nothing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+def _log_warning(message, category, filename, lineno, file=None, line=None):
+    """A library warning as one log line, without its source location."""
+    logger.warning("%s: %s", category.__name__, message)
+
+
 def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
+    _keep_freed_blocks()
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _log_warning
+            return args.func(args)
     except (OSError, ValueError) as exc:
         # An invalid setting, an unreadable or unwritable file, or a run the
         # models cannot complete ends the command with a one-line message.

@@ -15,7 +15,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "FlatObjectiveWarning",
@@ -38,24 +37,12 @@ _CONSISTENCY_TOL = 1e-12
 # Gaussian input (the classical table value 1.596).
 _TWO_LEVEL_STEP = 2.0 * math.sqrt(2.0 / math.pi)
 
-# Largest level count the step solver accepts.  Its coarse grid starts at
-# _COARSE_RES, above the 2**14 optimum (6.70e-4), so at 2**14 the golden
-# section runs on [1e-6, 2e-3] and relies on the objective being unimodal there.
+# Largest level count the step solver accepts, and the bracket of normalized
+# steps its bisection starts from: gamma < alpha at its lower end and
+# gamma > alpha at its upper end for every even level count from 4 to
+# MAX_LEVELS (tests/test_quantizer.py checks each).
 MAX_LEVELS = 2**14
-_SEARCH_HI = 8.0
-_COARSE_RES = 1e-3
-_REFINE_TOL = 1e-6
-
-# From l*d = 38.6 on, exp(-(l*d)**2/2) and Q(l*d) are below half the
-# smallest subnormal and round to 0.0; the margin absorbs rounding in l*d.
-_UNDERFLOW_ARG = 40.0
-
-# Grid points per objective evaluation of the coarse scan.  Each run's
-# series stops at its own smallest step, and its term tables hold at most
-# 200*(MAX_LEVELS/2 - 1) = 1.6e6 entries.  A multiple of 4, because
-# OpenBLAS rounds a matrix-vector product's last bit by the row's position
-# modulo 4: so the scan's values are the same floats as in one pass.
-_SCAN_RUN = 200
+_BRACKET = (1e-6, 8.0)
 
 
 class FlatObjectiveWarning(UserWarning):
@@ -63,8 +50,8 @@ class FlatObjectiveWarning(UserWarning):
 
 
 def _gaussian_tail(x):
-    """P(N(0,1) > x), vectorized."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    """P(N(0,1) > x) for an array ``x``, elementwise by libm's erfc (numpy has none)."""
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(x / math.sqrt(2.0)).astype(float)
 
 
 def _check_levels(levels):
@@ -146,45 +133,25 @@ def fronthaul(x, bits, variance, out=None):
     return quantize(x, levels, steps[:, None], out)
 
 
-def _series_orders(levels, d):
-    """Orders l = 1, ..., L/2 - 1 of the alpha and gamma series with
-    l*min(d) < _UNDERFLOW_ARG, for a positive array ``d``.
-
-    Every later term is exactly 0.0 at every point of ``d``, so the series
-    over these orders is the same float as over all of them.
-    """
-    ls = np.arange(1, levels // 2, dtype=float)
-    return ls[ls * d.min() < _UNDERFLOW_ARG]
-
-
 def bussgang_alpha(levels, step):
     """Linear gain E[x*g(x)] of the L-level quantizer g with step ``step``
     for a unit-variance Gaussian input x; for an input of std sigma, pass
-    step/sigma.  ``step`` may be an array.  The series skips only
-    underflowed terms (_series_orders)."""
-    d = np.atleast_1d(_valid_steps(levels, step))
-    ls = _series_orders(levels, d)
-    if ls.size:
-        series = 2.0 * np.exp(-0.5 * np.multiply.outer(ls**2, d**2)).sum(axis=0)
-    else:
-        series = np.zeros_like(d)
+    step/sigma.  ``step`` may be an array."""
+    d = _valid_steps(levels, step)
+    ls = np.arange(1, levels // 2, dtype=float)
+    series = 2.0 * np.exp(-0.5 * np.multiply.outer(ls**2, d**2)).sum(axis=0)
     out = d / math.sqrt(2.0 * math.pi) * (series + 1.0)
-    return out if np.ndim(step) else float(out[0])
+    return out if np.ndim(step) else float(out)
 
 
 def power_gain_gamma(levels, step):
     """Output power E[g(x)**2] of the L-level quantizer g with step ``step``
     for a unit-variance Gaussian input x; for an input of std sigma, pass
-    step/sigma.  ``step`` may be an array.  The series skips only
-    underflowed terms (_series_orders)."""
-    d = np.atleast_1d(_valid_steps(levels, step))
-    ls = _series_orders(levels, d)
-    if ls.size:
-        series = 4.0 * (ls @ _gaussian_tail(np.multiply.outer(ls, d)))
-    else:
-        series = np.zeros_like(d)
-    out = d**2 * (0.25 + series)
-    return out if np.ndim(step) else float(out[0])
+    step/sigma.  ``step`` may be an array."""
+    d = _valid_steps(levels, step)
+    ls = np.arange(1, levels // 2, dtype=float)
+    out = d**2 * (0.25 + 4.0 * (_gaussian_tail(np.multiply.outer(d, ls)) @ ls))
+    return out if np.ndim(step) else float(out)
 
 
 def distortion_power(alpha, gamma, sigma_x2):
@@ -218,59 +185,35 @@ def _distortion_gap(alpha, gamma):
     return gap
 
 
-def _sdnr_objective(levels, step_norm):
-    """alpha**2/gamma at unit variance; the quantity maximized over the step."""
-    a = bussgang_alpha(levels, step_norm)
-    return a * a / power_gain_gamma(levels, step_norm)
-
-
-def _golden_max(f, lo, hi, tol):
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-    return 0.5 * (a + b)
-
-
 @lru_cache(maxsize=None)
 def _optimal_step_cached(levels):
-    grid = np.arange(_COARSE_RES, _SEARCH_HI + 0.5 * _COARSE_RES, _COARSE_RES)
-    vals = np.concatenate(
-        [_sdnr_objective(levels, grid[i : i + _SCAN_RUN]) for i in range(0, grid.size, _SCAN_RUN)]
-    )
-    best_idx = int(np.argmax(vals))
-    lo = float(grid[best_idx - 1]) if best_idx > 0 else _COARSE_RES * 1e-3
-    hi = float(grid[best_idx + 1]) if best_idx + 1 < grid.size else _SEARCH_HI
-    return _golden_max(lambda d: _sdnr_objective(levels, d), lo, hi, _REFINE_TOL)
+    def excess(d):  # gamma - alpha: negative below the optimum, positive above it
+        return power_gain_gamma(levels, d) - bussgang_alpha(levels, d)
+
+    lo, hi = _BRACKET
+    if not excess(lo) < 0.0 < excess(hi):
+        raise ValueError(f"the step bracket {_BRACKET} does not hold the optimum at {levels} levels")
+    while lo < (mid := math.sqrt(lo * hi)) < hi:
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def optimal_step(levels):
     """SDNR-optimal normalized step (step/sigma) for an L-level quantizer.
 
-    Solved by a scan of the grid 1e-3, 2e-3, ..., 8 and golden-section
-    refinement between the neighbours of its best point, or on [1e-6, 2e-3]
-    when the best is the first point.  That is the case at MAX_LEVELS, whose
-    optimum 6.70e-4 lies below the grid, so there the refinement relies on
-    the objective being unimodal on that interval; larger level counts are
-    rejected.  The alpha and gamma series of L/2 - 1 terms keep only the
-    orders l with l*step < 40 at the smallest step evaluated together: every
-    later term is exactly 0.0 in float64, so the result is the same float as
-    with all terms, while the coarse scan at MAX_LEVELS evaluates 2.8% of
-    them.  For levels == 2 the objective is flat in the step; the canonical
-    minimum-distortion value 2*sqrt(2/pi) is returned and a
-    FlatObjectiveWarning is issued.
+    The objective alpha**2/gamma has the slope
+    4*d**2*S*alpha*(alpha - gamma)/(sqrt(2*pi)*gamma**2) in the step d, with
+    S = sum(l**2*exp(-(l*d)**2/2)) > 0 over the orders l = 1..L/2 - 1, so
+    its maximum is the one root of gamma - alpha.  Bisection at the geometric
+    mean finds it in the bracket [1e-6, 8], whose sign change is checked
+    first (a ValueError if it fails), until that mean rounds to an end; the
+    lower end is returned.  Level counts above MAX_LEVELS, the deepest at
+    which the bracket is proven, are rejected.  For levels == 2 the objective is
+    flat in the step (S = 0); the canonical minimum-distortion value
+    2*sqrt(2/pi) is returned and a FlatObjectiveWarning is issued.
     """
     _check_levels(levels)
     if levels > MAX_LEVELS:

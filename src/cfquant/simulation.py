@@ -37,7 +37,6 @@ from .channel import (
     draw_geometry,
     draw_small_scale,
     large_scale_gains,
-    path_loss,
     received_variance,
 )
 from .estimation import (
@@ -451,11 +450,8 @@ def _colocated_gains(cfg):
     ensemble approximation.
     """
     rng = substream(cfg.seed, _GEOMETRY, 0)
-    ap = rng.uniform(0.0, cfg.l_serv_m, size=(cfg.m_aps, 2))
-    spot = rng.uniform(0.0, cfg.l_serv_m, size=2)
-    dist = np.sqrt(((ap - spot) ** 2).sum(axis=1))
-    gain = path_loss(dist, cfg.path_loss_model())
-    return np.repeat(gain[:, None], cfg.k_users, axis=1)
+    geo = draw_geometry(cfg.m_aps, 1, cfg.l_serv_m, rng)
+    return np.repeat(large_scale_gains(geo, cfg.path_loss_model(), 0.0, rng), cfg.k_users, axis=1)
 
 
 def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
@@ -597,7 +593,6 @@ def validate_closed_forms(cfg, n_trials=100_000):
     if n_trials < 2:
         raise ValueError(f"n_trials must be at least 2, got {n_trials}")
     results = [_unquantized_estimation_identity(cfg), _unquantized_detection_identity(cfg)]
-    # Every Bussgang row is built here, so the step solver never runs in the pool.
     # The estimation checks take longest and go first.
     stop = threading.Event()
     checks = [
@@ -619,12 +614,10 @@ def _run_tasks(tasks, n_workers=None, stop=None):
 
     The one place that runs anything concurrently: a pool of ``n_workers``
     threads (default: the usable cores), at most one per task, with numpy's
-    OpenBLAS held to one thread.  The step solver's bits depend on the BLAS
-    thread count, so no task may build a Bussgang row.  As soon as any task
-    raises, or on an interrupt, the event ``stop`` is set, for tasks that
-    poll it, and the queued tasks are cancelled.  The error raised is then
-    that of the first failed task in submission order, so it does not depend
-    on the thread count.
+    OpenBLAS held to one thread.  As soon as any task raises, or on an
+    interrupt, the event ``stop`` is set, for tasks that poll it, and the
+    queued tasks are cancelled.  The error raised is then that of the first
+    failed task in submission order, so it does not depend on the thread count.
     """
     if n_workers is None:
         affinity = getattr(os, "sched_getaffinity", None)

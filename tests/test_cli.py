@@ -257,15 +257,58 @@ class TestValidateCommand:
         assert "checks passed" not in capsys.readouterr().out
 
 
+def run_fresh(*args, **kwargs):
+    """``python ARGS`` in a fresh interpreter that imports this checkout's cfquant."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, text=True, **kwargs
+    )
+
+
 class TestEntryPoint:
     def test_installed_script_runs(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "cfquant.cli", "quantizer-table", "--levels", "4"],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-        )
+        result = run_fresh("-m", "cfquant.cli", "quantizer-table", "--levels", "4", capture_output=True)
         assert result.returncode == 0
         assert result.stdout.startswith("levels,bits")
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, cfquant; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = run_fresh("-c", code, capture_output=True)
+        assert result.returncode == 0
+        assert result.stdout == "[]\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="sets glibc's allocator thresholds")
+    def test_warm_validate_job_reuses_freed_blocks(self):
+        # Three validate jobs in one process: the third faults in (almost) no
+        # fresh pages, where glibc's default thresholds cost thousands per job.
+        code = (
+            "import contextlib, io, resource\n"
+            "from cfquant import cli\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['validate', '--trials', '20000'])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        result = run_fresh("-c", code, capture_output=True)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 1000
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["quantizer-table", "--levels", "2"],
+            ["nmse-cdf", "--bits", "1", "--geoms", "1", "--m-aps", "4", "--k-users", "2"],
+        ],
+        ids=["quantizer-table", "nmse-cdf"],
+    )
+    def test_library_warning_is_one_plain_line(self, command, tmp_path, capfd):
+        # The flat-objective warning on stderr, without the library's file,
+        # line number and source line.
+        assert run_fresh("-m", "cfquant.cli", *command, cwd=tmp_path).returncode == 0
+        err = capfd.readouterr().err.splitlines()
+        assert [line for line in err if "Warning" in line or ".py" in line] == [
+            "WARNING FlatObjectiveWarning: SDNR objective is constant in the step for a "
+            "2-level quantizer; returning the canonical minimum-distortion step 2*sqrt(2/pi)"
+        ]

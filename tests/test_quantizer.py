@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -6,13 +7,7 @@ import pytest
 from scipy.special import erfc
 
 from cfquant.quantizer import (
-    _COARSE_RES,
-    _SCAN_RUN,
-    _SEARCH_HI,
-    _UNDERFLOW_ARG,
-    _gaussian_tail,
-    _sdnr_objective,
-    _series_orders,
+    _BRACKET,
     MAX_LEVELS,
     FlatObjectiveWarning,
     bussgang_alpha,
@@ -25,12 +20,6 @@ from cfquant.quantizer import (
 )
 
 
-# The solver's coarse grid, k*1e-3 for k = 1..8000, in the runs it
-# evaluates together.
-COARSE_GRID = np.arange(_COARSE_RES, _SEARCH_HI + 0.5 * _COARSE_RES, _COARSE_RES)
-SCAN_RUNS = [COARSE_GRID[i : i + _SCAN_RUN] for i in range(0, COARSE_GRID.size, _SCAN_RUN)]
-
-
 def untruncated_alpha(levels, d):
     """Oracle: the alpha series over every order l = 1..L/2-1, no cutoff."""
     ls = np.arange(1, levels // 2, dtype=float)
@@ -39,10 +28,25 @@ def untruncated_alpha(levels, d):
 
 
 def untruncated_gamma(levels, d):
-    """Oracle: the gamma series over every order l = 1..L/2-1, no cutoff."""
+    """Oracle: the gamma series over every order l = 1..L/2-1, no cutoff,
+    with scipy's erfc."""
     ls = np.arange(1, levels // 2, dtype=float)
     series = 4.0 * (ls @ (0.5 * erfc(np.multiply.outer(ls, d) / math.sqrt(2.0))))
     return d**2 * (0.25 + series)
+
+
+# A dense log grid over the solver's bracket, and the oracles' alpha and gamma
+# on it, per level count, evaluated in runs of at most ~2e6 series terms.
+DENSE_GRID = np.geomspace(*_BRACKET, 4001)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_on_dense_grid(levels):
+    runs = np.array_split(DENSE_GRID, max(1, levels * DENSE_GRID.size // 4_000_000))
+    return (
+        np.concatenate([untruncated_alpha(levels, run) for run in runs]),
+        np.concatenate([untruncated_gamma(levels, run) for run in runs]),
+    )
 
 
 def opt_step_quiet(levels):
@@ -265,6 +269,22 @@ class TestClosedForms:
                 g = power_gain_gamma(levels, float(step))
                 assert g - a * a >= -1e-12
 
+    @pytest.mark.parametrize("factor", [bussgang_alpha, power_gain_gamma])
+    def test_step_array_of_any_shape(self, factor):
+        steps = np.array([[0.05, 0.3, 1.1], [2.0, 0.7, 4.5]])
+        expected = [[factor(64, float(step)) for step in row] for row in steps]
+        np.testing.assert_allclose(factor(64, steps), expected, rtol=1e-15)
+
+    def test_scalar_matches_untruncated_series(self):
+        # Within a few ulps: the oracle's gamma takes scipy's erfc, the
+        # library's libm's.
+        for levels in (4, 100, 2**10, 2**14):
+            for d in (1e-6, 1e-4, 0.3, 0.8, 2.5, 7.9):
+                alpha = untruncated_alpha(levels, np.array([d]))[0]
+                gamma = untruncated_gamma(levels, np.array([d]))[0]
+                assert abs(bussgang_alpha(levels, d) - alpha) <= 4 * math.ulp(alpha)
+                assert abs(power_gain_gamma(levels, d) - gamma) <= 4 * math.ulp(gamma)
+
     def test_alpha_against_sampling_oracle(self, unit_normal_pool):
         # alpha is the correlation estimate E[x*g(x)]/var(x).
         gx = quantize(unit_normal_pool, 16, 0.4)
@@ -404,8 +424,30 @@ class TestOptimalStep:
             optimal_step(2 * MAX_LEVELS)
         assert time.monotonic() - start < 1.0
 
-    # Steps found by the solver with the untruncated series, to the last
-    # bit: skipping underflowed terms must not move any of them.
+    def test_bracket_holds_at_every_level_count(self):
+        # The solver's bracket for every even L from 4 to MAX_LEVELS, from one
+        # prefix sum of the series terms per end: entry i holds the orders
+        # l = 1..i+1, i.e. L = 2*i + 4.  gamma < alpha at the lower end and
+        # gamma > alpha at the upper end, each by a wide margin.
+        ls = np.arange(1, MAX_LEVELS // 2, dtype=float)
+        margins = []
+        for d in _BRACKET:
+            alpha = d / math.sqrt(2.0 * math.pi) * (1.0 + 2.0 * np.cumsum(np.exp(-0.5 * (ls * d) ** 2)))
+            gamma = d**2 * (0.25 + 4.0 * np.cumsum(ls * 0.5 * erfc(ls * d / math.sqrt(2.0))))
+            margins.append(gamma / alpha)
+        assert margins[0].size == margins[1].size == MAX_LEVELS // 2 - 1
+        assert np.max(margins[0]) < 0.011
+        assert np.min(margins[1]) > 5.0
+
+    @pytest.mark.parametrize("bits", range(2, 15))
+    def test_one_sign_change_on_dense_grid(self, bits):
+        alpha, gamma = oracle_on_dense_grid(2**bits)
+        below = gamma < alpha
+        assert below[0] and not below[-1]
+        assert np.count_nonzero(np.diff(below)) == 1
+
+    # Steps of the earlier solver (a grid scan, then golden section, on the
+    # untruncated series), to the last bit.
     UNTRUNCATED_STEPS = {
         2: 0.9956869176962472,
         3: 0.5860194738208371,
@@ -423,47 +465,32 @@ class TestOptimalStep:
     }
 
     @pytest.mark.parametrize("bits", sorted(UNTRUNCATED_STEPS))
-    def test_bit_identical_to_untruncated_solver(self, bits):
-        assert repr(optimal_step(2**bits)) == repr(self.UNTRUNCATED_STEPS[bits])
-
-    @pytest.mark.parametrize("bits", range(10, 15))
-    def test_deep_quantizer_optimum_against_dense_scan(self, bits):
-        # From 2**13 levels on the optimum lies below the coarse grid's
-        # spacing, so check the result against a scan dense at small steps.
+    def test_sign_change_at_step(self, bits):
+        # Within 4 ulps of the step, gamma - alpha is below zero and not below
+        # zero: the bisection ran until its ends met.
         levels = 2**bits
-        scan = np.geomspace(1e-5, _SEARCH_HI, 10_001)
-        best = max(_sdnr_objective(levels, part).max() for part in np.array_split(scan, 50))
-        assert _sdnr_objective(levels, optimal_step(levels)) >= best * (1.0 - 1e-12)
+        step = optimal_step(levels)
+        excess = [
+            power_gain_gamma(levels, d) - bussgang_alpha(levels, d)
+            for d in step + math.ulp(step) * np.arange(-4, 5)
+        ]
+        assert min(excess) < 0.0 <= max(excess)
 
+    @pytest.mark.parametrize("bits", sorted(UNTRUNCATED_STEPS))
+    def test_sdnr_no_lower_than_at_scan_solver_steps(self, bits):
+        levels = 2**bits
 
-class TestSeriesTruncation:
-    def test_cutoff_underflows(self):
-        assert math.exp(-0.5 * _UNDERFLOW_ARG**2) == 0.0
-        assert _gaussian_tail(_UNDERFLOW_ARG) == 0.0
-
-    @pytest.mark.parametrize("levels", [4, 6, 100, 2**10, 10000, 2**14])
-    def test_bit_identical_to_untruncated_series(self, levels):
-        # Over the whole coarse grid, run by run as the solver scans it.
-        # Exact equality also relies on the BLAS giving each row of the
-        # gamma product the same float whether or not it splits the product
-        # over threads, as OpenBLAS does at 1 and 2 threads for 200 rows.
-        for run in SCAN_RUNS:
-            np.testing.assert_array_equal(
-                bussgang_alpha(levels, run), untruncated_alpha(levels, run)
-            )
-            np.testing.assert_array_equal(
-                power_gain_gamma(levels, run), untruncated_gamma(levels, run)
+        def sdnr_db(step):
+            return 10.0 * math.log10(
+                sdnr(bussgang_alpha(levels, step), power_gain_gamma(levels, step))
             )
 
-    def test_scalar_matches_untruncated_series(self):
-        for levels in (100, 2**14):
-            for d in (1e-4, 0.3, 0.8, 2.5, 7.9):
-                assert bussgang_alpha(levels, d) == untruncated_alpha(levels, np.array([d]))[0]
-                assert power_gain_gamma(levels, d) == untruncated_gamma(levels, np.array([d]))[0]
+        assert sdnr_db(optimal_step(levels)) >= sdnr_db(self.UNTRUNCATED_STEPS[bits]) - 1e-12
 
-    def test_scan_tables_bounded_and_truncated(self):
-        # At the deepest quantizer no term table of the coarse scan exceeds
-        # 2e6 entries, and the scan evaluates under 3% of the full series.
-        sizes = [run.size * _series_orders(MAX_LEVELS, run).size for run in SCAN_RUNS]
-        assert max(sizes) <= 2_000_000
-        assert sum(sizes) < 0.03 * COARSE_GRID.size * (MAX_LEVELS // 2 - 1)
+    @pytest.mark.parametrize("bits", range(2, 15))
+    def test_deep_quantizer_optimum_against_dense_scan(self, bits):
+        levels = 2**bits
+        alpha, gamma = oracle_on_dense_grid(levels)
+        step = np.array([optimal_step(levels)])
+        objective = untruncated_alpha(levels, step)[0] ** 2 / untruncated_gamma(levels, step)[0]
+        assert objective >= np.max(alpha * alpha / gamma) * (1.0 - 1e-12)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfquant import simulation
+from cfquant import quantizer, simulation
 from cfquant.channel import draw_small_scale
 from cfquant.cli import _VALIDATE_DEFAULTS
 from cfquant.detection import (
@@ -32,6 +32,7 @@ from cfquant.simulation import (
     _draw_gains,
     _Moments,
     _estimation_check,
+    _one_blas_thread,
     _openblas_threads,
     bussgang_row,
     bussgang_table,
@@ -275,6 +276,16 @@ class TestBussgangRow:
         assert list(row) == ["step", "alpha", "gamma"]
         assert [repr(value) for value in row.values()] == [repr(value) for value in expected]
 
+    def test_steps_independent_of_blas_threads(self):
+        # Solved afresh at numpy's default BLAS thread count and at one thread.
+        levels = [2**bits for bits in range(2, 15)]
+        quantizer._optimal_step_cached.cache_clear()
+        default = [repr(optimal_step(n)) for n in levels]
+        quantizer._optimal_step_cached.cache_clear()
+        with _one_blas_thread():
+            one_thread = [repr(optimal_step(n)) for n in levels]
+        assert one_thread == default
+
     def test_two_levels_warn_flat_objective(self):
         with pytest.warns(FlatObjectiveWarning):
             row = bussgang_row(2)
@@ -456,35 +467,35 @@ PINNED_VALIDATE = [
     (
         dict(m_aps=10, k_users=4, seed=1),
         {
-            "estimation_mse_mc_b4": (2.2550462079979514, 3.0),
-            "estimation_mse_mc_b8": (3.760747118401617, 3.0),
-            "estimation_mse_mc_b12": (2.8196749098001415, 3.0),
-            "detection_mse_model_b6": (0.5701153550454772, 3.0),
-            "detection_orthogonality_b6": (2.7817369119538027, 4.0),
-            "detection_mse_quantized_b6": (0.059900397343713184, 0.10781502892678592),
-            "detection_mse_model_b10": (1.743442260860882, 3.0),
-            "detection_orthogonality_b10": (1.8549961495765017, 4.0),
-            "detection_mse_quantized_b10": (0.046524118403066694, 0.1174725786514043),
-            "detection_mse_model_b14": (0.9552018842459619, 3.0),
-            "detection_orthogonality_b14": (2.5101179714518853, 4.0),
-            "detection_mse_quantized_b14": (0.006779882227396046, 0.05),
+            "estimation_mse_mc_b4": (2.2550437718853877, 3.0),
+            "estimation_mse_mc_b8": (3.784365952001277, 3.0),
+            "estimation_mse_mc_b12": (2.8208329204070632, 3.0),
+            "detection_mse_model_b6": (0.5701153550447902, 3.0),
+            "detection_orthogonality_b6": (2.7817369119530255, 4.0),
+            "detection_mse_quantized_b6": (0.05997716781084481, 0.10781459083921466),
+            "detection_mse_model_b10": (1.7434422608236135, 3.0),
+            "detection_orthogonality_b10": (1.8549961496982479, 4.0),
+            "detection_mse_quantized_b10": (0.04683798551837223, 0.11746063487226031),
+            "detection_mse_model_b14": (0.9552018848512743, 3.0),
+            "detection_orthogonality_b14": (2.5101179668611446, 4.0),
+            "detection_mse_quantized_b14": (0.006823684439181109, 0.05),
         },
     ),
     (
         dict(m_aps=6, k_users=3, seed=3),
         {
-            "estimation_mse_mc_b4": (1.3686724872544542, 3.0),
-            "estimation_mse_mc_b8": (2.4675696912065606, 3.0),
-            "estimation_mse_mc_b12": (2.8605102243387224, 3.0),
-            "detection_mse_model_b6": (2.3501468719195167, 3.0),
-            "detection_orthogonality_b6": (2.0113514408766617, 4.0),
-            "detection_mse_quantized_b6": (0.07551515718188213, 0.13420416262958),
-            "detection_mse_model_b10": (0.3877034144464007, 3.0),
-            "detection_orthogonality_b10": (3.210159741695046, 4.0),
-            "detection_mse_quantized_b10": (0.009633715906704626, 0.05),
-            "detection_mse_model_b14": (1.2815991001357525, 3.0),
-            "detection_orthogonality_b14": (1.443374056818452, 4.0),
-            "detection_mse_quantized_b14": (0.00933893091630472, 0.05),
+            "estimation_mse_mc_b4": (1.3686717040399816, 3.0),
+            "estimation_mse_mc_b8": (2.456809275715872, 3.0),
+            "estimation_mse_mc_b12": (2.870885409018925, 3.0),
+            "detection_mse_model_b6": (2.3501468719200234, 3.0),
+            "detection_orthogonality_b6": (2.0113514408751114, 4.0),
+            "detection_mse_quantized_b6": (0.07550614981324232, 0.13420350746316134),
+            "detection_mse_model_b10": (0.38770341458489205, 3.0),
+            "detection_orthogonality_b10": (3.210159741728013, 4.0),
+            "detection_mse_quantized_b10": (0.00937067540041507, 0.05),
+            "detection_mse_model_b14": (1.2815991004919292, 3.0),
+            "detection_orthogonality_b14": (1.4433740570522273, 4.0),
+            "detection_mse_quantized_b14": (0.009307765247434268, 0.05),
         },
     ),
 ]
