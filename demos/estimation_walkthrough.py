@@ -11,6 +11,7 @@ from cfquant import (
     NoiseModel,
     PathLossModel,
     bussgang_row,
+    complex_normal,
     correlate_all,
     draw_geometry,
     draw_small_scale,
@@ -46,7 +47,13 @@ print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={gamma:.5f}")
 pilots = make_pilot_book(K, tau=K)
 c = lmmse_coefficient(beta, beta, pilots.tau, alpha, gamma, noise.sigma_n2)
 mse, nmse = estimation_mse(beta, beta, pilots.tau, alpha, gamma, noise.sigma_n2)
-y = simulate_pilot_phase(G, pilots, noise, BITS, rng, beta)
+# The receiver noise of one pilot block, (M, tau) complex samples of variance
+# sigma_n2, is drawn here; the pilot phase adds it to the clean samples and
+# quantizes the sum in place.
+noise_block = (M, pilots.tau)
+noise_scale = np.sqrt(noise.sigma_n2 / 2.0)
+n = complex_normal(rng, noise_block, noise_scale)
+y = simulate_pilot_phase(G, pilots, noise, BITS, n, beta)
 g_hat = c * correlate_all(y, pilots)
 
 realized = np.abs(g_hat - G) ** 2
@@ -62,7 +69,8 @@ acc = np.zeros((M, K))
 for _ in range(trials):
     h = draw_small_scale(M, K, rng)
     G = h * np.sqrt(beta)
-    y = simulate_pilot_phase(G, pilots, noise, BITS, rng, beta)
+    n = complex_normal(rng, noise_block, noise_scale)
+    y = simulate_pilot_phase(G, pilots, noise, BITS, n, beta)
     acc += np.abs(c * correlate_all(y, pilots) - G) ** 2
 ratio = (acc / trials) / mse
 print(f"\nempirical/closed-form MSE ratio over {trials} pilot phases: "

@@ -22,8 +22,12 @@ __all__ = [
     "large_scale_gains",
     "draw_small_scale",
     "complex_normal",
+    "complex_normal_runs",
     "received_variance",
 ]
+
+# Standard normal draws per ``rng.standard_normal`` call: one 128 KB buffer.
+_RUN = 16_384
 
 
 @dataclass(frozen=True)
@@ -141,16 +145,76 @@ def complex_normal(rng, shape, scale, add_to=None):
         raise ValueError(f"add_to must be a C-contiguous complex array of shape {tuple(shape)}")
     else:
         out = add_to
-    flat, run = out.reshape(-1), np.empty(16_384)
-    scale = np.broadcast_to(scale, out.shape).reshape(-1)
-    for part in (flat.real, flat.imag):
-        for i in range(0, flat.size, run.size):
-            draws = rng.standard_normal(out=run[: flat.size - i])
-            if add_to is None:
-                np.multiply(draws, scale[i : i + run.size], out=part[i : i + run.size])
-            else:
-                part[i : i + run.size] += np.multiply(draws, scale[i : i + run.size], out=draws)
+    scale, run = np.broadcast_to(scale, out.shape), np.empty(_RUN)
+    for part in (out.real, out.imag):
+        _draw_scaled(rng, part, scale, run, add=add_to is not None)
     return out
+
+
+def complex_normal_runs(rng, shape, scale, rows, real):
+    """``complex_normal(rng, shape, scale)`` in runs of ``rows`` leading-axis rows.
+
+    All real parts are drawn at the first run, times ``scale``, into the float
+    buffer ``real`` (its first prod(shape) values); each run's imaginary parts
+    are drawn as the run is yielded.  So the runs, concatenated, are the bits
+    of ``complex_normal``, and a block's working set is one float per value
+    plus one run.  Each run is yielded in one complex buffer that the next run
+    overwrites; the rows of ``real`` behind it are not read again, so the
+    caller may reuse them.
+    """
+    shape = tuple(shape)
+    if real.dtype != float or not real.flags.c_contiguous or real.size < math.prod(shape):
+        raise ValueError(
+            f"real must be a C-contiguous float array of at least {math.prod(shape)} values"
+        )
+    real = real.reshape(-1)[: math.prod(shape)].reshape(shape)
+    return _runs(rng, np.broadcast_to(scale, shape), rows, real)
+
+
+def _runs(rng, scale, rows, real):
+    """The generator of ``complex_normal_runs``, once its arguments are checked."""
+    run = np.empty(_RUN)
+    _draw_scaled(rng, real, scale, run, add=False)
+    out = np.empty((min(rows, len(real)), *real.shape[1:]), dtype=complex)
+    for start in range(0, len(real), rows):
+        z = out[: len(real) - start]
+        z.real = real[start : start + rows]
+        _draw_scaled(rng, z.imag, scale[start : start + rows], run, add=False)
+        yield z
+
+
+def _draw_scaled(rng, part, scale, run, add):
+    """Write (or add) standard normal draws times ``scale``, which has the shape
+    of ``part``, into ``part`` in C order, drawing through the buffer ``run``.
+    The draws come in blocks of whole rows or, when a row holds more than
+    ``run``, of parts of a row, so ``scale`` may be a broadcast view: it is
+    never copied."""
+    for index in _row_blocks(part.shape, run.size):
+        dst = part[index]
+        draws = rng.standard_normal(out=run[: dst.size]).reshape(dst.shape)
+        if add:
+            dst += np.multiply(draws, scale[index], out=draws)
+        else:
+            np.multiply(draws, scale[index], out=dst)
+
+
+def _row_blocks(shape, size):
+    """Index tuples of consecutive C-order blocks of an array of ``shape``, each
+    of at most ``size`` values and each ending in ``...``, so it indexes a view."""
+    if math.prod(shape) == 0:
+        return
+    if not shape:
+        yield (...,)
+        return
+    inner = math.prod(shape[1:])
+    if inner <= size:
+        step = size // inner
+        for start in range(0, shape[0], step):
+            yield (slice(start, start + step), ...)
+    else:
+        for row in range(shape[0]):
+            for index in _row_blocks(shape[1:], size):
+                yield (row, *index)
 
 
 def received_variance(beta_row, sigma_s2, sigma_n2):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import complex_normal, received_variance
+from .channel import received_variance
 from .quantizer import fronthaul
 
 __all__ = [
@@ -48,25 +48,30 @@ def make_pilot_book(k_users, tau):
     return PilotBook(tau=tau, phi=phi)
 
 
-def simulate_pilot_phase(G, pilots, noise, bits, rng, beta):
+def simulate_pilot_phase(G, pilots, noise, bits, noise_samples, beta):
     """Pilot observations as forwarded over a ``bits``-bit fronthaul,
-    shape (..., M, tau).
+    shape (..., M, tau), formed in place in ``noise_samples`` and returned.
 
     ``G`` is one (M, K) channel draw or a stack (..., M, K) of them.  The
     clean sample at AP m and symbol t is sqrt(tau) * sum_k g_mk * phi[t, k];
-    receiver noise is drawn from ``rng`` and added.  Pilot symbols have
-    unit power, so each AP quantizes at the step optimal for its pilot-phase
-    variance sum_k beta_mk + sigma_n2, from the large-scale gains ``beta``;
+    ``noise_samples``, the complex receiver noise of that shape, is added to
+    it: for example ``complex_normal(rng, shape, sqrt(noise.sigma_n2 / 2))``,
+    or one run of ``complex_normal_runs``.  Pilot symbols have unit power, so
+    each AP quantizes at the step optimal for its pilot-phase variance
+    sum_k beta_mk + sigma_n2, from the large-scale gains ``beta``;
     ``bits == 0`` leaves the samples unquantized.
     """
     k_users = G.shape[-1]
     tau, k_pilots = pilots.phi.shape
     if k_pilots != k_users:
         raise ValueError(f"pilot book has {k_pilots} columns for {k_users} users")
-    x = _stacked_product(G, pilots.phi.T)
-    x *= math.sqrt(tau)
-    complex_normal(rng, x.shape, math.sqrt(noise.sigma_n2 / 2.0), add_to=x)
-    return fronthaul(x, bits, received_variance(beta, 1.0, noise.sigma_n2), out=x)
+    clean = _stacked_product(G, pilots.phi.T)
+    if noise_samples.shape != clean.shape or noise_samples.dtype != complex:
+        raise ValueError(f"noise_samples must be a complex array of shape {clean.shape}")
+    clean *= math.sqrt(tau)
+    noise_samples += clean  # the bits of clean + noise_samples, without a third array
+    variance = received_variance(beta, 1.0, noise.sigma_n2)
+    return fronthaul(noise_samples, bits, variance, out=noise_samples)
 
 
 def correlate_all(y, pilots):

@@ -34,6 +34,7 @@ from .channel import (
     NoiseModel,
     PathLossModel,
     complex_normal,
+    complex_normal_runs,
     draw_geometry,
     draw_small_scale,
     large_scale_gains,
@@ -82,8 +83,9 @@ _GEOMETRY, _SHADOWING, _FADING, _NOISE, _SYMBOLS = range(5)
 # (channel.complex_normal) are part of the random-stream contract: changing either
 # changes every Monte Carlo statistic and the README's 40-seed false-alarm table.
 _MC_CHUNK = 10_000
-# Trials per correlation run inside an estimation block: bounds the complex
-# temporaries, not part of the stream contract.
+# Trials per run inside an estimation block.  A check holds one block of real parts
+# and one run of complex arrays (channels, pilot observations, correlations), so this
+# bounds its working set; it is not part of the stream contract.
 _CORRELATE_ROWS = 1_000
 
 
@@ -470,23 +472,29 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     rng_h = substream(cfg.seed, _FADING, 100, bits)
     rng_n = substream(cfg.seed, _NOISE, 100, bits)
     err_power = _Moments(beta.shape, axis=0)
+    # The block's real parts, drawn first: the fading's rows then hold each run's
+    # estimation error |c*r - g| once the run has formed its g from them.
+    fading_re = np.empty((_MC_CHUNK, *beta.shape))
+    noise_re = np.empty((_MC_CHUNK, cfg.m_aps, tau))
     for block in _blocks(n_trials, stop):
-        g = complex_normal(rng_h, (block, *beta.shape), 1.0 / math.sqrt(2.0))
-        g *= sqrt_beta
-        y = simulate_pilot_phase(g, pilots, noise, bits, rng_n, beta)
-        # The error c*r - g overwrites g in row runs, so the block holds no complex
-        # temporary beyond g and y; the reductions still run over the whole block.
-        for i in range(0, block, _CORRELATE_ROWS):
-            rows = slice(i, i + _CORRELATE_ROWS)
-            d = correlate_all(y[rows], pilots)
+        fading = complex_normal_runs(
+            rng_h, (block, *beta.shape), 1.0 / math.sqrt(2.0), _CORRELATE_ROWS, fading_re
+        )
+        pilot_noise = complex_normal_runs(
+            rng_n, (block, cfg.m_aps, tau), math.sqrt(noise.sigma_n2 / 2.0), _CORRELATE_ROWS,
+            noise_re,
+        )
+        err = fading_re[:block]
+        for start, g, n in zip(range(0, block, _CORRELATE_ROWS), fading, pilot_noise):
+            g *= sqrt_beta
+            d = correlate_all(simulate_pilot_phase(g, pilots, noise, bits, n, beta), pilots)
             d *= c
-            np.subtract(d, g[rows], out=g[rows])
-        del y, d
-        err = np.abs(g)
-        del g  # freed before the reductions and the next block allocate
+            d -= g
+            np.abs(d, out=err[start : start + len(g)])
+            del d  # before the next run forms its own
+        del g, n  # the runs' buffers, before the next block's
         err **= 2
         err_power.add(err)
-        del err
     if stop.is_set():
         return []
     return [
@@ -537,13 +545,18 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
         # One unquantized observation feeds both pipelines; fronthaul at the
         # data-phase variance is what simulate_uplink applies at ``bits``.
         x = simulate_uplink(G, s, noise, 0, rng_n, beta)
-        y = alpha * x + complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None])
-        e = W @ y - s
+        y = complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None], add_to=alpha * x)
+        e = W @ y
+        e -= s
         model.add(np.abs(e) ** 2)
-        y_conj = y.conj()
+        np.conjugate(y, out=y)
+        product = np.empty_like(y)
         for user, e_k in enumerate(e):
-            orthogonality.add(e_k * y_conj, user)
-        quantized.add(np.abs(W @ fronthaul(x, bits, sigma_m2) - s) ** 2)
+            orthogonality.add(np.multiply(e_k, y, out=product), user)
+        del y, product  # before the next block draws
+        e = W @ fronthaul(x, bits, sigma_m2, out=x)
+        e -= s
+        quantized.add(np.abs(e) ** 2)
     if stop.is_set():
         return []
 

@@ -191,7 +191,8 @@ def test_criterion_5_sample_level_estimation():
         rng = np.random.default_rng(777 + bits)
         for _ in range(trials // 10_000):
             g = crandn(rng, 10_000, m_aps, k_users) * np.sqrt(beta)
-            y = cq.simulate_pilot_phase(g, book, noise, bits, rng, beta)
+            n = cq.complex_normal(rng, (10_000, m_aps, tau), math.sqrt(noise.sigma_n2 / 2.0))
+            y = cq.simulate_pilot_phase(g, book, noise, bits, n, beta)
             err = np.abs(c * cq.correlate_all(y, book) - g) ** 2
             total += err.sum(axis=0)
             total_sq += (err**2).sum(axis=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from cfquant.channel import (
     NetworkGeometry,
     NoiseModel,
     PathLossModel,
-    draw_geometry,
     complex_normal,
+    complex_normal_runs,
+    draw_geometry,
     draw_small_scale,
     large_scale_gains,
     noise_variance,
@@ -221,10 +223,72 @@ class TestComplexNormal:
         with pytest.raises(ValueError, match="add_to"):
             complex_normal(np.random.default_rng(3), (3, 7), 1.0, add_to=add_to)
 
+    @pytest.mark.parametrize(
+        "shape, scale",
+        [((3, 40_000), [[0.5], [2.0], [1e-3]]), ((2, 3, 20_000), [[[0.5]], [[2.0]]]), ((), 0.5)],
+        ids=["long-rows", "3d", "0d"],
+    )
+    def test_rows_longer_than_the_buffer(self, shape, scale):
+        # Blocks that split a row, and a single value, draw the same stream.
+        scale = np.array(scale)
+        rng = np.random.default_rng(6)
+        expected = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        z = complex_normal(np.random.default_rng(6), shape, scale)
+        np.testing.assert_array_equal(z, expected)
+
+    def test_per_row_scale_is_not_copied(self):
+        # A (10, 1) scale over (10, 10000) draws: the output and the 128 KB run
+        # buffer, plus small objects; a broadcast copy of the scale would add 800 KB.
+        scale = np.linspace(0.5, 2.0, 10)[:, None]
+        tracemalloc.start()
+        try:
+            z = complex_normal(np.random.default_rng(3), (10, 10_000), scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z.nbytes + 16_384 * 8 + 16_384
+
     def test_small_scale_draw_is_division_by_sqrt2(self):
         rng = np.random.default_rng(4)
         expected = (rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))) / math.sqrt(2.0)
         np.testing.assert_array_equal(draw_small_scale(6, 5, np.random.default_rng(4)), expected)
+
+
+class TestComplexNormalRuns:
+    @pytest.mark.parametrize("rows", [3, 7, 20])
+    def test_runs_concatenate_to_one_draw(self, rows):
+        # Ragged runs over 7 leading rows with a per-AP-row scale; each run, and its
+        # rows of the real buffer, are overwritten as soon as it is yielded.
+        shape = (7, 4, 5)
+        scale = np.array([0.5, 2.0, 1e-3, 1.0])[:, None]
+        expected = complex_normal(np.random.default_rng(5), shape, scale)
+        real = np.empty(200)
+        real_rows = real[: math.prod(shape)].reshape(shape)
+        got, start = [], 0
+        for run in complex_normal_runs(np.random.default_rng(5), shape, scale, rows, real):
+            assert run.shape == (min(rows, shape[0] - start), *shape[1:])
+            got.append(run.copy())
+            run[...] = np.nan
+            real_rows[start : start + len(run)] = np.nan
+            start += len(run)
+        assert start == shape[0]
+        np.testing.assert_array_equal(np.concatenate(got), expected)
+
+    def test_real_parts_fill_the_buffer(self):
+        real = np.empty((10, 2))
+        runs = complex_normal_runs(np.random.default_rng(2), (3, 2), 0.5, 2, real)
+        first = next(runs).copy()
+        np.testing.assert_array_equal(real[:2], first.real)
+        np.testing.assert_array_equal(real[2], next(runs)[0].real)
+
+    @pytest.mark.parametrize(
+        "real",
+        [np.empty(5), np.empty(12, dtype=complex), np.empty((4, 6)).T],
+        ids=["small", "complex", "strided"],
+    )
+    def test_rejects_unfit_buffers(self, real):
+        with pytest.raises(ValueError, match="real"):
+            complex_normal_runs(np.random.default_rng(2), (3, 4), 1.0, 2, real)
 
 
 class TestReceivedVariance:

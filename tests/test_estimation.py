@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfquant.channel import NoiseModel, received_variance
+from cfquant.channel import NoiseModel, complex_normal, received_variance
 from cfquant.estimation import (
     correlate_all,
     estimation_mse,
@@ -19,6 +19,11 @@ NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
 
 def crandn(rng, *shape):
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+
+
+def pilot_noise(rng, G, book):
+    """Receiver noise for the pilot block of the channel draw(s) ``G``."""
+    return complex_normal(rng, (*G.shape[:-1], book.tau), math.sqrt(NOISE.sigma_n2 / 2.0))
 
 
 def pilot_correlate(y_m, phi_k):
@@ -71,11 +76,20 @@ class TestSimulatePilotPhase:
         rng = np.random.default_rng(0)
         G = crandn(rng, 6, 3) * 0.4
         book = make_pilot_book(3, 3)
-        y = simulate_pilot_phase(G, book, NOISE, 0, np.random.default_rng(77), np.abs(G) ** 2)
+        n = pilot_noise(np.random.default_rng(77), G, book)
+        assert simulate_pilot_phase(G, book, NOISE, 0, n, np.abs(G) ** 2) is n
         rng2 = np.random.default_rng(77)
         clean = math.sqrt(3) * (G @ book.phi.T)
         noise = rng2.normal(size=(6, 3)) + 1j * rng2.normal(size=(6, 3))
-        np.testing.assert_allclose(y, clean + math.sqrt(NOISE.sigma_n2 / 2.0) * noise)
+        np.testing.assert_allclose(n, clean + math.sqrt(NOISE.sigma_n2 / 2.0) * noise)
+
+    def test_rejects_unfit_noise_samples(self):
+        G = np.ones((6, 3), dtype=complex)
+        book = make_pilot_book(3, 4)
+        beta = np.ones((6, 3))
+        for n in [np.zeros((6, 3), dtype=complex), np.zeros((6, 4))]:
+            with pytest.raises(ValueError, match="noise_samples"):
+                simulate_pilot_phase(G, book, NOISE, 4, n, beta)
 
     def test_matches_vectorized_kernel(self):
         # Quantized pilots are the unquantized ones through the fronthaul,
@@ -85,8 +99,9 @@ class TestSimulatePilotPhase:
         beta = np.abs(G) ** 2
         book = make_pilot_book(2, 2)
         sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
-        y = simulate_pilot_phase(G, book, NOISE, 4, np.random.default_rng(5), beta)
-        x = simulate_pilot_phase(G, book, NOISE, 0, np.random.default_rng(5), beta)
+        n = pilot_noise(np.random.default_rng(5), G, book)
+        x = simulate_pilot_phase(G, book, NOISE, 0, n.copy(), beta)
+        y = simulate_pilot_phase(G, book, NOISE, 4, n, beta)
         np.testing.assert_array_equal(y, fronthaul(x, 4, sigma_m2))
 
     def test_leading_trial_axis(self):
@@ -94,7 +109,8 @@ class TestSimulatePilotPhase:
         beta = rng.uniform(0.05, 0.5, size=(3, 2))
         G = crandn(rng, 6, 3, 2) * np.sqrt(beta)
         book = make_pilot_book(2, 4)
-        y = simulate_pilot_phase(G, book, NOISE, 5, np.random.default_rng(18), beta)
+        n = pilot_noise(np.random.default_rng(18), G, book)
+        y = simulate_pilot_phase(G, book, NOISE, 5, n, beta)
         rng2 = np.random.default_rng(18)
         noise = rng2.normal(size=(6, 3, 4)) + 1j * rng2.normal(size=(6, 3, 4))
         x = 2.0 * (G @ book.phi.T) + math.sqrt(NOISE.sigma_n2 / 2.0) * noise
@@ -112,7 +128,8 @@ class TestSimulatePilotPhase:
         beta = rng.uniform(0.05, 0.5, size=(m_aps, k_users))
         G = crandn(rng, *lead, m_aps, k_users) * np.sqrt(beta)
         book = make_pilot_book(k_users, tau)
-        y = simulate_pilot_phase(G, book, NOISE, 5, np.random.default_rng(22), beta)
+        n = pilot_noise(np.random.default_rng(22), G, book)
+        y = simulate_pilot_phase(G, book, NOISE, 5, n, beta)
         clean = np.array([math.sqrt(tau) * (g @ book.phi.T) for g in G.reshape(6, m_aps, k_users)])
         rng2 = np.random.default_rng(22)
         shape = (*lead, m_aps, tau)
@@ -134,7 +151,8 @@ class TestSimulatePilotPhase:
         rng = np.random.default_rng(2)
         powers = np.empty(trials)
         for t in range(trials):
-            y = simulate_pilot_phase(G, book, NOISE, 4, rng, np.zeros((m_aps, 0)))
+            n = pilot_noise(rng, G, book)
+            y = simulate_pilot_phase(G, book, NOISE, 4, n, np.zeros((m_aps, 0)))
             powers[t] = np.mean(np.abs(y) ** 2)
         se = powers.std() / math.sqrt(trials)
         assert abs(powers.mean() - gamma * NOISE.sigma_n2) < 4.0 * se
@@ -199,7 +217,8 @@ class TestPilotCorrelate:
         samples = np.empty(trials, dtype=complex)
         for start in range(0, trials, 10_000):
             h = crandn(rng, 10_000, 1, 1)
-            y = simulate_pilot_phase(h * np.sqrt(beta), book, NOISE, 3, rng, beta)
+            g = h * np.sqrt(beta)
+            y = simulate_pilot_phase(g, book, NOISE, 3, pilot_noise(rng, g, book), beta)
             samples[start : start + 10_000] = (y @ book.phi.conj())[:, 0, 0] * np.conj(h[:, 0, 0])
         expected = alpha * math.sqrt(tau * beta[0, 0])
         z_re = abs(samples.real.mean() - expected) / (samples.real.std() / math.sqrt(trials))
@@ -274,7 +293,7 @@ class TestEstimateChannel:
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             g = h * np.sqrt(beta)
-            y = simulate_pilot_phase(g, book, NOISE, 8, rng, beta)
+            y = simulate_pilot_phase(g, book, NOISE, 8, pilot_noise(rng, g, book), beta)
             g_hat = c * (y @ book.phi.conj())
             total += np.sum(np.abs(g_hat - g) ** 2, axis=0)
         np.testing.assert_allclose(total / trials, mse, rtol=0.02)
@@ -352,7 +371,7 @@ class TestEstimateFromPilots:
         g = crandn(rng, 5, 3) * np.sqrt(beta)
         book = make_pilot_book(3, 3)
         alpha, gamma = factors_at_optimum(6)
-        y = simulate_pilot_phase(g, book, NOISE, 0, rng, beta)
+        y = simulate_pilot_phase(g, book, NOISE, 0, pilot_noise(rng, g, book), beta)
         c = lmmse_coefficient(beta, beta, book.tau, alpha, gamma, NOISE.sigma_n2)
         mse, nmse = estimation_mse(beta, beta, book.tau, alpha, gamma, NOISE.sigma_n2)
         assert (c * correlate_all(y, book)).shape == c.shape == nmse.shape == (5, 3)

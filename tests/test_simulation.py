@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from cfquant.quantizer import (
     power_gain_gamma,
 )
 from cfquant.simulation import (
+    _CORRELATE_ROWS,
     _FADING,
     _MC_CHUNK,
     NMSE_DEFAULT_BITS,
@@ -31,6 +34,7 @@ from cfquant.simulation import (
     SimulationConfig,
     _draw_gains,
     _Moments,
+    _detection_checks,
     _estimation_check,
     _one_blas_thread,
     _openblas_threads,
@@ -47,6 +51,25 @@ from cfquant.simulation import (
 )
 
 SMALL = SimulationConfig(m_aps=15, k_users=6, n_geometries=4, n_smallscale=2, seed=11)
+
+
+def _traced_peak(run):
+    """Peak numpy and Python memory, in bytes, that tracemalloc sees during ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _check_peak(check, bits):
+    """``_traced_peak`` of one Monte Carlo check at the validate defaults."""
+    cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
+    row = bussgang_table((bits,))[bits]
+    return _traced_peak(
+        partial(check, cfg, bits, row["alpha"], row["gamma"], 100_000, threading.Event())
+    )
 
 
 def per_draw_sinr_trial(cfg, table, legacy_eq21, trial):
@@ -646,43 +669,57 @@ class TestValidation:
         assert seen == [True]
 
     def test_error_in_one_check_stops_the_others(self, monkeypatch):
-        # The 4-bit check fails at once; the 8- and 12-bit checks, running or queued,
-        # must end at their next block instead of drawing all 50.
-        blocks = []
+        # The 4-bit check fails once the 8- and 12-bit checks have each drawn a
+        # block; they must then end at their next block instead of drawing all 50.
+        # Blocks are counted through the pilot phase, which runs once per row run.
+        runs = collections.Counter()
+        both_drawing = threading.Event()
         pilot_phase = simulation.simulate_pilot_phase
         estimation_check = simulation._estimation_check
 
-        def counting_pilot_phase(G, pilots, noise, bits, rng, beta):
-            blocks.append(bits)
-            return pilot_phase(G, pilots, noise, bits, rng, beta)
+        def counting_pilot_phase(G, pilots, noise, bits, *args):
+            runs[bits] += 1
+            if runs[8] and runs[12]:
+                both_drawing.set()
+            return pilot_phase(G, pilots, noise, bits, *args)
 
         def failing_at_4_bits(cfg, bits, *args):
             if bits == 4:
+                both_drawing.wait(10)
                 raise RuntimeError("check failed")
             return estimation_check(cfg, bits, *args)
 
         monkeypatch.setattr(simulation, "simulate_pilot_phase", counting_pilot_phase)
         monkeypatch.setattr(simulation, "_estimation_check", failing_at_4_bits)
+        # A thread per check, so the three estimation checks run at once on any machine.
+        monkeypatch.setattr(simulation, "_run_tasks", partial(simulation._run_tasks, n_workers=6))
         cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
         with pytest.raises(RuntimeError, match="check failed"):
             validate_closed_forms(cfg, n_trials=50 * _MC_CHUNK)
-        assert blocks.count(8) < 25
-        assert blocks.count(12) < 25
+        runs_per_block = _MC_CHUNK // _CORRELATE_ROWS
+        for bits in (8, 12):
+            blocks = -(-runs[bits] // runs_per_block)
+            assert 1 <= blocks < 25, (bits, blocks)
 
     def test_estimation_check_memory_bounded(self):
-        # tracemalloc peak of one check at the validate defaults: the block's draws g
-        # and y (6.4e6 bytes each) and row-run temporaries, 14.1e6 bytes; 25.7e6 when
-        # the error was formed for the whole block at once, and 19.2e6 with the
-        # pilot noise or the quantizer out of place.
+        # tracemalloc peak of one check at the validate defaults: one block of fading
+        # and pilot-noise real parts (3.2e6 bytes each) and one run of complex arrays,
+        # 8.7e6 bytes, or 9.5e6 when the first call's imports are traced too.  It was
+        # 14.1e6 with the block's draws held as complex arrays.
+        assert _check_peak(_estimation_check, 4) <= 10e6
+
+    def test_detection_check_memory_bounded(self):
+        # 6.7e6 bytes at the validate defaults; 9.8e6 with the noisy, conjugated
+        # and quantized observations and each user's products out of place.
+        assert _check_peak(_detection_checks, 6) <= 7.5e6
+
+    def test_validate_memory_bounded(self, monkeypatch):
+        # The six checks two at a time, as on two cores: 17.5e6 bytes, and 28.2e6
+        # with the checks' block-sized complex arrays.
+        monkeypatch.setattr(simulation, "_run_tasks", partial(simulation._run_tasks, n_workers=2))
         cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
-        row = bussgang_table((4,))[4]
-        tracemalloc.start()
-        try:
-            _estimation_check(cfg, 4, row["alpha"], row["gamma"], 100_000, threading.Event())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 18e6
+        bussgang_table((4, 6, 8, 10, 12, 14))  # the steps are cached, not traced
+        assert _traced_peak(partial(validate_closed_forms, cfg)) <= 21e6
 
     def test_identity_checks_are_tight(self):
         cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
