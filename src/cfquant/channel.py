@@ -71,6 +71,8 @@ class NoiseModel:
     def __post_init__(self):
         if not self.sigma_s2 > 0.0:
             raise ValueError("sigma_s2 must be positive")
+        if not 0.0 < self.sigma_n2 < math.inf:
+            raise ValueError(f"sigma_n2 must be positive and finite, got {self.sigma_n2}")
 
     @classmethod
     def from_edge_snr_db(cls, snr_edge_db, model=None, l_serv=1000.0, sigma_s2=1.0):

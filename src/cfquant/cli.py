@@ -141,7 +141,8 @@ def build_parser():
     p_nmse.add_argument("--bits", type=_parse_int_list, help="bit depths, e.g. 4,6,8 (0 = unquantized)")
     p_nmse.add_argument("--geoms", type=int, help="number of geometry draws")
     p_nmse.add_argument("--out", default="results", help="output directory (default: results)")
-    p_nmse.add_argument("--workers", type=_worker_count, help="trial threads (default: usable cores)")
+    p_nmse.add_argument("--workers", type=_worker_count,
+                        help="trial threads, the calling one included (default: usable cores)")
     p_nmse.set_defaults(func=_cmd_nmse)
 
     p_sinr = sub.add_parser("sinr-cdf", help="CDF of per-user SINR with perfect CSI")
@@ -152,7 +153,8 @@ def build_parser():
     p_sinr.add_argument("--legacy-eq21", action="store_true",
                         help="receiver noise term without the squared linear gain")
     p_sinr.add_argument("--out", default="results", help="output directory (default: results)")
-    p_sinr.add_argument("--workers", type=_worker_count, help="trial threads (default: usable cores)")
+    p_sinr.add_argument("--workers", type=_worker_count,
+                        help="trial threads, the calling one included (default: usable cores)")
     p_sinr.set_defaults(func=_cmd_sinr)
 
     p_val = sub.add_parser("validate", help="compare closed forms against direct simulation")

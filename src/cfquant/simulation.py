@@ -4,8 +4,9 @@ CDF assembly and CSV output.
 All randomness flows from one master seed through named substreams keyed
 by purpose and trial index, so identical configurations reproduce outputs
 byte for byte, and individual randomness sources can be varied without
-disturbing the others.  Campaign trials and validation checks run on one
-thread pool (``_run_tasks``); how many threads it has changes no output.
+disturbing the others.  Campaign trials and validation checks run through
+one task runner (``_run_tasks``): in the calling thread, joined by helper
+threads when there is more than one worker; the thread count changes no output.
 """
 
 import ctypes
@@ -15,10 +16,9 @@ import numbers
 import os
 import threading
 import typing
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -226,20 +226,36 @@ class CdfSeries:
     probs: np.ndarray
 
 
-def make_cdf(values, label):
-    values = np.sort(np.asarray(values, dtype=float))
-    if values.size == 0:
-        raise ValueError("cannot build a CDF from an empty sample")
-    probs = np.arange(1, values.size + 1, dtype=float) / values.size
-    return CdfSeries(label=str(label), values=values, probs=probs)
+def make_cdf(samples, labels):
+    """One CdfSeries per row of ``samples``, B samples of N values as a (B, N)
+    array, labelled in order by ``labels``: the row sorted, with the empirical
+    probabilities i/N, one array that all B series share.  A float array is
+    sorted in place, and its rows are the series' values."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] == 0:
+        raise ValueError(f"samples must be a (B, N) array with N >= 1, got shape {samples.shape}")
+    samples.sort(axis=-1)
+    probs = np.arange(1, samples.shape[1] + 1, dtype=float) / samples.shape[1]
+    return [
+        CdfSeries(label=str(label), values=values, probs=probs)
+        for values, label in zip(samples, labels, strict=True)
+    ]
 
 
 def bussgang_row(levels):
     """{"step", "alpha", "gamma"} of an L-level quantizer: the SDNR-optimal
     normalized step and the linear gain and power ratio there, at unit input
-    variance.  Its steps are cached, so building a row again is cheap."""
+    variance.  Steps and coefficients are cached, so building a row again is
+    cheap; each call returns a new dict."""
     step = optimal_step(levels)
-    return {"step": step, "alpha": bussgang_alpha(levels, step), "gamma": power_gain_gamma(levels, step)}
+    alpha, gamma = _bussgang_coefficients(levels, step)
+    return {"step": step, "alpha": alpha, "gamma": gamma}
+
+
+@lru_cache(maxsize=None)
+def _bussgang_coefficients(levels, step):
+    """(alpha, gamma) of the L-level quantizer at ``step``, computed once."""
+    return bussgang_alpha(levels, step), power_gain_gamma(levels, step)
 
 
 def bussgang_table(bits_list):
@@ -306,10 +322,11 @@ def _run_campaign(trial, cfg, default_bits, n_workers, *args):
     table = bussgang_table(bits_list)
     tasks = [partial(trial, cfg, table, *args, t) for t in range(cfg.n_geometries)]
     per_trial = _run_tasks(tasks, n_workers)
-    return [
-        make_cdf(np.concatenate([out[bits] for out in per_trial]), label=bits)
-        for bits in bits_list
-    ]
+    samples = np.empty((len(bits_list), sum(out[bits_list[0]].size for out in per_trial)))
+    for row, bits in zip(samples, bits_list):
+        np.concatenate([out[bits] for out in per_trial], out=row)
+    del per_trial  # copied into samples
+    return make_cdf(samples, bits_list)
 
 
 def run_nmse_campaign(cfg, n_workers=None):
@@ -599,9 +616,9 @@ def validate_closed_forms(cfg, n_trials=100_000):
     the fewest that give a sample variance.
 
     The Monte Carlo checks draw from substreams of their own, so they run
-    concurrently, one thread per usable core (``_run_tasks``); their
-    statistics and order do not depend on it.  When one check fails, the
-    others end at their next block.
+    concurrently, on one worker per usable core with the calling thread the
+    first of them (``_run_tasks``); their statistics and order do not depend
+    on it.  When one check fails, the others end at their next block.
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be at least 2, got {n_trials}")
@@ -625,29 +642,70 @@ def validate_closed_forms(cfg, n_trials=100_000):
 def _run_tasks(tasks, n_workers=None, stop=None):
     """Results of ``tasks``, callables of no argument, in submission order.
 
-    The one place that runs anything concurrently: a pool of ``n_workers``
-    threads (default: the usable cores), at most one per task, with numpy's
-    OpenBLAS held to one thread.  As soon as any task raises, or on an
-    interrupt, the event ``stop`` is set, for tasks that poll it, and the
-    queued tasks are cancelled.  The error raised is then that of the first
-    failed task in submission order, so it does not depend on the thread count.
+    The one place that runs anything concurrently: ``n_workers`` workers
+    (default: the usable cores), at most one per task, with numpy's OpenBLAS
+    held to one thread.  The calling thread is the first worker, so it starts
+    ``min(n_workers, len(tasks)) - 1`` helper threads, none at one worker; all
+    take the tasks in submission order.  As soon as any task raises, or on an
+    interrupt, the event ``stop`` is set, for tasks that poll it, and no
+    further task starts.  The error raised is then that of the first failed
+    task in submission order, so it does not depend on the thread count.
     """
     if n_workers is None:
         affinity = getattr(os, "sched_getaffinity", None)
         n_workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     elif n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    with _one_blas_thread(), ThreadPoolExecutor(min(n_workers, len(tasks) or 1)) as pool:
-        futures = [pool.submit(task) for task in tasks]
+    stop = stop if stop is not None else threading.Event()
+    pending, lock = enumerate(tasks), threading.Lock()
+    results, errors = [None] * len(tasks), {}
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                index, task = next(pending, (None, None))
+            if task is None:
+                return
+            try:
+                results[index] = task()
+            except BaseException as exc:
+                errors[index] = exc
+                stop.set()
+
+    # Helpers count themselves while they may hold a task, and the caller waits on
+    # that count, not on Thread.join: on Python 3.11 an interrupted join marks a
+    # running thread as stopped.  A helper that starts after stop is set takes no task.
+    helping, n_helping = threading.Condition(), 0
+
+    def helper():
+        nonlocal n_helping
+        with helping:
+            n_helping += 1
         try:
-            wait(futures, return_when=FIRST_EXCEPTION)
+            work()
         finally:
-            if not all(future.done() for future in futures):  # a task raised, or an interrupt
-                if stop is not None:
-                    stop.set()
-                pool.shutdown(wait=False, cancel_futures=True)
-        # Cancelled tasks never ran; after a failure this raises the first one.
-        return [future.result() for future in futures if not future.cancelled()]
+            with helping:
+                n_helping -= 1
+                helping.notify_all()
+
+    def wait_for_helpers():
+        with helping:
+            while n_helping:
+                helping.wait(0.1)  # timed, so an interrupt gets through
+
+    with _one_blas_thread():
+        try:
+            for _ in range(min(n_workers, len(tasks)) - 1):
+                threading.Thread(target=helper).start()
+            work()
+            wait_for_helpers()
+        except BaseException:  # an interrupt, outside this thread's own tasks
+            stop.set()
+            wait_for_helpers()
+            raise
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _openblas_threads():

@@ -131,8 +131,21 @@ class TestCampaignCommands:
                  "--smallscale", "1"],
                 "zero SINR in geometry trial 0, fading draw 0, bits=6: no finite dB value",
             ),
+            # The path loss at l_serv/2 underflows, so the noise variance is zero.
+            (
+                "nmse-cdf",
+                ["--l-serv-m", "1e300", "--m-aps", "8", "--k-users", "3", "--geoms", "2"],
+                "sigma_n2 must be positive and finite, got 0.0",
+            ),
+            (
+                "nmse-cdf",
+                ["--d0-m", "1e-300", "--d1-m", "1e-299", "--m-aps", "8", "--k-users", "3",
+                 "--geoms", "2"],
+                "sigma_n2 must be positive and finite, got 0.0",
+            ),
         ],
-        ids=["nmse-cdf", "sinr-cdf", "validate", "sinr-cdf-zero-sinr"],
+        ids=["nmse-cdf", "sinr-cdf", "validate", "sinr-cdf-zero-sinr", "nmse-cdf-huge-area",
+             "nmse-cdf-tiny-breakpoints"],
     )
     def test_invalid_config_value_exits_cleanly(self, command, flags, message, tmp_path, capsys):
         out = tmp_path / "out"

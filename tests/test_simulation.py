@@ -1,3 +1,4 @@
+import _thread
 import collections
 import json
 import math
@@ -214,27 +215,43 @@ class TestSubstreams:
 
 class TestCdf:
     def test_sorting_and_probabilities(self):
-        series = make_cdf([0.2, 0.1, 0.3], label="x")
+        (series,) = make_cdf([[0.2, 0.1, 0.3]], ["x"])
         np.testing.assert_allclose(series.values, [0.1, 0.2, 0.3])
         np.testing.assert_allclose(series.probs, [1 / 3, 2 / 3, 1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            make_cdf([], label="x")
+            make_cdf([[]], ["x"])
 
     def test_monotone_invariants(self):
         rng = np.random.default_rng(0)
-        series = make_cdf(rng.normal(size=1000), label="n")
+        (series,) = make_cdf(rng.normal(size=(1, 1000)), ["n"])
         assert np.all(np.diff(series.values) >= 0.0)
         assert np.all(np.diff(series.probs) > 0.0)
         assert series.probs[0] == pytest.approx(1e-3)
         assert series.probs[-1] == 1.0
 
+    def test_stack_sorted_in_place_with_shared_probs(self):
+        samples = np.random.default_rng(2).normal(size=(3, 50))
+        unsorted = samples.copy()
+        series = make_cdf(samples, [4, 8, 0])
+        assert [entry.label for entry in series] == ["4", "8", "0"]
+        for entry, row, original in zip(series, samples, unsorted):
+            assert np.shares_memory(entry.values, row)
+            np.testing.assert_array_equal(entry.values, np.sort(original))
+            assert entry.probs is series[0].probs
+        np.testing.assert_array_equal(series[0].probs, np.arange(1, 51) / 50)
+
+    @pytest.mark.parametrize("samples, labels", [(np.zeros((2, 3)), ["a"]), ([0.1, 0.2], ["a"])])
+    def test_rejects_unlabelled_rows_and_one_dimensional_samples(self, samples, labels):
+        with pytest.raises(ValueError):
+            make_cdf(samples, labels)
+
 
 class TestWriteCsv:
     def test_file_contents(self, tmp_path):
-        series = make_cdf([0.2, 0.1, 0.3], label="4")
-        paths = write_cdf_csv([series], tmp_path, campaign="nmse")
+        series = make_cdf([[0.2, 0.1, 0.3]], ["4"])
+        paths = write_cdf_csv(series, tmp_path, campaign="nmse")
         assert [p.name for p in paths] == ["nmse_b4.csv"]
         lines = paths[0].read_text().splitlines()
         assert lines[0] == "value,cum_prob"
@@ -256,9 +273,9 @@ class TestWriteCsv:
             assert path.read_bytes() == ("value,cum_prob\n" + rows).encode()
 
     def test_manifest_written(self, tmp_path):
-        series = make_cdf([1.0], label="0")
+        series = make_cdf([[1.0]], ["0"])
         manifest = campaign_manifest(SMALL, "nmse", (0,))
-        paths = write_cdf_csv([series], tmp_path, campaign="nmse", manifest=manifest)
+        paths = write_cdf_csv(series, tmp_path, campaign="nmse", manifest=manifest)
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["campaign"] == "nmse"
         assert data["seed"] == SMALL.seed
@@ -266,9 +283,9 @@ class TestWriteCsv:
         assert any(p.name == "manifest.json" for p in paths)
 
     def test_rerun_identical(self, tmp_path):
-        series = make_cdf(np.random.default_rng(1).normal(size=100), label="8")
-        first = write_cdf_csv([series], tmp_path / "a", campaign="sinr")[0].read_bytes()
-        second = write_cdf_csv([series], tmp_path / "b", campaign="sinr")[0].read_bytes()
+        series = make_cdf(np.random.default_rng(1).normal(size=(1, 100)), ["8"])
+        first = write_cdf_csv(series, tmp_path / "a", campaign="sinr")[0].read_bytes()
+        second = write_cdf_csv(series, tmp_path / "b", campaign="sinr")[0].read_bytes()
         assert first == second
 
     def test_empty_series_list_rejected(self, tmp_path):
@@ -277,16 +294,16 @@ class TestWriteCsv:
 
     def test_unwritable_path_reports_filename(self, tmp_path):
         (tmp_path / "nmse_b4.csv").mkdir()  # occupies the target filename
-        series = make_cdf([1.0], label="4")
+        series = make_cdf([[1.0]], ["4"])
         with pytest.raises(OSError, match="nmse_b4.csv"):
-            write_cdf_csv([series], tmp_path, campaign="nmse")
+            write_cdf_csv(series, tmp_path, campaign="nmse")
 
     def test_uncreatable_directory_reported(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        series = make_cdf([1.0], label="4")
+        series = make_cdf([[1.0]], ["4"])
         with pytest.raises(OSError, match="blocker"):
-            write_cdf_csv([series], blocker / "sub", campaign="nmse")
+            write_cdf_csv(series, blocker / "sub", campaign="nmse")
 
 
 class TestBussgangRow:
@@ -313,6 +330,19 @@ class TestBussgangRow:
         with pytest.warns(FlatObjectiveWarning):
             row = bussgang_row(2)
         assert row["step"] == 2.0 * math.sqrt(2.0 / math.pi)
+
+    def test_second_table_computes_no_coefficient(self, monkeypatch):
+        bits_list = (1, 4, 8, 0)
+        with pytest.warns(FlatObjectiveWarning):
+            first = bussgang_table(bits_list)
+        computed = []
+        for name in ("bussgang_alpha", "power_gain_gamma"):
+            monkeypatch.setattr(simulation, name, lambda *args, name=name: computed.append(name))
+        with pytest.warns(FlatObjectiveWarning):  # at 2 levels on every call
+            second = bussgang_table(bits_list)
+        assert computed == []
+        assert second == first
+        assert all(second[bits] is not first[bits] for bits in bits_list)
 
     def test_table_maps_bit_depths_onto_rows(self):
         assert bussgang_table((8, 0, 4)) == {
@@ -424,8 +454,10 @@ class TestSinrCampaign:
         ]
         series = run_sinr_campaign(SMALL, legacy_eq21=legacy_eq21)
         assert [s.label for s in series] == [str(b) for b in bits_list]
-        for entry, bits in zip(series, bits_list):
-            expected = make_cdf(np.concatenate([t[bits] for t in per_trial]), label=bits)
+        reference = make_cdf(
+            [np.concatenate([t[bits] for t in per_trial]) for bits in bits_list], bits_list
+        )
+        for entry, expected in zip(series, reference, strict=True):
             np.testing.assert_array_equal(entry.values, expected.values)
             np.testing.assert_array_equal(entry.probs, expected.probs)
 
@@ -726,3 +758,64 @@ class TestValidation:
         results = {r.name: r for r in validate_closed_forms(cfg, n_trials=1000)}
         assert results["unquantized_estimation_identity"].statistic < 1e-12
         assert results["unquantized_detection_identity"].statistic < 1e-12
+
+
+class TestRunTasks:
+    # A call's new threads are those alive in its tasks and not before it.  Threads of
+    # earlier calls may still be ending, so the tests compare sets, not active_count().
+
+    def test_one_worker_runs_every_task_in_the_calling_thread(self):
+        before = set(threading.enumerate())
+        seen = []
+
+        def task(index):
+            seen.append((threading.current_thread(), set(threading.enumerate()) - before))
+            return index
+
+        results = simulation._run_tasks([partial(task, i) for i in range(5)], n_workers=1)
+        assert results == list(range(5))
+        assert seen == [(threading.current_thread(), set())] * 5
+
+    def test_at_most_n_minus_one_helper_threads(self):
+        # Later tasks finish first; the results keep the submission order.
+        before = set(threading.enumerate())
+        started, workers = set(), set()
+
+        def task(index):
+            started.update(set(threading.enumerate()) - before)
+            workers.add(threading.current_thread())
+            time.sleep(0.01 * (6 - index))
+            return index
+
+        results = simulation._run_tasks([partial(task, i) for i in range(6)], n_workers=3)
+        assert results == list(range(6))
+        assert len(started) <= 2
+        assert workers <= started | {threading.current_thread()}
+
+    @pytest.mark.parametrize("caller", ["running_a_task", "joining"])
+    def test_interrupt_sets_stop(self, caller):
+        # A helper interrupts the calling thread, then waits on stop: the interrupt
+        # propagates and sets stop, whether it reaches the caller in its own task
+        # or while it waits for the helper.
+        stop, seen = threading.Event(), []
+        caller_running, helper_running = threading.Event(), threading.Event()
+        calling_thread = threading.current_thread()
+
+        def task():
+            if threading.current_thread() is calling_thread:
+                caller_running.set()
+                if caller == "joining":
+                    helper_running.wait(10)  # so the helper holds the other task
+                    return
+                while True:
+                    time.sleep(0.01)  # until the interrupt arrives
+            helper_running.set()
+            caller_running.wait(10)
+            if caller == "joining":
+                time.sleep(0.3)  # the caller has gone on to join by now
+            _thread.interrupt_main()
+            seen.append(stop.wait(10))
+
+        with pytest.raises(KeyboardInterrupt):
+            simulation._run_tasks([task, task], n_workers=2, stop=stop)
+        assert seen == [True]
