@@ -29,8 +29,8 @@ rng = np.random.default_rng(42)
 model = PathLossModel()
 noise = NoiseModel.from_edge_snr_db(20.0, model, l_serv=1000.0)
 
-geo = draw_geometry(M, K, 1000.0, rng)
-beta = large_scale_gains(geo, model, 8.0, rng)
+ap, ut = draw_geometry(M, K, 1000.0, rng)
+beta = large_scale_gains(ap, ut, model, 8.0, rng)
 h = draw_small_scale(M, K, rng)
 G = h * np.sqrt(beta)
 
@@ -44,13 +44,14 @@ print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={gamma:.5f}")
 # The central unit correlates each AP's pilot block with every pilot and
 # scales each correlation by its LMMSE coefficient, built from the
 # large-scale gains; the closed forms give the resulting (normalized) MSE.
-pilots = make_pilot_book(K, tau=K)
-c = lmmse_coefficient(beta, beta, pilots.tau, alpha, gamma, noise.sigma_n2)
-mse, nmse = estimation_mse(beta, beta, pilots.tau, alpha, gamma, noise.sigma_n2)
+tau = K
+pilots = make_pilot_book(K, tau)  # the (tau, K) pilot matrix
+c = lmmse_coefficient(beta, beta, tau, alpha, gamma, noise.sigma_n2)
+mse, nmse = estimation_mse(beta, beta, tau, alpha, gamma, noise.sigma_n2)
 # The receiver noise of one pilot block, (M, tau) complex samples of variance
 # sigma_n2, is drawn here; the pilot phase adds it to the clean samples and
 # quantizes the sum in place.
-noise_block = (M, pilots.tau)
+noise_block = (M, tau)
 noise_scale = np.sqrt(noise.sigma_n2 / 2.0)
 n = complex_normal(rng, noise_block, noise_scale)
 y = simulate_pilot_phase(G, pilots, noise, BITS, n, beta)

@@ -19,7 +19,6 @@ from .quantizer import (
     sdnr,
 )
 from .channel import (
-    NetworkGeometry,
     NoiseModel,
     PathLossModel,
     complex_normal,
@@ -31,7 +30,6 @@ from .channel import (
     received_variance,
 )
 from .estimation import (
-    PilotBook,
     correlate_all,
     estimation_mse,
     lmmse_coefficient,

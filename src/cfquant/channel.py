@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "PathLossModel",
-    "NetworkGeometry",
     "NoiseModel",
     "path_loss",
     "noise_variance",
@@ -48,23 +47,9 @@ class PathLossModel:
 
 
 @dataclass(frozen=True)
-class NetworkGeometry:
-    """AP and UT drop positions, shapes (M, 2) and (K, 2), in meters."""
-
-    ap_positions: np.ndarray
-    ut_positions: np.ndarray
-
-    def distances(self):
-        """Euclidean AP-to-UT distance matrix, shape (M, K)."""
-        diff = self.ap_positions[:, None, :] - self.ut_positions[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
-
-
-@dataclass(frozen=True)
 class NoiseModel:
-    """Receive noise variance, edge SNR and transmit symbol power."""
+    """Receive noise variance and transmit symbol power."""
 
-    snr_edge: float
     sigma_n2: float
     sigma_s2: float = 1.0
 
@@ -79,7 +64,7 @@ class NoiseModel:
         """Noise model anchored to the SNR (in dB) over a l_serv/2 link."""
         model = model if model is not None else PathLossModel()
         snr = 10.0 ** (snr_edge_db / 10.0)
-        return cls(snr_edge=snr, sigma_n2=noise_variance(model, l_serv, snr), sigma_s2=sigma_s2)
+        return cls(sigma_n2=noise_variance(model, l_serv, snr), sigma_s2=sigma_s2)
 
 
 def path_loss(d, model):
@@ -103,23 +88,26 @@ def noise_variance(model, l_serv, snr_edge):
 
 
 def draw_geometry(m_aps, k_users, l_serv, rng):
-    """Drop APs and UTs i.i.d. uniformly over the square service area."""
+    """AP and UT positions (ap, ut), shapes (M, 2) and (K, 2) in meters,
+    dropped i.i.d. uniformly over the square service area, APs first."""
     if m_aps < 1 or k_users < 1:
         raise ValueError("need at least one AP and one user")
     ap = rng.uniform(0.0, l_serv, size=(m_aps, 2))
     ut = rng.uniform(0.0, l_serv, size=(k_users, 2))
-    return NetworkGeometry(ap_positions=ap, ut_positions=ut)
+    return ap, ut
 
 
-def large_scale_gains(geo, model, sigma_sh_db, rng):
-    """Large-scale gain matrix beta, shape (M, K).
+def large_scale_gains(ap, ut, model, sigma_sh_db, rng):
+    """Large-scale gain matrix beta, shape (M, K), of the AP and UT positions.
 
-    beta = 10**(xi/10) * PL(d) with xi i.i.d. zero-mean normal of standard
-    deviation sigma_sh_db, independent across all AP-UT pairs.
+    beta = 10**(xi/10) * PL(d) with d the Euclidean AP-to-UT distance and xi
+    i.i.d. zero-mean normal of standard deviation sigma_sh_db, independent
+    across all AP-UT pairs.
     """
     if sigma_sh_db < 0.0:
         raise ValueError("sigma_sh_db must be nonnegative")
-    d = geo.distances()
+    diff = ap[:, None, :] - ut[None, :, :]
+    d = np.sqrt((diff**2).sum(axis=2))
     shadow_db = rng.normal(0.0, sigma_sh_db, size=d.shape) if sigma_sh_db > 0.0 else np.zeros(d.shape)
     return 10.0 ** (shadow_db / 10.0) * path_loss(d, model)
 

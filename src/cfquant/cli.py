@@ -75,31 +75,27 @@ def _worker_count(text):
 
 def _cmd_nmse(args):
     cfg = _build_config(args, bits=args.bits, geoms=args.geoms)
-    bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
-    logger.info(
-        "nmse campaign: M=%d K=%d geometries=%d bits=%s seed=%d",
-        cfg.m_aps, cfg.k_users, cfg.n_geometries, list(bits_list), cfg.seed,
-    )
-    series = run_nmse_campaign(cfg, n_workers=args.workers)
-    manifest = campaign_manifest(cfg, "nmse", bits_list)
-    paths = write_cdf_csv(series, args.out, campaign="nmse", manifest=manifest)
-    for path in paths:
-        logger.info("wrote %s", path)
-    return 0
+    return _campaign_command(args, cfg, "nmse", run_nmse_campaign, NMSE_DEFAULT_BITS,
+                             f"geometries={cfg.n_geometries}")
 
 
 def _cmd_sinr(args):
     cfg = _build_config(args, bits=args.bits, geoms=args.geoms, smallscale=args.smallscale)
-    bits_list = cfg.resolved_bits(SINR_DEFAULT_BITS)
-    logger.info(
-        "sinr campaign: M=%d K=%d geometries=%d smallscale=%d bits=%s seed=%d%s",
-        cfg.m_aps, cfg.k_users, cfg.n_geometries, cfg.n_smallscale, list(bits_list),
-        cfg.seed, " (legacy noise scaling)" if args.legacy_eq21 else "",
-    )
-    series = run_sinr_campaign(cfg, n_workers=args.workers, legacy_eq21=args.legacy_eq21)
-    manifest = campaign_manifest(cfg, "sinr", bits_list, legacy_eq21=args.legacy_eq21)
-    paths = write_cdf_csv(series, args.out, campaign="sinr", manifest=manifest)
-    for path in paths:
+    return _campaign_command(args, cfg, "sinr", run_sinr_campaign, SINR_DEFAULT_BITS,
+                             f"geometries={cfg.n_geometries} smallscale={cfg.n_smallscale}",
+                             " (legacy noise scaling)" if args.legacy_eq21 else "",
+                             legacy_eq21=args.legacy_eq21)
+
+
+def _campaign_command(args, cfg, campaign, run, default_bits, trials, note="", **extra):
+    """Run a campaign, write its CSVs and manifest and log each path; ``trials`` and
+    ``note`` complete the first log line, and ``extra`` goes to the runner and manifest."""
+    bits_list = cfg.resolved_bits(default_bits)
+    logger.info("%s campaign: M=%d K=%d %s bits=%s seed=%d%s",
+                campaign, cfg.m_aps, cfg.k_users, trials, list(bits_list), cfg.seed, note)
+    series = run(cfg, n_workers=args.workers, **extra)
+    manifest = campaign_manifest(cfg, campaign, bits_list, **extra)
+    for path in write_cdf_csv(series, args.out, campaign=campaign, manifest=manifest):
         logger.info("wrote %s", path)
     return 0
 
@@ -129,6 +125,22 @@ def _cmd_quantizer_table(args):
     return 0
 
 
+def _add_campaign_parser(sub, name, summary, func, bits_example, *extra):
+    """A campaign command: the config flags, --bits, --geoms, the command's own
+    ``extra`` (flag, keyword arguments) pairs, --out and --workers."""
+    parser = sub.add_parser(name, help=summary)
+    _add_config_args(parser)
+    parser.add_argument("--bits", type=_parse_int_list,
+                        help=f"bit depths, e.g. {bits_example} (0 = unquantized)")
+    parser.add_argument("--geoms", type=int, help="number of geometry draws")
+    for flag, kwargs in extra:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--out", default="results", help="output directory (default: results)")
+    parser.add_argument("--workers", type=_worker_count,
+                        help="trial threads, the calling one included (default: usable cores)")
+    parser.set_defaults(func=func)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sim",
@@ -136,26 +148,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_nmse = sub.add_parser("nmse-cdf", help="CDF of normalized channel-estimation MSE")
-    _add_config_args(p_nmse)
-    p_nmse.add_argument("--bits", type=_parse_int_list, help="bit depths, e.g. 4,6,8 (0 = unquantized)")
-    p_nmse.add_argument("--geoms", type=int, help="number of geometry draws")
-    p_nmse.add_argument("--out", default="results", help="output directory (default: results)")
-    p_nmse.add_argument("--workers", type=_worker_count,
-                        help="trial threads, the calling one included (default: usable cores)")
-    p_nmse.set_defaults(func=_cmd_nmse)
-
-    p_sinr = sub.add_parser("sinr-cdf", help="CDF of per-user SINR with perfect CSI")
-    _add_config_args(p_sinr)
-    p_sinr.add_argument("--bits", type=_parse_int_list, help="bit depths, e.g. 6,8,10 (0 = unquantized)")
-    p_sinr.add_argument("--geoms", type=int, help="number of geometry draws")
-    p_sinr.add_argument("--smallscale", type=int, help="fading draws per geometry")
-    p_sinr.add_argument("--legacy-eq21", action="store_true",
-                        help="receiver noise term without the squared linear gain")
-    p_sinr.add_argument("--out", default="results", help="output directory (default: results)")
-    p_sinr.add_argument("--workers", type=_worker_count,
-                        help="trial threads, the calling one included (default: usable cores)")
-    p_sinr.set_defaults(func=_cmd_sinr)
+    _add_campaign_parser(sub, "nmse-cdf", "CDF of normalized channel-estimation MSE", _cmd_nmse,
+                         "4,6,8")
+    _add_campaign_parser(
+        sub, "sinr-cdf", "CDF of per-user SINR with perfect CSI", _cmd_sinr, "6,8,10",
+        ("--smallscale", dict(type=int, help="fading draws per geometry")),
+        ("--legacy-eq21", dict(action="store_true",
+                               help="receiver noise term without the squared linear gain")),
+    )
 
     p_val = sub.add_parser("validate", help="compare closed forms against direct simulation")
     _add_config_args(p_val)
@@ -172,13 +172,13 @@ def build_parser():
 def _keep_freed_blocks():
     """Set glibc's mmap and trim thresholds to the maxima its own dynamic
     thresholds reach, 32 and 64 MiB, so the arrays of a few hundred KB to a
-    few MB that each Monte Carlo run or block and each fading draw allocates
-    and frees (validate's complex runs and observation blocks, the SINR
-    kernel's stacks) are reused from the heap, not mapped or trimmed and
-    faulted in afresh every time.  The checks' block buffers are allocated
-    once per check, yet without this a warm job still takes about 10k minor
-    page faults on validate and sinr-cdf (1.5k on sinr-cdf --legacy-eq21)
-    and runs a few percent longer.  Without glibc, do nothing."""
+    few MB that each Monte Carlo check, block or run and each fading draw
+    allocates and frees are reused from the heap, not mapped or trimmed and
+    faulted in afresh every time.  Without this, a warm job takes about 11k
+    minor page faults on validate (some 2k per Monte Carlo check, on either
+    thread, all in the check's first blocks, as they touch its arrays),
+    0.4k-0.9k on sinr-cdf and 0.8k on sinr-cdf --legacy-eq21, against 3-220,
+    0-190 and 0-4 with it; peak RSS is the same.  Without glibc, do nothing."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int

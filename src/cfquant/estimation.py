@@ -9,7 +9,6 @@ distortion variance taken at the per-AP received variance.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .channel import received_variance
 from .quantizer import fronthaul
 
 __all__ = [
-    "PilotBook",
     "make_pilot_book",
     "simulate_pilot_phase",
     "correlate_all",
@@ -26,16 +24,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PilotBook:
-    """tau x K matrix of orthonormal, constant-modulus pilot columns."""
-
-    tau: int
-    phi: np.ndarray
-
-
 def make_pilot_book(k_users, tau):
-    """First K columns of the unitary DFT of size tau, scaled to unit norm.
+    """The (tau, K) pilot matrix: the first K columns of the unitary DFT of
+    size tau, scaled to unit norm.
 
     Columns are exactly orthonormal and every entry has modulus
     1/sqrt(tau), so the per-symbol pilot power is constant and matches the
@@ -44,16 +35,16 @@ def make_pilot_book(k_users, tau):
     if tau < k_users:
         raise ValueError(f"tau={tau} < k_users={k_users}: orthonormal pilots impossible")
     t = np.arange(tau)
-    phi = np.exp(-2j * math.pi * np.outer(t, t[:k_users]) / tau) / math.sqrt(tau)
-    return PilotBook(tau=tau, phi=phi)
+    return np.exp(-2j * math.pi * np.outer(t, t[:k_users]) / tau) / math.sqrt(tau)
 
 
 def simulate_pilot_phase(G, pilots, noise, bits, noise_samples, beta):
     """Pilot observations as forwarded over a ``bits``-bit fronthaul,
     shape (..., M, tau), formed in place in ``noise_samples`` and returned.
 
-    ``G`` is one (M, K) channel draw or a stack (..., M, K) of them.  The
-    clean sample at AP m and symbol t is sqrt(tau) * sum_k g_mk * phi[t, k];
+    ``G`` is one (M, K) channel draw or a stack (..., M, K) of them, and
+    ``pilots`` the (tau, K) pilot matrix of ``make_pilot_book``.  The clean
+    sample at AP m and symbol t is sqrt(tau) * sum_k g_mk * pilots[t, k];
     ``noise_samples``, the complex receiver noise of that shape, is added to
     it: for example ``complex_normal(rng, shape, sqrt(noise.sigma_n2 / 2))``,
     or one run of ``complex_normal_runs``.  Pilot symbols have unit power, so
@@ -62,10 +53,10 @@ def simulate_pilot_phase(G, pilots, noise, bits, noise_samples, beta):
     ``bits == 0`` leaves the samples unquantized.
     """
     k_users = G.shape[-1]
-    tau, k_pilots = pilots.phi.shape
+    tau, k_pilots = pilots.shape
     if k_pilots != k_users:
         raise ValueError(f"pilot book has {k_pilots} columns for {k_users} users")
-    clean = _stacked_product(G, pilots.phi.T)
+    clean = _stacked_product(G, pilots.T)
     if noise_samples.shape != clean.shape or noise_samples.dtype != complex:
         raise ValueError(f"noise_samples must be a complex array of shape {clean.shape}")
     clean *= math.sqrt(tau)
@@ -77,7 +68,7 @@ def simulate_pilot_phase(G, pilots, noise, bits, noise_samples, beta):
 def correlate_all(y, pilots):
     """All AP-user pilot correlations at once, shape (..., M, K); scaled by
     ``lmmse_coefficient`` they are the channel estimates."""
-    return _stacked_product(y, pilots.phi.conj())
+    return _stacked_product(y, pilots.conj())
 
 
 def _stacked_product(a, b):

@@ -219,27 +219,22 @@ def parse_config_file(path):
 
 @dataclass(frozen=True)
 class CdfSeries:
-    """Sorted sample values with empirical cumulative probabilities i/N."""
+    """Sorted sample values of one empirical CDF; the i-th of N has
+    cumulative probability i/N."""
 
     label: str
     values: np.ndarray
-    probs: np.ndarray
 
 
 def make_cdf(samples, labels):
     """One CdfSeries per row of ``samples``, B samples of N values as a (B, N)
-    array, labelled in order by ``labels``: the row sorted, with the empirical
-    probabilities i/N, one array that all B series share.  A float array is
+    array, labelled in order by ``labels``: the row sorted.  A float array is
     sorted in place, and its rows are the series' values."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] == 0:
         raise ValueError(f"samples must be a (B, N) array with N >= 1, got shape {samples.shape}")
     samples.sort(axis=-1)
-    probs = np.arange(1, samples.shape[1] + 1, dtype=float) / samples.shape[1]
-    return [
-        CdfSeries(label=str(label), values=values, probs=probs)
-        for values, label in zip(samples, labels, strict=True)
-    ]
+    return [CdfSeries(str(label), values) for values, label in zip(samples, labels, strict=True)]
 
 
 def bussgang_row(levels):
@@ -269,11 +264,11 @@ def bussgang_table(bits_list):
 
 
 def _draw_gains(cfg, trial):
-    geo = draw_geometry(
+    ap, ut = draw_geometry(
         cfg.m_aps, cfg.k_users, cfg.l_serv_m, substream(cfg.seed, _GEOMETRY, trial)
     )
     return large_scale_gains(
-        geo, cfg.path_loss_model(), cfg.sigma_sh_db, substream(cfg.seed, _SHADOWING, trial)
+        ap, ut, cfg.path_loss_model(), cfg.sigma_sh_db, substream(cfg.seed, _SHADOWING, trial)
     )
 
 
@@ -357,27 +352,32 @@ def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
 
     Files are named ``{campaign}_b{label}.csv`` with header
     ``value,cum_prob`` and 9 significant digits, rows in ascending value
-    order.  Returns the list of paths written.
+    order, the i-th of N at cumulative probability i/N.  Every series is
+    checked before any file is written: an empty series, or one with a
+    non-finite value, is a ValueError.  Returns the list of paths written.
     """
     if not series:
         raise ValueError("no CDF series to write")
+    for entry in series:
+        if entry.values.size == 0:
+            raise ValueError(f"series {entry.label!r} is empty")
+        if not np.isfinite(entry.values).all():
+            raise ValueError(f"series {entry.label!r} has a non-finite value")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     paths = []
-    tails = {}  # probs dtype and bytes -> ",{p}\n" rows, shared by series with equal probs
+    tails = {}  # N -> the ",{i/N}\n" rows, shared by the series of length N
     for entry in series:
-        if entry.values.size == 0:
-            raise ValueError(f"series {entry.label!r} is empty")
         path = out_dir / f"{campaign}_b{entry.label}.csv"
-        if (key := (entry.probs.dtype.str, entry.probs.tobytes())) not in tails:
-            tails[key] = [f",{p:.9g}\n" for p in entry.probs.tolist()]
+        if (n := entry.values.size) not in tails:
+            tails[n] = [f",{i / n:.9g}\n" for i in range(1, n + 1)]
         try:
             with open(path, "w", newline="\n") as handle:
                 handle.write("value,cum_prob\n")
-                handle.writelines(f"{v:.9g}{t}" for v, t in zip(entry.values.tolist(), tails[key]))
+                handle.writelines(f"{v:.9g}{t}" for v, t in zip(entry.values.tolist(), tails[n]))
         except OSError as exc:
             raise OSError(f"cannot write CDF file {path}: {exc}") from exc
         paths.append(path)
@@ -469,8 +469,9 @@ def _colocated_gains(cfg):
     ensemble approximation.
     """
     rng = substream(cfg.seed, _GEOMETRY, 0)
-    geo = draw_geometry(cfg.m_aps, 1, cfg.l_serv_m, rng)
-    return np.repeat(large_scale_gains(geo, cfg.path_loss_model(), 0.0, rng), cfg.k_users, axis=1)
+    ap, ut = draw_geometry(cfg.m_aps, 1, cfg.l_serv_m, rng)
+    beta = large_scale_gains(ap, ut, cfg.path_loss_model(), 0.0, rng)
+    return np.repeat(beta, cfg.k_users, axis=1)
 
 
 def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):

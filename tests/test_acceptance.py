@@ -220,8 +220,8 @@ def test_criterion_6_mmse_detection():
     m_aps, k_users, trials = 20, 4, 100_000
     noise = cq.NoiseModel.from_edge_snr_db(20.0)
     rng_net = np.random.default_rng(60)
-    geo = cq.draw_geometry(m_aps, k_users, 1000.0, rng_net)
-    beta = cq.large_scale_gains(geo, cq.PathLossModel(), 8.0, rng_net)
+    ap, ut = cq.draw_geometry(m_aps, k_users, 1000.0, rng_net)
+    beta = cq.large_scale_gains(ap, ut, cq.PathLossModel(), 8.0, rng_net)
     G = crandn(rng_net, m_aps, k_users) * np.sqrt(beta)
     worst_mse = 0.0
     worst_orth = 0.0
@@ -331,8 +331,8 @@ def test_criterion_9_jensen_diagnostics():
     and the weighted Gram off-diagonals average to zero."""
     m_aps, k_users, draws = 50, 4, 10_000
     rng_net = np.random.default_rng(90)
-    geo = cq.draw_geometry(m_aps, k_users, 1000.0, rng_net)
-    beta = cq.large_scale_gains(geo, cq.PathLossModel(), 8.0, rng_net)
+    ap, ut = cq.draw_geometry(m_aps, k_users, 1000.0, rng_net)
+    beta = cq.large_scale_gains(ap, ut, cq.PathLossModel(), 8.0, rng_net)
     alpha, gamma = factors(6)
     noise = cq.NoiseModel.from_edge_snr_db(20.0)
     c_delta = cq.distortion_covariance(beta, alpha, gamma, 1.0, noise.sigma_n2)

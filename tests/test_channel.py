@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cfquant.channel import (
-    NetworkGeometry,
     NoiseModel,
     PathLossModel,
     complex_normal,
@@ -84,7 +83,6 @@ class TestNoiseVariance:
 
     def test_noise_model_from_db(self, model):
         nm = NoiseModel.from_edge_snr_db(20.0, model, 1000.0)
-        assert nm.snr_edge == pytest.approx(100.0)
         assert nm.sigma_n2 == pytest.approx(noise_variance(model, 1000.0, 100.0))
         assert nm.sigma_s2 == 1.0
 
@@ -92,32 +90,34 @@ class TestNoiseVariance:
 class TestGeometry:
     def test_points_inside_area(self):
         rng = np.random.default_rng(0)
-        geo = draw_geometry(200, 40, 1000.0, rng)
-        assert geo.ap_positions.shape == (200, 2)
-        assert geo.ut_positions.shape == (40, 2)
-        for pts in (geo.ap_positions, geo.ut_positions):
+        ap, ut = draw_geometry(200, 40, 1000.0, rng)
+        assert ap.shape == (200, 2)
+        assert ut.shape == (40, 2)
+        for pts in (ap, ut):
             assert np.all(pts >= 0.0) and np.all(pts <= 1000.0)
 
     def test_deterministic_given_seed(self):
         a = draw_geometry(30, 10, 500.0, np.random.default_rng(42))
         b = draw_geometry(30, 10, 500.0, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.ap_positions, b.ap_positions)
-        np.testing.assert_array_equal(a.ut_positions, b.ut_positions)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_uniform_mean(self):
         # 1e5 points -> 2e5 coordinates with mean l_serv/2.
         rng = np.random.default_rng(1)
-        geo = draw_geometry(50_000, 50_000, 1000.0, rng)
-        coords = np.concatenate([geo.ap_positions.ravel(), geo.ut_positions.ravel()])
+        ap, ut = draw_geometry(50_000, 50_000, 1000.0, rng)
+        coords = np.concatenate([ap.ravel(), ut.ravel()])
         se = 1000.0 / math.sqrt(12.0) / math.sqrt(coords.size)
         assert abs(coords.mean() - 500.0) < 3.0 * se
 
     def test_distance_matrix(self):
-        geo = NetworkGeometry(
-            ap_positions=np.array([[0.0, 0.0], [3.0, 4.0]]),
-            ut_positions=np.array([[0.0, 0.0]]),
-        )
-        np.testing.assert_allclose(geo.distances(), [[0.0], [5.0]])
+        # Without shadowing the gains are the path loss at the AP-UT distances,
+        # here 0 and 5 m (a 3-4-5 triangle): 1 and 5**-2 past a 1 m plateau.
+        model = PathLossModel(d0=1.0, d1=100.0)
+        ap = np.array([[0.0, 0.0], [3.0, 4.0]])
+        ut = np.array([[0.0, 0.0]])
+        beta = large_scale_gains(ap, ut, model, 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(beta, [[1.0], [0.04]], rtol=1e-12)
 
     def test_rejects_empty_network(self):
         with pytest.raises(ValueError):
@@ -127,16 +127,13 @@ class TestGeometry:
 class TestLargeScaleGains:
     def test_no_shadowing_reduces_to_path_loss(self, model):
         rng = np.random.default_rng(2)
-        geo = draw_geometry(15, 6, 1000.0, rng)
-        beta = large_scale_gains(geo, model, 0.0, rng)
-        np.testing.assert_allclose(beta, path_loss(geo.distances(), model))
+        ap, ut = draw_geometry(15, 6, 1000.0, rng)
+        beta = large_scale_gains(ap, ut, model, 0.0, rng)
+        np.testing.assert_allclose(beta, path_loss(np.linalg.norm(ap[:, None] - ut, axis=2), model))
 
     def test_colocated_pair_has_unit_gain(self, model):
-        geo = NetworkGeometry(
-            ap_positions=np.array([[5.0, 5.0]]),
-            ut_positions=np.array([[5.0, 5.0]]),
-        )
-        beta = large_scale_gains(geo, model, 0.0, np.random.default_rng(0))
+        at = np.array([[5.0, 5.0]])
+        beta = large_scale_gains(at, at, model, 0.0, np.random.default_rng(0))
         assert beta[0, 0] == 1.0
 
     def test_lognormal_shadowing_mean(self, model):
@@ -144,32 +141,29 @@ class TestLargeScaleGains:
         # moment exp((sigma_sh*ln10/10)**2 / 2).
         sigma_sh = 8.0
         rng = np.random.default_rng(3)
-        geo = NetworkGeometry(
-            ap_positions=np.full((1000, 2), 5.0),
-            ut_positions=np.full((1000, 2), 5.0),
-        )
-        beta = large_scale_gains(geo, model, sigma_sh, rng)  # PL = 1 everywhere
+        at = np.full((1000, 2), 5.0)
+        beta = large_scale_gains(at, at, model, sigma_sh, rng)  # PL = 1 everywhere
         expected = math.exp((sigma_sh * math.log(10.0) / 10.0) ** 2 / 2.0)
         assert beta.mean() == pytest.approx(expected, rel=0.02)
 
     def test_bounded_by_shadowing_factor(self, model):
         rng = np.random.default_rng(4)
-        geo = draw_geometry(40, 10, 1000.0, rng)
+        ap, ut = draw_geometry(40, 10, 1000.0, rng)
         shadow_rng = np.random.default_rng(99)
-        beta = large_scale_gains(geo, model, 8.0, shadow_rng)
+        beta = large_scale_gains(ap, ut, model, 8.0, shadow_rng)
         shadow = 10.0 ** (np.random.default_rng(99).normal(0.0, 8.0, size=(40, 10)) / 10.0)
         assert np.all(beta <= shadow + 1e-15)
 
     def test_reproducible(self, model):
-        geo = draw_geometry(10, 5, 1000.0, np.random.default_rng(5))
-        a = large_scale_gains(geo, model, 8.0, np.random.default_rng(6))
-        b = large_scale_gains(geo, model, 8.0, np.random.default_rng(6))
+        ap, ut = draw_geometry(10, 5, 1000.0, np.random.default_rng(5))
+        a = large_scale_gains(ap, ut, model, 8.0, np.random.default_rng(6))
+        b = large_scale_gains(ap, ut, model, 8.0, np.random.default_rng(6))
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_negative_sigma(self, model):
-        geo = draw_geometry(2, 2, 100.0, np.random.default_rng(0))
+        ap, ut = draw_geometry(2, 2, 100.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            large_scale_gains(geo, model, -1.0, np.random.default_rng(0))
+            large_scale_gains(ap, ut, model, -1.0, np.random.default_rng(0))
 
 
 class TestSmallScaleFading:

@@ -15,7 +15,7 @@ from cfquant.detection import (
 from cfquant.quantizer import fronthaul, optimal_step
 from cfquant.simulation import bussgang_row
 
-NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
+NOISE = NoiseModel(sigma_n2=1e-3)
 
 
 @dataclass(frozen=True)
@@ -344,8 +344,8 @@ class TestDetect:
 
         rng = np.random.default_rng(54321)
         m_aps, k_users, trials = 20, 4, 100_000
-        geo = draw_geometry(m_aps, k_users, 1000.0, rng)
-        beta = large_scale_gains(geo, PathLossModel(), 8.0, rng)
+        ap, ut = draw_geometry(m_aps, k_users, 1000.0, rng)
+        beta = large_scale_gains(ap, ut, PathLossModel(), 8.0, rng)
         phases = np.random.default_rng(999).uniform(size=(m_aps, k_users))
         G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
         bits = 6

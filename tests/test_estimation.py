@@ -14,16 +14,16 @@ from cfquant.estimation import (
 from cfquant.quantizer import fronthaul
 from cfquant.simulation import bussgang_row
 
-NOISE = NoiseModel(snr_edge=100.0, sigma_n2=1e-3)
+NOISE = NoiseModel(sigma_n2=1e-3)
 
 
 def crandn(rng, *shape):
     return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
 
 
-def pilot_noise(rng, G, book):
+def pilot_noise(rng, G, phi):
     """Receiver noise for the pilot block of the channel draw(s) ``G``."""
-    return complex_normal(rng, (*G.shape[:-1], book.tau), math.sqrt(NOISE.sigma_n2 / 2.0))
+    return complex_normal(rng, (*G.shape[:-1], len(phi)), math.sqrt(NOISE.sigma_n2 / 2.0))
 
 
 def pilot_correlate(y_m, phi_k):
@@ -48,22 +48,22 @@ def factors_at_optimum(bits):
 
 class TestPilotBook:
     def test_single_user_single_symbol(self):
-        book = make_pilot_book(1, 1)
-        np.testing.assert_allclose(book.phi, [[1.0]])
+        phi = make_pilot_book(1, 1)
+        np.testing.assert_allclose(phi, [[1.0]])
 
     def test_orthonormal_columns(self):
-        book = make_pilot_book(4, 4)
-        gram = book.phi.conj().T @ book.phi
+        phi = make_pilot_book(4, 4)
+        gram = phi.conj().T @ phi
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
     def test_constant_modulus(self):
-        book = make_pilot_book(40, 40)
-        assert np.max(np.abs(np.abs(book.phi) - 1.0 / math.sqrt(40.0))) < 1e-12
+        phi = make_pilot_book(40, 40)
+        assert np.max(np.abs(np.abs(phi) - 1.0 / math.sqrt(40.0))) < 1e-12
 
     def test_longer_than_needed(self):
-        book = make_pilot_book(3, 8)
-        assert book.phi.shape == (8, 3)
-        gram = book.phi.conj().T @ book.phi
+        phi = make_pilot_book(3, 8)
+        assert phi.shape == (8, 3)
+        gram = phi.conj().T @ phi
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     def test_rejects_short_pilots(self):
@@ -75,21 +75,21 @@ class TestSimulatePilotPhase:
     def test_unquantized_bypass(self):
         rng = np.random.default_rng(0)
         G = crandn(rng, 6, 3) * 0.4
-        book = make_pilot_book(3, 3)
-        n = pilot_noise(np.random.default_rng(77), G, book)
-        assert simulate_pilot_phase(G, book, NOISE, 0, n, np.abs(G) ** 2) is n
+        phi = make_pilot_book(3, 3)
+        n = pilot_noise(np.random.default_rng(77), G, phi)
+        assert simulate_pilot_phase(G, phi, NOISE, 0, n, np.abs(G) ** 2) is n
         rng2 = np.random.default_rng(77)
-        clean = math.sqrt(3) * (G @ book.phi.T)
+        clean = math.sqrt(3) * (G @ phi.T)
         noise = rng2.normal(size=(6, 3)) + 1j * rng2.normal(size=(6, 3))
         np.testing.assert_allclose(n, clean + math.sqrt(NOISE.sigma_n2 / 2.0) * noise)
 
     def test_rejects_unfit_noise_samples(self):
         G = np.ones((6, 3), dtype=complex)
-        book = make_pilot_book(3, 4)
+        phi = make_pilot_book(3, 4)
         beta = np.ones((6, 3))
         for n in [np.zeros((6, 3), dtype=complex), np.zeros((6, 4))]:
             with pytest.raises(ValueError, match="noise_samples"):
-                simulate_pilot_phase(G, book, NOISE, 4, n, beta)
+                simulate_pilot_phase(G, phi, NOISE, 4, n, beta)
 
     def test_matches_vectorized_kernel(self):
         # Quantized pilots are the unquantized ones through the fronthaul,
@@ -97,23 +97,23 @@ class TestSimulatePilotPhase:
         rng = np.random.default_rng(1)
         G = crandn(rng, 5, 2) * 0.3
         beta = np.abs(G) ** 2
-        book = make_pilot_book(2, 2)
+        phi = make_pilot_book(2, 2)
         sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
-        n = pilot_noise(np.random.default_rng(5), G, book)
-        x = simulate_pilot_phase(G, book, NOISE, 0, n.copy(), beta)
-        y = simulate_pilot_phase(G, book, NOISE, 4, n, beta)
+        n = pilot_noise(np.random.default_rng(5), G, phi)
+        x = simulate_pilot_phase(G, phi, NOISE, 0, n.copy(), beta)
+        y = simulate_pilot_phase(G, phi, NOISE, 4, n, beta)
         np.testing.assert_array_equal(y, fronthaul(x, 4, sigma_m2))
 
     def test_leading_trial_axis(self):
         rng = np.random.default_rng(17)
         beta = rng.uniform(0.05, 0.5, size=(3, 2))
         G = crandn(rng, 6, 3, 2) * np.sqrt(beta)
-        book = make_pilot_book(2, 4)
-        n = pilot_noise(np.random.default_rng(18), G, book)
-        y = simulate_pilot_phase(G, book, NOISE, 5, n, beta)
+        phi = make_pilot_book(2, 4)
+        n = pilot_noise(np.random.default_rng(18), G, phi)
+        y = simulate_pilot_phase(G, phi, NOISE, 5, n, beta)
         rng2 = np.random.default_rng(18)
         noise = rng2.normal(size=(6, 3, 4)) + 1j * rng2.normal(size=(6, 3, 4))
-        x = 2.0 * (G @ book.phi.T) + math.sqrt(NOISE.sigma_n2 / 2.0) * noise
+        x = 2.0 * (G @ phi.T) + math.sqrt(NOISE.sigma_n2 / 2.0) * noise
         assert y.shape == (6, 3, 4)
         np.testing.assert_array_equal(
             y, fronthaul(x, 5, received_variance(beta, 1.0, NOISE.sigma_n2))
@@ -127,10 +127,10 @@ class TestSimulatePilotPhase:
         lead, m_aps, tau = (2, 3), 5, 4
         beta = rng.uniform(0.05, 0.5, size=(m_aps, k_users))
         G = crandn(rng, *lead, m_aps, k_users) * np.sqrt(beta)
-        book = make_pilot_book(k_users, tau)
-        n = pilot_noise(np.random.default_rng(22), G, book)
-        y = simulate_pilot_phase(G, book, NOISE, 5, n, beta)
-        clean = np.array([math.sqrt(tau) * (g @ book.phi.T) for g in G.reshape(6, m_aps, k_users)])
+        phi = make_pilot_book(k_users, tau)
+        n = pilot_noise(np.random.default_rng(22), G, phi)
+        y = simulate_pilot_phase(G, phi, NOISE, 5, n, beta)
+        clean = np.array([math.sqrt(tau) * (g @ phi.T) for g in G.reshape(6, m_aps, k_users)])
         rng2 = np.random.default_rng(22)
         shape = (*lead, m_aps, tau)
         noise = rng2.normal(size=shape) + 1j * rng2.normal(size=shape)
@@ -138,21 +138,21 @@ class TestSimulatePilotPhase:
         np.testing.assert_array_equal(
             y, fronthaul(x, 5, received_variance(beta, 1.0, NOISE.sigma_n2))
         )
-        r = np.array([y_t @ book.phi.conj() for y_t in y.reshape(6, m_aps, tau)])
-        np.testing.assert_array_equal(correlate_all(y, book), r.reshape(*lead, m_aps, k_users))
+        r = np.array([y_t @ phi.conj() for y_t in y.reshape(6, m_aps, tau)])
+        np.testing.assert_array_equal(correlate_all(y, phi), r.reshape(*lead, m_aps, k_users))
 
     def test_noise_only_power_matches_gamma(self):
         # With no users the quantized samples carry gamma times the input
         # noise power.
         m_aps, tau, trials = 4, 4, 4000
         G = np.zeros((m_aps, 0), dtype=complex)
-        book = make_pilot_book(0, tau)
+        phi = make_pilot_book(0, tau)
         _, gamma = factors_at_optimum(4)
         rng = np.random.default_rng(2)
         powers = np.empty(trials)
         for t in range(trials):
-            n = pilot_noise(rng, G, book)
-            y = simulate_pilot_phase(G, book, NOISE, 4, n, np.zeros((m_aps, 0)))
+            n = pilot_noise(rng, G, phi)
+            y = simulate_pilot_phase(G, phi, NOISE, 4, n, np.zeros((m_aps, 0)))
             powers[t] = np.mean(np.abs(y) ** 2)
         se = powers.std() / math.sqrt(trials)
         assert abs(powers.mean() - gamma * NOISE.sigma_n2) < 4.0 * se
@@ -162,12 +162,12 @@ class TestSimulatePilotPhase:
         rng = np.random.default_rng(3)
         k_users, m_aps, trials = 4, 3, 100_000
         beta = np.array([[0.5, 0.2, 0.1, 0.05]] * m_aps)
-        book = make_pilot_book(k_users, k_users)
+        phi = make_pilot_book(k_users, k_users)
         acc = np.zeros((m_aps, k_users))
         for _ in range(trials // 1000):
             h = crandn(rng, 1000, m_aps, k_users)
             g = h * np.sqrt(beta)
-            x = math.sqrt(k_users) * (g @ book.phi.T)
+            x = math.sqrt(k_users) * (g @ phi.T)
             x += math.sqrt(NOISE.sigma_n2 / 2.0) * crandn(rng, 1000, m_aps, k_users) * math.sqrt(2.0)
             acc += np.mean(np.abs(x) ** 2, axis=0)
         per_symbol = acc / (trials // 1000)
@@ -181,27 +181,27 @@ class TestPilotCorrelate:
         h = complex(crandn(rng))
         beta = 0.3
         tau = 4
-        book = make_pilot_book(1, tau)
-        y = math.sqrt(tau * beta) * h * book.phi[:, 0]
-        assert pilot_correlate(y, book.phi[:, 0]) == pytest.approx(h * math.sqrt(tau * beta))
+        phi = make_pilot_book(1, tau)
+        y = math.sqrt(tau * beta) * h * phi[:, 0]
+        assert pilot_correlate(y, phi[:, 0]) == pytest.approx(h * math.sqrt(tau * beta))
 
     def test_no_cross_user_leakage(self):
         rng = np.random.default_rng(7)
         tau = 8
-        book = make_pilot_book(2, tau)
+        phi = make_pilot_book(2, tau)
         h = crandn(rng, 2)
-        y = math.sqrt(tau) * (h[0] * book.phi[:, 0] + h[1] * book.phi[:, 1])
-        leak = pilot_correlate(y, book.phi[:, 1]) - math.sqrt(tau) * h[1]
+        y = math.sqrt(tau) * (h[0] * phi[:, 0] + h[1] * phi[:, 1])
+        leak = pilot_correlate(y, phi[:, 1]) - math.sqrt(tau) * h[1]
         assert abs(leak) < 1e-12
 
     def test_correlate_all_matches_scalar_op(self):
         rng = np.random.default_rng(8)
-        book = make_pilot_book(3, 5)
+        phi = make_pilot_book(3, 5)
         y = crandn(rng, 4, 5)
-        r = correlate_all(y, book)
+        r = correlate_all(y, phi)
         for m in range(4):
             for k in range(3):
-                assert r[m, k] == pytest.approx(pilot_correlate(y[m], book.phi[:, k]))
+                assert r[m, k] == pytest.approx(pilot_correlate(y[m], phi[:, k]))
 
     def test_quantized_correlation_carries_bussgang_gain(self):
         # Over the fading ensemble the pilot correlation regresses on the
@@ -211,15 +211,15 @@ class TestPilotCorrelate:
         rng = np.random.default_rng(9)
         beta = np.array([[0.4]])
         tau = 4
-        book = make_pilot_book(1, tau)
+        phi = make_pilot_book(1, tau)
         alpha, _ = factors_at_optimum(3)
         trials = 100_000
         samples = np.empty(trials, dtype=complex)
         for start in range(0, trials, 10_000):
             h = crandn(rng, 10_000, 1, 1)
             g = h * np.sqrt(beta)
-            y = simulate_pilot_phase(g, book, NOISE, 3, pilot_noise(rng, g, book), beta)
-            samples[start : start + 10_000] = (y @ book.phi.conj())[:, 0, 0] * np.conj(h[:, 0, 0])
+            y = simulate_pilot_phase(g, phi, NOISE, 3, pilot_noise(rng, g, phi), beta)
+            samples[start : start + 10_000] = (y @ phi.conj())[:, 0, 0] * np.conj(h[:, 0, 0])
         expected = alpha * math.sqrt(tau * beta[0, 0])
         z_re = abs(samples.real.mean() - expected) / (samples.real.std() / math.sqrt(trials))
         z_im = abs(samples.imag.mean()) / (samples.imag.std() / math.sqrt(trials))
@@ -273,9 +273,9 @@ class TestEstimateChannel:
         beta = rng.uniform(0.1, 1.0, size=(4, 3))
         g = crandn(rng, 4, 3) * np.sqrt(beta)
         tau = 3
-        book = make_pilot_book(3, tau)
-        y = math.sqrt(tau) * (g @ book.phi.T)
-        r = correlate_all(y, book)
+        phi = make_pilot_book(3, tau)
+        y = math.sqrt(tau) * (g @ phi.T)
+        r = correlate_all(y, phi)
         c = lmmse_coefficient(beta, beta, tau, 1.0, 1.0, 0.0)
         np.testing.assert_allclose(c * r, g, atol=1e-12)
 
@@ -284,7 +284,7 @@ class TestEstimateChannel:
         rng = np.random.default_rng(12)
         m_aps, k_users, tau = 4, 2, 2
         beta = rng.uniform(0.05, 0.8, size=(m_aps, k_users))
-        book = make_pilot_book(k_users, tau)
+        phi = make_pilot_book(k_users, tau)
         alpha, gamma = factors_at_optimum(8)
         c = lmmse_coefficient(beta, beta, tau, alpha, gamma, NOISE.sigma_n2)
         mse, _ = estimation_mse(beta, beta, tau, alpha, gamma, NOISE.sigma_n2)
@@ -293,8 +293,8 @@ class TestEstimateChannel:
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             g = h * np.sqrt(beta)
-            y = simulate_pilot_phase(g, book, NOISE, 8, pilot_noise(rng, g, book), beta)
-            g_hat = c * (y @ book.phi.conj())
+            y = simulate_pilot_phase(g, phi, NOISE, 8, pilot_noise(rng, g, phi), beta)
+            g_hat = c * (y @ phi.conj())
             total += np.sum(np.abs(g_hat - g) ** 2, axis=0)
         np.testing.assert_allclose(total / trials, mse, rtol=0.02)
 
@@ -369,12 +369,12 @@ class TestEstimateFromPilots:
         rng = np.random.default_rng(16)
         beta = rng.uniform(0.01, 0.5, size=(5, 3))
         g = crandn(rng, 5, 3) * np.sqrt(beta)
-        book = make_pilot_book(3, 3)
+        phi = make_pilot_book(3, 3)
         alpha, gamma = factors_at_optimum(6)
-        y = simulate_pilot_phase(g, book, NOISE, 0, pilot_noise(rng, g, book), beta)
-        c = lmmse_coefficient(beta, beta, book.tau, alpha, gamma, NOISE.sigma_n2)
-        mse, nmse = estimation_mse(beta, beta, book.tau, alpha, gamma, NOISE.sigma_n2)
-        assert (c * correlate_all(y, book)).shape == c.shape == nmse.shape == (5, 3)
+        y = simulate_pilot_phase(g, phi, NOISE, 0, pilot_noise(rng, g, phi), beta)
+        c = lmmse_coefficient(beta, beta, len(phi), alpha, gamma, NOISE.sigma_n2)
+        mse, nmse = estimation_mse(beta, beta, len(phi), alpha, gamma, NOISE.sigma_n2)
+        assert (c * correlate_all(y, phi)).shape == c.shape == nmse.shape == (5, 3)
         np.testing.assert_array_equal(mse, beta * nmse)
         assert np.all((nmse > 0) & (nmse < 1))
         assert np.all(mse < beta)

@@ -213,25 +213,32 @@ class TestSubstreams:
         assert not np.array_equal(a, c)
 
 
+def csv_columns(path):
+    """(values, cumulative probabilities) of a CDF file written by ``write_cdf_csv``."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+
 class TestCdf:
-    def test_sorting_and_probabilities(self):
+    def test_sorting_and_probabilities(self, tmp_path):
         (series,) = make_cdf([[0.2, 0.1, 0.3]], ["x"])
         np.testing.assert_allclose(series.values, [0.1, 0.2, 0.3])
-        np.testing.assert_allclose(series.probs, [1 / 3, 2 / 3, 1.0])
+        _, probs = csv_columns(write_cdf_csv([series], tmp_path)[0])
+        np.testing.assert_allclose(probs, [1 / 3, 2 / 3, 1.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_cdf([[]], ["x"])
 
-    def test_monotone_invariants(self):
+    def test_monotone_invariants(self, tmp_path):
         rng = np.random.default_rng(0)
         (series,) = make_cdf(rng.normal(size=(1, 1000)), ["n"])
         assert np.all(np.diff(series.values) >= 0.0)
-        assert np.all(np.diff(series.probs) > 0.0)
-        assert series.probs[0] == pytest.approx(1e-3)
-        assert series.probs[-1] == 1.0
+        _, probs = csv_columns(write_cdf_csv([series], tmp_path)[0])
+        assert np.all(np.diff(probs) > 0.0)
+        assert probs[0] == pytest.approx(1e-3)
+        assert probs[-1] == 1.0
 
-    def test_stack_sorted_in_place_with_shared_probs(self):
+    def test_stack_sorted_in_place(self):
         samples = np.random.default_rng(2).normal(size=(3, 50))
         unsorted = samples.copy()
         series = make_cdf(samples, [4, 8, 0])
@@ -239,8 +246,6 @@ class TestCdf:
         for entry, row, original in zip(series, samples, unsorted):
             assert np.shares_memory(entry.values, row)
             np.testing.assert_array_equal(entry.values, np.sort(original))
-            assert entry.probs is series[0].probs
-        np.testing.assert_array_equal(series[0].probs, np.arange(1, 51) / 50)
 
     @pytest.mark.parametrize("samples, labels", [(np.zeros((2, 3)), ["a"]), ([0.1, 0.2], ["a"])])
     def test_rejects_unlabelled_rows_and_one_dimensional_samples(self, samples, labels):
@@ -258,19 +263,34 @@ class TestWriteCsv:
         assert lines[1].startswith("0.1,")
         assert len(lines) == 4
 
-    def test_series_with_different_probs_of_equal_length(self, tmp_path):
-        # The formatted probability column is shared only between series
-        # whose probabilities are equal, not merely of equal length.
-        values = np.array([-3.25e-7, 0.1, 2.0 / 3.0, 12345.678901234])
+    def test_series_of_different_lengths(self, tmp_path):
+        # The probability column i/N is formatted once per length N and shared
+        # by the series of that length.
+        values = np.array([-3.25e-7, 0.1, 2.0 / 3.0, 12345.678901234, 1e300, 5.0, 7.0])
         series = [
-            CdfSeries(label="4", values=values, probs=np.arange(1, 5) / 4.0),
-            CdfSeries(label="6", values=values[::-1] * 1.5, probs=np.array([0.1, 0.2, 0.7, 1.0])),
-            CdfSeries(label="8", values=values + 1.0, probs=np.arange(1, 5) / 4.0),
+            CdfSeries("4", values[:3]),
+            CdfSeries("6", values * 1.5),
+            CdfSeries("8", values[:3] + 1.0),
         ]
         paths = write_cdf_csv(series, tmp_path, campaign="sinr")
-        for entry, path in zip(series, paths):
-            rows = "".join(f"{v:.9g},{p:.9g}\n" for v, p in zip(entry.values, entry.probs))
+        for entry, path in zip(series, paths, strict=True):
+            n = entry.values.size
+            rows = "".join(f"{v:.9g},{i / n:.9g}\n" for i, v in enumerate(entry.values, start=1))
             assert path.read_bytes() == ("value,cum_prob\n" + rows).encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_value_rejected_before_any_file(self, tmp_path, bad):
+        series = make_cdf([[0.1, 0.2], [0.3, bad], [0.5, 0.6]], [4, 6, 8])
+        manifest = campaign_manifest(SMALL, "sinr", (4, 6, 8))
+        with pytest.raises(ValueError, match="series '6' has a non-finite value"):
+            write_cdf_csv(series, tmp_path, campaign="sinr", manifest=manifest)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_series_rejected_before_any_file(self, tmp_path):
+        series = [*make_cdf([[0.1, 0.2], [0.3, 0.4]], [4, 6]), CdfSeries("8", np.empty(0))]
+        with pytest.raises(ValueError, match="series '8' is empty"):
+            write_cdf_csv(series, tmp_path, campaign="nmse", manifest={"campaign": "nmse"})
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_written(self, tmp_path):
         series = make_cdf([[1.0]], ["0"])
@@ -459,7 +479,6 @@ class TestSinrCampaign:
         )
         for entry, expected in zip(series, reference, strict=True):
             np.testing.assert_array_equal(entry.values, expected.values)
-            np.testing.assert_array_equal(entry.probs, expected.probs)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("legacy_eq21", [False, True], ids=["default", "legacy"])
