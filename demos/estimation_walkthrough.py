@@ -46,8 +46,8 @@ print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={gamma:.5f}")
 # large-scale gains; the closed forms give the resulting (normalized) MSE.
 tau = K
 pilots = make_pilot_book(K, tau)  # the (tau, K) pilot matrix
-c = lmmse_coefficient(beta, beta, tau, alpha, gamma, noise.sigma_n2)
-mse, nmse = estimation_mse(beta, beta, tau, alpha, gamma, noise.sigma_n2)
+c = lmmse_coefficient(beta, tau, alpha, gamma, noise.sigma_n2)
+mse, nmse = estimation_mse(beta, tau, alpha, gamma, noise.sigma_n2)
 # The receiver noise of one pilot block, (M, tau) complex samples of variance
 # sigma_n2, is drawn here; the pilot phase adds it to the clean samples and
 # quantizes the sum in place.

@@ -78,40 +78,32 @@ def _stacked_product(a, b):
     return rows.reshape(*a.shape[:-1], b.shape[-1])
 
 
-def _interference_term(beta_mk, beta_row, alpha, gamma, sigma_n2):
-    """Noise-plus-distortion power seen by the correlator, aligned so it
-    broadcasts against ``beta_mk`` (per-AP when given full matrices)."""
-    beta_mk = np.asarray(beta_mk, dtype=float)
-    total = np.asarray(
-        (gamma - alpha**2) * np.asarray(beta_row, dtype=float).sum(axis=-1) + gamma * sigma_n2
-    )
-    if total.ndim == beta_mk.ndim - 1:
-        total = total[..., None]
-    return beta_mk, total
+def _interference_term(beta, alpha, gamma, sigma_n2):
+    """Noise-plus-distortion power seen by the correlator at each AP, shape
+    (..., 1): it broadcasts against the gains ``beta`` (..., K) of that AP."""
+    return (gamma - alpha**2) * beta.sum(axis=-1, keepdims=True) + gamma * sigma_n2
 
 
-def lmmse_coefficient(beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
-    """Optimal scaling of the pilot correlation for estimating one gain.
+def lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2):
+    """Optimal scaling of the pilot correlations, shaped like ``beta``.
 
-    ``beta_row`` holds all K gains at the same AP (last axis); passing the
-    full (M, K) gain matrix for both arguments yields the full coefficient
-    matrix.  With alpha = gamma = 1 this reduces to the textbook
-    unquantized LMMSE coefficient.
+    ``beta`` holds the gains (..., K) of all K users at each AP: one AP's
+    row, or the (M, K) matrix.  With alpha = gamma = 1 this reduces to the
+    textbook unquantized LMMSE coefficient.
     """
-    beta_mk, interference = _interference_term(beta_mk, beta_row, alpha, gamma, sigma_n2)
-    out = beta_mk * math.sqrt(tau) * alpha / (tau * alpha**2 * beta_mk + interference)
-    return out if out.ndim else float(out)
+    beta = np.asarray(beta, dtype=float)
+    interference = _interference_term(beta, alpha, gamma, sigma_n2)
+    return beta * math.sqrt(tau) * alpha / (tau * alpha**2 * beta + interference)
 
 
-def estimation_mse(beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
-    """Closed-form MSE of the LMMSE estimate and its normalized value.
+def estimation_mse(beta, tau, alpha, gamma, sigma_n2):
+    """Closed-form MSE of the LMMSE estimates and its normalized value.
 
-    Returns (mse, nmse) with nmse = mse/beta_mk, which lies in (0, 1) for
-    every valid parameter set.  Broadcasts like ``lmmse_coefficient``.
+    Returns (mse, nmse), each shaped like ``beta`` as in
+    ``lmmse_coefficient``, with nmse = mse/beta, which lies in (0, 1) for
+    every valid parameter set.
     """
-    beta_mk, interference = _interference_term(beta_mk, beta_row, alpha, gamma, sigma_n2)
-    nmse = interference / (alpha**2 * tau * beta_mk + interference)
-    mse = beta_mk * nmse
-    if mse.ndim:
-        return mse, nmse
-    return float(mse), float(nmse)
+    beta = np.asarray(beta, dtype=float)
+    interference = _interference_term(beta, alpha, gamma, sigma_n2)
+    nmse = interference / (alpha**2 * tau * beta + interference)
+    return beta * nmse, nmse

@@ -273,21 +273,22 @@ def _draw_gains(cfg, trial):
 
 
 def _nmse_trial(cfg, table, trial):
-    """Closed-form normalized MSE for all AP-user pairs of one geometry draw."""
+    """Closed-form normalized MSE for all AP-user pairs of one geometry draw,
+    shape (bits, M*K) in table order."""
     beta = _draw_gains(cfg, trial)
     sigma_n2 = cfg.noise_model().sigma_n2
     tau = cfg.resolved_tau()
-    out = {}
-    for bits, row in table.items():
-        _, nmse = estimation_mse(beta, beta, tau, row["alpha"], row["gamma"], sigma_n2)
-        out[bits] = nmse.ravel()
-    return out
+    return np.stack([
+        estimation_mse(beta, tau, row["alpha"], row["gamma"], sigma_n2)[1].ravel()
+        for row in table.values()
+    ])
 
 
 def _sinr_trial(cfg, table, legacy_eq21, trial):
     """Per-user SINR samples (dB) for one geometry draw, pooled over the
-    small-scale fading draws, assuming perfect channel knowledge.  Each
-    fading draw makes one error-covariance call for the stack of bit depths."""
+    small-scale fading draws, assuming perfect channel knowledge: shape
+    (bits, K * n_smallscale) in table order.  Each fading draw makes one
+    error-covariance call for the stack of bit depths."""
     beta = _draw_gains(cfg, trial)
     noise = cfg.noise_model()
     alpha = np.array([row["alpha"] for row in table.values()])
@@ -308,7 +309,7 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
                 f"bits={list(table)[np.argmax(zero)]}: no finite dB value"
             )
         out.append(10.0 * np.log10(sinr))
-    return dict(zip(table, np.concatenate(out, axis=-1)))
+    return np.concatenate(out, axis=-1)
 
 
 def _run_campaign(trial, cfg, default_bits, n_workers, *args):
@@ -316,12 +317,7 @@ def _run_campaign(trial, cfg, default_bits, n_workers, *args):
     bits_list = cfg.resolved_bits(default_bits)
     table = bussgang_table(bits_list)
     tasks = [partial(trial, cfg, table, *args, t) for t in range(cfg.n_geometries)]
-    per_trial = _run_tasks(tasks, n_workers)
-    samples = np.empty((len(bits_list), sum(out[bits_list[0]].size for out in per_trial)))
-    for row, bits in zip(samples, bits_list):
-        np.concatenate([out[bits] for out in per_trial], out=row)
-    del per_trial  # copied into samples
-    return make_cdf(samples, bits_list)
+    return make_cdf(np.concatenate(_run_tasks(tasks, n_workers), axis=1), bits_list)
 
 
 def run_nmse_campaign(cfg, n_workers=None):
@@ -483,8 +479,8 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     noise = cfg.noise_model()
     tau = cfg.resolved_tau()
     pilots = make_pilot_book(cfg.k_users, tau)
-    c = lmmse_coefficient(beta, beta, tau, alpha, gamma, noise.sigma_n2)
-    mse, _ = estimation_mse(beta, beta, tau, alpha, gamma, noise.sigma_n2)
+    c = lmmse_coefficient(beta, tau, alpha, gamma, noise.sigma_n2)
+    mse, _ = estimation_mse(beta, tau, alpha, gamma, noise.sigma_n2)
     sqrt_beta = np.sqrt(beta)
 
     rng_h = substream(cfg.seed, _FADING, 100, bits)
@@ -747,7 +743,7 @@ def _unquantized_estimation_identity(cfg):
     beta = _draw_gains(cfg, 0)
     sigma_n2 = cfg.noise_model().sigma_n2
     tau = cfg.resolved_tau()
-    mse, _ = estimation_mse(beta, beta, tau, 1.0, 1.0, sigma_n2)
+    mse, _ = estimation_mse(beta, tau, 1.0, 1.0, sigma_n2)
     textbook = beta * sigma_n2 / (tau * beta + sigma_n2)
     err = np.max(np.abs(mse - textbook) / textbook)
     return CheckResult(

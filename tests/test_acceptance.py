@@ -146,8 +146,8 @@ def test_criterion_4_lmmse_identity_and_optimality():
         sn2 = float(np.exp(rng.uniform(-12.0, 0.0)))
         alpha = float(rng.uniform(0.2, 1.0))
         gamma = alpha**2 * (1.0 + float(np.exp(rng.uniform(-12.0, 0.0))))
-        c_opt = cq.lmmse_coefficient(beta, row, tau, alpha, gamma, sn2)
-        closed, _ = cq.estimation_mse(beta, row, tau, alpha, gamma, sn2)
+        c_opt = cq.lmmse_coefficient(row, tau, alpha, gamma, sn2)[0]
+        closed = cq.estimation_mse(row, tau, alpha, gamma, sn2)[0][0]
         quad = pilot_mse_at_coefficient(c_opt, beta, row, tau, alpha, gamma, sn2)
         worst_rel = max(worst_rel, abs(quad - closed) / closed)
         for eps in (0.01, -0.01):
@@ -184,8 +184,8 @@ def test_criterion_5_sample_level_estimation():
     worst = 0.0
     for bits in (4, 8, 12):
         alpha, gamma = factors(bits)
-        c = cq.lmmse_coefficient(beta, beta, tau, alpha, gamma, noise.sigma_n2)
-        mse, _ = cq.estimation_mse(beta, beta, tau, alpha, gamma, noise.sigma_n2)
+        c = cq.lmmse_coefficient(beta, tau, alpha, gamma, noise.sigma_n2)
+        mse, _ = cq.estimation_mse(beta, tau, alpha, gamma, noise.sigma_n2)
         total = np.zeros((m_aps, k_users))
         total_sq = np.zeros((m_aps, k_users))
         rng = np.random.default_rng(777 + bits)

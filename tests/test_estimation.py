@@ -227,42 +227,59 @@ class TestPilotCorrelate:
         assert z_im < 3.0
 
 
+def closed_forms(beta):
+    """Coefficient, MSE and NMSE of the gains ``beta`` at one fixed setting."""
+    return (lmmse_coefficient(beta, 4, 0.9, 0.85, 1e-3), *estimation_mse(beta, 4, 0.9, 0.85, 1e-3))
+
+
 class TestLmmseCoefficient:
     def test_unquantized_reduces_to_textbook(self):
         beta = 0.7
         row = np.array([0.7, 0.1])
         tau = 5
-        c = lmmse_coefficient(beta, row, tau, 1.0, 1.0, 0.01)
+        c = lmmse_coefficient(row, tau, 1.0, 1.0, 0.01)[0]
         assert c == pytest.approx(beta * math.sqrt(tau) / (tau * beta + 0.01), rel=1e-12)
 
     def test_unit_plugin(self):
-        assert lmmse_coefficient(1.0, np.array([1.0]), 1, 1.0, 1.0, 1.0) == pytest.approx(0.5)
+        c = lmmse_coefficient(np.array([1.0]), 1, 1.0, 1.0, 1.0)
+        assert c.shape == (1,)
+        assert c[0] == pytest.approx(0.5)
 
     def test_matrix_broadcast(self):
-        rng = np.random.default_rng(10)
-        beta = rng.uniform(0.01, 1.0, size=(6, 4))
-        c = lmmse_coefficient(beta, beta, 4, 0.9, 0.85, 1e-3)
+        # One AP's row gives that row of the (M, K) result, bit for bit.
+        beta = np.random.default_rng(10).uniform(0.01, 1.0, size=(6, 4))
+        full = closed_forms(beta)
         for m in range(6):
-            for k in range(4):
-                assert c[m, k] == pytest.approx(
-                    lmmse_coefficient(beta[m, k], beta[m], 4, 0.9, 0.85, 1e-3)
-                )
+            for row, out in zip(closed_forms(beta[m]), full, strict=True):
+                assert row.shape == (4,)
+                np.testing.assert_array_equal(row, out[m])
+
+    def test_swapping_ap_rows_swaps_outputs(self):
+        # Each entry reads the sum of its own AP's row.
+        beta = np.random.default_rng(18).uniform(0.01, 1.0, size=(5, 3))
+        order = [3, 1, 2, 0, 4]
+        for swapped, out in zip(closed_forms(beta[order]), closed_forms(beta), strict=True):
+            np.testing.assert_array_equal(swapped, out[order])
+            assert not np.array_equal(swapped, out)
 
     def test_perturbation_increases_general_mse(self):
         alpha, gamma = factors_at_optimum(2)
-        beta, row, tau, sn2 = 0.4, np.array([0.4, 0.2, 0.1]), 3, 1e-2
-        c_opt = lmmse_coefficient(beta, row, tau, alpha, gamma, sn2)
-        base = pilot_mse_at_coefficient(c_opt, beta, row, tau, alpha, gamma, sn2)
-        for eps in (0.01, -0.01):
-            worse = pilot_mse_at_coefficient(c_opt * (1 + eps), beta, row, tau, alpha, gamma, sn2)
-            assert worse > base
+        row, tau, sn2 = np.array([0.4, 0.2, 0.1]), 3, 1e-2
+        c_opt = lmmse_coefficient(row, tau, alpha, gamma, sn2)
+        for k, beta in enumerate(row):
+            base = pilot_mse_at_coefficient(c_opt[k], beta, row, tau, alpha, gamma, sn2)
+            for eps in (0.01, -0.01):
+                worse = pilot_mse_at_coefficient(
+                    c_opt[k] * (1 + eps), beta, row, tau, alpha, gamma, sn2
+                )
+                assert worse > base
 
 
 class TestEstimateChannel:
     def test_zero_coefficient(self):
         # A pair with zero gain gets a zero coefficient, so a zero estimate.
         beta = np.array([[0.0, 0.4], [0.2, 0.3]])
-        c = lmmse_coefficient(beta, beta, 2, 0.9, 0.85, 1e-3)
+        c = lmmse_coefficient(beta, 2, 0.9, 0.85, 1e-3)
         y = crandn(np.random.default_rng(17), 2, 2)
         estimate = c * correlate_all(y, make_pilot_book(2, 2))
         assert c[0, 0] == 0.0 and estimate[0, 0] == 0.0
@@ -276,7 +293,7 @@ class TestEstimateChannel:
         phi = make_pilot_book(3, tau)
         y = math.sqrt(tau) * (g @ phi.T)
         r = correlate_all(y, phi)
-        c = lmmse_coefficient(beta, beta, tau, 1.0, 1.0, 0.0)
+        c = lmmse_coefficient(beta, tau, 1.0, 1.0, 0.0)
         np.testing.assert_allclose(c * r, g, atol=1e-12)
 
     def test_empirical_mse_matches_closed_form(self):
@@ -286,8 +303,8 @@ class TestEstimateChannel:
         beta = rng.uniform(0.05, 0.8, size=(m_aps, k_users))
         phi = make_pilot_book(k_users, tau)
         alpha, gamma = factors_at_optimum(8)
-        c = lmmse_coefficient(beta, beta, tau, alpha, gamma, NOISE.sigma_n2)
-        mse, _ = estimation_mse(beta, beta, tau, alpha, gamma, NOISE.sigma_n2)
+        c = lmmse_coefficient(beta, tau, alpha, gamma, NOISE.sigma_n2)
+        mse, _ = estimation_mse(beta, tau, alpha, gamma, NOISE.sigma_n2)
         total = np.zeros((m_aps, k_users))
         trials = 100_000
         for _ in range(trials // 10_000):
@@ -302,66 +319,65 @@ class TestEstimateChannel:
 class TestEstimationMse:
     def test_unquantized_closed_form(self):
         beta, sn2, tau = 0.7, 0.05, 6
-        mse, nmse = estimation_mse(beta, np.array([beta, 0.2]), tau, 1.0, 1.0, sn2)
-        interference = sn2  # no distortion残 term at alpha = gamma = 1
-        assert mse == pytest.approx(beta * interference / (tau * beta + interference), rel=1e-12)
-        assert nmse == pytest.approx(mse / beta, rel=1e-12)
+        mse, nmse = estimation_mse(np.array([beta, 0.2]), tau, 1.0, 1.0, sn2)
+        interference = sn2  # no distortion term at alpha = gamma = 1
+        assert mse[0] == pytest.approx(beta * interference / (tau * beta + interference), rel=1e-12)
+        assert nmse[0] == pytest.approx(mse[0] / beta, rel=1e-12)
 
     def test_unit_plugin(self):
-        mse, nmse = estimation_mse(1.0, np.array([1.0]), 1, 1.0, 1.0, 1.0)
-        assert mse == pytest.approx(0.5)
-        assert nmse == pytest.approx(0.5)
+        mse, nmse = estimation_mse(np.array([1.0]), 1, 1.0, 1.0, 1.0)
+        assert mse.shape == nmse.shape == (1,)
+        assert mse[0] == pytest.approx(0.5)
+        assert nmse[0] == pytest.approx(0.5)
 
     def test_quantization_strictly_degrades(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            beta = float(rng.uniform(0.01, 1.0))
             row = rng.uniform(0.01, 1.0, size=5)
             tau = int(rng.integers(5, 40))
             sn2 = float(rng.uniform(1e-5, 0.1))
-            _, base = estimation_mse(beta, row, tau, 1.0, 1.0, sn2)
+            _, base = estimation_mse(row, tau, 1.0, 1.0, sn2)
             for bits in (2, 4, 8):
                 alpha, gamma = factors_at_optimum(bits)
-                _, quantized = estimation_mse(beta, row, tau, alpha, gamma, sn2)
-                assert quantized > base
+                _, quantized = estimation_mse(row, tau, alpha, gamma, sn2)
+                assert np.all(quantized > base)
 
     def test_nmse_in_unit_interval(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
-            beta = float(rng.uniform(1e-6, 10.0))
             row = rng.uniform(1e-6, 10.0, size=int(rng.integers(1, 8)))
             tau = int(rng.integers(1, 64))
             sn2 = float(rng.uniform(1e-8, 1.0))
             alpha, gamma = factors_at_optimum(int(rng.integers(2, 10)))
-            _, nmse = estimation_mse(beta, row, tau, alpha, gamma, sn2)
-            assert 0.0 < nmse < 1.0
+            _, nmse = estimation_mse(row, tau, alpha, gamma, sn2)
+            assert np.all((nmse > 0.0) & (nmse < 1.0))
 
     def test_monotone_in_pilot_length_and_sdnr(self):
-        beta, row, sn2 = 0.3, np.array([0.3, 0.1, 0.05]), 1e-3
+        row, sn2 = np.array([0.3, 0.1, 0.05]), 1e-3
         values = [
-            estimation_mse(beta, row, tau, *factors_at_optimum(4), sn2)[1]
+            estimation_mse(row, tau, *factors_at_optimum(4), sn2)[1]
             for tau in (3, 6, 12, 24, 48)
         ]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert all(np.all(a >= b) for a, b in zip(values, values[1:]))
         by_bits = [
-            estimation_mse(beta, row, 8, *factors_at_optimum(bits), sn2)[1]
+            estimation_mse(row, 8, *factors_at_optimum(bits), sn2)[1]
             for bits in (2, 4, 6, 8, 10)
         ]
-        assert all(a >= b for a, b in zip(by_bits, by_bits[1:]))
+        assert all(np.all(a >= b) for a, b in zip(by_bits, by_bits[1:]))
 
     def test_closed_form_equals_quadratic_at_optimum(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
-            beta = float(rng.uniform(0.01, 2.0))
             row = rng.uniform(0.01, 2.0, size=4)
             tau = int(rng.integers(4, 32))
             sn2 = float(rng.uniform(1e-6, 0.5))
             alpha = float(rng.uniform(0.3, 1.0))
             gamma = alpha**2 * (1.0 + float(rng.uniform(1e-6, 0.5)))
-            c_opt = lmmse_coefficient(beta, row, tau, alpha, gamma, sn2)
-            direct, _ = estimation_mse(beta, row, tau, alpha, gamma, sn2)
-            quadratic = pilot_mse_at_coefficient(c_opt, beta, row, tau, alpha, gamma, sn2)
-            assert quadratic == pytest.approx(direct, rel=1e-12)
+            c_opt = lmmse_coefficient(row, tau, alpha, gamma, sn2)
+            direct, _ = estimation_mse(row, tau, alpha, gamma, sn2)
+            for k, beta in enumerate(row):
+                quadratic = pilot_mse_at_coefficient(c_opt[k], beta, row, tau, alpha, gamma, sn2)
+                assert quadratic == pytest.approx(direct[k], rel=1e-12)
 
 
 class TestEstimateFromPilots:
@@ -372,8 +388,8 @@ class TestEstimateFromPilots:
         phi = make_pilot_book(3, 3)
         alpha, gamma = factors_at_optimum(6)
         y = simulate_pilot_phase(g, phi, NOISE, 0, pilot_noise(rng, g, phi), beta)
-        c = lmmse_coefficient(beta, beta, len(phi), alpha, gamma, NOISE.sigma_n2)
-        mse, nmse = estimation_mse(beta, beta, len(phi), alpha, gamma, NOISE.sigma_n2)
+        c = lmmse_coefficient(beta, len(phi), alpha, gamma, NOISE.sigma_n2)
+        mse, nmse = estimation_mse(beta, len(phi), alpha, gamma, NOISE.sigma_n2)
         assert (c * correlate_all(y, phi)).shape == c.shape == nmse.shape == (5, 3)
         np.testing.assert_array_equal(mse, beta * nmse)
         assert np.all((nmse > 0) & (nmse < 1))
