@@ -11,6 +11,7 @@ empirical CDFs of normalized estimation MSE and per-user SINR.
 from .quantizer import (
     FlatObjectiveWarning,
     bussgang_alpha,
+    bussgang_row,
     distortion_power,
     fronthaul,
     optimal_step,
@@ -46,7 +47,6 @@ from .detection import (
 from .simulation import (
     CdfSeries,
     SimulationConfig,
-    bussgang_row,
     run_nmse_campaign,
     run_sinr_campaign,
     validate_closed_forms,

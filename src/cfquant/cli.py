@@ -9,13 +9,12 @@ import math
 import sys
 import warnings
 
-from .quantizer import sdnr
+from .quantizer import bussgang_row, sdnr
 from .simulation import (
     _FIELD_TYPES,
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     SimulationConfig,
-    bussgang_row,
     campaign_manifest,
     parse_config_file,
     run_nmse_campaign,

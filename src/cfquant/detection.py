@@ -72,7 +72,7 @@ def _information_inverse(G, alpha, sigma_s2, b):
     info[..., k, k] += 1.0 / sigma_s2
     info = 0.5 * (info + info.conj().swapaxes(-1, -2))
     cov = np.linalg.inv(info)
-    return 0.5 * (cov + cov.conj().swapaxes(-1, -2)) if G.shape[1] > 1 else cov
+    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
 
 
 def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .channel import received_variance
-from .quantizer import fronthaul
+from .quantizer import _distortion_gap, fronthaul
 
 __all__ = [
     "make_pilot_book",
@@ -80,8 +80,9 @@ def _stacked_product(a, b):
 
 def _interference_term(beta, alpha, gamma, sigma_n2):
     """Noise-plus-distortion power seen by the correlator at each AP, shape
-    (..., 1): it broadcasts against the gains ``beta`` (..., K) of that AP."""
-    return (gamma - alpha**2) * beta.sum(axis=-1, keepdims=True) + gamma * sigma_n2
+    (..., 1): it broadcasts against the gains ``beta`` (..., K) of that AP.
+    Factors whose gap gamma - alpha**2 is negative beyond rounding are rejected."""
+    return _distortion_gap(alpha, gamma) * beta.sum(axis=-1, keepdims=True) + gamma * sigma_n2
 
 
 def lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2):

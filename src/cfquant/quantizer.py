@@ -4,10 +4,11 @@ An L-level uniform quantizer applied to a zero-mean Gaussian input can be
 written as g(x) = alpha*x + d, where the distortion d is uncorrelated with
 the input.  This module provides the quantizer transfer function, closed
 forms for the linear gain alpha and the output power ratio gamma, the
-resulting distortion power and SDNR, and a numerical solver for the
-SDNR-optimal step size.  A quantizer is its level count and its step.  The
-coefficients depend on the step only through the normalized step
-delta/sigma, so they and the solver take the step at unit input variance.
+resulting distortion power and SDNR, and the Bussgang row of each level
+count: the SDNR-optimal step, solved once, with alpha and gamma there.
+A quantizer is its level count and its step.  The coefficients depend on
+the step only through the normalized step delta/sigma, so they and the
+solver take the step at unit input variance.
 """
 
 import math
@@ -25,6 +26,7 @@ __all__ = [
     "distortion_power",
     "sdnr",
     "optimal_step",
+    "bussgang_row",
     "MAX_LEVELS",
 ]
 
@@ -32,14 +34,9 @@ __all__ = [
 # inequality exactly, so anything beyond this is a caller error.
 _CONSISTENCY_TOL = 1e-12
 
-# Canonical 2-level step: the objective alpha**2/gamma is constant in the
-# step, so we return the minimum-distortion choice 2*E|x| for unit-variance
-# Gaussian input (the classical table value 1.596).
-_TWO_LEVEL_STEP = 2.0 * math.sqrt(2.0 / math.pi)
-
 # Largest level count the step solver accepts, and the bracket of normalized
 # steps its bisection starts from: gamma < alpha at its lower end and
-# gamma > alpha at its upper end for every even level count from 4 to
+# gamma > alpha at its upper end for every even level count from 2 to
 # MAX_LEVELS (tests/test_quantizer.py checks each).
 MAX_LEVELS = 2**14
 _BRACKET = (1e-6, 8.0)
@@ -186,7 +183,15 @@ def _distortion_gap(alpha, gamma):
 
 
 @lru_cache(maxsize=None)
-def _optimal_step_cached(levels):
+def _solved_row(levels):
+    """(step, alpha, gamma) at the SDNR-optimal step of an L-level quantizer, solved once."""
+    _check_levels(levels)
+    if levels > MAX_LEVELS:
+        raise ValueError(
+            f"levels={levels} exceeds {MAX_LEVELS}, the largest level count the step "
+            "solver is validated for"
+        )
+
     def excess(d):  # gamma - alpha: negative below the optimum, positive above it
         return power_gain_gamma(levels, d) - bussgang_alpha(levels, d)
 
@@ -198,7 +203,20 @@ def _optimal_step_cached(levels):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, bussgang_alpha(levels, lo), power_gain_gamma(levels, lo)
+
+
+def _row(levels):
+    """``_solved_row``, warning at the public function's caller on every 2-level call."""
+    row = _solved_row(levels)
+    if levels == 2:
+        warnings.warn(
+            "SDNR objective is constant in the step for a 2-level quantizer; "
+            "returning the canonical minimum-distortion step 2*sqrt(2/pi)",
+            FlatObjectiveWarning,
+            stacklevel=3,
+        )
+    return row
 
 
 def optimal_step(levels):
@@ -206,27 +224,25 @@ def optimal_step(levels):
 
     The objective alpha**2/gamma has the slope
     4*d**2*S*alpha*(alpha - gamma)/(sqrt(2*pi)*gamma**2) in the step d, with
-    S = sum(l**2*exp(-(l*d)**2/2)) > 0 over the orders l = 1..L/2 - 1, so
-    its maximum is the one root of gamma - alpha.  Bisection at the geometric
-    mean finds it in the bracket [1e-6, 8], whose sign change is checked
-    first (a ValueError if it fails), until that mean rounds to an end; the
-    lower end is returned.  Level counts above MAX_LEVELS, the deepest at
-    which the bracket is proven, are rejected.  For levels == 2 the objective is
-    flat in the step (S = 0); the canonical minimum-distortion value
-    2*sqrt(2/pi) is returned and a FlatObjectiveWarning is issued.
+    S = sum(l**2*exp(-(l*d)**2/2)) over the orders l = 1..L/2 - 1, so
+    for L >= 4 (S > 0) its maximum is the one root of gamma - alpha.
+    Bisection at the geometric mean finds it in the bracket [1e-6, 8], whose
+    sign change is checked first (a ValueError if it fails), until that mean
+    rounds to an end; the lower end is returned.  Level counts above
+    MAX_LEVELS, the deepest at which the bracket is proven, are rejected.
+    At 2 levels the objective is flat in the step (S = 0), and
+    gamma - alpha = d**2/4 - d/sqrt(2*pi) has the one root 2*sqrt(2/pi), the
+    minimum-distortion step 2*E|x|; the same bisection returns it, with a
+    FlatObjectiveWarning on every call.
     """
-    _check_levels(levels)
-    if levels > MAX_LEVELS:
-        raise ValueError(
-            f"levels={levels} exceeds {MAX_LEVELS}, the largest level count the step "
-            "solver is validated for"
-        )
-    if levels == 2:
-        warnings.warn(
-            "SDNR objective is constant in the step for a 2-level quantizer; "
-            "returning the canonical minimum-distortion step 2*sqrt(2/pi)",
-            FlatObjectiveWarning,
-            stacklevel=2,
-        )
-        return _TWO_LEVEL_STEP
-    return _optimal_step_cached(levels)
+    return _row(levels)[0]
+
+
+def bussgang_row(levels):
+    """{"step", "alpha", "gamma"} of an L-level quantizer: the SDNR-optimal
+    normalized step (``optimal_step``) and the linear gain and power ratio
+    there, at unit input variance.  All three are solved once per level
+    count and cached; each call returns a new dict, and at 2 levels each
+    call warns as ``optimal_step`` does."""
+    step, alpha, gamma = _row(levels)
+    return {"step": step, "alpha": alpha, "gamma": gamma}

@@ -18,18 +18,12 @@ import threading
 import typing
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .quantizer import (
-    MAX_LEVELS,
-    bussgang_alpha,
-    fronthaul,
-    optimal_step,
-    power_gain_gamma,
-)
+from .quantizer import MAX_LEVELS, bussgang_row, fronthaul
 from .channel import (
     NoiseModel,
     PathLossModel,
@@ -64,7 +58,6 @@ __all__ = [
     "substream",
     "make_cdf",
     "parse_config_file",
-    "bussgang_row",
     "bussgang_table",
     "campaign_manifest",
     "run_nmse_campaign",
@@ -150,9 +143,7 @@ class SimulationConfig:
             raise ValueError("trial counts must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.sigma_s2 <= 0.0:
-            raise ValueError("sigma_s2 must be positive")
-        try:  # path loss validity is checked by the model itself
+        try:  # path loss and sigma_s2 validity are checked by the models themselves
             self.noise_model()
         except OverflowError:
             raise ValueError(
@@ -235,22 +226,6 @@ def make_cdf(samples, labels):
         raise ValueError(f"samples must be a (B, N) array with N >= 1, got shape {samples.shape}")
     samples.sort(axis=-1)
     return [CdfSeries(str(label), values) for values, label in zip(samples, labels, strict=True)]
-
-
-def bussgang_row(levels):
-    """{"step", "alpha", "gamma"} of an L-level quantizer: the SDNR-optimal
-    normalized step and the linear gain and power ratio there, at unit input
-    variance.  Steps and coefficients are cached, so building a row again is
-    cheap; each call returns a new dict."""
-    step = optimal_step(levels)
-    alpha, gamma = _bussgang_coefficients(levels, step)
-    return {"step": step, "alpha": alpha, "gamma": gamma}
-
-
-@lru_cache(maxsize=None)
-def _bussgang_coefficients(levels, step):
-    """(alpha, gamma) of the L-level quantizer at ``step``, computed once."""
-    return bussgang_alpha(levels, step), power_gain_gamma(levels, step)
 
 
 def bussgang_table(bits_list):

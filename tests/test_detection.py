@@ -12,8 +12,7 @@ from cfquant.detection import (
     per_user_sinr,
     simulate_uplink,
 )
-from cfquant.quantizer import fronthaul, optimal_step
-from cfquant.simulation import bussgang_row
+from cfquant.quantizer import bussgang_row, fronthaul, optimal_step
 
 NOISE = NoiseModel(sigma_n2=1e-3)
 

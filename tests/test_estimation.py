@@ -11,8 +11,7 @@ from cfquant.estimation import (
     make_pilot_book,
     simulate_pilot_phase,
 )
-from cfquant.quantizer import fronthaul
-from cfquant.simulation import bussgang_row
+from cfquant.quantizer import bussgang_row, fronthaul
 
 NOISE = NoiseModel(sigma_n2=1e-3)
 

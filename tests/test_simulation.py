@@ -22,6 +22,7 @@ from cfquant.detection import (
 from cfquant.quantizer import (
     FlatObjectiveWarning,
     bussgang_alpha,
+    bussgang_row,
     optimal_step,
     power_gain_gamma,
 )
@@ -40,7 +41,6 @@ from cfquant.simulation import (
     _estimation_check,
     _one_blas_thread,
     _openblas_threads,
-    bussgang_row,
     bussgang_table,
     campaign_manifest,
     make_cdf,
@@ -340,9 +340,9 @@ class TestBussgangRow:
     def test_steps_independent_of_blas_threads(self):
         # Solved afresh at numpy's default BLAS thread count and at one thread.
         levels = [2**bits for bits in range(2, 15)]
-        quantizer._optimal_step_cached.cache_clear()
+        quantizer._solved_row.cache_clear()
         default = [repr(optimal_step(n)) for n in levels]
-        quantizer._optimal_step_cached.cache_clear()
+        quantizer._solved_row.cache_clear()
         with _one_blas_thread():
             one_thread = [repr(optimal_step(n)) for n in levels]
         assert one_thread == default
@@ -358,7 +358,7 @@ class TestBussgangRow:
             first = bussgang_table(bits_list)
         computed = []
         for name in ("bussgang_alpha", "power_gain_gamma"):
-            monkeypatch.setattr(simulation, name, lambda *args, name=name: computed.append(name))
+            monkeypatch.setattr(quantizer, name, lambda *args, name=name: computed.append(name))
         with pytest.warns(FlatObjectiveWarning):  # at 2 levels on every call
             second = bussgang_table(bits_list)
         assert computed == []
@@ -537,9 +537,12 @@ class TestSinrCampaign:
 
 
 # sha256 of each campaign CSV at M = 8, K = 3, 2 geometries, 2 fading draws, bits
-# (4, 8, 0) and seed 1.  They pin the campaign outputs byte for byte: the substreams,
-# the closed forms, the receiver kernel, the pooling in table order, the sort and the
-# CSV format.  Re-pin only for an intended change of the numbers.
+# (4, 8, 0) and seed 1, and at two variants of it named after a slash: "bits1", the
+# 2-level row at bits (1, 0), and "k1", one user, whose receiver kernel is 1 x 1.
+# They pin the campaign outputs byte for byte: the substreams, the closed forms, the
+# receiver kernel, the pooling in table order, the sort and the CSV format.  Re-pin
+# only for an intended change of the numbers.
+PINNED_VARIANTS = {"": {}, "bits1": dict(bits_list=(1, 0)), "k1": dict(k_users=1)}
 PINNED_CSV = {
     "nmse": {
         "nmse_b4.csv": "e727cad269367ce3381cfc4a195e42e72391ed1501246f82a049aa84e3e741e6",
@@ -556,14 +559,39 @@ PINNED_CSV = {
         "sinr_b8.csv": "06b2d69542afad9d927678a388437360c2710d99e664401467c83e79ceb4806c",
         "sinr_b0.csv": "139578c31a23cde096d6baa87cd699c12b23326cee1b8f6c08bcdd46f561c282",
     },
+    "nmse/bits1": {
+        "nmse_b1.csv": "4c929ab08d047472870e21b06728baea29209dd200779214a6b737146a931739",
+        "nmse_b0.csv": "3bef08ea269626df1369fbc82bd7f40102b2737c7ea8c78a24fafe5804ae09ca",
+    },
+    "sinr/bits1": {
+        "sinr_b1.csv": "954260b9907d3b02acee8f3b6fcc9e171f1e7400835d20c909555605373d6c56",
+        "sinr_b0.csv": "139578c31a23cde096d6baa87cd699c12b23326cee1b8f6c08bcdd46f561c282",
+    },
+    "sinr-legacy/bits1": {
+        "sinr_b1.csv": "ebcdc83441694c4200ec6aae631500839748889b225ebda4ecd9bc343804892c",
+        "sinr_b0.csv": "139578c31a23cde096d6baa87cd699c12b23326cee1b8f6c08bcdd46f561c282",
+    },
+    "sinr/k1": {
+        "sinr_b4.csv": "45d1bfe6173bde9ad36892562ebf9b19dbc939778008a466f77120d3f30fe717",
+        "sinr_b8.csv": "3092817774ff9cb62a602831464621f62ac25572cdba27e26fa551b7a552c626",
+        "sinr_b0.csv": "eb69f6b36f177375d061aebbfa3a4314f371cf72adbf6e719d099a1de8888af5",
+    },
+    "sinr-legacy/k1": {
+        "sinr_b4.csv": "c67d5ff269eac7fae9ffaa092f769856e052d29ecc1649f5b2018c23ff2ffdfc",
+        "sinr_b8.csv": "3092817774ff9cb62a602831464621f62ac25572cdba27e26fa551b7a552c626",
+        "sinr_b0.csv": "eb69f6b36f177375d061aebbfa3a4314f371cf72adbf6e719d099a1de8888af5",
+    },
 }
 
 
-@pytest.mark.parametrize("campaign", PINNED_CSV)
-def test_campaign_csv_bytes_pinned(tmp_path, campaign):
-    cfg = SimulationConfig(
-        m_aps=8, k_users=3, n_geometries=2, n_smallscale=2, bits_list=(4, 8, 0), seed=1
-    )
+@pytest.mark.parametrize("case", PINNED_CSV)
+@pytest.mark.filterwarnings("ignore::cfquant.quantizer.FlatObjectiveWarning")
+def test_campaign_csv_bytes_pinned(tmp_path, case):
+    campaign, _, variant = case.partition("/")
+    cfg = SimulationConfig(**{
+        **dict(m_aps=8, k_users=3, n_geometries=2, n_smallscale=2, bits_list=(4, 8, 0), seed=1),
+        **PINNED_VARIANTS[variant],
+    })
     series = {
         "nmse": lambda: run_nmse_campaign(cfg),
         "sinr": lambda: run_sinr_campaign(cfg),
@@ -571,7 +599,7 @@ def test_campaign_csv_bytes_pinned(tmp_path, campaign):
     }[campaign]()
     paths = write_cdf_csv(series, tmp_path, campaign=campaign.split("-")[0])
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
-    assert got == PINNED_CSV[campaign]
+    assert got == PINNED_CSV[case]
 
 
 # validate_closed_forms at 2e4 trials: (statistic, threshold) of every Monte Carlo
