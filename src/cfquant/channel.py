@@ -121,9 +121,10 @@ def complex_normal(rng, shape, scale, add_to=None):
     """``scale * (re + 1j*im)`` for i.i.d. standard normal ``re`` and ``im`` of ``shape``.
 
     All real parts are drawn before all imaginary parts, as by two consecutive
-    ``rng.normal(size=shape)`` calls, through one 128 KB buffer.  ``scale``
-    broadcasts against ``shape`` and multiplies each part, the same bits as the
-    complex product; numpy divides complex by a real d as a product with 1.0 / d.
+    ``rng.normal(size=shape)`` calls, through one 128 KB buffer in the blocks
+    numpy's buffered iterator hands out.  ``scale`` broadcasts against ``shape``,
+    is never copied whole, and multiplies each part, the same bits as the complex
+    product; numpy divides complex by a real d as a product with 1.0 / d.
 
     ``add_to``, a C-contiguous complex array of ``shape``, receives the draws in
     place and is returned: the bits of ``add_to + complex_normal(rng, shape,
@@ -176,35 +177,18 @@ def _runs(rng, scale, rows, real):
 def _draw_scaled(rng, part, scale, run, add):
     """Write (or add) standard normal draws times ``scale``, which has the shape
     of ``part``, into ``part`` in C order, drawing through the buffer ``run``.
-    The draws come in blocks of whole rows or, when a row holds more than
-    ``run``, of parts of a row, so ``scale`` may be a broadcast view: it is
-    never copied."""
-    for index in _row_blocks(part.shape, run.size):
-        dst = part[index]
-        draws = rng.standard_normal(out=run[: dst.size]).reshape(dst.shape)
-        if add:
-            dst += np.multiply(draws, scale[index], out=draws)
-        else:
-            np.multiply(draws, scale[index], out=dst)
-
-
-def _row_blocks(shape, size):
-    """Index tuples of consecutive C-order blocks of an array of ``shape``, each
-    of at most ``size`` values and each ending in ``...``, so it indexes a view."""
-    if math.prod(shape) == 0:
-        return
-    if not shape:
-        yield (...,)
-        return
-    inner = math.prod(shape[1:])
-    if inner <= size:
-        step = size // inner
-        for start in range(0, shape[0], step):
-            yield (slice(start, start + step), ...)
-    else:
-        for row in range(shape[0]):
-            for index in _row_blocks(shape[1:], size):
-                yield (row, *index)
+    numpy's buffered iterator hands out the blocks, each of at most ``run.size``
+    values, so ``scale`` may be a broadcast view: it is never copied whole."""
+    with np.nditer(
+        [part, scale], ["external_loop", "buffered", "zerosize_ok"],
+        [["readwrite"], ["readonly"]], order="C", buffersize=run.size,
+    ) as blocks:
+        for dst, factor in blocks:
+            draws = rng.standard_normal(out=run[: dst.size])
+            if add:
+                dst += np.multiply(draws, factor, out=draws)
+            else:
+                np.multiply(draws, factor, out=dst)
 
 
 def received_variance(beta_row, sigma_s2, sigma_n2):

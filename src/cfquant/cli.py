@@ -15,6 +15,7 @@ from .simulation import (
     NMSE_DEFAULT_BITS,
     SINR_DEFAULT_BITS,
     SimulationConfig,
+    _int_list,
     campaign_manifest,
     parse_config_file,
     run_nmse_campaign,
@@ -60,7 +61,7 @@ def _build_config(args, bits=None, geoms=None, smallscale=None, defaults=None):
 
 def _parse_int_list(text):
     try:
-        return tuple(int(part) for part in text.replace(",", " ").split())
+        return _int_list(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 

@@ -124,7 +124,9 @@ class SimulationConfig:
             raise ValueError("l_serv_m must be positive")
         if self.sigma_sh_db < 0.0:
             raise ValueError("sigma_sh_db must be nonnegative")
-        if self.tau is not None and self.tau < self.k_users:
+        if self.tau is None:
+            object.__setattr__(self, "tau", self.k_users)
+        if self.tau < self.k_users:
             raise ValueError(f"tau={self.tau} must be at least k_users={self.k_users}")
         if self.bits_list is not None:
             if not self.bits_list:
@@ -158,9 +160,6 @@ class SimulationConfig:
             self.snr_edge_db, self.path_loss_model(), self.l_serv_m, self.sigma_s2
         )
 
-    def resolved_tau(self):
-        return self.tau if self.tau is not None else self.k_users
-
     def resolved_bits(self, default):
         return tuple(self.bits_list) if self.bits_list is not None else tuple(default)
 
@@ -185,11 +184,14 @@ _FIELD_TYPES = {
 }
 
 
+def _int_list(text):
+    """The integers of a comma- or space-separated string, as a tuple."""
+    return tuple(int(part) for part in text.replace(",", " ").split())
+
+
 def _coerce(key, raw):
     if key == "bits_list":
-        if isinstance(raw, str):
-            raw = [part for part in raw.replace(",", " ").split() if part]
-        return tuple(int(b) for b in raw)
+        return _int_list(raw) if isinstance(raw, str) else tuple(int(b) for b in raw)
     return _FIELD_TYPES[key](raw)
 
 
@@ -252,9 +254,8 @@ def _nmse_trial(cfg, table, trial):
     shape (bits, M*K) in table order."""
     beta = _draw_gains(cfg, trial)
     sigma_n2 = cfg.noise_model().sigma_n2
-    tau = cfg.resolved_tau()
     return np.stack([
-        estimation_mse(beta, tau, row["alpha"], row["gamma"], sigma_n2)[1].ravel()
+        estimation_mse(beta, cfg.tau, row["alpha"], row["gamma"], sigma_n2)[1].ravel()
         for row in table.values()
     ])
 
@@ -364,7 +365,6 @@ def campaign_manifest(cfg, campaign, bits_list, **extra):
     including the ``bussgang_table`` of its bit depths."""
     manifest = {"campaign": campaign}
     manifest.update(asdict(cfg))
-    manifest["tau"] = cfg.resolved_tau()
     manifest["bits_list"] = [int(b) for b in bits_list]
     manifest["bussgang_table"] = bussgang_table(bits_list)
     manifest.update(extra)
@@ -452,7 +452,7 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     one when the event ``stop`` is set."""
     beta = _colocated_gains(cfg)
     noise = cfg.noise_model()
-    tau = cfg.resolved_tau()
+    tau = cfg.tau
     pilots = make_pilot_book(cfg.k_users, tau)
     c = lmmse_coefficient(beta, tau, alpha, gamma, noise.sigma_n2)
     mse, _ = estimation_mse(beta, tau, alpha, gamma, noise.sigma_n2)
@@ -717,9 +717,8 @@ def _one_blas_thread():
 def _unquantized_estimation_identity(cfg):
     beta = _draw_gains(cfg, 0)
     sigma_n2 = cfg.noise_model().sigma_n2
-    tau = cfg.resolved_tau()
-    mse, _ = estimation_mse(beta, tau, 1.0, 1.0, sigma_n2)
-    textbook = beta * sigma_n2 / (tau * beta + sigma_n2)
+    mse, _ = estimation_mse(beta, cfg.tau, 1.0, 1.0, sigma_n2)
+    textbook = beta * sigma_n2 / (cfg.tau * beta + sigma_n2)
     err = np.max(np.abs(mse - textbook) / textbook)
     return CheckResult(
         name="unquantized_estimation_identity",

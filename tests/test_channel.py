@@ -242,6 +242,15 @@ class TestComplexNormal:
             tracemalloc.stop()
         assert peak <= z.nbytes + 16_384 * 8 + 16_384
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+    def test_empty_shapes_draw_nothing(self, shape):
+        rng = np.random.default_rng(9)
+        z = complex_normal(rng, shape, 1.0)
+        x = np.zeros(shape, dtype=complex)
+        assert complex_normal(rng, shape, 1.0, add_to=x) is x
+        assert z.shape == shape and z.dtype == complex
+        assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
+
     def test_small_scale_draw_is_division_by_sqrt2(self):
         rng = np.random.default_rng(4)
         expected = (rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))) / math.sqrt(2.0)
@@ -267,6 +276,17 @@ class TestComplexNormalRuns:
             start += len(run)
         assert start == shape[0]
         np.testing.assert_array_equal(np.concatenate(got), expected)
+
+    def test_runs_longer_than_the_buffer(self):
+        # Each leading row holds 20,000 values, more than the 16,384-value buffer,
+        # and the per-AP-row scale is read through its broadcast view.
+        shape = (5, 40, 500)
+        scale = np.linspace(0.5, 2.0, 40)[:, None]
+        expected = complex_normal(np.random.default_rng(7), shape, scale)
+        runs = complex_normal_runs(
+            np.random.default_rng(7), shape, scale, 2, np.empty(math.prod(shape))
+        )
+        np.testing.assert_array_equal(np.concatenate([run.copy() for run in runs]), expected)
 
     def test_real_parts_fill_the_buffer(self):
         real = np.empty((10, 2))

@@ -98,7 +98,7 @@ class TestConfig:
         assert cfg.l_serv_m == 1000.0
         assert cfg.snr_edge_db == 20.0
         assert cfg.sigma_sh_db == 8.0
-        assert cfg.resolved_tau() == 40
+        assert cfg.tau == 40
         assert cfg.resolved_bits(NMSE_DEFAULT_BITS) == (4, 6, 8, 10, 12, 14, 0)
         assert cfg.resolved_bits(SINR_DEFAULT_BITS) == (6, 8, 10, 12, 14, 0)
 
@@ -157,7 +157,7 @@ class TestConfig:
 
     def test_numpy_integers_accepted(self):
         cfg = SimulationConfig(m_aps=np.int64(7), tau=np.int32(40), seed=np.uint64(3))
-        assert (cfg.m_aps, cfg.resolved_tau(), cfg.seed) == (7, 40, 3)
+        assert (cfg.m_aps, cfg.tau, cfg.seed) == (7, 40, 3)
         assert {type(cfg.m_aps), type(cfg.tau), type(cfg.seed)} == {int}
 
     def test_numpy_integer_bit_depths_write_a_manifest(self, tmp_path):
