@@ -132,7 +132,12 @@ def complex_normal(rng, shape, scale, add_to=None):
     """
     if add_to is None:
         out = np.empty(shape, dtype=complex)
-    elif add_to.shape != tuple(shape) or add_to.dtype != complex or not add_to.flags.c_contiguous:
+    elif (
+        not isinstance(add_to, np.ndarray)
+        or add_to.shape != tuple(shape)
+        or add_to.dtype != complex
+        or not add_to.flags.c_contiguous
+    ):
         raise ValueError(f"add_to must be a C-contiguous complex array of shape {tuple(shape)}")
     else:
         out = add_to

@@ -80,6 +80,8 @@ _MC_CHUNK = 10_000
 # and one run of complex arrays (channels, pilot observations, correlations), so this
 # bounds its working set; it is not part of the stream contract.
 _CORRELATE_ROWS = 1_000
+# Rows per write of a CDF file, which bounds the writer's working set whatever N is.
+_CSV_ROWS = 4_096
 
 
 def substream(seed, stream, *keys):
@@ -324,13 +326,16 @@ def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
 
     Files are named ``{campaign}_b{label}.csv`` with header
     ``value,cum_prob`` and 9 significant digits, rows in ascending value
-    order, the i-th of N at cumulative probability i/N.  Every series is
-    checked before any file is written: an empty series, or one with a
-    non-finite value, is a ValueError.  Returns the list of paths written.
+    order, the i-th of N at cumulative probability i/N, written in chunks of
+    ``_CSV_ROWS`` rows.  Every series is checked before any file is written:
+    one that is not a 1-D real array, is empty or has a non-finite value is
+    a ValueError.  Returns the list of paths written.
     """
     if not series:
         raise ValueError("no CDF series to write")
     for entry in series:
+        if entry.values.ndim != 1 or np.iscomplexobj(entry.values):
+            raise ValueError(f"series {entry.label!r} is not a 1-D real array")
         if entry.values.size == 0:
             raise ValueError(f"series {entry.label!r} is empty")
         if not np.isfinite(entry.values).all():
@@ -341,15 +346,17 @@ def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
     paths = []
-    tails = {}  # N -> the ",{i/N}\n" rows, shared by the series of length N
     for entry in series:
         path = out_dir / f"{campaign}_b{entry.label}.csv"
-        if (n := entry.values.size) not in tails:
-            tails[n] = [f",{i / n:.9g}\n" for i in range(1, n + 1)]
+        values, n = entry.values, entry.values.size
         try:
             with open(path, "w", newline="\n") as handle:
                 handle.write("value,cum_prob\n")
-                handle.writelines(f"{v:.9g}{t}" for v, t in zip(entry.values.tolist(), tails[n]))
+                for start in range(0, n, _CSV_ROWS):
+                    stop = min(start + _CSV_ROWS, n)
+                    # arange / n is the correctly rounded i / n; % formats as f"{x:.9g}".
+                    rows = np.column_stack((values[start:stop], np.arange(start + 1, stop + 1) / n))
+                    handle.write(("%.9g,%.9g\n" * (stop - start)) % tuple(rows.ravel().tolist()))
         except OSError as exc:
             raise OSError(f"cannot write CDF file {path}: {exc}") from exc
         paths.append(path)

@@ -209,13 +209,20 @@ class TestComplexNormal:
         np.testing.assert_array_equal(x, expected)
 
     @pytest.mark.parametrize(
-        "add_to",
-        [np.zeros((7, 3), dtype=complex).T, np.zeros((3, 7)), np.zeros((3, 6), dtype=complex)],
-        ids=["strided", "real", "shape"],
+        "shape, add_to",
+        [
+            ((3, 7), np.zeros((7, 3), dtype=complex).T),
+            ((3, 7), np.zeros((3, 7))),
+            ((3, 7), np.zeros((3, 6), dtype=complex)),
+            # A numpy scalar has the shape, dtype and flags of a 0-d array but cannot be written.
+            ((), np.complex128(1 + 2j)),
+            ((2,), [1j, 2j]),
+        ],
+        ids=["strided", "real", "shape", "scalar", "list"],
     )
-    def test_add_to_rejects_unfit_arrays(self, add_to):
+    def test_add_to_rejects_unfit_arrays(self, shape, add_to):
         with pytest.raises(ValueError, match="add_to"):
-            complex_normal(np.random.default_rng(3), (3, 7), 1.0, add_to=add_to)
+            complex_normal(np.random.default_rng(3), shape, 1.0, add_to=add_to)
 
     @pytest.mark.parametrize(
         "shape, scale",

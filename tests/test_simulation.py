@@ -28,6 +28,7 @@ from cfquant.quantizer import (
 )
 from cfquant.simulation import (
     _CORRELATE_ROWS,
+    _CSV_ROWS,
     _FADING,
     _MC_CHUNK,
     NMSE_DEFAULT_BITS,
@@ -265,8 +266,7 @@ class TestWriteCsv:
         assert len(lines) == 4
 
     def test_series_of_different_lengths(self, tmp_path):
-        # The probability column i/N is formatted once per length N and shared
-        # by the series of that length.
+        # Each series gets the probability column i/N of its own length N.
         values = np.array([-3.25e-7, 0.1, 2.0 / 3.0, 12345.678901234, 1e300, 5.0, 7.0])
         series = [
             CdfSeries("4", values[:3]),
@@ -278,6 +278,39 @@ class TestWriteCsv:
             n = entry.values.size
             rows = "".join(f"{v:.9g},{i / n:.9g}\n" for i, v in enumerate(entry.values, start=1))
             assert path.read_bytes() == ("value,cum_prob\n" + rows).encode()
+
+    @pytest.mark.parametrize(
+        "n", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 1], ids=str
+    )
+    def test_bytes_across_chunk_boundaries(self, tmp_path, n):
+        # Two series of one length N in one call: floats at the extremes of the
+        # double range, signed zero and integer values, and an integer array.
+        pattern = [-1.7e308, -0.0, 5e-324, 0.1, 2.0 / 3.0, 3.0, 2.0**53 + 2.0, -12345.0]
+        series = [
+            CdfSeries("4", np.resize(pattern, n)),
+            CdfSeries("8", np.arange(n, dtype=np.int64) * 7_919 - 2**60),
+        ]
+        paths = write_cdf_csv(series, tmp_path, campaign="sinr")
+        for entry, path in zip(series, paths, strict=True):
+            rows = "".join(
+                f"{v:.9g},{i / n:.9g}\n" for i, v in enumerate(entry.values.tolist(), start=1)
+            )
+            assert path.read_bytes() == ("value,cum_prob\n" + rows).encode()
+
+    def test_writer_memory_bounded(self, tmp_path):
+        # One nmse-cdf file at the reference scenario: 50 geometries of 200 x 40 pairs.
+        # Whole-series Python strings and floats would take about 40 MB.
+        (series,) = make_cdf(np.random.default_rng(4).lognormal(size=(1, 400_000)), ["4"])
+        assert _traced_peak(partial(write_cdf_csv, [series], tmp_path)) < 2e6
+
+    @pytest.mark.parametrize(
+        "bad", [np.ones((2, 2)), np.array([0.1, 0.2j])], ids=["two-dimensional", "complex"]
+    )
+    def test_malformed_series_rejected_before_any_file(self, tmp_path, bad):
+        series = [CdfSeries("4", np.array([0.1, 0.2])), CdfSeries("8", bad)]
+        with pytest.raises(ValueError, match="series '8' is not a 1-D real array"):
+            write_cdf_csv(series, tmp_path, campaign="sinr")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_value_rejected_before_any_file(self, tmp_path, bad):
