@@ -28,6 +28,8 @@ for series in sinr:
 
 out = "demo_results"
 # The manifests record the configuration and the step, alpha and gamma per bit depth.
-write_cdf_csv(nmse, out, campaign="nmse", manifest=campaign_manifest(cfg, "nmse", NMSE_DEFAULT_BITS))
-write_cdf_csv(sinr, out, campaign="sinr", manifest=campaign_manifest(cfg, "sinr", SINR_DEFAULT_BITS))
+nmse_manifest = campaign_manifest(cfg, "nmse", cfg.resolved_bits(NMSE_DEFAULT_BITS))
+sinr_manifest = campaign_manifest(cfg, "sinr", cfg.resolved_bits(SINR_DEFAULT_BITS))
+write_cdf_csv(nmse, out, campaign="nmse", manifest=nmse_manifest)
+write_cdf_csv(sinr, out, campaign="sinr", manifest=sinr_manifest)
 print(f"\nCDF files written to ./{out}/ (value,cum_prob rows, one file per depth)")

@@ -3,7 +3,6 @@ quantizer design table.  Results go to CSV files or stdout; logs to stderr.
 """
 
 import argparse
-import ctypes
 import logging
 import math
 import sys
@@ -169,23 +168,6 @@ def build_parser():
     return parser
 
 
-def _keep_freed_blocks():
-    """Set glibc's mmap and trim thresholds to the maxima its own dynamic
-    thresholds reach, 32 and 64 MiB, so the arrays of a few hundred KB to a
-    few MB that each Monte Carlo check, block or run and each fading draw
-    allocates and frees are reused from the heap, not mapped or trimmed and
-    faulted in afresh every time.  Without this, a warm job takes about 11k
-    minor page faults on validate (some 2k per Monte Carlo check, on either
-    thread, all in the check's first blocks, as they touch its arrays),
-    0.4k-0.9k on sinr-cdf and 0.8k on sinr-cdf --legacy-eq21, against 3-220,
-    0-190 and 0-4 with it; peak RSS is the same.  Without glibc, do nothing."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def _log_warning(message, category, filename, lineno, file=None, line=None):
     """A library warning as one log line, without its source location."""
     logger.warning("%s: %s", category.__name__, message)
@@ -194,7 +176,6 @@ def _log_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    _keep_freed_blocks()
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _log_warning

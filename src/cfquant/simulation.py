@@ -131,13 +131,14 @@ class SimulationConfig:
         if self.tau < self.k_users:
             raise ValueError(f"tau={self.tau} must be at least k_users={self.k_users}")
         if self.bits_list is not None:
-            if not self.bits_list:
+            bits_list = tuple(self.bits_list)  # a numpy array has no truth value
+            if not bits_list:
                 raise ValueError("bits_list must not be empty")
-            if any(b < 0 or b != int(b) for b in self.bits_list):
+            if any(b < 0 or b != int(b) for b in bits_list):
                 raise ValueError("bits entries must be nonnegative integers (0 = unquantized)")
-            if len(set(self.bits_list)) < len(self.bits_list):
-                raise ValueError(f"bits_list repeats a bit depth: {list(self.bits_list)}")
-            object.__setattr__(self, "bits_list", tuple(int(b) for b in self.bits_list))
+            if len(set(bits_list)) < len(bits_list):
+                raise ValueError(f"bits_list repeats a bit depth: {[int(b) for b in bits_list]}")
+            object.__setattr__(self, "bits_list", tuple(int(b) for b in bits_list))
             if max(self.bits_list) > math.log2(MAX_LEVELS):
                 raise ValueError(
                     f"bits={max(self.bits_list)} is not supported: the step solver is "
@@ -372,8 +373,8 @@ def campaign_manifest(cfg, campaign, bits_list, **extra):
     including the ``bussgang_table`` of its bit depths."""
     manifest = {"campaign": campaign}
     manifest.update(asdict(cfg))
-    manifest["bits_list"] = [int(b) for b in bits_list]
-    manifest["bussgang_table"] = bussgang_table(bits_list)
+    manifest["bits_list"] = [int(b) for b in bits_list]  # numpy integers are not JSON keys
+    manifest["bussgang_table"] = bussgang_table(manifest["bits_list"])
     manifest.update(extra)
     return manifest
 

@@ -153,8 +153,9 @@ class TestConfig:
             SimulationConfig(**kwargs)
 
     def test_repeated_bit_depths_rejected(self):
-        with pytest.raises(ValueError, match=r"repeats a bit depth: \[6, 6, 0\]"):
-            SimulationConfig(bits_list=(6, 6, 0))
+        for bits_list in [(6, 6, 0), np.array([6, 6, 0])]:
+            with pytest.raises(ValueError, match=r"repeats a bit depth: \[6, 6, 0\]"):
+                SimulationConfig(bits_list=bits_list)
 
     def test_numpy_integers_accepted(self):
         cfg = SimulationConfig(m_aps=np.int64(7), tau=np.int32(40), seed=np.uint64(3))
@@ -162,16 +163,26 @@ class TestConfig:
         assert {type(cfg.m_aps), type(cfg.tau), type(cfg.seed)} == {int}
 
     def test_numpy_integer_bit_depths_write_a_manifest(self, tmp_path):
-        cfg = SimulationConfig(
-            m_aps=np.int64(6), k_users=3, n_geometries=1, bits_list=(np.int64(6), 0)
-        )
-        bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
-        assert [type(b) for b in bits_list] == [int, int]
-        manifest = campaign_manifest(cfg, "nmse", bits_list)
-        write_cdf_csv(run_nmse_campaign(cfg), tmp_path, campaign="nmse", manifest=manifest)
-        data = json.loads((tmp_path / "manifest.json").read_text())
-        assert set(data["bussgang_table"]) == {"6", "0"}
-        assert data["m_aps"] == 6
+        # Numpy bit depths in the config (integers or an array) or passed to
+        # campaign_manifest (an array) end up as plain ints in the manifest.
+        small = {"k_users": 3, "n_geometries": 1}
+        cases = [
+            (SimulationConfig(m_aps=np.int64(6), bits_list=(np.int64(6), 0), **small), None),
+            (SimulationConfig(m_aps=6, bits_list=np.array([6, 0]), **small), None),
+            (SimulationConfig(m_aps=6, bits_list=(4, 0), **small), np.array([4, 0])),
+        ]
+        for case, (cfg, bits_list) in enumerate(cases):
+            if bits_list is None:
+                assert cfg == SimulationConfig(m_aps=6, bits_list=(6, 0), **small)
+                bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
+                assert [type(b) for b in bits_list] == [int, int]
+            out = tmp_path / str(case)
+            manifest = campaign_manifest(cfg, "nmse", bits_list)
+            write_cdf_csv(run_nmse_campaign(cfg), out, campaign="nmse", manifest=manifest)
+            data = json.loads((out / "manifest.json").read_text())
+            assert data["bits_list"] == list(cfg.bits_list)
+            assert set(data["bussgang_table"]) == {str(b) for b in cfg.bits_list}
+            assert data["m_aps"] == 6
 
     def test_from_mapping_coercion(self):
         cfg = SimulationConfig.from_mapping(
