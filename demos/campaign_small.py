@@ -7,7 +7,6 @@
 import numpy as np
 
 from cfquant import SimulationConfig, run_nmse_campaign, run_sinr_campaign, write_cdf_csv
-from cfquant.simulation import NMSE_DEFAULT_BITS, SINR_DEFAULT_BITS, campaign_manifest
 
 cfg = SimulationConfig(m_aps=60, k_users=12, n_geometries=10, n_smallscale=4, seed=7)
 print(f"network: {cfg.m_aps} APs, {cfg.k_users} users, "
@@ -27,9 +26,8 @@ for series in sinr:
           f"5th pct {np.quantile(series.values, 0.05):6.2f}")
 
 out = "demo_results"
-# The manifests record the configuration and the step, alpha and gamma per bit depth.
-nmse_manifest = campaign_manifest(cfg, "nmse", cfg.resolved_bits(NMSE_DEFAULT_BITS))
-sinr_manifest = campaign_manifest(cfg, "sinr", cfg.resolved_bits(SINR_DEFAULT_BITS))
-write_cdf_csv(nmse, out, campaign="nmse", manifest=nmse_manifest)
-write_cdf_csv(sinr, out, campaign="sinr", manifest=sinr_manifest)
+# nmse_manifest.json and sinr_manifest.json record the configuration and the step,
+# alpha and gamma of each bit depth whose CSV is written beside them.
+write_cdf_csv(nmse, out, campaign="nmse", cfg=cfg)
+write_cdf_csv(sinr, out, campaign="sinr", cfg=cfg)
 print(f"\nCDF files written to ./{out}/ (value,cum_prob rows, one file per depth)")

@@ -3,7 +3,7 @@ quantizer design table.  Results go to CSV files or stdout; logs to stderr.
 """
 
 import argparse
-import logging
+import contextlib
 import math
 import sys
 import warnings
@@ -15,15 +15,12 @@ from .simulation import (
     SINR_DEFAULT_BITS,
     SimulationConfig,
     _int_list,
-    campaign_manifest,
     parse_config_file,
     run_nmse_campaign,
     run_sinr_campaign,
     validate_closed_forms,
     write_cdf_csv,
 )
-
-logger = logging.getLogger("cfquant")
 
 # One flag per config field, in field order; these four have flags of their own.
 _CONFIG_FLAGS = {
@@ -89,19 +86,17 @@ def _cmd_sinr(args):
 def _campaign_command(args, cfg, campaign, run, default_bits, trials, note="", **extra):
     """Run a campaign, write its CSVs and manifest and log each path; ``trials`` and
     ``note`` complete the first log line, and ``extra`` goes to the runner and manifest."""
-    bits_list = cfg.resolved_bits(default_bits)
-    logger.info("%s campaign: M=%d K=%d %s bits=%s seed=%d%s",
-                campaign, cfg.m_aps, cfg.k_users, trials, list(bits_list), cfg.seed, note)
+    _log("INFO", f"{campaign} campaign: M={cfg.m_aps} K={cfg.k_users} {trials} "
+         f"bits={list(cfg.resolved_bits(default_bits))} seed={cfg.seed}{note}")
     series = run(cfg, n_workers=args.workers, **extra)
-    manifest = campaign_manifest(cfg, campaign, bits_list, **extra)
-    for path in write_cdf_csv(series, args.out, campaign=campaign, manifest=manifest):
-        logger.info("wrote %s", path)
+    for path in write_cdf_csv(series, args.out, campaign, cfg, **extra):
+        _log("INFO", f"wrote {path}")
     return 0
 
 
 def _cmd_validate(args):
     cfg = _build_config(args, defaults=_VALIDATE_DEFAULTS)
-    logger.info("validation: M=%d K=%d trials=%d seed=%d", cfg.m_aps, cfg.k_users, args.trials, cfg.seed)
+    _log("INFO", f"validation: M={cfg.m_aps} K={cfg.k_users} trials={args.trials} seed={cfg.seed}")
     results = validate_closed_forms(cfg, n_trials=args.trials)
     failures = 0
     for check in results:
@@ -168,13 +163,19 @@ def build_parser():
     return parser
 
 
+def _log(level, message):
+    """One ``LEVEL message`` line on the current stderr, dropped if it is gone."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError, ValueError):
+            print(level, message, file=sys.stderr, flush=True)
+
+
 def _log_warning(message, category, filename, lineno, file=None, line=None):
     """A library warning as one log line, without its source location."""
-    logger.warning("%s: %s", category.__name__, message)
+    _log("WARNING", f"{category.__name__}: {message}")
 
 
 def main(argv=None):
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():

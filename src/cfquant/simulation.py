@@ -59,7 +59,6 @@ __all__ = [
     "make_cdf",
     "parse_config_file",
     "bussgang_table",
-    "campaign_manifest",
     "run_nmse_campaign",
     "run_sinr_campaign",
     "validate_closed_forms",
@@ -175,7 +174,11 @@ class SimulationConfig:
                 raise ValueError(f"unknown config key: {key}")
             if raw is None:
                 continue
-            kwargs[key] = _coerce(key, raw)
+            try:
+                kwargs[key] = _coerce(key, raw)
+            except (TypeError, ValueError):
+                kind = {int: "an integer", float: "a number"}.get(_FIELD_TYPES[key], "integers")
+                raise ValueError(f"{key}: expected {kind}, got {raw!r}") from None
         return cls(**kwargs)
 
 
@@ -322,15 +325,16 @@ def run_sinr_campaign(cfg, n_workers=None, legacy_eq21=False):
     return _run_campaign(_sinr_trial, cfg, SINR_DEFAULT_BITS, n_workers, legacy_eq21)
 
 
-def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
-    """Write one two-column CSV per series plus a manifest of the run.
+def write_cdf_csv(series, out_dir, campaign="cdf", cfg=None, **extra):
+    """Write one CSV per series and, given ``cfg``, the run's manifest; return their paths.
 
-    Files are named ``{campaign}_b{label}.csv`` with header
-    ``value,cum_prob`` and 9 significant digits, rows in ascending value
-    order, the i-th of N at cumulative probability i/N, written in chunks of
-    ``_CSV_ROWS`` rows.  Every series is checked before any file is written:
-    one that is not a 1-D real array, is empty or has a non-finite value is
-    a ValueError.  Returns the list of paths written.
+    Files are named ``{campaign}_b{label}.csv`` with header ``value,cum_prob`` and
+    9 significant digits, rows in ascending value order, the i-th of N at
+    cumulative probability i/N, written in chunks of ``_CSV_ROWS`` rows.
+    ``{campaign}_manifest.json`` holds the campaign, the fields of ``cfg``, the
+    labels as ``bits_list``, their ``bussgang_table`` and ``extra``.  A series that
+    is not a 1-D real array, is empty, has a non-finite value or, given ``cfg``, is
+    not labelled with a bit depth is a ValueError before any file is written.
     """
     if not series:
         raise ValueError("no CDF series to write")
@@ -341,6 +345,12 @@ def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
             raise ValueError(f"series {entry.label!r} is empty")
         if not np.isfinite(entry.values).all():
             raise ValueError(f"series {entry.label!r} has a non-finite value")
+        if cfg is not None and not entry.label.isdecimal():
+            raise ValueError(f"series {entry.label!r} is not labelled with a bit depth")
+    if cfg is not None:
+        bits_list = [int(entry.label) for entry in series]
+        manifest = {"campaign": campaign, **asdict(cfg), "bits_list": bits_list,
+                    "bussgang_table": bussgang_table(bits_list), **extra}
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,22 +371,11 @@ def write_cdf_csv(series, out_dir, campaign="cdf", manifest=None):
         except OSError as exc:
             raise OSError(f"cannot write CDF file {path}: {exc}") from exc
         paths.append(path)
-    if manifest is not None:
-        manifest_path = out_dir / "manifest.json"
+    if cfg is not None:
+        manifest_path = out_dir / f"{campaign}_manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         paths.append(manifest_path)
     return paths
-
-
-def campaign_manifest(cfg, campaign, bits_list, **extra):
-    """Plain dict recording the full configuration of a campaign run,
-    including the ``bussgang_table`` of its bit depths."""
-    manifest = {"campaign": campaign}
-    manifest.update(asdict(cfg))
-    manifest["bits_list"] = [int(b) for b in bits_list]  # numpy integers are not JSON keys
-    manifest["bussgang_table"] = bussgang_table(manifest["bits_list"])
-    manifest.update(extra)
-    return manifest
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -77,9 +80,9 @@ class TestCampaignCommands:
             ]
         )
         assert code == 0
-        for name in ("nmse_b4.csv", "nmse_b0.csv", "manifest.json"):
+        for name in ("nmse_b4.csv", "nmse_b0.csv", "nmse_manifest.json"):
             assert (tmp_path / name).exists()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "nmse_manifest.json").read_text())
         assert manifest["m_aps"] == 10
         assert manifest["seed"] == 9
         assert manifest["bits_list"] == [4, 0]
@@ -103,7 +106,7 @@ class TestCampaignCommands:
             ]
         )
         assert code == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "sinr_manifest.json").read_text())
         assert manifest["legacy_eq21"] is True
         assert_records_bussgang_table(manifest)
         assert (tmp_path / "sinr_b6.csv").exists()
@@ -189,9 +192,23 @@ class TestCampaignCommands:
              "--out", str(out_b)]
         )
         assert (out_a / "nmse_b4.csv").read_bytes() != (out_b / "nmse_b4.csv").read_bytes()
-        manifest = json.loads((out_a / "manifest.json").read_text())
+        manifest = json.loads((out_a / "nmse_manifest.json").read_text())
         assert manifest["m_aps"] == 6
         assert manifest["seed"] == 4
+
+    def test_campaigns_sharing_a_directory_keep_their_own_manifests(self, tmp_path):
+        # Each manifest describes the CSVs beside it, whichever campaign ran last.
+        small = ["--m-aps", "6", "--k-users", "3", "--geoms", "1", "--out", str(tmp_path)]
+        assert main(["nmse-cdf", "--bits", "4,0", *small]) == 0
+        assert main(["sinr-cdf", "--bits", "6,8", "--smallscale", "1", *small]) == 0
+        for campaign, bits in [("nmse", [4, 0]), ("sinr", [6, 8])]:
+            manifest = json.loads((tmp_path / f"{campaign}_manifest.json").read_text())
+            assert manifest["campaign"] == campaign
+            assert manifest["bits_list"] == bits
+            assert_records_bussgang_table(manifest)
+            for b in bits:
+                assert (tmp_path / f"{campaign}_b{b}.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ["nmse-cdf", "--m-aps", "6", "--k-users", "3", "--geoms", "2",
@@ -295,38 +312,87 @@ class TestEntryPoint:
     def test_jobs_leave_the_host_process_as_they_found_it(self, tmp_path):
         # cli.main runs in the caller's process (the bench worker, a notebook):
         # after a job, and after a job that fails inside the task runner, the
-        # OpenBLAS thread count and warnings.showwarning are what they were.
+        # OpenBLAS thread count, warnings.showwarning and the root logger are
+        # what they were, and each job logs to the stderr of its own call.
         threads = _openblas_threads()
         if threads is None:
             pytest.skip("numpy does not use a bundled OpenBLAS here")
         get, put = threads
         original = get()
         put(2)
+        root = logging.getLogger()
+
+        def state():
+            return get(), warnings.showwarning, root.handlers[:], root.level
+
         try:
-            before = (get(), warnings.showwarning)
-            assert main(["validate", "--trials", "2000"]) in (0, 1)
-            assert (get(), warnings.showwarning) == before
+            before = state()
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(["validate", "--trials", "2000"]) in (0, 1)
+            assert err.getvalue() == "INFO validation: M=10 K=4 trials=2000 seed=1\n"
+            assert state() == before
             with pytest.raises(SystemExit, match="zero SINR"):
                 main(["sinr-cdf", "--m-aps", "8", "--k-users", "3", "--geoms", "2",
                       "--sigma-s2", "1e-300", "--workers", "2", "--out", str(tmp_path)])
-            assert (get(), warnings.showwarning) == before
+            assert state() == before
         finally:
             put(original)
 
+    def test_each_job_logs_to_the_stderr_of_its_call(self, tmp_path):
+        # In a host whose root logger has no handlers yet, two jobs in a row,
+        # each under its own redirect, log there and leave the root logger alone.
+        host = (
+            "import contextlib, io, logging, sys\n"
+            "from cfquant.cli import main\n"
+            "root = logging.getLogger()\n"
+            "before = (root.handlers[:], root.level)\n"
+            "for out in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "        main(['nmse-cdf', '--m-aps', '4', '--k-users', '2', '--geoms', '1',\n"
+            "              '--bits', '4', '--out', out])\n"
+            "    print(err.getvalue().count('INFO '), (root.handlers, root.level) == before)\n"
+        )
+        result = run_fresh("-c", host, str(tmp_path / "a"), str(tmp_path / "b"),
+                           capture_output=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "3 True\n3 True\n"
+
+    def test_lost_stderr_fails_no_command(self, capsys):
+        # Started with fd 2 closed (as by `2>&-`) sys.stderr is None, and a closed
+        # stream raises on write: either way the warning line is dropped, not
+        # written to stdout, and the table is whole.
+        assert main(["quantizer-table", "--levels", "2,4"]) == 0
+        table = capsys.readouterr().out
+        assert len(table.splitlines()) == 3
+        closed = io.StringIO()
+        closed.close()
+        with contextlib.redirect_stderr(closed):
+            assert main(["quantizer-table", "--levels", "2,4"]) == 0
+        assert capsys.readouterr().out == table
+        code = ("import os, sys; os.close(2); os.execv(sys.executable, [sys.executable, "
+                "'-m', 'cfquant.cli', 'quantizer-table', '--levels', '2,4'])")
+        result = run_fresh("-c", code, capture_output=True)
+        assert (result.returncode, result.stdout) == (0, table)
+
     @pytest.mark.parametrize(
-        "command",
+        "command, before, after",
         [
-            ["quantizer-table", "--levels", "2"],
-            ["nmse-cdf", "--bits", "1", "--geoms", "1", "--m-aps", "4", "--k-users", "2"],
+            (["quantizer-table", "--levels", "2"], [], []),
+            (
+                ["nmse-cdf", "--bits", "1", "--geoms", "1", "--m-aps", "4", "--k-users", "2"],
+                ["INFO nmse campaign: M=4 K=2 geometries=1 bits=[1] seed=1"],
+                ["INFO wrote results/nmse_b1.csv", "INFO wrote results/nmse_manifest.json"],
+            ),
         ],
         ids=["quantizer-table", "nmse-cdf"],
     )
-    def test_library_warning_is_one_plain_line(self, command, tmp_path, capfd):
+    def test_library_warning_is_one_plain_line(self, command, before, after, tmp_path, capfd):
         # The flat-objective warning on stderr, without the library's file,
-        # line number and source line.
+        # line number and source line, between the command's own lines.
         assert run_fresh("-m", "cfquant.cli", *command, cwd=tmp_path).returncode == 0
-        err = capfd.readouterr().err.splitlines()
-        assert [line for line in err if "Warning" in line or ".py" in line] == [
+        assert capfd.readouterr().err.splitlines() == [
+            *before,
             "WARNING FlatObjectiveWarning: SDNR objective is constant in the step for a "
-            "2-level quantizer; returning the canonical minimum-distortion step 2*sqrt(2/pi)"
+            "2-level quantizer; returning the canonical minimum-distortion step 2*sqrt(2/pi)",
+            *after,
         ]

@@ -3,6 +3,7 @@ import collections
 import hashlib
 import json
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -43,7 +44,6 @@ from cfquant.simulation import (
     _one_blas_thread,
     _openblas_threads,
     bussgang_table,
-    campaign_manifest,
     make_cdf,
     parse_config_file,
     run_nmse_campaign,
@@ -163,23 +163,19 @@ class TestConfig:
         assert {type(cfg.m_aps), type(cfg.tau), type(cfg.seed)} == {int}
 
     def test_numpy_integer_bit_depths_write_a_manifest(self, tmp_path):
-        # Numpy bit depths in the config (integers or an array) or passed to
-        # campaign_manifest (an array) end up as plain ints in the manifest.
+        # Numpy bit depths in the config (integers or an array) end up as
+        # plain ints in the manifest.
         small = {"k_users": 3, "n_geometries": 1}
         cases = [
-            (SimulationConfig(m_aps=np.int64(6), bits_list=(np.int64(6), 0), **small), None),
-            (SimulationConfig(m_aps=6, bits_list=np.array([6, 0]), **small), None),
-            (SimulationConfig(m_aps=6, bits_list=(4, 0), **small), np.array([4, 0])),
+            SimulationConfig(m_aps=np.int64(6), bits_list=(np.int64(6), 0), **small),
+            SimulationConfig(m_aps=6, bits_list=np.array([6, 0]), **small),
         ]
-        for case, (cfg, bits_list) in enumerate(cases):
-            if bits_list is None:
-                assert cfg == SimulationConfig(m_aps=6, bits_list=(6, 0), **small)
-                bits_list = cfg.resolved_bits(NMSE_DEFAULT_BITS)
-                assert [type(b) for b in bits_list] == [int, int]
+        for case, cfg in enumerate(cases):
+            assert cfg == SimulationConfig(m_aps=6, bits_list=(6, 0), **small)
+            assert [type(b) for b in cfg.resolved_bits(NMSE_DEFAULT_BITS)] == [int, int]
             out = tmp_path / str(case)
-            manifest = campaign_manifest(cfg, "nmse", bits_list)
-            write_cdf_csv(run_nmse_campaign(cfg), out, campaign="nmse", manifest=manifest)
-            data = json.loads((out / "manifest.json").read_text())
+            write_cdf_csv(run_nmse_campaign(cfg), out, campaign="nmse", cfg=cfg)
+            data = json.loads((out / "nmse_manifest.json").read_text())
             assert data["bits_list"] == list(cfg.bits_list)
             assert set(data["bussgang_table"]) == {str(b) for b in cfg.bits_list}
             assert data["m_aps"] == 6
@@ -193,9 +189,21 @@ class TestConfig:
         assert cfg.bits_list == (4, 8, 12)
         assert cfg.seed == 9
 
-    def test_from_mapping_rejects_unknown_key(self):
-        with pytest.raises(ValueError):
-            SimulationConfig.from_mapping({"nonsense": "1"})
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"nonsense": "1"}, "unknown config key: nonsense"),
+            ({"m_aps": "abc"}, "m_aps: expected an integer, got 'abc'"),
+            ({"tau": "3.5"}, "tau: expected an integer, got '3.5'"),
+            ({"bits_list": "4,x"}, "bits_list: expected integers, got '4,x'"),
+            ({"snr_edge_db": "2O"}, "snr_edge_db: expected a number, got '2O'"),
+        ],
+        ids=["unknown-key", "m_aps", "tau", "bits_list", "snr_edge_db"],
+    )
+    def test_from_mapping_rejects_unknown_key(self, mapping, message):
+        # A value that does not parse names its key, the expected type and the raw text.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig.from_mapping(mapping)
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -326,26 +334,45 @@ class TestWriteCsv:
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_value_rejected_before_any_file(self, tmp_path, bad):
         series = make_cdf([[0.1, 0.2], [0.3, bad], [0.5, 0.6]], [4, 6, 8])
-        manifest = campaign_manifest(SMALL, "sinr", (4, 6, 8))
         with pytest.raises(ValueError, match="series '6' has a non-finite value"):
-            write_cdf_csv(series, tmp_path, campaign="sinr", manifest=manifest)
+            write_cdf_csv(series, tmp_path, campaign="sinr", cfg=SMALL)
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_series_rejected_before_any_file(self, tmp_path):
         series = [*make_cdf([[0.1, 0.2], [0.3, 0.4]], [4, 6]), CdfSeries("8", np.empty(0))]
         with pytest.raises(ValueError, match="series '8' is empty"):
-            write_cdf_csv(series, tmp_path, campaign="nmse", manifest={"campaign": "nmse"})
+            write_cdf_csv(series, tmp_path, campaign="nmse", cfg=SMALL)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("x", "series 'x' is not labelled with a bit depth"),
+            ("4.0", "series '4.0' is not labelled with a bit depth"),
+            ("-2", "series '-2' is not labelled with a bit depth"),
+            ("15", "levels=32768 exceeds 16384"),
+        ],
+        ids=["word", "float", "negative", "beyond-solver"],
+    )
+    def test_label_without_bussgang_row_rejected_before_any_file(self, tmp_path, label, message):
+        # The manifest, Bussgang table included, is built before the directory is made.
+        series = [*make_cdf([[0.1, 0.2]], [4]), CdfSeries(label, np.array([0.3, 0.4]))]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_cdf_csv(series, tmp_path / "out", campaign="nmse", cfg=SMALL)
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_written(self, tmp_path):
-        series = make_cdf([[1.0]], ["0"])
-        manifest = campaign_manifest(SMALL, "nmse", (0,))
-        paths = write_cdf_csv(series, tmp_path, campaign="nmse", manifest=manifest)
-        data = json.loads((tmp_path / "manifest.json").read_text())
+        # The bit depths are the series' labels, not the config's default list.
+        series = make_cdf([[1.0], [2.0]], ["8", "0"])
+        paths = write_cdf_csv(series, tmp_path, campaign="nmse", cfg=SMALL, legacy_eq21=False)
+        data = json.loads((tmp_path / "nmse_manifest.json").read_text())
         assert data["campaign"] == "nmse"
         assert data["seed"] == SMALL.seed
         assert data["m_aps"] == SMALL.m_aps
-        assert any(p.name == "manifest.json" for p in paths)
+        assert data["bits_list"] == [8, 0]
+        assert data["bussgang_table"] == json.loads(json.dumps(bussgang_table([8, 0])))
+        assert data["legacy_eq21"] is False
+        assert [p.name for p in paths] == ["nmse_b8.csv", "nmse_b0.csv", "nmse_manifest.json"]
 
     def test_rerun_identical(self, tmp_path):
         series = make_cdf(np.random.default_rng(1).normal(size=(1, 100)), ["8"])
