@@ -8,7 +8,6 @@
 import numpy as np
 
 from cfquant import (
-    NoiseModel,
     PathLossModel,
     bussgang_row,
     complex_normal,
@@ -19,6 +18,7 @@ from cfquant import (
     large_scale_gains,
     lmmse_coefficient,
     make_pilot_book,
+    noise_variance,
     simulate_pilot_phase,
 )
 
@@ -27,7 +27,7 @@ LEVELS = 2**BITS
 
 rng = np.random.default_rng(42)
 model = PathLossModel()
-noise = NoiseModel.from_edge_snr_db(20.0, model, l_serv=1000.0)
+sigma_n2 = noise_variance(model, l_serv=1000.0, snr_edge=10.0 ** (20.0 / 10.0))  # 20 dB edge SNR
 
 ap, ut = draw_geometry(M, K, 1000.0, rng)
 beta = large_scale_gains(ap, ut, model, 8.0, rng)
@@ -46,15 +46,15 @@ print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={gamma:.5f}")
 # large-scale gains; the closed forms give the resulting (normalized) MSE.
 tau = K
 pilots = make_pilot_book(K, tau)  # the (tau, K) pilot matrix
-c = lmmse_coefficient(beta, tau, alpha, gamma, noise.sigma_n2)
-mse, nmse = estimation_mse(beta, tau, alpha, gamma, noise.sigma_n2)
+c = lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2)
+mse, nmse = estimation_mse(beta, tau, alpha, gamma, sigma_n2)
 # The receiver noise of one pilot block, (M, tau) complex samples of variance
 # sigma_n2, is drawn here; the pilot phase adds it to the clean samples and
 # quantizes the sum in place.
 noise_block = (M, tau)
-noise_scale = np.sqrt(noise.sigma_n2 / 2.0)
+noise_scale = np.sqrt(sigma_n2 / 2.0)
 n = complex_normal(rng, noise_block, noise_scale)
-y = simulate_pilot_phase(G, pilots, noise, BITS, n, beta)
+y = simulate_pilot_phase(G, pilots, sigma_n2, BITS, n, beta)
 g_hat = c * correlate_all(y, pilots)
 
 realized = np.abs(g_hat - G) ** 2
@@ -71,7 +71,7 @@ for _ in range(trials):
     h = draw_small_scale(M, K, rng)
     G = h * np.sqrt(beta)
     n = complex_normal(rng, noise_block, noise_scale)
-    y = simulate_pilot_phase(G, pilots, noise, BITS, n, beta)
+    y = simulate_pilot_phase(G, pilots, sigma_n2, BITS, n, beta)
     acc += np.abs(c * correlate_all(y, pilots) - G) ** 2
 ratio = (acc / trials) / mse
 print(f"\nempirical/closed-form MSE ratio over {trials} pilot phases: "

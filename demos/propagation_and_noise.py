@@ -7,10 +7,10 @@
 import numpy as np
 
 from cfquant import (
-    NoiseModel,
     PathLossModel,
     draw_geometry,
     large_scale_gains,
+    noise_variance,
     path_loss,
     received_variance,
 )
@@ -23,9 +23,9 @@ for d in (1, 5, 10, 30, 100, 300, 500, 1000):
 
 # The noise floor is anchored so a user at half the service width is
 # received at the configured edge SNR.
-noise = NoiseModel.from_edge_snr_db(20.0, model, l_serv=1000.0)
-print(f"\nnoise variance at 20 dB edge SNR: {noise.sigma_n2:.4e}")
 snr_edge = 10.0 ** (20.0 / 10.0)
+sigma_n2 = noise_variance(model, l_serv=1000.0, snr_edge=snr_edge)
+print(f"\nnoise variance at 20 dB edge SNR: {sigma_n2:.4e}")
 print(f"identity check PL(500 m)/SNR:     {path_loss(500.0, model) / snr_edge:.4e}")
 
 # One network drop: the spread of the per-AP received variance is what
@@ -33,7 +33,7 @@ print(f"identity check PL(500 m)/SNR:     {path_loss(500.0, model) / snr_edge:.4
 rng = np.random.default_rng(3)
 ap, ut = draw_geometry(m_aps=200, k_users=40, l_serv=1000.0, rng=rng)
 beta = large_scale_gains(ap, ut, model, sigma_sh_db=8.0, rng=rng)
-sigma_m2 = received_variance(beta, noise.sigma_s2, noise.sigma_n2)
+sigma_m2 = received_variance(beta, 1.0, sigma_n2)  # unit symbol power
 print(f"\n200 APs, 40 users, 8 dB shadowing:")
 print(f"  per-AP received variance: median {np.median(sigma_m2):.3f}, "
       f"min {sigma_m2.min():.3f}, max {sigma_m2.max():.3f}")

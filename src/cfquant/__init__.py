@@ -20,7 +20,6 @@ from .quantizer import (
     sdnr,
 )
 from .channel import (
-    NoiseModel,
     PathLossModel,
     complex_normal,
     draw_geometry,

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "PathLossModel",
-    "NoiseModel",
     "path_loss",
     "noise_variance",
     "draw_geometry",
@@ -46,27 +45,6 @@ class PathLossModel:
             raise ValueError("path loss exponents must be positive")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Receive noise variance and transmit symbol power."""
-
-    sigma_n2: float
-    sigma_s2: float = 1.0
-
-    def __post_init__(self):
-        if not self.sigma_s2 > 0.0:
-            raise ValueError("sigma_s2 must be positive")
-        if not 0.0 < self.sigma_n2 < math.inf:
-            raise ValueError(f"sigma_n2 must be positive and finite, got {self.sigma_n2}")
-
-    @classmethod
-    def from_edge_snr_db(cls, snr_edge_db, model=None, l_serv=1000.0, sigma_s2=1.0):
-        """Noise model anchored to the SNR (in dB) over a l_serv/2 link."""
-        model = model if model is not None else PathLossModel()
-        snr = 10.0 ** (snr_edge_db / 10.0)
-        return cls(sigma_n2=noise_variance(model, l_serv, snr), sigma_s2=sigma_s2)
-
-
 def path_loss(d, model):
     """Linear gain of the three-slope model at distance(s) ``d`` in meters."""
     d = np.asarray(d, dtype=float)
@@ -81,10 +59,21 @@ def path_loss(d, model):
 
 def noise_variance(model, l_serv, snr_edge):
     """Noise variance putting a user at distance l_serv/2 at the given SNR:
-    path_loss(l_serv/2)/snr_edge, on every slope of the path loss model."""
+    path_loss(l_serv/2)/snr_edge, on every slope of the path loss model.
+    A variance that underflows to 0 or overflows is rejected."""
     if not snr_edge > 0.0:
         raise ValueError("snr_edge must be positive")
-    return path_loss(l_serv / 2.0, model) / snr_edge
+    return _check_powers(path_loss(l_serv / 2.0, model) / snr_edge)
+
+
+def _check_powers(sigma_n2, sigma_s2=1.0):
+    """``sigma_n2``, once it is checked positive and finite and the symbol
+    power ``sigma_s2`` positive; a ValueError otherwise."""
+    if not sigma_s2 > 0.0:
+        raise ValueError("sigma_s2 must be positive")
+    if not 0.0 < sigma_n2 < math.inf:
+        raise ValueError(f"sigma_n2 must be positive and finite, got {sigma_n2}")
+    return sigma_n2
 
 
 def draw_geometry(m_aps, k_users, l_serv, rng):

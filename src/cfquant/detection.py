@@ -12,7 +12,7 @@ kernel without being formed.
 
 import numpy as np
 
-from .channel import complex_normal, received_variance
+from .channel import _check_powers, complex_normal, received_variance
 from .quantizer import distortion_power, fronthaul
 
 __all__ = [
@@ -24,22 +24,23 @@ __all__ = [
 ]
 
 
-def simulate_uplink(G, symbols, noise, bits, rng, beta):
+def simulate_uplink(G, symbols, sigma_s2, sigma_n2, bits, rng, beta):
     """Uplink observation as forwarded over a ``bits``-bit fronthaul,
     shape (M,) or (..., M, T).
 
     ``symbols`` holds one transmit vector (K,) or blocks (..., K, T) of
     power sigma_s2; ``G`` may carry the same leading trial axes.  Receiver
-    noise is drawn from ``rng`` and each AP quantizes at the step optimal
-    for its data-phase variance sigma_s2 * sum_k beta_mk + sigma_n2, from
-    the large-scale gains ``beta``; ``bits == 0`` leaves the samples
-    unquantized.
+    noise of variance sigma_n2 is drawn from ``rng`` and each AP quantizes at
+    the step optimal for its data-phase variance sigma_s2 * sum_k beta_mk +
+    sigma_n2, from the large-scale gains ``beta``; ``bits == 0`` leaves the
+    samples unquantized.
     """
+    _check_powers(sigma_n2, sigma_s2)
     symbols = np.asarray(symbols)
     vector = symbols.ndim == 1
     x = (G @ (symbols[:, None] if vector else symbols)).astype(complex, copy=False)
-    complex_normal(rng, x.shape, np.sqrt(noise.sigma_n2 / 2.0), add_to=x)
-    y = fronthaul(x, bits, received_variance(beta, noise.sigma_s2, noise.sigma_n2), out=x)
+    complex_normal(rng, x.shape, np.sqrt(sigma_n2 / 2.0), add_to=x)
+    y = fronthaul(x, bits, received_variance(beta, sigma_s2, sigma_n2), out=x)
     return y[:, 0] if vector else y
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .channel import received_variance
+from .channel import _check_powers, received_variance
 from .quantizer import _distortion_gap, fronthaul
 
 __all__ = [
@@ -38,7 +38,7 @@ def make_pilot_book(k_users, tau):
     return np.exp(-2j * math.pi * np.outer(t, t[:k_users]) / tau) / math.sqrt(tau)
 
 
-def simulate_pilot_phase(G, pilots, noise, bits, noise_samples, beta):
+def simulate_pilot_phase(G, pilots, sigma_n2, bits, noise_samples, beta):
     """Pilot observations as forwarded over a ``bits``-bit fronthaul,
     shape (..., M, tau), formed in place in ``noise_samples`` and returned.
 
@@ -46,12 +46,13 @@ def simulate_pilot_phase(G, pilots, noise, bits, noise_samples, beta):
     ``pilots`` the (tau, K) pilot matrix of ``make_pilot_book``.  The clean
     sample at AP m and symbol t is sqrt(tau) * sum_k g_mk * pilots[t, k];
     ``noise_samples``, the complex receiver noise of that shape, is added to
-    it: for example ``complex_normal(rng, shape, sqrt(noise.sigma_n2 / 2))``,
+    it: for example ``complex_normal(rng, shape, sqrt(sigma_n2 / 2))``,
     or one run of ``complex_normal_runs``.  Pilot symbols have unit power, so
     each AP quantizes at the step optimal for its pilot-phase variance
     sum_k beta_mk + sigma_n2, from the large-scale gains ``beta``;
     ``bits == 0`` leaves the samples unquantized.
     """
+    _check_powers(sigma_n2)
     k_users = G.shape[-1]
     tau, k_pilots = pilots.shape
     if k_pilots != k_users:
@@ -61,7 +62,7 @@ def simulate_pilot_phase(G, pilots, noise, bits, noise_samples, beta):
         raise ValueError(f"noise_samples must be a complex array of shape {clean.shape}")
     clean *= math.sqrt(tau)
     noise_samples += clean  # the bits of clean + noise_samples, without a third array
-    variance = received_variance(beta, 1.0, noise.sigma_n2)
+    variance = received_variance(beta, 1.0, sigma_n2)
     return fronthaul(noise_samples, bits, variance, out=noise_samples)
 
 

@@ -25,13 +25,14 @@ import numpy as np
 
 from .quantizer import MAX_LEVELS, bussgang_row, fronthaul
 from .channel import (
-    NoiseModel,
     PathLossModel,
+    _check_powers,
     complex_normal,
     complex_normal_runs,
     draw_geometry,
     draw_small_scale,
     large_scale_gains,
+    noise_variance,
     received_variance,
 )
 from .estimation import (
@@ -113,8 +114,10 @@ class SimulationConfig:
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if kind is float and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if kind is float:
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+                object.__setattr__(self, name, float(value))
             if kind is int and value is not None:
                 if not isinstance(value, numbers.Integral):
                     raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -147,8 +150,8 @@ class SimulationConfig:
             raise ValueError("trial counts must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        try:  # path loss and sigma_s2 validity are checked by the models themselves
-            self.noise_model()
+        try:  # noise_variance checks sigma_n2, the path loss model its own parameters
+            _check_powers(self.sigma_n2, self.sigma_s2)
         except OverflowError:
             raise ValueError(
                 f"snr_edge_db={self.snr_edge_db} is not supported: 10**(snr_edge_db/10) overflows"
@@ -157,33 +160,37 @@ class SimulationConfig:
     def path_loss_model(self):
         return PathLossModel(d0=self.d0_m, d1=self.d1_m, gamma0=self.gamma0, gamma1=self.gamma1)
 
-    def noise_model(self):
-        return NoiseModel.from_edge_snr_db(
-            self.snr_edge_db, self.path_loss_model(), self.l_serv_m, self.sigma_s2
-        )
+    @property
+    def sigma_n2(self):
+        """Receive noise variance, anchored by ``noise_variance`` to the edge SNR."""
+        snr_edge = 10.0 ** (self.snr_edge_db / 10.0)
+        return noise_variance(self.path_loss_model(), self.l_serv_m, snr_edge)
 
     def resolved_bits(self, default):
         return tuple(self.bits_list) if self.bits_list is not None else tuple(default)
 
     @classmethod
     def from_mapping(cls, mapping):
-        """Build a config from string-valued settings (config file or CLI)."""
+        """Build a config from settings (config file or CLI).  Text is parsed as
+        its field's type; any other value goes to the constructor as given."""
         kwargs = {}
         for key, raw in mapping.items():
             if key not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown config key: {key}")
             if raw is None:
                 continue
-            try:
-                kwargs[key] = _coerce(key, raw)
-            except (TypeError, ValueError):
-                kind = {int: "an integer", float: "a number"}.get(_FIELD_TYPES[key], "integers")
-                raise ValueError(f"{key}: expected {kind}, got {raw!r}") from None
+            if isinstance(raw, str):
+                try:
+                    raw = _int_list(raw) if key == "bits_list" else _FIELD_TYPES[key](raw)
+                except ValueError:
+                    kind = {int: "an integer", float: "a number"}.get(_FIELD_TYPES[key], "integers")
+                    raise ValueError(f"{key}: expected {kind}, got {raw!r}") from None
+            kwargs[key] = raw
         return cls(**kwargs)
 
 
 # Field name -> annotated type, reading ``X | None`` as X: checked at construction,
-# coerces config-file values and types the CLI flags.
+# parses config-file values and types the CLI flags.
 _FIELD_TYPES = {
     f.name: next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
     for f in fields(SimulationConfig)
@@ -193,12 +200,6 @@ _FIELD_TYPES = {
 def _int_list(text):
     """The integers of a comma- or space-separated string, as a tuple."""
     return tuple(int(part) for part in text.replace(",", " ").split())
-
-
-def _coerce(key, raw):
-    if key == "bits_list":
-        return _int_list(raw) if isinstance(raw, str) else tuple(int(b) for b in raw)
-    return _FIELD_TYPES[key](raw)
 
 
 def parse_config_file(path):
@@ -259,7 +260,7 @@ def _nmse_trial(cfg, table, trial):
     """Closed-form normalized MSE for all AP-user pairs of one geometry draw,
     shape (bits, M*K) in table order."""
     beta = _draw_gains(cfg, trial)
-    sigma_n2 = cfg.noise_model().sigma_n2
+    sigma_n2 = cfg.sigma_n2
     return np.stack([
         estimation_mse(beta, cfg.tau, row["alpha"], row["gamma"], sigma_n2)[1].ravel()
         for row in table.values()
@@ -272,17 +273,17 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     (bits, K * n_smallscale) in table order.  Each fading draw makes one
     error-covariance call for the stack of bit depths."""
     beta = _draw_gains(cfg, trial)
-    noise = cfg.noise_model()
+    sigma_n2 = cfg.sigma_n2
     alpha = np.array([row["alpha"] for row in table.values()])
     c_delta = np.stack([
-        distortion_covariance(beta, row["alpha"], row["gamma"], cfg.sigma_s2, noise.sigma_n2)
+        distortion_covariance(beta, row["alpha"], row["gamma"], cfg.sigma_s2, sigma_n2)
         for row in table.values()
     ])
     out = []
     for fade in range(cfg.n_smallscale):
         h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
         G = h * np.sqrt(beta)
-        cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta, legacy_eq21)
+        cov = error_covariance(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
         sinr = per_user_sinr(cov, cfg.sigma_s2)
         zero = np.any(sinr == 0.0, axis=-1)
         if zero.any():
@@ -458,11 +459,11 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     of one CheckResult, as ``_detection_checks`` returns a list; an empty
     one when the event ``stop`` is set."""
     beta = _colocated_gains(cfg)
-    noise = cfg.noise_model()
+    sigma_n2 = cfg.sigma_n2
     tau = cfg.tau
     pilots = make_pilot_book(cfg.k_users, tau)
-    c = lmmse_coefficient(beta, tau, alpha, gamma, noise.sigma_n2)
-    mse, _ = estimation_mse(beta, tau, alpha, gamma, noise.sigma_n2)
+    c = lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2)
+    mse, _ = estimation_mse(beta, tau, alpha, gamma, sigma_n2)
     sqrt_beta = np.sqrt(beta)
 
     rng_h = substream(cfg.seed, _FADING, 100, bits)
@@ -477,13 +478,13 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
             rng_h, (block, *beta.shape), 1.0 / math.sqrt(2.0), _CORRELATE_ROWS, fading_re
         )
         pilot_noise = complex_normal_runs(
-            rng_n, (block, cfg.m_aps, tau), math.sqrt(noise.sigma_n2 / 2.0), _CORRELATE_ROWS,
+            rng_n, (block, cfg.m_aps, tau), math.sqrt(sigma_n2 / 2.0), _CORRELATE_ROWS,
             noise_re,
         )
         err = fading_re[:block]
         for start, g, n in zip(range(0, block, _CORRELATE_ROWS), fading, pilot_noise):
             g *= sqrt_beta
-            d = correlate_all(simulate_pilot_phase(g, pilots, noise, bits, n, beta), pilots)
+            d = correlate_all(simulate_pilot_phase(g, pilots, sigma_n2, bits, n, beta), pilots)
             d *= c
             d -= g
             np.abs(d, out=err[start : start + len(g)])
@@ -522,14 +523,14 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
     draw would add a second, ensemble-level gap.
     """
     beta = _draw_gains(cfg, 0)
-    noise = cfg.noise_model()
+    sigma_n2 = cfg.sigma_n2
     phases = substream(cfg.seed, _FADING, 200, bits).uniform(size=(cfg.m_aps, cfg.k_users))
     G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
-    c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, noise.sigma_n2)
-    W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, cfg.sigma_s2)
-    cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta)
+    c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, sigma_n2)
+    W = mmse_weights(G, alpha, sigma_n2, c_delta, cfg.sigma_s2)
+    cov = error_covariance(G, alpha, cfg.sigma_s2, sigma_n2, c_delta)
     diag = np.real(np.diagonal(cov))
-    sigma_m2 = received_variance(beta, cfg.sigma_s2, noise.sigma_n2)
+    sigma_m2 = received_variance(beta, cfg.sigma_s2, sigma_n2)
 
     rng_s = substream(cfg.seed, _SYMBOLS, 200, bits)
     rng_n = substream(cfg.seed, _NOISE, 200, bits)
@@ -540,7 +541,7 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
         s = complex_normal(rng_s, (k, block), math.sqrt(cfg.sigma_s2 / 2.0))
         # One unquantized observation feeds both pipelines; fronthaul at the
         # data-phase variance is what simulate_uplink applies at ``bits``.
-        x = simulate_uplink(G, s, noise, 0, rng_n, beta)
+        x = simulate_uplink(G, s, cfg.sigma_s2, sigma_n2, 0, rng_n, beta)
         y = complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None], add_to=alpha * x)
         e = W @ y
         e -= s
@@ -723,7 +724,7 @@ def _one_blas_thread():
 
 def _unquantized_estimation_identity(cfg):
     beta = _draw_gains(cfg, 0)
-    sigma_n2 = cfg.noise_model().sigma_n2
+    sigma_n2 = cfg.sigma_n2
     mse, _ = estimation_mse(beta, cfg.tau, 1.0, 1.0, sigma_n2)
     textbook = beta * sigma_n2 / (cfg.tau * beta + sigma_n2)
     err = np.max(np.abs(mse - textbook) / textbook)
@@ -737,11 +738,11 @@ def _unquantized_estimation_identity(cfg):
 
 def _unquantized_detection_identity(cfg):
     beta = _draw_gains(cfg, 0)
-    noise = cfg.noise_model()
+    sigma_n2 = cfg.sigma_n2
     h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, 300))
     G = h * np.sqrt(beta)
-    cov = error_covariance(G, 1.0, 1.0, noise.sigma_n2, np.zeros(cfg.m_aps))
-    A = G @ G.conj().T + noise.sigma_n2 * np.eye(cfg.m_aps)
+    cov = error_covariance(G, 1.0, 1.0, sigma_n2, np.zeros(cfg.m_aps))
+    A = G @ G.conj().T + sigma_n2 * np.eye(cfg.m_aps)
     textbook = np.eye(cfg.k_users) - G.conj().T @ np.linalg.solve(A, G)
     err = np.max(np.abs(cov - textbook))
     return CheckResult(

@@ -173,7 +173,7 @@ def test_criterion_5_sample_level_estimation():
     approximation, making the 3-standard-error comparison meaningful.
     """
     m_aps, k_users, trials = 10, 4, 100_000
-    noise = cq.NoiseModel.from_edge_snr_db(20.0)
+    sigma_n2 = cq.noise_variance(cq.PathLossModel(), 1000.0, 100.0)  # 20 dB edge SNR
     rng_geo = np.random.default_rng(2024)
     ap = rng_geo.uniform(0.0, 1000.0, size=(m_aps, 2))
     spot = rng_geo.uniform(0.0, 1000.0, size=2)
@@ -184,15 +184,15 @@ def test_criterion_5_sample_level_estimation():
     worst = 0.0
     for bits in (4, 8, 12):
         alpha, gamma = factors(bits)
-        c = cq.lmmse_coefficient(beta, tau, alpha, gamma, noise.sigma_n2)
-        mse, _ = cq.estimation_mse(beta, tau, alpha, gamma, noise.sigma_n2)
+        c = cq.lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2)
+        mse, _ = cq.estimation_mse(beta, tau, alpha, gamma, sigma_n2)
         total = np.zeros((m_aps, k_users))
         total_sq = np.zeros((m_aps, k_users))
         rng = np.random.default_rng(777 + bits)
         for _ in range(trials // 10_000):
             g = crandn(rng, 10_000, m_aps, k_users) * np.sqrt(beta)
-            n = cq.complex_normal(rng, (10_000, m_aps, tau), math.sqrt(noise.sigma_n2 / 2.0))
-            y = cq.simulate_pilot_phase(g, book, noise, bits, n, beta)
+            n = cq.complex_normal(rng, (10_000, m_aps, tau), math.sqrt(sigma_n2 / 2.0))
+            y = cq.simulate_pilot_phase(g, book, sigma_n2, bits, n, beta)
             err = np.abs(c * cq.correlate_all(y, book) - g) ** 2
             total += err.sum(axis=0)
             total_sq += (err**2).sum(axis=0)
@@ -218,7 +218,7 @@ def test_criterion_6_mmse_detection():
     criteria 1 and 5 and bounded by the validation harness.
     """
     m_aps, k_users, trials = 20, 4, 100_000
-    noise = cq.NoiseModel.from_edge_snr_db(20.0)
+    sigma_n2 = cq.noise_variance(cq.PathLossModel(), 1000.0, 100.0)  # 20 dB edge SNR
     rng_net = np.random.default_rng(60)
     ap, ut = cq.draw_geometry(m_aps, k_users, 1000.0, rng_net)
     beta = cq.large_scale_gains(ap, ut, cq.PathLossModel(), 8.0, rng_net)
@@ -227,9 +227,9 @@ def test_criterion_6_mmse_detection():
     worst_orth = 0.0
     for bits in (6, 10, 14):
         alpha, gamma = factors(bits)
-        c_delta = cq.distortion_covariance(beta, alpha, gamma, 1.0, noise.sigma_n2)
-        W = cq.mmse_weights(G, alpha, noise.sigma_n2, c_delta)
-        diag = np.real(np.diagonal(cq.error_covariance(G, alpha, 1.0, noise.sigma_n2, c_delta)))
+        c_delta = cq.distortion_covariance(beta, alpha, gamma, 1.0, sigma_n2)
+        W = cq.mmse_weights(G, alpha, sigma_n2, c_delta)
+        diag = np.real(np.diagonal(cq.error_covariance(G, alpha, 1.0, sigma_n2, c_delta)))
         rng = np.random.default_rng(6000 + bits)
         err = np.zeros(k_users)
         err_sq = np.zeros(k_users)
@@ -238,7 +238,7 @@ def test_criterion_6_mmse_detection():
         resid_im = np.zeros((k_users, m_aps))
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            n = crandn(rng, m_aps, 10_000) * math.sqrt(noise.sigma_n2)
+            n = crandn(rng, m_aps, 10_000) * math.sqrt(sigma_n2)
             d = crandn(rng, m_aps, 10_000) * np.sqrt(c_delta)[:, None]
             y = alpha * (G @ s) + alpha * n + d
             e = W @ y - s
@@ -334,8 +334,8 @@ def test_criterion_9_jensen_diagnostics():
     ap, ut = cq.draw_geometry(m_aps, k_users, 1000.0, rng_net)
     beta = cq.large_scale_gains(ap, ut, cq.PathLossModel(), 8.0, rng_net)
     alpha, gamma = factors(6)
-    noise = cq.NoiseModel.from_edge_snr_db(20.0)
-    c_delta = cq.distortion_covariance(beta, alpha, gamma, 1.0, noise.sigma_n2)
+    sigma_n2 = cq.noise_variance(cq.PathLossModel(), 1000.0, 100.0)  # 20 dB edge SNR
+    c_delta = cq.distortion_covariance(beta, alpha, gamma, 1.0, sigma_n2)
     bound_gram, _ = jensen_bound_diagonals(beta, c_delta)
     rng = np.random.default_rng(91)
     acc = np.zeros(k_users)

@@ -1,11 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cfquant.channel import (
-    NoiseModel,
     PathLossModel,
     complex_normal,
     complex_normal_runs,
@@ -16,6 +16,9 @@ from cfquant.channel import (
     path_loss,
     received_variance,
 )
+from cfquant.detection import simulate_uplink
+from cfquant.estimation import make_pilot_book, simulate_pilot_phase
+from cfquant.simulation import SimulationConfig
 
 
 @pytest.fixture
@@ -81,10 +84,47 @@ class TestNoiseVariance:
         with pytest.raises(ValueError):
             noise_variance(model, 1000.0, 0.0)
 
-    def test_noise_model_from_db(self, model):
-        nm = NoiseModel.from_edge_snr_db(20.0, model, 1000.0)
-        assert nm.sigma_n2 == pytest.approx(noise_variance(model, 1000.0, 100.0))
-        assert nm.sigma_s2 == 1.0
+    def test_config_sigma_n2_from_db(self, model):
+        assert SimulationConfig(snr_edge_db=20.0).sigma_n2 == noise_variance(model, 1000.0, 100.0)
+
+    def test_rejects_variance_that_underflows(self, model):
+        with pytest.raises(ValueError, match=r"^sigma_n2 must be positive and finite, got 0\.0$"):
+            noise_variance(model, 1e300, 100.0)
+
+
+class TestPowerChecks:
+    """Every entry point that takes sigma_s2 or sigma_n2 as a float checks it."""
+
+    G, BETA = np.ones((2, 1), dtype=complex), np.ones((2, 1))
+
+    def uplink(self, sigma_s2, sigma_n2):
+        rng = np.random.default_rng(0)
+        return simulate_uplink(self.G, np.ones(1), sigma_s2, sigma_n2, 4, rng, self.BETA)
+
+    @pytest.mark.parametrize("sigma_n2", [0.0, -1e-3, math.inf, math.nan])
+    def test_simulate_functions_reject_bad_noise(self, sigma_n2):
+        message = f"^{re.escape(f'sigma_n2 must be positive and finite, got {sigma_n2}')}$"
+        with pytest.raises(ValueError, match=message):
+            self.uplink(1.0, sigma_n2)
+        with pytest.raises(ValueError, match=message):
+            noise = np.zeros((2, 1), dtype=complex)
+            simulate_pilot_phase(self.G, make_pilot_book(1, 1), sigma_n2, 4, noise, self.BETA)
+
+    @pytest.mark.parametrize("sigma_s2", [0.0, -1.0, math.nan])
+    def test_simulate_uplink_rejects_bad_symbol_power(self, sigma_s2):
+        with pytest.raises(ValueError, match="^sigma_s2 must be positive$"):
+            self.uplink(sigma_s2, 1e-3)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sigma_s2": -1.0}, "sigma_s2 must be positive"),
+            ({"l_serv_m": 1e300}, "sigma_n2 must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_config_rejects_bad_powers(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig(**kwargs)
 
 
 class TestGeometry:

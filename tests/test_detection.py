@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cfquant.channel import NoiseModel, received_variance
+from cfquant.channel import received_variance
 from cfquant.detection import (
     distortion_covariance,
     error_covariance,
@@ -14,7 +14,7 @@ from cfquant.detection import (
 )
 from cfquant.quantizer import bussgang_row, fronthaul, optimal_step
 
-NOISE = NoiseModel(sigma_n2=1e-3)
+SIGMA_N2 = 1e-3
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ def detect(W, y):
     return W @ y
 
 
-def detection_result(G, noise, c_delta, alpha, y):
+def detection_result(G, sigma_s2, sigma_n2, c_delta, alpha, y):
     """Bundle receiver, estimates, error covariance and SINR for one block."""
-    W = mmse_weights(G, alpha, noise.sigma_n2, c_delta, noise.sigma_s2)
-    cov = error_covariance(G, alpha, noise.sigma_s2, noise.sigma_n2, c_delta)
-    return DetectionResult(detect(W, y), W, cov, per_user_sinr(cov, noise.sigma_s2))
+    W = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2)
+    cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta)
+    return DetectionResult(detect(W, y), W, cov, per_user_sinr(cov, sigma_s2))
 
 
 def crandn(rng, *shape):
@@ -100,7 +100,7 @@ def direct_form_cases():
     for _ in range(5):
         beta, G = random_network(rng, 12, 5)
         alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
-        cases.append((G, alpha, NOISE.sigma_n2, beta, gamma, 1.0 + rng.uniform()))
+        cases.append((G, alpha, SIGMA_N2, beta, gamma, 1.0 + rng.uniform()))
     # A fine quantizer at high SNR leaves the observation covariance
     # badly conditioned.
     beta, G = random_network(rng, 20, 4)
@@ -114,18 +114,19 @@ class TestSimulateUplink:
         rng = np.random.default_rng(0)
         beta, G = random_network(rng, 5, 3)
         s = crandn(np.random.default_rng(1), 3)
-        y = simulate_uplink(G, s, NOISE, 0, np.random.default_rng(2), beta)
+        y = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, np.random.default_rng(2), beta)
         rng2 = np.random.default_rng(2)
         n = rng2.normal(size=5) + 1j * rng2.normal(size=5)
-        np.testing.assert_allclose(y, G @ s + math.sqrt(NOISE.sigma_n2 / 2.0) * n)
+        np.testing.assert_allclose(y, G @ s + math.sqrt(SIGMA_N2 / 2.0) * n)
 
     def test_zero_symbols_gives_quantized_noise(self):
         # Output lands on each AP's midrise alphabet, whose step is sized at
         # the data-phase variance.
         rng = np.random.default_rng(3)
         beta, G = random_network(rng, 4, 2)
-        y = simulate_uplink(G, np.zeros(2, dtype=complex), NOISE, 4, np.random.default_rng(4), beta)
-        steps = optimal_step(16) * np.sqrt(received_variance(beta, 1.0, NOISE.sigma_n2) / 2.0)
+        zero = np.zeros(2, dtype=complex)
+        y = simulate_uplink(G, zero, 1.0, SIGMA_N2, 4, np.random.default_rng(4), beta)
+        steps = optimal_step(16) * np.sqrt(received_variance(beta, 1.0, SIGMA_N2) / 2.0)
         assert y.shape == (4,)
         np.testing.assert_allclose(
             np.abs(y.real) / steps - 0.5, np.round(np.abs(y.real) / steps - 0.5), atol=1e-9
@@ -136,13 +137,13 @@ class TestSimulateUplink:
         rng = np.random.default_rng(24)
         beta, G = random_network(rng, 3, 2)
         s = crandn(rng, 5, 2, 7)
-        y = simulate_uplink(G, s, NOISE, 6, np.random.default_rng(25), beta)
+        y = simulate_uplink(G, s, 1.0, SIGMA_N2, 6, np.random.default_rng(25), beta)
         rng2 = np.random.default_rng(25)
         n = rng2.normal(size=(5, 3, 7)) + 1j * rng2.normal(size=(5, 3, 7))
-        x = G @ s + np.sqrt(NOISE.sigma_n2 / 2.0) * n
+        x = G @ s + np.sqrt(SIGMA_N2 / 2.0) * n
         assert y.shape == (5, 3, 7)
         np.testing.assert_array_equal(
-            y, fronthaul(x, 6, received_variance(beta, 1.0, NOISE.sigma_n2))
+            y, fronthaul(x, 6, received_variance(beta, 1.0, SIGMA_N2))
         )
 
     def test_output_power_matches_gamma(self):
@@ -152,13 +153,13 @@ class TestSimulateUplink:
         rng = np.random.default_rng(5)
         m_aps, k_users, trials = 3, 4, 100_000
         beta, G = random_network(rng, m_aps, k_users, unit_modulus=True)
-        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         bits = 3
         alpha, gamma = factors_at_optimum(bits)
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            y = simulate_uplink(G, s, NOISE, bits, rng, beta)
+            y = simulate_uplink(G, s, 1.0, SIGMA_N2, bits, rng, beta)
             acc += np.mean(np.abs(y) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), gamma * sigma_m2, rtol=0.02)
 
@@ -186,12 +187,12 @@ class TestDistortionCovariance:
         beta, G = random_network(rng, m_aps, k_users, unit_modulus=True)
         bits = 3
         alpha, gamma = factors_at_optimum(bits)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            x = simulate_uplink(G, s, NOISE, 0, rng, beta)
+            x = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, rng, beta)
             y = fronthaul(x, bits, sigma_m2)
             acc += np.mean(np.abs(y - alpha * x) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), c_delta, rtol=0.03)
@@ -204,14 +205,14 @@ class TestDistortionCovariance:
         beta = rng.uniform(0.05, 0.6, size=(m_aps, k_users))
         bits = 3
         alpha, _ = factors_at_optimum(bits)
-        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         cross = np.zeros((m_aps, m_aps), dtype=complex)
         cross_re = np.zeros((m_aps, m_aps))
         cross_im = np.zeros((m_aps, m_aps))
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             s = crandn(rng, 10_000, k_users, 1)
-            x = simulate_uplink(h * np.sqrt(beta), s, NOISE, 0, rng, beta)
+            x = simulate_uplink(h * np.sqrt(beta), s, 1.0, SIGMA_N2, 0, rng, beta)
             d = (fronthaul(x, bits, sigma_m2) - alpha * x)[..., 0]
             prod = d[:, :, None] * d.conj()[:, None, :]
             cross += prod.sum(axis=0)
@@ -233,8 +234,8 @@ class TestMmseWeights:
     def test_textbook_limit(self):
         rng = np.random.default_rng(9)
         _, G = random_network(rng, 6, 3)
-        W = mmse_weights(G, 1.0, NOISE.sigma_n2, np.zeros(6))
-        A = G @ G.conj().T + NOISE.sigma_n2 * np.eye(6)
+        W = mmse_weights(G, 1.0, SIGMA_N2, np.zeros(6))
+        A = G @ G.conj().T + SIGMA_N2 * np.eye(6)
         np.testing.assert_allclose(W, G.conj().T @ np.linalg.inv(A), atol=1e-12)
 
     def test_scalar_case(self):
@@ -249,14 +250,14 @@ class TestMmseWeights:
         m_aps, k_users, trials = 5, 3, 100_000
         beta, G = random_network(rng, m_aps, k_users)
         alpha, gamma = factors_at_optimum(2)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
         resid = np.zeros((k_users, m_aps), dtype=complex)
         re_sq = np.zeros((k_users, m_aps))
         im_sq = np.zeros((k_users, m_aps))
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            n = crandn(rng, m_aps, 10_000) * math.sqrt(NOISE.sigma_n2)
+            n = crandn(rng, m_aps, 10_000) * math.sqrt(SIGMA_N2)
             d = crandn(rng, m_aps, 10_000) * np.sqrt(c_delta)[:, None]
             y = alpha * (G @ s) + alpha * n + d
             e = W @ y - s
@@ -311,11 +312,11 @@ class TestMmseWeights:
         rng = np.random.default_rng(31)
         beta, G = random_network(rng, 12, k_users)
         alpha, gamma = factors_at_optimum(6)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        P = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
-        b = c_delta + alpha**2 * NOISE.sigma_n2
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        P = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+        b = c_delta + alpha**2 * SIGMA_N2
         np.testing.assert_array_equal(
-            mmse_weights(G, alpha, NOISE.sigma_n2, c_delta), alpha * (P @ G.conj().T) / b
+            mmse_weights(G, alpha, SIGMA_N2, c_delta), alpha * (P @ G.conj().T) / b
         )
 
 
@@ -349,13 +350,13 @@ class TestDetect:
         G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
         bits = 6
         alpha, gamma = factors_at_optimum(bits)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
-        cov = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
+        cov = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
         acc = np.zeros(k_users)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            y = simulate_uplink(G, s, NOISE, bits, rng, beta)
+            y = simulate_uplink(G, s, 1.0, SIGMA_N2, bits, rng, beta)
             acc += np.mean(np.abs(W @ y - s) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), np.real(np.diag(cov)), rtol=0.03)
 
@@ -372,8 +373,8 @@ class TestErrorCovariance:
         for sigma_s2 in (1.0, 2.5):
             beta, G = random_network(rng, 10, 4)
             alpha, gamma = factors_at_optimum(3)
-            c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, NOISE.sigma_n2)
-            cov = error_covariance(G, alpha, sigma_s2, NOISE.sigma_n2, c_delta)
+            c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, SIGMA_N2)
+            cov = error_covariance(G, alpha, sigma_s2, SIGMA_N2, c_delta)
             np.testing.assert_allclose(cov, cov.conj().T, atol=1e-14)
             eigs = np.linalg.eigvalsh(cov)
             assert np.all(eigs > 0.0)
@@ -384,9 +385,9 @@ class TestErrorCovariance:
         for _ in range(10):
             beta, G = random_network(rng, 12, 5)
             alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
-            c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-            a = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
-            W = direct_mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
+            c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+            a = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+            W = direct_mmse_weights(G, alpha, SIGMA_N2, c_delta)
             b = np.eye(5) - alpha * (W @ G)
             assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-9
 
@@ -394,24 +395,24 @@ class TestErrorCovariance:
         rng = np.random.default_rng(16)
         beta, G = random_network(rng, 9, 4)
         alpha, gamma = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
-        direct = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
-        general = error_covariance_for_weights(W, G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
+        direct = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+        general = error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)
         np.testing.assert_allclose(general, direct, atol=1e-12)
 
     def test_mmse_weights_beat_perturbations(self):
         rng = np.random.default_rng(17)
         beta, G = random_network(rng, 9, 4)
         alpha, gamma = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
-        base = np.real(np.diag(error_covariance_for_weights(W, G, alpha, 1.0, NOISE.sigma_n2, c_delta)))
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
+        base = np.real(np.diag(error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)))
         for eps in (0.01, -0.01):
             perturbed = np.real(
                 np.diag(
                     error_covariance_for_weights(
-                        W * (1.0 + eps), G, alpha, 1.0, NOISE.sigma_n2, c_delta
+                        W * (1.0 + eps), G, alpha, 1.0, SIGMA_N2, c_delta
                     )
                 )
             )
@@ -422,17 +423,17 @@ class TestErrorCovariance:
         rng = np.random.default_rng(18)
         beta, G = random_network(rng, 9, 4)
         alpha, gamma = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-        W_legacy = direct_mmse_weights(G, alpha, NOISE.sigma_n2, c_delta, legacy_eq21=True)
-        W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        W_legacy = direct_mmse_weights(G, alpha, SIGMA_N2, c_delta, legacy_eq21=True)
+        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
         assert np.max(np.abs(W - W_legacy)) > 0.0
-        base = np.real(np.diag(error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)))
+        base = np.real(np.diag(error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)))
         legacy = np.real(
-            np.diag(error_covariance_for_weights(W_legacy, G, alpha, 1.0, NOISE.sigma_n2, c_delta))
+            np.diag(error_covariance_for_weights(W_legacy, G, alpha, 1.0, SIGMA_N2, c_delta))
         )
         assert np.all(legacy >= base - 1e-15)
         library = np.real(
-            np.diag(error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta, legacy_eq21=True))
+            np.diag(error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True))
         )
         assert np.all(library >= base - 1e-15)
 
@@ -446,7 +447,7 @@ class TestErrorCovariance:
         cases = [(G, np.array([alpha]), sigma_n2, c_delta[None], sigma_s2)]
         for k_users in (1, 5):
             G, alpha, c_delta = TestBitDepthStack.stack(np.random.default_rng(42), k_users)
-            cases.append((G, alpha, NOISE.sigma_n2, c_delta, 1.0))
+            cases.append((G, alpha, SIGMA_N2, c_delta, 1.0))
         for G, alpha, sigma_n2, c_delta, sigma_s2 in cases:
             cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
             for a, c, got in zip(alpha, c_delta, cov):
@@ -476,10 +477,10 @@ class TestPerUserSinr:
     def test_scalar_matched_filter_limit(self):
         g = np.array([[0.3 - 0.9j]])
         for sigma_s2 in (1.0, 4.0):
-            cov = error_covariance(g, 1.0, sigma_s2, NOISE.sigma_n2, np.zeros(1))
+            cov = error_covariance(g, 1.0, sigma_s2, SIGMA_N2, np.zeros(1))
             sinr = per_user_sinr(cov, sigma_s2)
             assert sinr[0] == pytest.approx(
-                abs(g[0, 0]) ** 2 * sigma_s2 / NOISE.sigma_n2, rel=1e-9
+                abs(g[0, 0]) ** 2 * sigma_s2 / SIGMA_N2, rel=1e-9
             )
 
     def test_monotone_in_bit_depth(self):
@@ -488,8 +489,8 @@ class TestPerUserSinr:
         prev = np.zeros(4)
         for bits in range(4, 15):
             alpha, gamma = factors_at_optimum(bits)
-            c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
-            cov = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+            c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+            cov = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
             sinr = per_user_sinr(cov, 1.0)
             assert np.all(sinr >= prev)
             prev = sinr
@@ -511,19 +512,19 @@ class TestBitDepthStack:
         rows = [factors_at_optimum(bits) for bits in (6, 10, 14)] + [(1.0, 1.0)]
         alpha = np.array([a for a, _ in rows])
         c_delta = np.stack(
-            [distortion_covariance(beta, a, g, 1.0, NOISE.sigma_n2) for a, g in rows]
+            [distortion_covariance(beta, a, g, 1.0, SIGMA_N2) for a, g in rows]
         )
         return G, alpha, c_delta
 
     @pytest.mark.parametrize("k_users", [1, 5])
     def test_error_covariance_and_sinr(self, k_users):
         G, alpha, c_delta = self.stack(np.random.default_rng(40), k_users)
-        stacked = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+        stacked = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
         assert stacked.shape == (4, k_users, k_users)
         sinr = per_user_sinr(stacked, 1.0)
         assert sinr.shape == (4, k_users)
         for i, (a, c) in enumerate(zip(alpha, c_delta)):
-            cov = error_covariance(G, float(a), 1.0, NOISE.sigma_n2, c)
+            cov = error_covariance(G, float(a), 1.0, SIGMA_N2, c)
             np.testing.assert_array_equal(stacked[i], cov)
             np.testing.assert_array_equal(sinr[i], per_user_sinr(cov, 1.0))
 
@@ -534,19 +535,19 @@ class TestBitDepthStack:
         # from error_covariance, which must stack exactly too.
         G, alpha, c_delta = self.stack(np.random.default_rng(41), k_users)
         if legacy_eq21:
-            cov = error_covariance(G, alpha, 1.0, NOISE.sigma_n2, c_delta, legacy_eq21=True)
+            cov = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
         else:
-            W = mmse_weights(G, alpha, NOISE.sigma_n2, c_delta)
+            W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
             assert W.shape == (4, k_users, 30)
-            cov = error_covariance_for_weights(W, G, alpha, 1.0, NOISE.sigma_n2, c_delta)
+            cov = error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)
         assert cov.shape == (4, k_users, k_users)
         for i, (a, c) in enumerate(zip(alpha, c_delta)):
             if legacy_eq21:
-                expected = error_covariance(G, float(a), 1.0, NOISE.sigma_n2, c, legacy_eq21=True)
+                expected = error_covariance(G, float(a), 1.0, SIGMA_N2, c, legacy_eq21=True)
             else:
-                w = mmse_weights(G, float(a), NOISE.sigma_n2, c)
+                w = mmse_weights(G, float(a), SIGMA_N2, c)
                 np.testing.assert_array_equal(W[i], w)
-                expected = error_covariance_for_weights(w, G, float(a), 1.0, NOISE.sigma_n2, c)
+                expected = error_covariance_for_weights(w, G, float(a), 1.0, SIGMA_N2, c)
             np.testing.assert_array_equal(cov[i], expected)
 
 
@@ -581,7 +582,7 @@ class TestJensenBounds:
         m_aps, k_users, draws = 50, 4, 10_000
         beta = rng.uniform(0.05, 1.0, size=(m_aps, k_users))
         alpha, gamma = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
         bound_gram, bound_distortion = jensen_bound_diagonals(beta, c_delta)
         sqrt_beta = np.sqrt(beta)
         acc_gram = np.zeros(k_users)
@@ -601,7 +602,7 @@ class TestJensenBounds:
         m_aps, k_users, draws = 50, 4, 10_000
         beta = rng.uniform(0.05, 1.0, size=(m_aps, k_users))
         alpha, gamma = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
         total = np.zeros((k_users, k_users), dtype=complex)
         total_re = np.zeros((k_users, k_users))
         total_im = np.zeros((k_users, k_users))
@@ -629,12 +630,12 @@ class TestDetectionResult:
         rng = np.random.default_rng(23)
         beta, G = random_network(rng, 10, 3)
         alpha, gamma = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, NOISE.sigma_n2)
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
         s = crandn(rng, 3)
-        y = simulate_uplink(G, s, NOISE, 0, rng, beta)
-        result = detection_result(G, NOISE, c_delta, alpha, y)
+        y = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, rng, beta)
+        result = detection_result(G, 1.0, SIGMA_N2, c_delta, alpha, y)
         np.testing.assert_allclose(result.s_hat, result.weights @ y)
         np.testing.assert_allclose(
-            result.sinr, per_user_sinr(result.error_cov, NOISE.sigma_s2)
+            result.sinr, per_user_sinr(result.error_cov, 1.0)
         )
         assert np.all(result.sinr >= 0.0)

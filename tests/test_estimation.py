@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cfquant.channel import NoiseModel, complex_normal, received_variance
+from cfquant.channel import complex_normal, received_variance
 from cfquant.estimation import (
     correlate_all,
     estimation_mse,
@@ -13,7 +13,7 @@ from cfquant.estimation import (
 )
 from cfquant.quantizer import bussgang_row, fronthaul
 
-NOISE = NoiseModel(sigma_n2=1e-3)
+SIGMA_N2 = 1e-3
 
 
 def crandn(rng, *shape):
@@ -22,7 +22,7 @@ def crandn(rng, *shape):
 
 def pilot_noise(rng, G, phi):
     """Receiver noise for the pilot block of the channel draw(s) ``G``."""
-    return complex_normal(rng, (*G.shape[:-1], len(phi)), math.sqrt(NOISE.sigma_n2 / 2.0))
+    return complex_normal(rng, (*G.shape[:-1], len(phi)), math.sqrt(SIGMA_N2 / 2.0))
 
 
 def pilot_correlate(y_m, phi_k):
@@ -76,11 +76,11 @@ class TestSimulatePilotPhase:
         G = crandn(rng, 6, 3) * 0.4
         phi = make_pilot_book(3, 3)
         n = pilot_noise(np.random.default_rng(77), G, phi)
-        assert simulate_pilot_phase(G, phi, NOISE, 0, n, np.abs(G) ** 2) is n
+        assert simulate_pilot_phase(G, phi, SIGMA_N2, 0, n, np.abs(G) ** 2) is n
         rng2 = np.random.default_rng(77)
         clean = math.sqrt(3) * (G @ phi.T)
         noise = rng2.normal(size=(6, 3)) + 1j * rng2.normal(size=(6, 3))
-        np.testing.assert_allclose(n, clean + math.sqrt(NOISE.sigma_n2 / 2.0) * noise)
+        np.testing.assert_allclose(n, clean + math.sqrt(SIGMA_N2 / 2.0) * noise)
 
     def test_rejects_unfit_noise_samples(self):
         G = np.ones((6, 3), dtype=complex)
@@ -88,7 +88,7 @@ class TestSimulatePilotPhase:
         beta = np.ones((6, 3))
         for n in [np.zeros((6, 3), dtype=complex), np.zeros((6, 4))]:
             with pytest.raises(ValueError, match="noise_samples"):
-                simulate_pilot_phase(G, phi, NOISE, 4, n, beta)
+                simulate_pilot_phase(G, phi, SIGMA_N2, 4, n, beta)
 
     def test_matches_vectorized_kernel(self):
         # Quantized pilots are the unquantized ones through the fronthaul,
@@ -97,10 +97,10 @@ class TestSimulatePilotPhase:
         G = crandn(rng, 5, 2) * 0.3
         beta = np.abs(G) ** 2
         phi = make_pilot_book(2, 2)
-        sigma_m2 = received_variance(beta, 1.0, NOISE.sigma_n2)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         n = pilot_noise(np.random.default_rng(5), G, phi)
-        x = simulate_pilot_phase(G, phi, NOISE, 0, n.copy(), beta)
-        y = simulate_pilot_phase(G, phi, NOISE, 4, n, beta)
+        x = simulate_pilot_phase(G, phi, SIGMA_N2, 0, n.copy(), beta)
+        y = simulate_pilot_phase(G, phi, SIGMA_N2, 4, n, beta)
         np.testing.assert_array_equal(y, fronthaul(x, 4, sigma_m2))
 
     def test_leading_trial_axis(self):
@@ -109,13 +109,13 @@ class TestSimulatePilotPhase:
         G = crandn(rng, 6, 3, 2) * np.sqrt(beta)
         phi = make_pilot_book(2, 4)
         n = pilot_noise(np.random.default_rng(18), G, phi)
-        y = simulate_pilot_phase(G, phi, NOISE, 5, n, beta)
+        y = simulate_pilot_phase(G, phi, SIGMA_N2, 5, n, beta)
         rng2 = np.random.default_rng(18)
         noise = rng2.normal(size=(6, 3, 4)) + 1j * rng2.normal(size=(6, 3, 4))
-        x = 2.0 * (G @ phi.T) + math.sqrt(NOISE.sigma_n2 / 2.0) * noise
+        x = 2.0 * (G @ phi.T) + math.sqrt(SIGMA_N2 / 2.0) * noise
         assert y.shape == (6, 3, 4)
         np.testing.assert_array_equal(
-            y, fronthaul(x, 5, received_variance(beta, 1.0, NOISE.sigma_n2))
+            y, fronthaul(x, 5, received_variance(beta, 1.0, SIGMA_N2))
         )
 
     @pytest.mark.parametrize("k_users", [3, 0])
@@ -128,14 +128,14 @@ class TestSimulatePilotPhase:
         G = crandn(rng, *lead, m_aps, k_users) * np.sqrt(beta)
         phi = make_pilot_book(k_users, tau)
         n = pilot_noise(np.random.default_rng(22), G, phi)
-        y = simulate_pilot_phase(G, phi, NOISE, 5, n, beta)
+        y = simulate_pilot_phase(G, phi, SIGMA_N2, 5, n, beta)
         clean = np.array([math.sqrt(tau) * (g @ phi.T) for g in G.reshape(6, m_aps, k_users)])
         rng2 = np.random.default_rng(22)
         shape = (*lead, m_aps, tau)
         noise = rng2.normal(size=shape) + 1j * rng2.normal(size=shape)
-        x = clean.reshape(shape) + math.sqrt(NOISE.sigma_n2 / 2.0) * noise
+        x = clean.reshape(shape) + math.sqrt(SIGMA_N2 / 2.0) * noise
         np.testing.assert_array_equal(
-            y, fronthaul(x, 5, received_variance(beta, 1.0, NOISE.sigma_n2))
+            y, fronthaul(x, 5, received_variance(beta, 1.0, SIGMA_N2))
         )
         r = np.array([y_t @ phi.conj() for y_t in y.reshape(6, m_aps, tau)])
         np.testing.assert_array_equal(correlate_all(y, phi), r.reshape(*lead, m_aps, k_users))
@@ -151,10 +151,10 @@ class TestSimulatePilotPhase:
         powers = np.empty(trials)
         for t in range(trials):
             n = pilot_noise(rng, G, phi)
-            y = simulate_pilot_phase(G, phi, NOISE, 4, n, np.zeros((m_aps, 0)))
+            y = simulate_pilot_phase(G, phi, SIGMA_N2, 4, n, np.zeros((m_aps, 0)))
             powers[t] = np.mean(np.abs(y) ** 2)
         se = powers.std() / math.sqrt(trials)
-        assert abs(powers.mean() - gamma * NOISE.sigma_n2) < 4.0 * se
+        assert abs(powers.mean() - gamma * SIGMA_N2) < 4.0 * se
 
     def test_per_symbol_variance(self):
         # Constant-modulus pilots make every symbol carry the same power.
@@ -167,10 +167,10 @@ class TestSimulatePilotPhase:
             h = crandn(rng, 1000, m_aps, k_users)
             g = h * np.sqrt(beta)
             x = math.sqrt(k_users) * (g @ phi.T)
-            x += math.sqrt(NOISE.sigma_n2 / 2.0) * crandn(rng, 1000, m_aps, k_users) * math.sqrt(2.0)
+            x += math.sqrt(SIGMA_N2 / 2.0) * crandn(rng, 1000, m_aps, k_users) * math.sqrt(2.0)
             acc += np.mean(np.abs(x) ** 2, axis=0)
         per_symbol = acc / (trials // 1000)
-        expected = received_variance(beta, 1.0, NOISE.sigma_n2)
+        expected = received_variance(beta, 1.0, SIGMA_N2)
         np.testing.assert_allclose(per_symbol, expected[:, None] * np.ones((1, k_users)), rtol=0.02)
 
 
@@ -217,7 +217,7 @@ class TestPilotCorrelate:
         for start in range(0, trials, 10_000):
             h = crandn(rng, 10_000, 1, 1)
             g = h * np.sqrt(beta)
-            y = simulate_pilot_phase(g, phi, NOISE, 3, pilot_noise(rng, g, phi), beta)
+            y = simulate_pilot_phase(g, phi, SIGMA_N2, 3, pilot_noise(rng, g, phi), beta)
             samples[start : start + 10_000] = (y @ phi.conj())[:, 0, 0] * np.conj(h[:, 0, 0])
         expected = alpha * math.sqrt(tau * beta[0, 0])
         z_re = abs(samples.real.mean() - expected) / (samples.real.std() / math.sqrt(trials))
@@ -302,14 +302,14 @@ class TestEstimateChannel:
         beta = rng.uniform(0.05, 0.8, size=(m_aps, k_users))
         phi = make_pilot_book(k_users, tau)
         alpha, gamma = factors_at_optimum(8)
-        c = lmmse_coefficient(beta, tau, alpha, gamma, NOISE.sigma_n2)
-        mse, _ = estimation_mse(beta, tau, alpha, gamma, NOISE.sigma_n2)
+        c = lmmse_coefficient(beta, tau, alpha, gamma, SIGMA_N2)
+        mse, _ = estimation_mse(beta, tau, alpha, gamma, SIGMA_N2)
         total = np.zeros((m_aps, k_users))
         trials = 100_000
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             g = h * np.sqrt(beta)
-            y = simulate_pilot_phase(g, phi, NOISE, 8, pilot_noise(rng, g, phi), beta)
+            y = simulate_pilot_phase(g, phi, SIGMA_N2, 8, pilot_noise(rng, g, phi), beta)
             g_hat = c * (y @ phi.conj())
             total += np.sum(np.abs(g_hat - g) ** 2, axis=0)
         np.testing.assert_allclose(total / trials, mse, rtol=0.02)
@@ -386,9 +386,9 @@ class TestEstimateFromPilots:
         g = crandn(rng, 5, 3) * np.sqrt(beta)
         phi = make_pilot_book(3, 3)
         alpha, gamma = factors_at_optimum(6)
-        y = simulate_pilot_phase(g, phi, NOISE, 0, pilot_noise(rng, g, phi), beta)
-        c = lmmse_coefficient(beta, len(phi), alpha, gamma, NOISE.sigma_n2)
-        mse, nmse = estimation_mse(beta, len(phi), alpha, gamma, NOISE.sigma_n2)
+        y = simulate_pilot_phase(g, phi, SIGMA_N2, 0, pilot_noise(rng, g, phi), beta)
+        c = lmmse_coefficient(beta, len(phi), alpha, gamma, SIGMA_N2)
+        mse, nmse = estimation_mse(beta, len(phi), alpha, gamma, SIGMA_N2)
         assert (c * correlate_all(y, phi)).shape == c.shape == nmse.shape == (5, 3)
         np.testing.assert_array_equal(mse, beta * nmse)
         assert np.all((nmse > 0) & (nmse < 1))

@@ -79,15 +79,15 @@ def per_draw_sinr_trial(cfg, table, legacy_eq21, trial):
     """Reference for one SINR geometry trial: one receiver-kernel call per
     fading draw and bit depth, each bit depth on its own."""
     beta = _draw_gains(cfg, trial)
-    noise = cfg.noise_model()
+    sigma_n2 = cfg.sigma_n2
     out = {bits: [] for bits in table}
     for fade in range(cfg.n_smallscale):
         h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
         G = h * np.sqrt(beta)
         for bits, row in table.items():
             alpha, gamma = row["alpha"], row["gamma"]
-            c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, noise.sigma_n2)
-            cov = error_covariance(G, alpha, cfg.sigma_s2, noise.sigma_n2, c_delta, legacy_eq21)
+            c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, sigma_n2)
+            cov = error_covariance(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
             out[bits].append(10.0 * np.log10(per_user_sinr(cov, cfg.sigma_s2)))
     return {bits: np.concatenate(chunks) for bits, chunks in out.items()}
 
@@ -204,6 +204,25 @@ class TestConfig:
         # A value that does not parse names its key, the expected type and the raw text.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SimulationConfig.from_mapping(mapping)
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"m_aps": 6.9}, "m_aps must be an integer, got 6.9"),
+            ({"bits_list": (4.5, 0)}, "bits entries must be nonnegative integers (0 = unquantized)"),
+        ],
+        ids=["m_aps", "bits_list"],
+    )
+    def test_from_mapping_passes_non_text_to_the_constructor(self, mapping, message):
+        # Only text is parsed: a non-integer number is rejected, not truncated.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig.from_mapping(mapping)
+
+    def test_float_fields_stored_as_float(self):
+        cfg = SimulationConfig.from_mapping({"l_serv_m": 500, "snr_edge_db": np.float32(15.5)})
+        assert (cfg.l_serv_m, cfg.snr_edge_db) == (500.0, 15.5)
+        assert {type(cfg.l_serv_m), type(cfg.snr_edge_db)} == {float}
+        assert repr(SimulationConfig(l_serv_m=500).l_serv_m) == "500.0"
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -504,9 +523,9 @@ class TestSinrCampaign:
         h = draw_small_scale(1, 1, substream(cfg.seed, _FADING, 0, 0))
         row = bussgang_table((6,))[6]
         alpha, gamma = row["alpha"], row["gamma"]
-        noise = cfg.noise_model()
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, noise.sigma_n2)
-        cov = error_covariance(h * np.sqrt(beta), alpha, 1.0, noise.sigma_n2, c_delta)
+        sigma_n2 = cfg.sigma_n2
+        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, sigma_n2)
+        cov = error_covariance(h * np.sqrt(beta), alpha, 1.0, sigma_n2, c_delta)
         expected = 10.0 * np.log10(per_user_sinr(cov, 1.0))
         assert series[0].values[0] == pytest.approx(expected[0], abs=1e-9)
 
@@ -868,11 +887,11 @@ class TestValidation:
         pilot_phase = simulation.simulate_pilot_phase
         estimation_check = simulation._estimation_check
 
-        def counting_pilot_phase(G, pilots, noise, bits, *args):
+        def counting_pilot_phase(G, pilots, sigma_n2, bits, *args):
             runs[bits] += 1
             if runs[8] and runs[12]:
                 both_drawing.set()
-            return pilot_phase(G, pilots, noise, bits, *args)
+            return pilot_phase(G, pilots, sigma_n2, bits, *args)
 
         def failing_at_4_bits(cfg, bits, *args):
             if bits == 4:
