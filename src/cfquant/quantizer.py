@@ -35,20 +35,34 @@ __all__ = [
 _CONSISTENCY_TOL = 1e-12
 
 # Largest level count the step solver accepts, and the bracket of normalized
-# steps its bisection starts from: gamma < alpha at its lower end and
-# gamma > alpha at its upper end for every even level count from 2 to
-# MAX_LEVELS (tests/test_quantizer.py checks each).
+# steps its search keeps: gamma < alpha at its lower end and gamma > alpha at
+# its upper end for every even level count from 2 to MAX_LEVELS
+# (tests/test_quantizer.py checks each).
 MAX_LEVELS = 2**14
 _BRACKET = (1e-6, 8.0)
+
+# The overload tails stop where (l*d)**2 exceeds its first value by
+# _TAIL_DECAY: their terms have fallen by exp(-40), so those beyond sum to
+# less than 1e-17 of each tail.  No evaluation sums more than _MAX_TERMS
+# orders, the direct series' length at MAX_LEVELS: where a tail would be
+# longer (steps far below the optimum), the direct series are summed instead.
+_TAIL_DECAY = 80.0
+_MAX_TERMS = MAX_LEVELS // 2 - 1
+# Orders n of psi_n = exp(-2*(pi*n/d)**2); psi_17 < 1e-34 at every step up to 8.
+_PSI_ORDERS = np.arange(1.0, 17.0)
+# The solver's first step has its overload point (L/2)*d at 6, above the
+# optimum's at every level count up to MAX_LEVELS (5.49 at MAX_LEVELS); from
+# there the Newton steps fall onto the root from above.
+_FIRST_OVERLOAD_POINT = 6.0
 
 
 class FlatObjectiveWarning(UserWarning):
     """Raised when the step-size objective does not depend on the step."""
 
 
-def _gaussian_tail(x):
-    """P(N(0,1) > x) for an array ``x``, elementwise by libm's erfc (numpy has none)."""
-    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(x / math.sqrt(2.0)).astype(float)
+def _erfc(z):
+    """libm's erfc of each entry of an array ``z`` (numpy has none)."""
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, count=z.size).reshape(z.shape)
 
 
 def _check_levels(levels):
@@ -147,7 +161,8 @@ def power_gain_gamma(levels, step):
     step/sigma.  ``step`` may be an array."""
     d = _valid_steps(levels, step)
     ls = np.arange(1, levels // 2, dtype=float)
-    out = d**2 * (0.25 + 4.0 * (_gaussian_tail(np.multiply.outer(d, ls)) @ ls))
+    tail = 0.5 * _erfc(np.multiply.outer(d, ls) / math.sqrt(2.0))
+    out = d**2 * (0.25 + 4.0 * (tail @ ls))
     return out if np.ndim(step) else float(out)
 
 
@@ -182,6 +197,59 @@ def _distortion_gap(alpha, gamma):
     return gap
 
 
+def _excess(levels, d):
+    """(1 - alpha, gamma - alpha, gamma - alpha**2) of the L-level quantizer at
+    the normalized step ``d``, and a Newton estimate of the root of
+    gamma - alpha (nan where there is none).
+
+    The quantizer with infinitely many levels has gamma - alpha = G, with
+    Sheppard's d**2/12 in the granular part G = d**2/12 + 2*S0 + d**2*S2/pi**2
+    and alpha = 1 + 2*S0, where S0 = sum(psi_n), S2 = sum(psi_n/n**2) and
+    psi_n = exp(-2*(pi*n/d)**2).  The L levels differ from it only beyond
+    +-(L/2)*d, by the overload tails T_alpha = 2*d*sum(phi(l*d)) and
+    T_gamma = 4*d**2*sum(l*Q(l*d)) over l >= L/2: 1 - alpha = T_alpha - 2*S0
+    and gamma - alpha = G - O, with O = T_gamma - T_alpha.  Every term is
+    small, so nothing cancels.  The estimate is a Newton step on ln(G/O) in
+    ln d, which is close to quadratic in d; its slope comes from the same
+    sums.  Where the tail would be longer than _MAX_TERMS orders, the direct
+    series of alpha and gamma are summed instead, with no estimate.
+    """
+    half = levels // 2
+    tail_end = math.ceil(math.sqrt((half * d) ** 2 + _TAIL_DECAY) / d)
+    direct = tail_end - half >= _MAX_TERMS
+    ls = np.arange(1.0, half) if direct else np.arange(half, tail_end + 1.0)
+    z = ls * (d / math.sqrt(2.0))  # phi(l*d) = exp(-z**2)/sqrt(2*pi), Q(l*d) = erfc(z)/2
+    e = np.exp(-z * z)
+    c = math.sqrt(2.0 / math.pi)
+    e_sum, lq_sum = e.sum(), (ls * _erfc(z)).sum()
+    newton = math.nan
+    if direct:
+        alpha = c * d * (0.5 + e_sum)
+        one_minus_alpha = 1.0 - alpha
+        excess = d * d * (0.25 + 2.0 * lq_sum) - alpha
+    else:
+        t_alpha, t_gamma = c * d * e_sum, 2.0 * d * d * lq_sum
+        psi = np.exp(-2.0 * (math.pi / d) ** 2 * _PSI_ORDERS**2)
+        s0, s2 = psi.sum(), (psi / _PSI_ORDERS**2).sum()
+        granular = d * d / 12.0 + 2.0 * s0 + (d / math.pi) ** 2 * s2
+        overload = t_gamma - t_alpha
+        one_minus_alpha = t_alpha - 2.0 * s0
+        excess = granular - overload
+        if overload > 0.0:  # d*G'(d) and d*O'(d) give the slope of ln(G/O) in ln d
+            d_granular = (
+                d * d / 6.0
+                + 8.0 * (math.pi / d) ** 2 * (_PSI_ORDERS**2 * psi).sum()
+                + 2.0 * (d / math.pi) ** 2 * s2
+                + 4.0 * s0
+            )
+            d_overload = 2.0 * t_gamma - t_alpha - c * d**3 * (ls * ls * e).sum()
+            slope = d_granular / granular - d_overload / overload
+            if slope > 0.0:
+                newton = d + d * math.expm1(-math.log(granular / overload) / slope)
+    gap = excess + one_minus_alpha * (1.0 - one_minus_alpha)
+    return one_minus_alpha, excess, gap, newton
+
+
 @lru_cache(maxsize=None)
 def _solved_row(levels):
     """(step, alpha, gamma) at the SDNR-optimal step of an L-level quantizer, solved once."""
@@ -191,19 +259,30 @@ def _solved_row(levels):
             f"levels={levels} exceeds {MAX_LEVELS}, the largest level count the step "
             "solver is validated for"
         )
+    step = 2.0 * math.sqrt(2.0 / math.pi) if levels == 2 else _excess_root(levels)
+    return step, bussgang_alpha(levels, step), power_gain_gamma(levels, step)
 
-    def excess(d):  # gamma - alpha: negative below the optimum, positive above it
-        return power_gain_gamma(levels, d) - bussgang_alpha(levels, d)
 
+def _excess_root(levels):
+    """The one root of gamma - alpha at L >= 4 levels, by safeguarded Newton."""
     lo, hi = _BRACKET
-    if not excess(lo) < 0.0 < excess(hi):
+    if not _excess(levels, lo)[1] < 0.0 < _excess(levels, hi)[1]:
         raise ValueError(f"the step bracket {_BRACKET} does not hold the optimum at {levels} levels")
-    while lo < (mid := math.sqrt(lo * hi)) < hi:
-        if excess(mid) < 0.0:
-            lo = mid
+    d = _FIRST_OVERLOAD_POINT / (levels // 2)
+    while True:
+        _, excess, _, newton = _excess(levels, d)
+        if abs(newton - d) <= 1e-10 * d:  # Newton's error after so short a step is far below an ulp
+            return newton
+        if excess < 0.0:
+            lo = d
         else:
-            hi = mid
-    return lo, bussgang_alpha(levels, lo), power_gain_gamma(levels, lo)
+            hi = d
+        if lo < newton < hi:
+            d = newton
+        elif lo < (mid := math.sqrt(lo * hi)) < hi:
+            d = mid
+        else:
+            return lo
 
 
 def _row(levels):
@@ -225,15 +304,20 @@ def optimal_step(levels):
     The objective alpha**2/gamma has the slope
     4*d**2*S*alpha*(alpha - gamma)/(sqrt(2*pi)*gamma**2) in the step d, with
     S = sum(l**2*exp(-(l*d)**2/2)) over the orders l = 1..L/2 - 1, so
-    for L >= 4 (S > 0) its maximum is the one root of gamma - alpha.
-    Bisection at the geometric mean finds it in the bracket [1e-6, 8], whose
-    sign change is checked first (a ValueError if it fails), until that mean
-    rounds to an end; the lower end is returned.  Level counts above
-    MAX_LEVELS, the deepest at which the bracket is proven, are rejected.
-    At 2 levels the objective is flat in the step (S = 0), and
-    gamma - alpha = d**2/4 - d/sqrt(2*pi) has the one root 2*sqrt(2/pi), the
-    minimum-distortion step 2*E|x|; the same bisection returns it, with a
-    FlatObjectiveWarning on every call.
+    for L >= 4 (S > 0) its maximum is the one root of gamma - alpha.  That
+    root is solved with gamma - alpha summed without cancellation, as
+    Sheppard's d**2/12 and its small corrections less the overload beyond
+    +-(L/2)*d, so it is found to within an ulp or two, not where rounding
+    noise in a difference of two O(1) sums hides its sign.  Safeguarded
+    Newton steps on the log of the granular-to-overload ratio, in the log
+    of the step, start above the root and take 5-7 evaluations; a step
+    outside the current sign bracket is replaced by its geometric mean.
+    The bracket [1e-6, 8] is checked first (a ValueError if it fails).
+    Level counts above MAX_LEVELS, the deepest at which the bracket is
+    proven, are rejected.  At 2 levels the objective is flat in the step
+    (S = 0), and gamma - alpha = d**2/4 - d/sqrt(2*pi) has the one root
+    2*sqrt(2/pi), the minimum-distortion step 2*E|x|, which is returned
+    with a FlatObjectiveWarning on every call.
     """
     return _row(levels)[0]
 

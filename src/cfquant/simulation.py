@@ -150,12 +150,14 @@ class SimulationConfig:
             raise ValueError("trial counts must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        try:  # noise_variance checks sigma_n2, the path loss model its own parameters
-            _check_powers(self.sigma_n2, self.sigma_s2)
+        unsupported = f"snr_edge_db={self.snr_edge_db} is not supported: 10**(snr_edge_db/10)"
+        try:
+            if 10.0 ** (self.snr_edge_db / 10.0) == 0.0:
+                raise ValueError(f"{unsupported} underflows")
         except OverflowError:
-            raise ValueError(
-                f"snr_edge_db={self.snr_edge_db} is not supported: 10**(snr_edge_db/10) overflows"
-            ) from None
+            raise ValueError(f"{unsupported} overflows") from None
+        # noise_variance checks sigma_n2, the path loss model its own parameters
+        _check_powers(self.sigma_n2, self.sigma_s2)
 
     def path_loss_model(self):
         return PathLossModel(d0=self.d0_m, d1=self.d1_m, gamma0=self.gamma0, gamma1=self.gamma1)

@@ -147,9 +147,20 @@ class TestCampaignCommands:
                  "--geoms", "2"],
                 "sigma_n2 must be positive and finite, got 0.0",
             ),
+            (
+                "nmse-cdf",
+                ["--snr-edge-db", "4000"],
+                "snr_edge_db=4000.0 is not supported: 10**(snr_edge_db/10) overflows",
+            ),
+            (
+                "nmse-cdf",
+                ["--snr-edge-db", "-4000"],
+                "snr_edge_db=-4000.0 is not supported: 10**(snr_edge_db/10) underflows",
+            ),
         ],
         ids=["nmse-cdf", "sinr-cdf", "validate", "sinr-cdf-zero-sinr", "nmse-cdf-huge-area",
-             "nmse-cdf-tiny-breakpoints"],
+             "nmse-cdf-tiny-breakpoints", "nmse-cdf-edge-snr-overflow",
+             "nmse-cdf-edge-snr-underflow"],
     )
     def test_invalid_config_value_exits_cleanly(self, command, flags, message, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,11 +1,14 @@
+import collections
 import functools
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc
 
+from cfquant import quantizer
 from cfquant.quantizer import (
     _BRACKET,
     MAX_LEVELS,
@@ -33,6 +36,32 @@ def untruncated_gamma(levels, d):
     ls = np.arange(1, levels // 2, dtype=float)
     series = 4.0 * (ls @ (0.5 * erfc(np.multiply.outer(ls, d) / math.sqrt(2.0))))
     return d**2 * (0.25 + series)
+
+
+def mpmath_terms(levels, d):
+    """Oracle: (1 - alpha, gamma - alpha, gamma - alpha**2) at the step ``d`` from
+    the direct series at 50 digits, where their cancellation costs no digit a
+    double holds."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(d)
+        ls = range(1, levels // 2)
+        alpha = d * mpmath.sqrt(2 / mpmath.pi) * (
+            mpmath.mpf(1) / 2 + mpmath.fsum(mpmath.exp(-((l * d) ** 2) / 2) for l in ls)
+        )
+        gamma = d * d * (
+            mpmath.mpf(1) / 4 + 2 * mpmath.fsum(l * mpmath.erfc(l * d / mpmath.sqrt(2)) for l in ls)
+        )
+        return 1 - alpha, gamma - alpha, gamma - alpha**2
+
+
+def assert_excess_terms_match_mpmath(levels, d):
+    """The solver's 1 - alpha and gap within 1e-14 relative of the oracle's, and
+    its gamma - alpha within 1e-14 of the gap."""
+    one_minus_alpha, excess, gap, _ = quantizer._excess(levels, d)
+    oracle = mpmath_terms(levels, d)
+    assert abs(one_minus_alpha - oracle[0]) <= 1e-14 * abs(oracle[0])
+    assert abs(excess - oracle[1]) <= 1e-14 * oracle[2]
+    assert abs(gap - oracle[2]) <= 1e-14 * oracle[2]
 
 
 # A dense log grid over the solver's bracket, and the oracles' alpha and gamma
@@ -468,15 +497,49 @@ class TestOptimalStep:
 
     @pytest.mark.parametrize("bits", sorted(UNTRUNCATED_STEPS))
     def test_sign_change_at_step(self, bits):
-        # Within 4 ulps of the step, gamma - alpha is below zero and not below
-        # zero: the bisection ran until its ends met.
+        # Within 4 ulps of the step, the solver's gamma - alpha is below zero
+        # and not below zero.
         levels = 2**bits
         step = optimal_step(levels)
         excess = [
-            power_gain_gamma(levels, d) - bussgang_alpha(levels, d)
-            for d in step + math.ulp(step) * np.arange(-4, 5)
+            quantizer._excess(levels, d)[1] for d in step + math.ulp(step) * np.arange(-4, 5)
         ]
         assert min(excess) < 0.0 <= max(excess)
+
+    @pytest.mark.parametrize("bits", range(2, 15))
+    def test_step_within_two_ulps_of_mpmath_root(self, bits):
+        # gamma - alpha at 50 digits changes sign between 2 ulps below and 2 ulps
+        # above the step, and the solver's three terms match the oracle's there.
+        levels = 2**bits
+        step = optimal_step(levels)
+        ulps = 2 * mpmath.mpf(math.ulp(step))
+        assert mpmath_terms(levels, step - ulps)[1] < 0 < mpmath_terms(levels, step + ulps)[1]
+        assert_excess_terms_match_mpmath(levels, step)
+
+    @pytest.mark.parametrize("levels", [4, 6, 16, 64, 256, 1024])
+    def test_excess_terms_against_mpmath_on_step_grid(self, levels):
+        for factor in (0.95, 1.05, 1.5, 2.0):
+            assert_excess_terms_match_mpmath(levels, factor * optimal_step(levels))
+
+    def test_cold_solve_evaluation_count(self, monkeypatch):
+        # The solver's evaluations of gamma - alpha per power-of-two level count,
+        # its two bracket checks included, from an empty cache.
+        levels = collections.Counter()
+        excess = quantizer._excess
+
+        def counted(n, d):
+            levels[n] += 1
+            return excess(n, d)
+
+        monkeypatch.setattr(quantizer, "_excess", counted)
+        quantizer._solved_row.cache_clear()
+        try:
+            for bits in range(2, 15):
+                optimal_step(2**bits)
+        finally:
+            quantizer._solved_row.cache_clear()
+        assert sorted(levels) == [2**bits for bits in range(2, 15)]
+        assert max(levels.values()) <= 12
 
     @pytest.mark.parametrize("bits", sorted(UNTRUNCATED_STEPS))
     def test_sdnr_no_lower_than_at_scan_solver_steps(self, bits):

@@ -137,6 +137,7 @@ class TestConfig:
             {"bits_list": (8, 20)},
             {"bits_list": (10**9,)},
             {"snr_edge_db": 4000.0},
+            {"snr_edge_db": -4000.0},
         ],
     )
     def test_unsupported_configs_rejected(self, kwargs):
@@ -700,35 +701,35 @@ PINNED_VALIDATE = [
     (
         dict(m_aps=10, k_users=4, seed=1),
         {
-            "estimation_mse_mc_b4": (2.2550437718853877, 3.0),
-            "estimation_mse_mc_b8": (3.784365952001277, 3.0),
-            "estimation_mse_mc_b12": (2.8208329204070632, 3.0),
-            "detection_mse_model_b6": (0.5701153550447902, 3.0),
-            "detection_orthogonality_b6": (2.7817369119530255, 4.0),
-            "detection_mse_quantized_b6": (0.05997716781084481, 0.10781459083921466),
-            "detection_mse_model_b10": (1.7434422608236135, 3.0),
-            "detection_orthogonality_b10": (1.8549961496982479, 4.0),
-            "detection_mse_quantized_b10": (0.04683798551837223, 0.11746063487226031),
-            "detection_mse_model_b14": (0.9552018848512743, 3.0),
-            "detection_orthogonality_b14": (2.5101179668611446, 4.0),
-            "detection_mse_quantized_b14": (0.006823684439181109, 0.05),
+            "estimation_mse_mc_b4": (2.25504377188824, 3.0),
+            "estimation_mse_mc_b8": (3.7843659518762625, 3.0),
+            "estimation_mse_mc_b12": (2.8208329209169687, 3.0),
+            "detection_mse_model_b6": (0.5701153550448443, 3.0),
+            "detection_orthogonality_b6": (2.7817369119511604, 4.0),
+            "detection_mse_quantized_b6": (0.05997716781073013, 0.10781459083919588),
+            "detection_mse_model_b10": (1.7434422608270141, 3.0),
+            "detection_orthogonality_b10": (1.8549961496851246, 4.0),
+            "detection_mse_quantized_b10": (0.04683798551312459, 0.11746063487102057),
+            "detection_mse_model_b14": (0.955201884792207, 3.0),
+            "detection_orthogonality_b14": (2.5101179673109706, 4.0),
+            "detection_mse_quantized_b14": (0.006823684346254595, 0.05),
         },
     ),
     (
         dict(m_aps=6, k_users=3, seed=3),
         {
-            "estimation_mse_mc_b4": (1.3686717040399816, 3.0),
-            "estimation_mse_mc_b8": (2.456809275715872, 3.0),
-            "estimation_mse_mc_b12": (2.870885409018925, 3.0),
-            "detection_mse_model_b6": (2.3501468719200234, 3.0),
-            "detection_orthogonality_b6": (2.0113514408751114, 4.0),
-            "detection_mse_quantized_b6": (0.07550614981324232, 0.13420350746316134),
-            "detection_mse_model_b10": (0.38770341458489205, 3.0),
-            "detection_orthogonality_b10": (3.210159741728013, 4.0),
-            "detection_mse_quantized_b10": (0.00937067540041507, 0.05),
-            "detection_mse_model_b14": (1.2815991004919292, 3.0),
-            "detection_orthogonality_b14": (1.4433740570522273, 4.0),
-            "detection_mse_quantized_b14": (0.009307765247434268, 0.05),
+            "estimation_mse_mc_b4": (1.368671704037217, 3.0),
+            "estimation_mse_mc_b8": (2.456809275705448, 3.0),
+            "estimation_mse_mc_b12": (2.870885408812157, 3.0),
+            "detection_mse_model_b6": (2.3501468719199345, 3.0),
+            "detection_orthogonality_b6": (2.0113514408765085, 4.0),
+            "detection_mse_quantized_b6": (0.07550614981307399, 0.13420350746312495),
+            "detection_mse_model_b10": (0.38770341457223495, 3.0),
+            "detection_orthogonality_b10": (3.210159741722564, 4.0),
+            "detection_mse_quantized_b10": (0.009370675409195325, 0.05),
+            "detection_mse_model_b14": (1.2815991004573948, 3.0),
+            "detection_orthogonality_b14": (1.4433740570348166, 4.0),
+            "detection_mse_quantized_b14": (0.009307765259557009, 0.05),
         },
     ),
 ]
