@@ -9,7 +9,6 @@ one task runner (``_run_tasks``): in the calling thread, joined by helper
 threads when there is more than one worker; the thread count changes no output.
 """
 
-import ctypes
 import json
 import math
 import numbers
@@ -43,8 +42,10 @@ from .estimation import (
     simulate_pilot_phase,
 )
 from .detection import (
+    _openblas,
     distortion_covariance,
     error_covariance,
+    error_variances,
     mmse_weights,
     per_user_sinr,
     simulate_uplink,
@@ -273,7 +274,7 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     """Per-user SINR samples (dB) for one geometry draw, pooled over the
     small-scale fading draws, assuming perfect channel knowledge: shape
     (bits, K * n_smallscale) in table order.  Each fading draw makes one
-    error-covariance call for the stack of bit depths."""
+    error-variance call for the stack of bit depths."""
     beta = _draw_gains(cfg, trial)
     sigma_n2 = cfg.sigma_n2
     alpha = np.array([row["alpha"] for row in table.values()])
@@ -285,8 +286,8 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     for fade in range(cfg.n_smallscale):
         h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
         G = h * np.sqrt(beta)
-        cov = error_covariance(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
-        sinr = per_user_sinr(cov, cfg.sigma_s2)
+        var = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
+        sinr = per_user_sinr(var, cfg.sigma_s2)
         zero = np.any(sinr == 0.0, axis=-1)
         if zero.any():
             raise ValueError(
@@ -530,8 +531,7 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
     G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
     c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, sigma_n2)
     W = mmse_weights(G, alpha, sigma_n2, c_delta, cfg.sigma_s2)
-    cov = error_covariance(G, alpha, cfg.sigma_s2, sigma_n2, c_delta)
-    diag = np.real(np.diagonal(cov))
+    diag = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta)
     sigma_m2 = received_variance(beta, cfg.sigma_s2, sigma_n2)
 
     rng_s = substream(cfg.seed, _SYMBOLS, 200, bits)
@@ -691,18 +691,10 @@ def _run_tasks(tasks, n_workers=None, stop=None):
 
 
 def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS that numpy loaded, or
-    None: the ``scipy_openblas`` build that numpy wheels bundle in ``numpy.libs``."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("lib*openblas*.so*")):
-        lib = ctypes.CDLL(str(path))
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
+    """(get, set) thread-count functions of the OpenBLAS that numpy loaded
+    (``detection._openblas``), or None without it."""
+    lib = _openblas()
+    return None if lib is None else (lib.get_num_threads, lib.set_num_threads)
 
 
 @contextmanager

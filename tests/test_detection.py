@@ -4,10 +4,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from cfquant import detection
 from cfquant.channel import received_variance
 from cfquant.detection import (
     distortion_covariance,
     error_covariance,
+    error_variances,
     mmse_weights,
     per_user_sinr,
     simulate_uplink,
@@ -37,7 +39,8 @@ def detection_result(G, sigma_s2, sigma_n2, c_delta, alpha, y):
     """Bundle receiver, estimates, error covariance and SINR for one block."""
     W = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2)
     cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta)
-    return DetectionResult(detect(W, y), W, cov, per_user_sinr(cov, sigma_s2))
+    var = error_variances(G, alpha, sigma_s2, sigma_n2, c_delta)
+    return DetectionResult(detect(W, y), W, cov, per_user_sinr(var, sigma_s2))
 
 
 def crandn(rng, *shape):
@@ -465,20 +468,18 @@ class TestErrorCovariance:
 
 class TestPerUserSinr:
     def test_uninformative_observation(self):
-        cov = np.diag([1.0, 0.5])
-        sinr = per_user_sinr(cov, 1.0)
+        sinr = per_user_sinr(np.array([1.0, 0.5]), 1.0)
         assert sinr[0] == pytest.approx(0.0)
         assert sinr[1] == pytest.approx(1.0)
 
     def test_plugin_value(self):
-        cov = np.diag([1.0 / 101.0])
-        assert per_user_sinr(cov, 1.0)[0] == pytest.approx(100.0, rel=1e-12)
+        assert per_user_sinr(np.array([1.0 / 101.0]), 1.0)[0] == pytest.approx(100.0, rel=1e-12)
 
     def test_scalar_matched_filter_limit(self):
         g = np.array([[0.3 - 0.9j]])
         for sigma_s2 in (1.0, 4.0):
-            cov = error_covariance(g, 1.0, sigma_s2, SIGMA_N2, np.zeros(1))
-            sinr = per_user_sinr(cov, sigma_s2)
+            var = error_variances(g, 1.0, sigma_s2, SIGMA_N2, np.zeros(1))
+            sinr = per_user_sinr(var, sigma_s2)
             assert sinr[0] == pytest.approx(
                 abs(g[0, 0]) ** 2 * sigma_s2 / SIGMA_N2, rel=1e-9
             )
@@ -490,16 +491,16 @@ class TestPerUserSinr:
         for bits in range(4, 15):
             alpha, gamma = factors_at_optimum(bits)
             c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
-            cov = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
-            sinr = per_user_sinr(cov, 1.0)
+            var = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta)
+            sinr = per_user_sinr(var, 1.0)
             assert np.all(sinr >= prev)
             prev = sinr
 
     def test_rejects_invalid_diagonal(self):
         with pytest.raises(ValueError):
-            per_user_sinr(np.diag([1.5]), 1.0)
+            per_user_sinr(np.array([1.5]), 1.0)
         with pytest.raises(ValueError):
-            per_user_sinr(np.diag([0.0]), 1.0)
+            per_user_sinr(np.array([0.0]), 1.0)
 
 
 class TestBitDepthStack:
@@ -521,12 +522,13 @@ class TestBitDepthStack:
         G, alpha, c_delta = self.stack(np.random.default_rng(40), k_users)
         stacked = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
         assert stacked.shape == (4, k_users, k_users)
-        sinr = per_user_sinr(stacked, 1.0)
+        sinr = per_user_sinr(error_variances(G, alpha, 1.0, SIGMA_N2, c_delta), 1.0)
         assert sinr.shape == (4, k_users)
         for i, (a, c) in enumerate(zip(alpha, c_delta)):
             cov = error_covariance(G, float(a), 1.0, SIGMA_N2, c)
             np.testing.assert_array_equal(stacked[i], cov)
-            np.testing.assert_array_equal(sinr[i], per_user_sinr(cov, 1.0))
+            var = error_variances(G, float(a), 1.0, SIGMA_N2, c)
+            np.testing.assert_array_equal(sinr[i], per_user_sinr(var, 1.0))
 
     @pytest.mark.parametrize("legacy_eq21", [False, True])
     @pytest.mark.parametrize("k_users", [1, 5])
@@ -549,6 +551,72 @@ class TestBitDepthStack:
                 np.testing.assert_array_equal(W[i], w)
                 expected = error_covariance_for_weights(w, G, float(a), 1.0, SIGMA_N2, c)
             np.testing.assert_array_equal(cov[i], expected)
+
+
+def information_inverse_oracle(G, alpha, sigma_s2, b):
+    """(I/sigma_s2 + alpha**2 * G^H * diag(b)^-1 * G)^-1 by np.linalg.inv, the
+    formula the Cholesky kernel replaced; ``alpha`` scalar or (B, 1) against b
+    (M,) or (B, M)."""
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    info = np.eye(G.shape[1]) / sigma_s2 + alpha**2 * (G.conj().T @ (G / b[..., :, None]))
+    return np.linalg.inv(info)
+
+
+@pytest.fixture(params=["openblas", "fallback"])
+def kernel_path(request, monkeypatch):
+    """Run the kernel through numpy's OpenBLAS, or through the numpy fallback
+    that builds without that library take."""
+    if request.param == "fallback":
+        monkeypatch.setattr(detection, "_openblas", lambda: None)
+    elif detection._openblas() is None:
+        pytest.skip("numpy bundles no scipy_openblas64_ library here")
+    return request.param
+
+
+class TestInverseCholeskyKernel:
+    """Both paths of the kernel against the explicit inverse, within 1e-12."""
+
+    CASES = {
+        # (M, K, alpha, bit depths in the stack; None: 1-D b)
+        "stacked": (30, 5, np.array([[0.9], [0.97], [0.995], [1.0]]), 4),
+        "vector": (12, 4, 0.9, None),
+        "one_user": (10, 1, 0.97, None),
+        "fewer_aps_than_users": (3, 6, np.array([[0.9], [1.0]]), 2),
+        "real_channel": (15, 4, np.array([[0.9], [0.99], [1.0]]), 3),
+        "column_major_channel": (15, 4, 0.9, None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_explicit_inverse(self, kernel_path, case):
+        m, k, alpha, n_bits = self.CASES[case]
+        rng = np.random.default_rng(60)
+        G = rng.normal(size=(m, k)) if case == "real_channel" else crandn(rng, m, k)
+        if case == "column_major_channel":
+            G = np.asfortranarray(G)
+        c_delta = rng.uniform(0.0, 0.05, size=(m,) if n_bits is None else (n_bits, m))
+        sigma_s2 = 1.5
+        ref = information_inverse_oracle(G, alpha, sigma_s2, c_delta + np.square(alpha) * SIGMA_N2)
+        alpha_arg = np.ravel(alpha) if n_bits else alpha  # (B,): the kernel sees (B, 1)
+        cov = error_covariance(G, alpha_arg, sigma_s2, SIGMA_N2, c_delta)
+        var = error_variances(G, alpha_arg, sigma_s2, SIGMA_N2, c_delta)
+        assert cov.shape == ref.shape and var.shape == ref.shape[:-1]
+        assert np.iscomplexobj(cov) == np.iscomplexobj(G)
+        np.testing.assert_allclose(cov, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(var, np.real(np.diagonal(ref, axis1=-2, axis2=-1)), rtol=1e-12)
+
+    def test_factor_is_upper_triangular(self):
+        if detection._openblas() is None:
+            pytest.skip("numpy bundles no scipy_openblas64_ library here")
+        rng = np.random.default_rng(61)
+        G = crandn(rng, 20, 6)
+        Y = detection._inverse_factor(G, 0.9, 1.0, rng.uniform(0.01, 0.1, size=(2, 20)))
+        assert Y.shape == (2, 6, 6)
+        assert np.all(np.tril(Y, -1) == 0.0)
+
+    def test_indefinite_information_raises(self, kernel_path):
+        # sigma_s2 < 0 with no channel: the information matrix is -I.
+        with pytest.raises(np.linalg.LinAlgError):
+            error_variances(np.zeros((4, 2), dtype=complex), 1.0, -1.0, SIGMA_N2, np.zeros(4))
 
 
 def jensen_bound_diagonals(beta, c_delta):
@@ -636,6 +704,6 @@ class TestDetectionResult:
         result = detection_result(G, 1.0, SIGMA_N2, c_delta, alpha, y)
         np.testing.assert_allclose(result.s_hat, result.weights @ y)
         np.testing.assert_allclose(
-            result.sinr, per_user_sinr(result.error_cov, 1.0)
+            result.sinr, per_user_sinr(np.real(np.diag(result.error_cov)), 1.0)
         )
         assert np.all(result.sinr >= 0.0)
