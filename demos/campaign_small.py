@@ -27,7 +27,7 @@ for series in sinr:
 
 out = "demo_results"
 # nmse_manifest.json and sinr_manifest.json record the configuration and the step,
-# alpha and gamma of each bit depth whose CSV is written beside them.
+# alpha, gamma and gap of each bit depth whose CSV is written beside them.
 write_cdf_csv(nmse, out, campaign="nmse", cfg=cfg)
 write_cdf_csv(sinr, out, campaign="sinr", cfg=cfg)
 print(f"\nCDF files written to ./{out}/ (value,cum_prob rows, one file per depth)")

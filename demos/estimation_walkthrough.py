@@ -38,16 +38,16 @@ G = h * np.sqrt(beta)
 # follows its own received variance, so the linearization coefficients
 # are shared across APs.
 row = bussgang_row(LEVELS)
-alpha, gamma = row["alpha"], row["gamma"]
-print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={gamma:.5f}")
+alpha, gap = row["alpha"], row["gap"]  # gap: gamma - alpha**2, summed without cancellation
+print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={row['gamma']:.5f}")
 
 # The central unit correlates each AP's pilot block with every pilot and
 # scales each correlation by its LMMSE coefficient, built from the
 # large-scale gains; the closed forms give the resulting (normalized) MSE.
 tau = K
 pilots = make_pilot_book(K, tau)  # the (tau, K) pilot matrix
-c = lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2)
-mse, nmse = estimation_mse(beta, tau, alpha, gamma, sigma_n2)
+c = lmmse_coefficient(beta, tau, alpha, gap, sigma_n2)
+mse, nmse = estimation_mse(beta, tau, alpha, gap, sigma_n2)
 # The receiver noise of one pilot block, (M, tau) complex samples of variance
 # sigma_n2, is drawn here; the pilot phase adds it to the clean samples and
 # quantizes the sum in place.

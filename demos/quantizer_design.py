@@ -13,8 +13,8 @@ from cfquant import FlatObjectiveWarning, bussgang_row, quantize, sdnr
 # Optimal normalized step per bit depth
 # ---------------------------------------------------------------
 # bussgang_row(L) is the row the campaigns run with: the SDNR-optimal
-# step and the linear gain alpha and power ratio gamma there, at unit
-# input variance.  The SDNR objective is flat for the 2-level quantizer,
+# step and the linear gain alpha, power ratio gamma and distortion gap
+# gamma - alpha**2 there, at unit input variance.  The SDNR objective is flat for the 2-level quantizer,
 # so the solver warns and returns the canonical minimum-distortion step.
 print("bits  levels  step/sigma   alpha     gamma     SDNR [dB]")
 for bits in range(1, 11):
@@ -25,7 +25,7 @@ for bits in range(1, 11):
     step, alpha, gamma = row["step"], row["alpha"], row["gamma"]
     print(
         f"{bits:4d}  {levels:6d}  {step:10.6f}  {alpha:.6f}  {gamma:.6f}"
-        f"  {10 * np.log10(sdnr(alpha, gamma)):9.3f}"
+        f"  {10 * np.log10(sdnr(alpha, row['gap'])):9.3f}"
     )
 
 # Roughly 5.3 dB of SDNR per extra bit once the quantizer is fine enough,

@@ -113,7 +113,7 @@ def _cmd_quantizer_table(args):
     for levels in args.levels:
         row = bussgang_row(levels)
         step, alpha, gamma = row["step"], row["alpha"], row["gamma"]
-        ratio = sdnr(alpha, gamma)
+        ratio = sdnr(alpha, row["gap"])
         ratio_db = math.inf if math.isinf(ratio) else 10.0 * math.log10(ratio)
         print(f"{levels},{math.log2(levels):.6g},{step:.6g},{alpha:.6g},{gamma:.6g},{ratio_db:.6g}")
     return 0

@@ -58,14 +58,15 @@ def simulate_uplink(G, symbols, sigma_s2, sigma_n2, bits, rng, beta):
     return y[:, 0] if vector else y
 
 
-def distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2):
+def distortion_covariance(beta, gap, sigma_s2, sigma_n2):
     """Diagonal of the quantization distortion covariance, shape (M,).
 
-    Entry m is (gamma - alpha**2) times the received variance at AP m; the
-    distortion is uncorrelated across APs, so the diagonal fully describes
-    the covariance.  All entries are zero in the distortion-free limit.
+    Entry m is the row's gap gamma - alpha**2 (``bussgang_row``) times the
+    received variance at AP m; the distortion is uncorrelated across APs, so
+    the diagonal fully describes the covariance.  All entries are zero in
+    the distortion-free limit gap == 0.
     """
-    return distortion_power(alpha, gamma, received_variance(beta, sigma_s2, sigma_n2))
+    return distortion_power(gap, received_variance(beta, sigma_s2, sigma_n2))
 
 
 # Symbol, argument types and result type of each routine.  The BLAS and

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .channel import _check_powers, received_variance
-from .quantizer import _distortion_gap, fronthaul
+from .quantizer import _checked_gap, fronthaul
 
 __all__ = [
     "make_pilot_book",
@@ -79,26 +79,28 @@ def _stacked_product(a, b):
     return rows.reshape(*a.shape[:-1], b.shape[-1])
 
 
-def _interference_term(beta, alpha, gamma, sigma_n2):
+def _interference_term(beta, alpha, gap, sigma_n2):
     """Noise-plus-distortion power seen by the correlator at each AP, shape
     (..., 1): it broadcasts against the gains ``beta`` (..., K) of that AP.
-    Factors whose gap gamma - alpha**2 is negative beyond rounding are rejected."""
-    return _distortion_gap(alpha, gamma) * beta.sum(axis=-1, keepdims=True) + gamma * sigma_n2
+    A gap that is negative or not finite is rejected."""
+    gap = _checked_gap(gap)
+    return gap * beta.sum(axis=-1, keepdims=True) + (alpha * alpha + gap) * sigma_n2
 
 
-def lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2):
+def lmmse_coefficient(beta, tau, alpha, gap, sigma_n2):
     """Optimal scaling of the pilot correlations, shaped like ``beta``.
 
     ``beta`` holds the gains (..., K) of all K users at each AP: one AP's
-    row, or the (M, K) matrix.  With alpha = gamma = 1 this reduces to the
-    textbook unquantized LMMSE coefficient.
+    row, or the (M, K) matrix.  ``alpha`` and ``gap`` (gamma - alpha**2)
+    come from the fronthaul's row (``bussgang_row``).  With alpha = 1 and
+    gap = 0 this reduces to the textbook unquantized LMMSE coefficient.
     """
     beta = np.asarray(beta, dtype=float)
-    interference = _interference_term(beta, alpha, gamma, sigma_n2)
+    interference = _interference_term(beta, alpha, gap, sigma_n2)
     return beta * math.sqrt(tau) * alpha / (tau * alpha**2 * beta + interference)
 
 
-def estimation_mse(beta, tau, alpha, gamma, sigma_n2):
+def estimation_mse(beta, tau, alpha, gap, sigma_n2):
     """Closed-form MSE of the LMMSE estimates and its normalized value.
 
     Returns (mse, nmse), each shaped like ``beta`` as in
@@ -106,6 +108,6 @@ def estimation_mse(beta, tau, alpha, gamma, sigma_n2):
     every valid parameter set.
     """
     beta = np.asarray(beta, dtype=float)
-    interference = _interference_term(beta, alpha, gamma, sigma_n2)
+    interference = _interference_term(beta, alpha, gap, sigma_n2)
     nmse = interference / (alpha**2 * tau * beta + interference)
     return beta * nmse, nmse

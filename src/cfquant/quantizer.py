@@ -5,7 +5,9 @@ written as g(x) = alpha*x + d, where the distortion d is uncorrelated with
 the input.  This module provides the quantizer transfer function, closed
 forms for the linear gain alpha and the output power ratio gamma, the
 resulting distortion power and SDNR, and the Bussgang row of each level
-count: the SDNR-optimal step, solved once, with alpha and gamma there.
+count: the SDNR-optimal step, solved once, with alpha, gamma and the
+distortion gap gamma - alpha**2 there.  The gap is summed without
+cancellation, and every closed form that reads it takes it from the row.
 A quantizer is its level count and its step.  The coefficients depend on
 the step only through the normalized step delta/sigma, so they and the
 solver take the step at unit input variance.
@@ -29,10 +31,6 @@ __all__ = [
     "bussgang_row",
     "MAX_LEVELS",
 ]
-
-# Slack when testing gamma >= alpha**2; the closed forms satisfy the
-# inequality exactly, so anything beyond this is a caller error.
-_CONSISTENCY_TOL = 1e-12
 
 # Largest level count the step solver accepts, and the bracket of normalized
 # steps its search keeps: gamma < alpha at its lower end and gamma > alpha at
@@ -166,34 +164,33 @@ def power_gain_gamma(levels, step):
     return out if np.ndim(step) else float(out)
 
 
-def distortion_power(alpha, gamma, sigma_x2):
-    """Variance of the Bussgang distortion term, sigma_x2*(gamma - alpha**2),
-    for one input variance or an array of them."""
+def distortion_power(gap, sigma_x2):
+    """Variance of the Bussgang distortion term, sigma_x2*gap, for the gap
+    gamma - alpha**2 of a row (``bussgang_row``) and one input variance or
+    an array of them."""
     if not np.all(sigma_x2 > 0.0):
         raise ValueError("sigma_x2 must be positive")
-    return sigma_x2 * max(_distortion_gap(alpha, gamma), 0.0)
+    return sigma_x2 * _checked_gap(gap)
 
 
-def sdnr(alpha, gamma):
-    """Signal-to-distortion ratio alpha**2/(gamma - alpha**2).
+def sdnr(alpha, gap):
+    """Signal-to-distortion ratio alpha**2/gap, for the gap gamma - alpha**2
+    of a row (``bussgang_row``).
 
-    Returns ``math.inf`` in the distortion-free limit gamma == alpha**2.
+    Returns ``math.inf`` in the distortion-free limit gap == 0.
     """
     a2 = alpha * alpha
     if not a2 > 0.0:
         raise ValueError("alpha must be nonzero")
-    gap = _distortion_gap(alpha, gamma)
-    if gap <= 0.0:
+    if _checked_gap(gap) == 0.0:
         return math.inf
     return a2 / gap
 
 
-def _distortion_gap(alpha, gamma):
-    """gamma - alpha**2, rejecting factors whose gap is below zero by more than rounding."""
-    a2 = alpha * alpha
-    gap = gamma - a2
-    if gap < -_CONSISTENCY_TOL * max(1.0, a2):
-        raise ValueError(f"inconsistent factors: gamma={gamma} < alpha^2={a2}")
+def _checked_gap(gap):
+    """``gap``, once it is a distortion gap gamma - alpha**2: finite and not below zero."""
+    if not 0.0 <= gap < math.inf:
+        raise ValueError(f"the distortion gap gamma - alpha**2 must be finite and >= 0, got {gap}")
     return gap
 
 
@@ -211,56 +208,61 @@ def _excess(levels, d):
     and gamma - alpha = G - O, with O = T_gamma - T_alpha.  Every term is
     small, so nothing cancels.  The estimate is a Newton step on ln(G/O) in
     ln d, which is close to quadratic in d; its slope comes from the same
-    sums.  Where the tail would be longer than _MAX_TERMS orders, the direct
-    series of alpha and gamma are summed instead, with no estimate.
+    sums.  Where the tail would be longer than _MAX_TERMS orders, the terms
+    come from the direct series (``bussgang_alpha``, ``power_gain_gamma``)
+    instead, with no estimate.
     """
     half = levels // 2
     tail_end = math.ceil(math.sqrt((half * d) ** 2 + _TAIL_DECAY) / d)
-    direct = tail_end - half >= _MAX_TERMS
-    ls = np.arange(1.0, half) if direct else np.arange(half, tail_end + 1.0)
+    if tail_end - half >= _MAX_TERMS:
+        alpha = bussgang_alpha(levels, d)
+        one_minus_alpha, excess = 1.0 - alpha, power_gain_gamma(levels, d) - alpha
+        return one_minus_alpha, excess, excess + one_minus_alpha * alpha, math.nan
+    ls = np.arange(half, tail_end + 1.0)
     z = ls * (d / math.sqrt(2.0))  # phi(l*d) = exp(-z**2)/sqrt(2*pi), Q(l*d) = erfc(z)/2
     e = np.exp(-z * z)
     c = math.sqrt(2.0 / math.pi)
-    e_sum, lq_sum = e.sum(), (ls * _erfc(z)).sum()
+    t_alpha, t_gamma = c * d * e.sum(), 2.0 * d * d * (ls * _erfc(z)).sum()
+    psi = np.exp(-2.0 * (math.pi / d) ** 2 * _PSI_ORDERS**2)
+    s0, s2 = psi.sum(), (psi / _PSI_ORDERS**2).sum()
+    granular = d * d / 12.0 + 2.0 * s0 + (d / math.pi) ** 2 * s2
+    overload = t_gamma - t_alpha
+    one_minus_alpha = t_alpha - 2.0 * s0
+    excess = granular - overload
     newton = math.nan
-    if direct:
-        alpha = c * d * (0.5 + e_sum)
-        one_minus_alpha = 1.0 - alpha
-        excess = d * d * (0.25 + 2.0 * lq_sum) - alpha
-    else:
-        t_alpha, t_gamma = c * d * e_sum, 2.0 * d * d * lq_sum
-        psi = np.exp(-2.0 * (math.pi / d) ** 2 * _PSI_ORDERS**2)
-        s0, s2 = psi.sum(), (psi / _PSI_ORDERS**2).sum()
-        granular = d * d / 12.0 + 2.0 * s0 + (d / math.pi) ** 2 * s2
-        overload = t_gamma - t_alpha
-        one_minus_alpha = t_alpha - 2.0 * s0
-        excess = granular - overload
-        if overload > 0.0:  # d*G'(d) and d*O'(d) give the slope of ln(G/O) in ln d
-            d_granular = (
-                d * d / 6.0
-                + 8.0 * (math.pi / d) ** 2 * (_PSI_ORDERS**2 * psi).sum()
-                + 2.0 * (d / math.pi) ** 2 * s2
-                + 4.0 * s0
-            )
-            d_overload = 2.0 * t_gamma - t_alpha - c * d**3 * (ls * ls * e).sum()
-            slope = d_granular / granular - d_overload / overload
-            if slope > 0.0:
-                newton = d + d * math.expm1(-math.log(granular / overload) / slope)
+    if overload > 0.0:  # d*G'(d) and d*O'(d) give the slope of ln(G/O) in ln d
+        d_granular = (
+            d * d / 6.0
+            + 8.0 * (math.pi / d) ** 2 * (_PSI_ORDERS**2 * psi).sum()
+            + 2.0 * (d / math.pi) ** 2 * s2
+            + 4.0 * s0
+        )
+        d_overload = 2.0 * t_gamma - t_alpha - c * d**3 * (ls * ls * e).sum()
+        slope = d_granular / granular - d_overload / overload
+        if slope > 0.0:
+            newton = d + d * math.expm1(-math.log(granular / overload) / slope)
     gap = excess + one_minus_alpha * (1.0 - one_minus_alpha)
-    return one_minus_alpha, excess, gap, newton
+    return float(one_minus_alpha), float(excess), float(gap), newton
 
 
 @lru_cache(maxsize=None)
 def _solved_row(levels):
-    """(step, alpha, gamma) at the SDNR-optimal step of an L-level quantizer, solved once."""
+    """(step, alpha, gamma, gamma - alpha**2) at the SDNR-optimal step of an
+    L-level quantizer, solved once: all from one ``_excess`` at the step, or
+    in closed form at 2 levels, where alpha = gamma = 2/pi."""
     _check_levels(levels)
     if levels > MAX_LEVELS:
         raise ValueError(
             f"levels={levels} exceeds {MAX_LEVELS}, the largest level count the step "
             "solver is validated for"
         )
-    step = 2.0 * math.sqrt(2.0 / math.pi) if levels == 2 else _excess_root(levels)
-    return step, bussgang_alpha(levels, step), power_gain_gamma(levels, step)
+    if levels == 2:
+        gain = 2.0 / math.pi
+        return 2.0 * math.sqrt(gain), gain, gain, gain - gain * gain
+    step = _excess_root(levels)
+    one_minus_alpha, excess, gap, _ = _excess(levels, step)
+    alpha = 1.0 - one_minus_alpha
+    return step, alpha, alpha + excess, gap
 
 
 def _excess_root(levels):
@@ -312,7 +314,9 @@ def optimal_step(levels):
     Newton steps on the log of the granular-to-overload ratio, in the log
     of the step, start above the root and take 5-7 evaluations; a step
     outside the current sign bracket is replaced by its geometric mean.
-    The bracket [1e-6, 8] is checked first (a ValueError if it fails).
+    The bracket [1e-6, 8] is checked first (a ValueError if it fails), and
+    one more evaluation at the root gives the row's alpha, gamma and gap
+    (``bussgang_row``).
     Level counts above MAX_LEVELS, the deepest at which the bracket is
     proven, are rejected.  At 2 levels the objective is flat in the step
     (S = 0), and gamma - alpha = d**2/4 - d/sqrt(2*pi) has the one root
@@ -323,10 +327,12 @@ def optimal_step(levels):
 
 
 def bussgang_row(levels):
-    """{"step", "alpha", "gamma"} of an L-level quantizer: the SDNR-optimal
-    normalized step (``optimal_step``) and the linear gain and power ratio
-    there, at unit input variance.  All three are solved once per level
-    count and cached; each call returns a new dict, and at 2 levels each
-    call warns as ``optimal_step`` does."""
-    step, alpha, gamma = _row(levels)
-    return {"step": step, "alpha": alpha, "gamma": gamma}
+    """{"step", "alpha", "gamma", "gap"} of an L-level quantizer: the
+    SDNR-optimal normalized step (``optimal_step``), and the linear gain,
+    power ratio and distortion gap gamma - alpha**2 there, at unit input
+    variance.  The gap is summed without cancellation, so read it from here,
+    not as gamma - alpha**2, which loses its digits at high bit depths.  All
+    four are solved once per level count and cached; each call returns a new
+    dict, and at 2 levels each call warns as ``optimal_step`` does."""
+    step, alpha, gamma, gap = _row(levels)
+    return {"step": step, "alpha": alpha, "gamma": gamma, "gap": gap}

@@ -242,12 +242,10 @@ def make_cdf(samples, labels):
 
 def bussgang_table(bits_list):
     """Bit depth -> ``bussgang_row(2**bits)``, with bits=0 the unquantized
-    fronthaul (step None, alpha = gamma = 1): the table the campaigns run
-    with and their manifests record."""
-    return {
-        bits: bussgang_row(2**bits) if bits else {"step": None, "alpha": 1.0, "gamma": 1.0}
-        for bits in bits_list
-    }
+    fronthaul (step None, alpha = gamma = 1, gap 0): the table the campaigns
+    run with and their manifests record."""
+    unquantized = {"step": None, "alpha": 1.0, "gamma": 1.0, "gap": 0.0}
+    return {bits: bussgang_row(2**bits) if bits else dict(unquantized) for bits in bits_list}
 
 
 def _draw_gains(cfg, trial):
@@ -265,7 +263,7 @@ def _nmse_trial(cfg, table, trial):
     beta = _draw_gains(cfg, trial)
     sigma_n2 = cfg.sigma_n2
     return np.stack([
-        estimation_mse(beta, cfg.tau, row["alpha"], row["gamma"], sigma_n2)[1].ravel()
+        estimation_mse(beta, cfg.tau, row["alpha"], row["gap"], sigma_n2)[1].ravel()
         for row in table.values()
     ])
 
@@ -279,7 +277,7 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     sigma_n2 = cfg.sigma_n2
     alpha = np.array([row["alpha"] for row in table.values()])
     c_delta = np.stack([
-        distortion_covariance(beta, row["alpha"], row["gamma"], cfg.sigma_s2, sigma_n2)
+        distortion_covariance(beta, row["gap"], cfg.sigma_s2, sigma_n2)
         for row in table.values()
     ])
     out = []
@@ -456,7 +454,7 @@ def _colocated_gains(cfg):
     return np.repeat(beta, cfg.k_users, axis=1)
 
 
-def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
+def _estimation_check(cfg, bits, alpha, gap, n_trials, stop):
     """Empirical pilot-phase MSE per AP-user pair against the closed form,
     on a co-located-users instance where the closed form is exact.  A list
     of one CheckResult, as ``_detection_checks`` returns a list; an empty
@@ -465,8 +463,8 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     sigma_n2 = cfg.sigma_n2
     tau = cfg.tau
     pilots = make_pilot_book(cfg.k_users, tau)
-    c = lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2)
-    mse, _ = estimation_mse(beta, tau, alpha, gamma, sigma_n2)
+    c = lmmse_coefficient(beta, tau, alpha, gap, sigma_n2)
+    mse, _ = estimation_mse(beta, tau, alpha, gap, sigma_n2)
     sqrt_beta = np.sqrt(beta)
 
     rng_h = substream(cfg.seed, _FADING, 100, bits)
@@ -507,7 +505,7 @@ def _estimation_check(cfg, bits, alpha, gamma, n_trials, stop):
     ]
 
 
-def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
+def _detection_checks(cfg, bits, alpha, gap, n_trials, stop):
     """Per-user error power and orthogonality residual at one fixed channel;
     no result when the event ``stop`` is set.
 
@@ -529,7 +527,7 @@ def _detection_checks(cfg, bits, alpha, gamma, n_trials, stop):
     sigma_n2 = cfg.sigma_n2
     phases = substream(cfg.seed, _FADING, 200, bits).uniform(size=(cfg.m_aps, cfg.k_users))
     G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
-    c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, sigma_n2)
+    c_delta = distortion_covariance(beta, gap, cfg.sigma_s2, sigma_n2)
     W = mmse_weights(G, alpha, sigma_n2, c_delta, cfg.sigma_s2)
     diag = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta)
     sigma_m2 = received_variance(beta, cfg.sigma_s2, sigma_n2)
@@ -608,7 +606,7 @@ def validate_closed_forms(cfg, n_trials=100_000):
     # The estimation checks take longest and go first.
     stop = threading.Event()
     checks = [
-        partial(check, cfg, bits, row["alpha"], row["gamma"], n_trials, stop)
+        partial(check, cfg, bits, row["alpha"], row["gap"], n_trials, stop)
         for check, bits in [
             *((_estimation_check, b) for b in cfg.resolved_bits((4, 8, 12))),
             *((_detection_checks, b) for b in cfg.resolved_bits((6, 10, 14))),
@@ -690,36 +688,28 @@ def _run_tasks(tasks, n_workers=None, stop=None):
     return results
 
 
-def _openblas_threads():
-    """(get, set) thread-count functions of the OpenBLAS that numpy loaded
-    (``detection._openblas``), or None without it."""
-    lib = _openblas()
-    return None if lib is None else (lib.get_num_threads, lib.set_num_threads)
-
-
 @contextmanager
 def _one_blas_thread():
     """Hold numpy's OpenBLAS to one thread, restoring the previous count on
     exit, also on an exception; without that library, do nothing.  Threads
     that each run their own small products then leave no BLAS helper
     threads spinning on the cores they need."""
-    threads = _openblas_threads()
-    if threads is None:
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    get, put = threads
-    before = get()
-    put(1)
+    before = lib.get_num_threads()
+    lib.set_num_threads(1)
     try:
         yield
     finally:
-        put(before)
+        lib.set_num_threads(before)
 
 
 def _unquantized_estimation_identity(cfg):
     beta = _draw_gains(cfg, 0)
     sigma_n2 = cfg.sigma_n2
-    mse, _ = estimation_mse(beta, cfg.tau, 1.0, 1.0, sigma_n2)
+    mse, _ = estimation_mse(beta, cfg.tau, 1.0, 0.0, sigma_n2)
     textbook = beta * sigma_n2 / (cfg.tau * beta + sigma_n2)
     err = np.max(np.abs(mse - textbook) / textbook)
     return CheckResult(

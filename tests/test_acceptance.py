@@ -38,14 +38,14 @@ def crandn(rng, *shape):
 
 def factors(bits):
     row = cq.bussgang_row(2**bits)
-    return row["alpha"], row["gamma"]
+    return row["alpha"], row["gap"]
 
 
-def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
+def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gap, sigma_n2):
     """Oracle: estimation MSE of one AP-user pair at an arbitrary scaling c,
     beta*(c*sqrt(tau)*alpha - 1)**2 plus c**2 times the correlator's
-    noise-plus-distortion power."""
-    interference = (gamma - alpha**2) * np.sum(beta_row) + gamma * sigma_n2
+    noise-plus-distortion power, with gamma = alpha**2 + gap."""
+    interference = gap * np.sum(beta_row) + (alpha**2 + gap) * sigma_n2
     return beta_mk * (c * math.sqrt(tau) * alpha - 1.0) ** 2 + c**2 * interference
 
 
@@ -98,7 +98,8 @@ def test_criterion_2_two_level_sdnr_flat():
     expected = (2.0 / math.pi) / (1.0 - 2.0 / math.pi)
     worst = 0.0
     for step in (0.5, 1.0, 2.0):
-        value = cq.sdnr(cq.bussgang_alpha(2, step), cq.power_gain_gamma(2, step))
+        alpha, gamma = cq.bussgang_alpha(2, step), cq.power_gain_gamma(2, step)
+        value = cq.sdnr(alpha, gamma - alpha**2)
         worst = max(worst, abs(value - expected))
     report(2, worst <= 1e-9, f"max deviation {worst:.2e} from {expected:.6f} (tol 1e-9)")
 
@@ -146,13 +147,14 @@ def test_criterion_4_lmmse_identity_and_optimality():
         sn2 = float(np.exp(rng.uniform(-12.0, 0.0)))
         alpha = float(rng.uniform(0.2, 1.0))
         gamma = alpha**2 * (1.0 + float(np.exp(rng.uniform(-12.0, 0.0))))
-        c_opt = cq.lmmse_coefficient(row, tau, alpha, gamma, sn2)[0]
-        closed = cq.estimation_mse(row, tau, alpha, gamma, sn2)[0][0]
-        quad = pilot_mse_at_coefficient(c_opt, beta, row, tau, alpha, gamma, sn2)
+        gap = gamma - alpha**2
+        c_opt = cq.lmmse_coefficient(row, tau, alpha, gap, sn2)[0]
+        closed = cq.estimation_mse(row, tau, alpha, gap, sn2)[0][0]
+        quad = pilot_mse_at_coefficient(c_opt, beta, row, tau, alpha, gap, sn2)
         worst_rel = max(worst_rel, abs(quad - closed) / closed)
         for eps in (0.01, -0.01):
             bumped = pilot_mse_at_coefficient(
-                c_opt * (1.0 + eps), beta, row, tau, alpha, gamma, sn2
+                c_opt * (1.0 + eps), beta, row, tau, alpha, gap, sn2
             )
             all_increase = all_increase and bumped > quad
     report(
@@ -183,9 +185,9 @@ def test_criterion_5_sample_level_estimation():
     book = cq.make_pilot_book(k_users, tau)
     worst = 0.0
     for bits in (4, 8, 12):
-        alpha, gamma = factors(bits)
-        c = cq.lmmse_coefficient(beta, tau, alpha, gamma, sigma_n2)
-        mse, _ = cq.estimation_mse(beta, tau, alpha, gamma, sigma_n2)
+        alpha, gap = factors(bits)
+        c = cq.lmmse_coefficient(beta, tau, alpha, gap, sigma_n2)
+        mse, _ = cq.estimation_mse(beta, tau, alpha, gap, sigma_n2)
         total = np.zeros((m_aps, k_users))
         total_sq = np.zeros((m_aps, k_users))
         rng = np.random.default_rng(777 + bits)
@@ -226,8 +228,8 @@ def test_criterion_6_mmse_detection():
     worst_mse = 0.0
     worst_orth = 0.0
     for bits in (6, 10, 14):
-        alpha, gamma = factors(bits)
-        c_delta = cq.distortion_covariance(beta, alpha, gamma, 1.0, sigma_n2)
+        alpha, gap = factors(bits)
+        c_delta = cq.distortion_covariance(beta, gap, 1.0, sigma_n2)
         W = cq.mmse_weights(G, alpha, sigma_n2, c_delta)
         diag = np.real(np.diagonal(cq.error_covariance(G, alpha, 1.0, sigma_n2, c_delta)))
         rng = np.random.default_rng(6000 + bits)
@@ -333,9 +335,9 @@ def test_criterion_9_jensen_diagnostics():
     rng_net = np.random.default_rng(90)
     ap, ut = cq.draw_geometry(m_aps, k_users, 1000.0, rng_net)
     beta = cq.large_scale_gains(ap, ut, cq.PathLossModel(), 8.0, rng_net)
-    alpha, gamma = factors(6)
+    alpha, gap = factors(6)
     sigma_n2 = cq.noise_variance(cq.PathLossModel(), 1000.0, 100.0)  # 20 dB edge SNR
-    c_delta = cq.distortion_covariance(beta, alpha, gamma, 1.0, sigma_n2)
+    c_delta = cq.distortion_covariance(beta, gap, 1.0, sigma_n2)
     bound_gram, _ = jensen_bound_diagonals(beta, c_delta)
     rng = np.random.default_rng(91)
     acc = np.zeros(k_users)

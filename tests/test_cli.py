@@ -16,23 +16,24 @@ import numpy as np
 import pytest
 
 from cfquant.cli import _build_config, build_parser, main
-from cfquant.quantizer import bussgang_alpha, optimal_step, power_gain_gamma
-from cfquant.simulation import SimulationConfig, _openblas_threads, parse_config_file
+from cfquant.detection import _openblas
+from cfquant.quantizer import FlatObjectiveWarning, bussgang_row
+from cfquant.simulation import SimulationConfig, parse_config_file
 
 
 def assert_records_bussgang_table(manifest):
-    """The manifest holds, per bit depth, the exact step, alpha and gamma."""
+    """The manifest holds, per bit depth, the exact step, alpha, gamma and gap."""
     table = manifest["bussgang_table"]
     assert {int(key) for key in table} == set(manifest["bits_list"])
     for key, row in table.items():
         bits = int(key)
         if bits == 0:
-            assert row == {"step": None, "alpha": 1.0, "gamma": 1.0}
+            assert row == {"step": None, "alpha": 1.0, "gamma": 1.0, "gap": 0.0}
             continue
-        levels = 2**bits
-        step = optimal_step(levels)
-        alpha, gamma = bussgang_alpha(levels, step), power_gain_gamma(levels, step)
-        assert row == {"step": step, "alpha": alpha, "gamma": gamma}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FlatObjectiveWarning)
+            expected = bussgang_row(2**bits)
+        assert row == expected
 
 
 class TestQuantizerTable:
@@ -325,10 +326,10 @@ class TestEntryPoint:
         # after a job, and after a job that fails inside the task runner, the
         # OpenBLAS thread count, warnings.showwarning and the root logger are
         # what they were, and each job logs to the stderr of its own call.
-        threads = _openblas_threads()
-        if threads is None:
+        lib = _openblas()
+        if lib is None:
             pytest.skip("numpy does not use a bundled OpenBLAS here")
-        get, put = threads
+        get, put = lib.get_num_threads, lib.set_num_threads
         original = get()
         put(2)
         root = logging.getLogger()

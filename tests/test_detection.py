@@ -49,7 +49,7 @@ def crandn(rng, *shape):
 
 def factors_at_optimum(bits):
     row = bussgang_row(2**bits)
-    return row["alpha"], row["gamma"]
+    return row["alpha"], row["gap"]
 
 
 def random_network(rng, m_aps, k_users, unit_modulus=False):
@@ -96,19 +96,19 @@ def error_covariance_for_weights(W, G, alpha, sigma_s2, sigma_n2, c_delta):
 
 
 def direct_form_cases():
-    """(G, alpha, sigma_n2, beta, gamma, sigma_s2) draws for comparisons with
+    """(G, alpha, sigma_n2, beta, gap, sigma_s2) draws for comparisons with
     the direct M x M forms; the last is badly conditioned."""
     rng = np.random.default_rng(25)
     cases = []
     for _ in range(5):
         beta, G = random_network(rng, 12, 5)
-        alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
-        cases.append((G, alpha, SIGMA_N2, beta, gamma, 1.0 + rng.uniform()))
+        alpha, gap = factors_at_optimum(int(rng.integers(2, 8)))
+        cases.append((G, alpha, SIGMA_N2, beta, gap, 1.0 + rng.uniform()))
     # A fine quantizer at high SNR leaves the observation covariance
     # badly conditioned.
     beta, G = random_network(rng, 20, 4)
-    alpha, gamma = factors_at_optimum(14)
-    cases.append((G, alpha, 1e-5, beta, gamma, 1.0))
+    alpha, gap = factors_at_optimum(14)
+    cases.append((G, alpha, 1e-5, beta, gap, 1.0))
     return cases
 
 
@@ -158,7 +158,7 @@ class TestSimulateUplink:
         beta, G = random_network(rng, m_aps, k_users, unit_modulus=True)
         sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         bits = 3
-        alpha, gamma = factors_at_optimum(bits)
+        gamma = bussgang_row(2**bits)["gamma"]
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
@@ -171,13 +171,13 @@ class TestDistortionCovariance:
     def test_zero_in_distortion_free_limit(self):
         beta = np.ones((3, 2))
         np.testing.assert_array_equal(
-            distortion_covariance(beta, 1.0, 1.0, 1.0, 0.1), np.zeros(3)
+            distortion_covariance(beta, 0.0, 1.0, 0.1), np.zeros(3)
         )
 
     def test_single_ap_value(self):
-        alpha, gamma = factors_at_optimum(2)
-        out = distortion_covariance(np.array([[1.0]]), alpha, gamma, 1.0, 0.1)
-        assert out[0] == pytest.approx((gamma - alpha**2) * 1.1, rel=1e-12)
+        row = bussgang_row(4)
+        out = distortion_covariance(np.array([[1.0]]), row["gap"], 1.0, 0.1)
+        assert out[0] == pytest.approx((row["gamma"] - row["alpha"] ** 2) * 1.1, rel=1e-12)
 
     def test_empirical_distortion_power(self):
         # E|y_m - alpha*x_m|^2 per AP matches the diagonal within 3%.  The
@@ -189,8 +189,8 @@ class TestDistortionCovariance:
         m_aps, k_users, trials = 3, 4, 100_000
         beta, G = random_network(rng, m_aps, k_users, unit_modulus=True)
         bits = 3
-        alpha, gamma = factors_at_optimum(bits)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(bits)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
@@ -229,8 +229,10 @@ class TestDistortionCovariance:
         assert np.all(np.abs(mean.imag[off]) < 4.0 * se_im[off])
 
     def test_rejects_inconsistent_factors(self):
-        with pytest.raises(ValueError):
-            distortion_covariance(np.ones((2, 2)), 1.0, 0.5, 1.0, 0.1)
+        # A negative gap (gamma below alpha**2), or one that is not a finite number.
+        for gap in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="distortion gap"):
+                distortion_covariance(np.ones((2, 2)), gap, 1.0, 0.1)
 
 
 class TestMmseWeights:
@@ -252,8 +254,8 @@ class TestMmseWeights:
         rng = np.random.default_rng(10)
         m_aps, k_users, trials = 5, 3, 100_000
         beta, G = random_network(rng, m_aps, k_users)
-        alpha, gamma = factors_at_optimum(2)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(2)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
         resid = np.zeros((k_users, m_aps), dtype=complex)
         re_sq = np.zeros((k_users, m_aps))
@@ -295,8 +297,8 @@ class TestMmseWeights:
         # measured against the largest entry.  The library forms no legacy
         # receiver, so that variant is checked through its error covariance.
         conds = []
-        for G, alpha, sigma_n2, beta, gamma, sigma_s2 in direct_form_cases():
-            c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2)
+        for G, alpha, sigma_n2, beta, gap, sigma_s2 in direct_form_cases():
+            c_delta = distortion_covariance(beta, gap, sigma_s2, sigma_n2)
             ref = direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
             if legacy_eq21:
                 got = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
@@ -314,8 +316,8 @@ class TestMmseWeights:
         # The receiver is scaled by 1.0 / b: the bits of dividing by b.
         rng = np.random.default_rng(31)
         beta, G = random_network(rng, 12, k_users)
-        alpha, gamma = factors_at_optimum(6)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(6)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         P = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
         b = c_delta + alpha**2 * SIGMA_N2
         np.testing.assert_array_equal(
@@ -352,8 +354,8 @@ class TestDetect:
         phases = np.random.default_rng(999).uniform(size=(m_aps, k_users))
         G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
         bits = 6
-        alpha, gamma = factors_at_optimum(bits)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(bits)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
         cov = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
         acc = np.zeros(k_users)
@@ -375,8 +377,8 @@ class TestErrorCovariance:
         rng = np.random.default_rng(14)
         for sigma_s2 in (1.0, 2.5):
             beta, G = random_network(rng, 10, 4)
-            alpha, gamma = factors_at_optimum(3)
-            c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, SIGMA_N2)
+            alpha, gap = factors_at_optimum(3)
+            c_delta = distortion_covariance(beta, gap, sigma_s2, SIGMA_N2)
             cov = error_covariance(G, alpha, sigma_s2, SIGMA_N2, c_delta)
             np.testing.assert_allclose(cov, cov.conj().T, atol=1e-14)
             eigs = np.linalg.eigvalsh(cov)
@@ -387,8 +389,8 @@ class TestErrorCovariance:
         rng = np.random.default_rng(15)
         for _ in range(10):
             beta, G = random_network(rng, 12, 5)
-            alpha, gamma = factors_at_optimum(int(rng.integers(2, 8)))
-            c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+            alpha, gap = factors_at_optimum(int(rng.integers(2, 8)))
+            c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
             a = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
             W = direct_mmse_weights(G, alpha, SIGMA_N2, c_delta)
             b = np.eye(5) - alpha * (W @ G)
@@ -397,8 +399,8 @@ class TestErrorCovariance:
     def test_quadratic_form_matches_at_mmse_weights(self):
         rng = np.random.default_rng(16)
         beta, G = random_network(rng, 9, 4)
-        alpha, gamma = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(4)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
         direct = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
         general = error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)
@@ -407,8 +409,8 @@ class TestErrorCovariance:
     def test_mmse_weights_beat_perturbations(self):
         rng = np.random.default_rng(17)
         beta, G = random_network(rng, 9, 4)
-        alpha, gamma = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(4)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
         base = np.real(np.diag(error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)))
         for eps in (0.01, -0.01):
@@ -425,8 +427,8 @@ class TestErrorCovariance:
     def test_legacy_noise_scaling_is_suboptimal_variant(self):
         rng = np.random.default_rng(18)
         beta, G = random_network(rng, 9, 4)
-        alpha, gamma = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(3)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         W_legacy = direct_mmse_weights(G, alpha, SIGMA_N2, c_delta, legacy_eq21=True)
         W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
         assert np.max(np.abs(W - W_legacy)) > 0.0
@@ -445,8 +447,8 @@ class TestErrorCovariance:
         # reference forms that receiver from the M x M observation covariance
         # and evaluates the general quadratic form.  Cases: stacks of bit
         # depths at K = 1 and 5, and the badly conditioned direct-form case.
-        G, alpha, sigma_n2, beta, gamma, sigma_s2 = direct_form_cases()[-1]
-        c_delta = distortion_covariance(beta, alpha, gamma, sigma_s2, sigma_n2)
+        G, alpha, sigma_n2, beta, gap, sigma_s2 = direct_form_cases()[-1]
+        c_delta = distortion_covariance(beta, gap, sigma_s2, sigma_n2)
         cases = [(G, np.array([alpha]), sigma_n2, c_delta[None], sigma_s2)]
         for k_users in (1, 5):
             G, alpha, c_delta = TestBitDepthStack.stack(np.random.default_rng(42), k_users)
@@ -489,8 +491,8 @@ class TestPerUserSinr:
         beta, G = random_network(rng, 12, 4)
         prev = np.zeros(4)
         for bits in range(4, 15):
-            alpha, gamma = factors_at_optimum(bits)
-            c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+            alpha, gap = factors_at_optimum(bits)
+            c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
             var = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta)
             sinr = per_user_sinr(var, 1.0)
             assert np.all(sinr >= prev)
@@ -510,10 +512,10 @@ class TestBitDepthStack:
     @staticmethod
     def stack(rng, k_users):
         beta, G = random_network(rng, 30, k_users)
-        rows = [factors_at_optimum(bits) for bits in (6, 10, 14)] + [(1.0, 1.0)]
+        rows = [factors_at_optimum(bits) for bits in (6, 10, 14)] + [(1.0, 0.0)]
         alpha = np.array([a for a, _ in rows])
         c_delta = np.stack(
-            [distortion_covariance(beta, a, g, 1.0, SIGMA_N2) for a, g in rows]
+            [distortion_covariance(beta, gap, 1.0, SIGMA_N2) for _, gap in rows]
         )
         return G, alpha, c_delta
 
@@ -649,8 +651,8 @@ class TestJensenBounds:
         rng = np.random.default_rng(21)
         m_aps, k_users, draws = 50, 4, 10_000
         beta = rng.uniform(0.05, 1.0, size=(m_aps, k_users))
-        alpha, gamma = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(3)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         bound_gram, bound_distortion = jensen_bound_diagonals(beta, c_delta)
         sqrt_beta = np.sqrt(beta)
         acc_gram = np.zeros(k_users)
@@ -669,8 +671,8 @@ class TestJensenBounds:
         rng = np.random.default_rng(22)
         m_aps, k_users, draws = 50, 4, 10_000
         beta = rng.uniform(0.05, 1.0, size=(m_aps, k_users))
-        alpha, gamma = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(3)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         total = np.zeros((k_users, k_users), dtype=complex)
         total_re = np.zeros((k_users, k_users))
         total_im = np.zeros((k_users, k_users))
@@ -697,8 +699,8 @@ class TestDetectionResult:
     def test_bundle_consistency(self):
         rng = np.random.default_rng(23)
         beta, G = random_network(rng, 10, 3)
-        alpha, gamma = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, SIGMA_N2)
+        alpha, gap = factors_at_optimum(4)
+        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
         s = crandn(rng, 3)
         y = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, rng, beta)
         result = detection_result(G, 1.0, SIGMA_N2, c_delta, alpha, y)

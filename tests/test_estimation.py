@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from test_quantizer import mpmath_terms
 
 from cfquant.channel import complex_normal, received_variance
 from cfquant.estimation import (
@@ -32,17 +34,17 @@ def pilot_correlate(y_m, phi_k):
     return complex(np.vdot(phi_k, y_m))
 
 
-def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gamma, sigma_n2):
+def pilot_mse_at_coefficient(c, beta_mk, beta_row, tau, alpha, gap, sigma_n2):
     """Oracle: estimation MSE of one AP-user pair at an arbitrary scaling c.
     Quadratic in c: beta*(c*sqrt(tau)*alpha - 1)**2 plus c**2 times the
-    noise-plus-distortion power the correlator sees."""
-    interference = (gamma - alpha**2) * np.sum(beta_row) + gamma * sigma_n2
+    noise-plus-distortion power the correlator sees, with gamma = alpha**2 + gap."""
+    interference = gap * np.sum(beta_row) + (alpha**2 + gap) * sigma_n2
     return beta_mk * (c * math.sqrt(tau) * alpha - 1.0) ** 2 + c**2 * interference
 
 
 def factors_at_optimum(bits):
     row = bussgang_row(2**bits)
-    return row["alpha"], row["gamma"]
+    return row["alpha"], row["gap"]
 
 
 class TestPilotBook:
@@ -146,7 +148,7 @@ class TestSimulatePilotPhase:
         m_aps, tau, trials = 4, 4, 4000
         G = np.zeros((m_aps, 0), dtype=complex)
         phi = make_pilot_book(0, tau)
-        _, gamma = factors_at_optimum(4)
+        gamma = bussgang_row(16)["gamma"]
         rng = np.random.default_rng(2)
         powers = np.empty(trials)
         for t in range(trials):
@@ -228,7 +230,8 @@ class TestPilotCorrelate:
 
 def closed_forms(beta):
     """Coefficient, MSE and NMSE of the gains ``beta`` at one fixed setting."""
-    return (lmmse_coefficient(beta, 4, 0.9, 0.85, 1e-3), *estimation_mse(beta, 4, 0.9, 0.85, 1e-3))
+    gap = 0.85 - 0.9**2
+    return (lmmse_coefficient(beta, 4, 0.9, gap, 1e-3), *estimation_mse(beta, 4, 0.9, gap, 1e-3))
 
 
 class TestLmmseCoefficient:
@@ -236,11 +239,11 @@ class TestLmmseCoefficient:
         beta = 0.7
         row = np.array([0.7, 0.1])
         tau = 5
-        c = lmmse_coefficient(row, tau, 1.0, 1.0, 0.01)[0]
+        c = lmmse_coefficient(row, tau, 1.0, 0.0, 0.01)[0]
         assert c == pytest.approx(beta * math.sqrt(tau) / (tau * beta + 0.01), rel=1e-12)
 
     def test_unit_plugin(self):
-        c = lmmse_coefficient(np.array([1.0]), 1, 1.0, 1.0, 1.0)
+        c = lmmse_coefficient(np.array([1.0]), 1, 1.0, 0.0, 1.0)
         assert c.shape == (1,)
         assert c[0] == pytest.approx(0.5)
 
@@ -262,14 +265,14 @@ class TestLmmseCoefficient:
             assert not np.array_equal(swapped, out)
 
     def test_perturbation_increases_general_mse(self):
-        alpha, gamma = factors_at_optimum(2)
+        alpha, gap = factors_at_optimum(2)
         row, tau, sn2 = np.array([0.4, 0.2, 0.1]), 3, 1e-2
-        c_opt = lmmse_coefficient(row, tau, alpha, gamma, sn2)
+        c_opt = lmmse_coefficient(row, tau, alpha, gap, sn2)
         for k, beta in enumerate(row):
-            base = pilot_mse_at_coefficient(c_opt[k], beta, row, tau, alpha, gamma, sn2)
+            base = pilot_mse_at_coefficient(c_opt[k], beta, row, tau, alpha, gap, sn2)
             for eps in (0.01, -0.01):
                 worse = pilot_mse_at_coefficient(
-                    c_opt[k] * (1 + eps), beta, row, tau, alpha, gamma, sn2
+                    c_opt[k] * (1 + eps), beta, row, tau, alpha, gap, sn2
                 )
                 assert worse > base
 
@@ -278,7 +281,7 @@ class TestEstimateChannel:
     def test_zero_coefficient(self):
         # A pair with zero gain gets a zero coefficient, so a zero estimate.
         beta = np.array([[0.0, 0.4], [0.2, 0.3]])
-        c = lmmse_coefficient(beta, 2, 0.9, 0.85, 1e-3)
+        c = lmmse_coefficient(beta, 2, 0.9, 0.85 - 0.9**2, 1e-3)
         y = crandn(np.random.default_rng(17), 2, 2)
         estimate = c * correlate_all(y, make_pilot_book(2, 2))
         assert c[0, 0] == 0.0 and estimate[0, 0] == 0.0
@@ -292,7 +295,7 @@ class TestEstimateChannel:
         phi = make_pilot_book(3, tau)
         y = math.sqrt(tau) * (g @ phi.T)
         r = correlate_all(y, phi)
-        c = lmmse_coefficient(beta, tau, 1.0, 1.0, 0.0)
+        c = lmmse_coefficient(beta, tau, 1.0, 0.0, 0.0)
         np.testing.assert_allclose(c * r, g, atol=1e-12)
 
     def test_empirical_mse_matches_closed_form(self):
@@ -301,9 +304,9 @@ class TestEstimateChannel:
         m_aps, k_users, tau = 4, 2, 2
         beta = rng.uniform(0.05, 0.8, size=(m_aps, k_users))
         phi = make_pilot_book(k_users, tau)
-        alpha, gamma = factors_at_optimum(8)
-        c = lmmse_coefficient(beta, tau, alpha, gamma, SIGMA_N2)
-        mse, _ = estimation_mse(beta, tau, alpha, gamma, SIGMA_N2)
+        alpha, gap = factors_at_optimum(8)
+        c = lmmse_coefficient(beta, tau, alpha, gap, SIGMA_N2)
+        mse, _ = estimation_mse(beta, tau, alpha, gap, SIGMA_N2)
         total = np.zeros((m_aps, k_users))
         trials = 100_000
         for _ in range(trials // 10_000):
@@ -316,15 +319,32 @@ class TestEstimateChannel:
 
 
 class TestEstimationMse:
+    @pytest.mark.parametrize("bits", [8, 12, 14])
+    def test_nmse_against_mpmath_where_distortion_dominates(self, bits):
+        # Fed the row's gap, the NMSE is within 1e-14 relative of the same closed
+        # form at 50 digits, with alpha and the gap from the direct series there.
+        # Formed as gamma - alpha**2, the gap put these NMSEs off by 1.1e-12, 7.3e-10
+        # and 1.8e-9.
+        beta, tau, sn2 = np.array([[20.0, 7.0, 3.0, 0.5]]), 4, 1e-6
+        row = bussgang_row(2**bits)
+        _, nmse = estimation_mse(beta, tau, row["alpha"], row["gap"], sn2)
+        one_minus_alpha, _, gap = mpmath_terms(2**bits, row["step"])
+        with mpmath.workdps(50):
+            alpha = 1 - one_minus_alpha
+            interference = gap * mpmath.fsum(beta[0]) + (alpha**2 + gap) * sn2
+            for b, value in zip(beta[0], nmse[0]):
+                exact = interference / (alpha**2 * tau * b + interference)
+                assert abs(value - exact) <= 1e-14 * exact
+
     def test_unquantized_closed_form(self):
         beta, sn2, tau = 0.7, 0.05, 6
-        mse, nmse = estimation_mse(np.array([beta, 0.2]), tau, 1.0, 1.0, sn2)
-        interference = sn2  # no distortion term at alpha = gamma = 1
+        mse, nmse = estimation_mse(np.array([beta, 0.2]), tau, 1.0, 0.0, sn2)
+        interference = sn2  # no distortion term at alpha = 1, gap = 0
         assert mse[0] == pytest.approx(beta * interference / (tau * beta + interference), rel=1e-12)
         assert nmse[0] == pytest.approx(mse[0] / beta, rel=1e-12)
 
     def test_unit_plugin(self):
-        mse, nmse = estimation_mse(np.array([1.0]), 1, 1.0, 1.0, 1.0)
+        mse, nmse = estimation_mse(np.array([1.0]), 1, 1.0, 0.0, 1.0)
         assert mse.shape == nmse.shape == (1,)
         assert mse[0] == pytest.approx(0.5)
         assert nmse[0] == pytest.approx(0.5)
@@ -335,10 +355,10 @@ class TestEstimationMse:
             row = rng.uniform(0.01, 1.0, size=5)
             tau = int(rng.integers(5, 40))
             sn2 = float(rng.uniform(1e-5, 0.1))
-            _, base = estimation_mse(row, tau, 1.0, 1.0, sn2)
+            _, base = estimation_mse(row, tau, 1.0, 0.0, sn2)
             for bits in (2, 4, 8):
-                alpha, gamma = factors_at_optimum(bits)
-                _, quantized = estimation_mse(row, tau, alpha, gamma, sn2)
+                alpha, gap = factors_at_optimum(bits)
+                _, quantized = estimation_mse(row, tau, alpha, gap, sn2)
                 assert np.all(quantized > base)
 
     def test_nmse_in_unit_interval(self):
@@ -347,8 +367,8 @@ class TestEstimationMse:
             row = rng.uniform(1e-6, 10.0, size=int(rng.integers(1, 8)))
             tau = int(rng.integers(1, 64))
             sn2 = float(rng.uniform(1e-8, 1.0))
-            alpha, gamma = factors_at_optimum(int(rng.integers(2, 10)))
-            _, nmse = estimation_mse(row, tau, alpha, gamma, sn2)
+            alpha, gap = factors_at_optimum(int(rng.integers(2, 10)))
+            _, nmse = estimation_mse(row, tau, alpha, gap, sn2)
             assert np.all((nmse > 0.0) & (nmse < 1.0))
 
     def test_monotone_in_pilot_length_and_sdnr(self):
@@ -372,10 +392,11 @@ class TestEstimationMse:
             sn2 = float(rng.uniform(1e-6, 0.5))
             alpha = float(rng.uniform(0.3, 1.0))
             gamma = alpha**2 * (1.0 + float(rng.uniform(1e-6, 0.5)))
-            c_opt = lmmse_coefficient(row, tau, alpha, gamma, sn2)
-            direct, _ = estimation_mse(row, tau, alpha, gamma, sn2)
+            gap = gamma - alpha**2
+            c_opt = lmmse_coefficient(row, tau, alpha, gap, sn2)
+            direct, _ = estimation_mse(row, tau, alpha, gap, sn2)
             for k, beta in enumerate(row):
-                quadratic = pilot_mse_at_coefficient(c_opt[k], beta, row, tau, alpha, gamma, sn2)
+                quadratic = pilot_mse_at_coefficient(c_opt[k], beta, row, tau, alpha, gap, sn2)
                 assert quadratic == pytest.approx(direct[k], rel=1e-12)
 
 
@@ -385,10 +406,10 @@ class TestEstimateFromPilots:
         beta = rng.uniform(0.01, 0.5, size=(5, 3))
         g = crandn(rng, 5, 3) * np.sqrt(beta)
         phi = make_pilot_book(3, 3)
-        alpha, gamma = factors_at_optimum(6)
+        alpha, gap = factors_at_optimum(6)
         y = simulate_pilot_phase(g, phi, SIGMA_N2, 0, pilot_noise(rng, g, phi), beta)
-        c = lmmse_coefficient(beta, len(phi), alpha, gamma, SIGMA_N2)
-        mse, nmse = estimation_mse(beta, len(phi), alpha, gamma, SIGMA_N2)
+        c = lmmse_coefficient(beta, len(phi), alpha, gap, SIGMA_N2)
+        mse, nmse = estimation_mse(beta, len(phi), alpha, gap, SIGMA_N2)
         assert (c * correlate_all(y, phi)).shape == c.shape == nmse.shape == (5, 3)
         np.testing.assert_array_equal(mse, beta * nmse)
         assert np.all((nmse > 0) & (nmse < 1))

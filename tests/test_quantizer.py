@@ -2,6 +2,7 @@ import collections
 import functools
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from cfquant.quantizer import (
     MAX_LEVELS,
     FlatObjectiveWarning,
     bussgang_alpha,
+    bussgang_row,
     distortion_power,
     fronthaul,
     optimal_step,
@@ -356,38 +358,41 @@ class TestClosedForms:
 
 class TestDistortionAndSdnr:
     def test_distortion_free_limit(self):
-        assert distortion_power(1.0, 1.0, 5.0) == 0.0
+        assert distortion_power(0.0, 5.0) == 0.0
 
     def test_two_level_distortion(self):
         a = 1.0 / math.sqrt(2.0 * math.pi)
-        assert distortion_power(a, 0.25, 1.0) == pytest.approx(0.25 - 1.0 / (2.0 * math.pi), rel=1e-12)
+        assert distortion_power(0.25 - a**2, 1.0) == pytest.approx(0.25 - 1.0 / (2.0 * math.pi), rel=1e-12)
 
     def test_distortion_against_sampling_oracle(self, unit_normal_pool):
         step = opt_step_quiet(4)
         a = bussgang_alpha(4, step)
         g = power_gain_gamma(4, step)
         resid_sq = (quantize(unit_normal_pool, 4, step) - a * unit_normal_pool) ** 2
-        assert abs(resid_sq.mean() - distortion_power(a, g, 1.0)) <= 2e-3
+        assert abs(resid_sq.mean() - distortion_power(g - a**2, 1.0)) <= 2e-3
 
     def test_inconsistent_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            distortion_power(1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            sdnr(1.0, 0.5)
+        # A negative gap (gamma below alpha**2), or one that is not a finite number.
+        for gap in (-0.5, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError, match="distortion gap"):
+                distortion_power(gap, 1.0)
+            with pytest.raises(ValueError, match="distortion gap"):
+                sdnr(1.0, gap)
 
     def test_sdnr_two_level_flat(self):
         expected = (2.0 / math.pi) / (1.0 - 2.0 / math.pi)
         for step in (0.5, 1.0, 2.0):
-            value = sdnr(bussgang_alpha(2, step), power_gain_gamma(2, step))
-            assert value == pytest.approx(expected, abs=1e-9)
+            a, g = bussgang_alpha(2, step), power_gain_gamma(2, step)
+            assert sdnr(a, g - a**2) == pytest.approx(expected, abs=1e-9)
 
     def test_sdnr_infinite_without_distortion(self):
-        assert sdnr(1.0, 1.0) == math.inf
+        assert sdnr(1.0, 0.0) == math.inf
 
     def test_sdnr_matches_grid_scan(self):
         # Independent scan of alpha**2/gamma over the normalized step.
         step_opt = opt_step_quiet(4)
-        value = sdnr(bussgang_alpha(4, step_opt), power_gain_gamma(4, step_opt))
+        a, g = bussgang_alpha(4, step_opt), power_gain_gamma(4, step_opt)
+        value = sdnr(a, g - a**2)
         best = -np.inf
         for step in np.arange(1e-3, 4.0, 1e-3):
             ratio = bussgang_alpha(4, float(step)) ** 2 / power_gain_gamma(4, float(step))
@@ -546,9 +551,8 @@ class TestOptimalStep:
         levels = 2**bits
 
         def sdnr_db(step):
-            return 10.0 * math.log10(
-                sdnr(bussgang_alpha(levels, step), power_gain_gamma(levels, step))
-            )
+            alpha, gamma = bussgang_alpha(levels, step), power_gain_gamma(levels, step)
+            return 10.0 * math.log10(sdnr(alpha, gamma - alpha**2))
 
         assert sdnr_db(optimal_step(levels)) >= sdnr_db(self.UNTRUNCATED_STEPS[bits]) - 1e-12
 
@@ -559,3 +563,33 @@ class TestOptimalStep:
         step = np.array([optimal_step(levels)])
         objective = untruncated_alpha(levels, step)[0] ** 2 / untruncated_gamma(levels, step)[0]
         assert objective >= np.max(alpha * alpha / gamma) * (1.0 - 1e-12)
+
+
+class TestRowGap:
+    @pytest.mark.parametrize("bits", range(1, 15))
+    def test_row_against_mpmath(self, bits):
+        # The row's gap within 1e-14 relative of gamma - alpha**2 at 50 digits,
+        # where the row's alpha and gamma formed it with a loss of up to 3e-9
+        # (14 bits); alpha and gamma themselves within an ulp.
+        levels = 2**bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FlatObjectiveWarning)
+            row = bussgang_row(levels)
+        one_minus_alpha, excess, gap = mpmath_terms(levels, row["step"])
+        with mpmath.workdps(50):
+            alpha = 1 - one_minus_alpha
+            gamma = alpha + excess
+            assert abs(row["gap"] - gap) <= 1e-14 * gap
+            assert abs(row["alpha"] - alpha) <= math.ulp(row["alpha"])
+            assert abs(row["gamma"] - gamma) <= math.ulp(row["gamma"])
+
+    def test_two_level_row_in_closed_form(self):
+        with pytest.warns(FlatObjectiveWarning):
+            row = bussgang_row(2)
+        assert row["alpha"] == row["gamma"] == 2.0 / math.pi
+        assert row["gap"] == pytest.approx(2.0 / math.pi - 4.0 / math.pi**2, rel=1e-15)
+
+    def test_closed_forms_read_the_gap(self):
+        row = bussgang_row(2**12)
+        assert distortion_power(row["gap"], 3.0) == 3.0 * row["gap"]
+        assert sdnr(row["alpha"], row["gap"]) == row["alpha"] ** 2 / row["gap"]

@@ -42,7 +42,6 @@ from cfquant.simulation import (
     _detection_checks,
     _estimation_check,
     _one_blas_thread,
-    _openblas_threads,
     bussgang_table,
     make_cdf,
     parse_config_file,
@@ -71,7 +70,7 @@ def _check_peak(check, bits):
     cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
     row = bussgang_table((bits,))[bits]
     return _traced_peak(
-        partial(check, cfg, bits, row["alpha"], row["gamma"], 100_000, threading.Event())
+        partial(check, cfg, bits, row["alpha"], row["gap"], 100_000, threading.Event())
     )
 
 
@@ -85,8 +84,8 @@ def per_draw_sinr_trial(cfg, table, legacy_eq21, trial):
         h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
         G = h * np.sqrt(beta)
         for bits, row in table.items():
-            alpha, gamma = row["alpha"], row["gamma"]
-            c_delta = distortion_covariance(beta, alpha, gamma, cfg.sigma_s2, sigma_n2)
+            alpha = row["alpha"]
+            c_delta = distortion_covariance(beta, row["gap"], cfg.sigma_s2, sigma_n2)
             var = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
             out[bits].append(10.0 * np.log10(per_user_sinr(var, cfg.sigma_s2)))
     return {bits: np.concatenate(chunks) for bits, chunks in out.items()}
@@ -421,12 +420,19 @@ class TestWriteCsv:
 class TestBussgangRow:
     @pytest.mark.parametrize("levels", [4, 6, 100, 10_000, 16_384])
     def test_bit_identical_to_primitives(self, levels):
-        # repr: the same floats, and Python floats, as the manifests record them.
+        # The step to the bit, and Python floats, as the manifests record them.
+        # alpha and gamma come from the cancellation-free terms, within 0.5 ulp
+        # of 50-digit mpmath; the direct series are off by up to 3.5 ulps in
+        # gamma, hence its wider bound.
         step = optimal_step(levels)
-        expected = (step, bussgang_alpha(levels, step), power_gain_gamma(levels, step))
         row = bussgang_row(levels)
-        assert list(row) == ["step", "alpha", "gamma"]
-        assert [repr(value) for value in row.values()] == [repr(value) for value in expected]
+        assert list(row) == ["step", "alpha", "gamma", "gap"]
+        assert all(type(value) is float for value in row.values())
+        assert repr(row["step"]) == repr(step)
+        alpha, gamma = bussgang_alpha(levels, step), power_gain_gamma(levels, step)
+        assert abs(row["alpha"] - alpha) <= 2 * math.ulp(alpha)
+        assert abs(row["gamma"] - gamma) <= 4 * math.ulp(gamma)
+        assert 0.0 < row["gap"] < row["gamma"]
 
     def test_steps_independent_of_blas_threads(self):
         # Solved afresh at numpy's default BLAS thread count and at one thread.
@@ -459,7 +465,7 @@ class TestBussgangRow:
     def test_table_maps_bit_depths_onto_rows(self):
         assert bussgang_table((8, 0, 4)) == {
             8: bussgang_row(256),
-            0: {"step": None, "alpha": 1.0, "gamma": 1.0},
+            0: {"step": None, "alpha": 1.0, "gamma": 1.0, "gap": 0.0},
             4: bussgang_row(16),
         }
 
@@ -523,9 +529,9 @@ class TestSinrCampaign:
         beta = _draw_gains(cfg, 0)
         h = draw_small_scale(1, 1, substream(cfg.seed, _FADING, 0, 0))
         row = bussgang_table((6,))[6]
-        alpha, gamma = row["alpha"], row["gamma"]
+        alpha = row["alpha"]
         sigma_n2 = cfg.sigma_n2
-        c_delta = distortion_covariance(beta, alpha, gamma, 1.0, sigma_n2)
+        c_delta = distortion_covariance(beta, row["gap"], 1.0, sigma_n2)
         var = error_variances(h * np.sqrt(beta), alpha, 1.0, sigma_n2, c_delta)
         expected = 10.0 * np.log10(per_user_sinr(var, 1.0))
         assert series[0].values[0] == pytest.approx(expected[0], abs=1e-9)
@@ -717,35 +723,35 @@ PINNED_VALIDATE = [
     (
         dict(m_aps=10, k_users=4, seed=1),
         {
-            "estimation_mse_mc_b4": (2.25504377188824, 3.0),
-            "estimation_mse_mc_b8": (3.7843659518762625, 3.0),
-            "estimation_mse_mc_b12": (2.8208329209169687, 3.0),
-            "detection_mse_model_b6": (0.5701153550448121, 3.0),
-            "detection_orthogonality_b6": (2.7817369119518407, 4.0),
-            "detection_mse_quantized_b6": (0.059977167810729884, 0.10781459083919585),
-            "detection_mse_model_b10": (1.743442260826931, 3.0),
-            "detection_orthogonality_b10": (1.8549961496869667, 4.0),
-            "detection_mse_quantized_b10": (0.04683798551312427, 0.11746063487102078),
-            "detection_mse_model_b14": (0.9552018847922913, 3.0),
-            "detection_orthogonality_b14": (2.5101179673087928, 4.0),
-            "detection_mse_quantized_b14": (0.006823684346255196, 0.05),
+            "estimation_mse_mc_b4": (2.2550437718885346, 3.0),
+            "estimation_mse_mc_b8": (3.784365951931689, 3.0),
+            "estimation_mse_mc_b12": (2.8208329208853273, 3.0),
+            "detection_mse_model_b6": (0.5701153550449145, 3.0),
+            "detection_orthogonality_b6": (2.7817369119528146, 4.0),
+            "detection_mse_quantized_b6": (0.05997716781065122, 0.10781459083918678),
+            "detection_mse_model_b10": (1.743442260825525, 3.0),
+            "detection_orthogonality_b10": (1.8549961496904437, 4.0),
+            "detection_mse_quantized_b10": (0.046837985515396495, 0.11746063487133544),
+            "detection_mse_model_b14": (0.955201884775375, 3.0),
+            "detection_orthogonality_b14": (2.510117967435062, 4.0),
+            "detection_mse_quantized_b14": (0.006823684345585199, 0.05),
         },
     ),
     (
         dict(m_aps=6, k_users=3, seed=3),
         {
-            "estimation_mse_mc_b4": (1.368671704037217, 3.0),
-            "estimation_mse_mc_b8": (2.456809275705448, 3.0),
-            "estimation_mse_mc_b12": (2.870885408812157, 3.0),
-            "detection_mse_model_b6": (2.3501468719199563, 3.0),
-            "detection_orthogonality_b6": (2.0113514408775486, 4.0),
-            "detection_mse_quantized_b6": (0.07550614981307353, 0.13420350746312465),
-            "detection_mse_model_b10": (0.3877034145720777, 3.0),
-            "detection_orthogonality_b10": (3.2101597417270473, 4.0),
-            "detection_mse_quantized_b10": (0.009370675409194396, 0.05),
-            "detection_mse_model_b14": (1.2815991004571554, 3.0),
-            "detection_orthogonality_b14": (1.4433740570128057, 4.0),
-            "detection_mse_quantized_b14": (0.00930776525955547, 0.05),
+            "estimation_mse_mc_b4": (1.368671704036932, 3.0),
+            "estimation_mse_mc_b8": (2.456809275708182, 3.0),
+            "estimation_mse_mc_b12": (2.870885408860751, 3.0),
+            "detection_mse_model_b6": (2.350146871919983, 3.0),
+            "detection_orthogonality_b6": (2.0113514408770894, 4.0),
+            "detection_mse_quantized_b6": (0.07550614981295596, 0.1342035074631047),
+            "detection_mse_model_b10": (0.38770341457816804, 3.0),
+            "detection_orthogonality_b10": (3.21015974171954, 4.0),
+            "detection_mse_quantized_b10": (0.009370675405164007, 0.05),
+            "detection_mse_model_b14": (1.2815991004472929, 3.0),
+            "detection_orthogonality_b14": (1.4433740570292197, 4.0),
+            "detection_mse_quantized_b14": (0.00930776525942755, 0.05),
         },
     ),
 ]
@@ -843,10 +849,10 @@ class TestValidation:
     @pytest.mark.parametrize("fail", [False, True], ids=["passes", "check_raises"])
     def test_blas_threads_held_to_one_and_restored(self, monkeypatch, fail):
         # In validate's checks and in a campaign's trials alike.
-        threads = _openblas_threads()
-        if threads is None:
+        lib = detection._openblas()
+        if lib is None:
             pytest.skip("numpy does not use a bundled OpenBLAS here")
-        get, put = threads
+        get, put = lib.get_num_threads, lib.set_num_threads
         cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=2, seed=4)
         for task_name, run in [
             ("_estimation_check", lambda: validate_closed_forms(cfg, n_trials=1000)),
