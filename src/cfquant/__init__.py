@@ -39,6 +39,7 @@ from .estimation import (
 from .detection import (
     distortion_covariance,
     error_covariance,
+    error_variances,
     mmse_weights,
     per_user_sinr,
     simulate_uplink,

@@ -7,10 +7,10 @@ central unit applies the MMSE receiver for this model.  One K x K kernel
 serves receiver, error covariance and SINR: it factors the Hermitian
 positive definite information matrix by Cholesky and inverts the factor,
 giving an upper-triangular Y with Y*Y^H the error covariance.  Per-user
-SINR reads only the error variances, the squared row norms of Y, so the
-campaign never forms the covariance.  The legacy receiver, whose noise
-term is not scaled by alpha**2, gets its error covariance from the same
-kernel without being formed.
+SINR reads only the error variances, the squared row norms of Y.  The
+legacy receiver, whose noise term is not scaled by alpha**2, reads its
+variances from the same factor at its own diagonal, less a correction
+read from G*Y*Y^H.  No campaign path forms an error covariance.
 
 The kernel calls LAPACK's zherk, zpotrf and ztrtri through ctypes in the
 OpenBLAS that numpy bundles, so no array wrapper runs per call and the
@@ -150,66 +150,62 @@ def _inverse_factor(G, alpha, sigma_s2, b):
     return Y if np.iscomplexobj(G) else Y.real
 
 
-def _covariance(Y):
-    """Y * Y^H, Hermitian-symmetrized, for a factor Y (..., K, K)."""
-    P = Y @ Y.conj().swapaxes(-1, -2)
-    return 0.5 * (P + P.conj().swapaxes(-1, -2))
-
-
 def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0):
     """MMSE receive matrix W, shape (K, M), for the linearized model.
 
     alpha*sigma_s2*G^H times the inverse M x M observation covariance,
     computed by the Woodbury identity as alpha*P*G^H*diag(b)^-1 with P the
-    K x K information-form inverse and b = c_delta + alpha**2*sigma_n2.
-    Raises LinAlgError unless b > 0.  A stack of bit depths, ``alpha`` (B,)
-    and ``c_delta`` (B, M), gives (B, K, M).
+    K x K information-form inverse (``error_covariance``) and
+    b = c_delta + alpha**2*sigma_n2.  Raises LinAlgError unless b > 0.  A
+    stack of bit depths, ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, M).
     """
+    P = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta)
     alpha = np.asarray(alpha, dtype=float)[..., None]
     b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
-    P = _covariance(_inverse_factor(G, alpha, sigma_s2, b))
     return alpha[..., None] * (P @ G.conj().T) * (1.0 / b)[..., None, :]
 
 
-def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
+def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta):
     """Error covariance of the MMSE detector given the channel, shape (K, K).
 
     Uses the K x K information form
-    (I/sigma_s2 + alpha**2 * G^H * diag(B)^-1 * G)^-1 with B the noise-plus-
-    distortion diagonal, which stays well conditioned whenever B is
-    nonsingular.  Hermitian positive semidefinite with diagonal in
-    (0, sigma_s2].  A stack of bit depths, ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, K).
-
-    ``legacy_eq21`` gives the error covariance of the alternative receiver
-    whose noise term enters B unscaled by alpha**2, kept for comparison; the
-    default scaling is the one consistent with the linearized model.  With
-    P_L the kernel at B_L = c_delta + sigma_n2, that receiver has
-    alpha*W*G - I = -P_L/sigma_s2, so its error covariance is
-    P_L**2/sigma_s2 + alpha**2 * P_L * G^H * diag(B/B_L**2) * G * P_L.
+    (I/sigma_s2 + alpha**2 * G^H * diag(b)^-1 * G)^-1 with b = c_delta +
+    alpha**2*sigma_n2 the noise-plus-distortion diagonal, which stays well
+    conditioned whenever b is nonsingular.  Hermitian positive semidefinite
+    with diagonal in (0, sigma_s2].  A stack of bit depths, ``alpha`` (B,) and
+    ``c_delta`` (B, M), gives (B, K, K).
     """
-    alpha = np.asarray(alpha, dtype=float)[..., None]
-    c_delta = np.asarray(c_delta, dtype=float)
-    b = c_delta + alpha**2 * sigma_n2
-    if not legacy_eq21:
-        return _covariance(_inverse_factor(G, alpha, sigma_s2, b))
-    b_legacy = c_delta + sigma_n2
-    P = _covariance(_inverse_factor(G, alpha, sigma_s2, b_legacy))
-    spread = alpha[..., None] ** 2 * (G.conj().T @ (G * (b / b_legacy**2)[..., :, None]))
-    cov = P @ (P / sigma_s2 + spread @ P)
-    return 0.5 * (cov + cov.conj().swapaxes(-1, -2))
-
-
-def error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
-    """Per-user error variances, the diagonal of ``error_covariance`` with the same
-    arguments, shape (..., K).  On the default path they are the squared row norms of
-    the kernel's factor, and no K x K covariance is formed."""
-    if legacy_eq21:
-        cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
-        return np.real(np.diagonal(cov, axis1=-2, axis2=-1)).copy()
     alpha = np.asarray(alpha, dtype=float)[..., None]
     b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
     Y = _inverse_factor(G, alpha, sigma_s2, b)
-    return np.sum(Y.real**2 + Y.imag**2, axis=-1)
+    P = Y @ Y.conj().swapaxes(-1, -2)
+    return 0.5 * (P + P.conj().swapaxes(-1, -2))
+
+
+def error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
+    """Per-user error variances, the diagonal of the error covariance, shape (..., K),
+    read from the kernel's factor Y without forming the error covariance.
+
+    On the default path they are the squared row norms of Y.  ``legacy_eq21`` gives
+    those of the alternative receiver whose noise term enters b unscaled by
+    alpha**2, kept for comparison.  Its diagonal b_L = c_delta + sigma_n2 exceeds
+    b by (1 - alpha**2)*sigma_n2 at every AP, so with P_L = Y_L*Y_L^H from the
+    kernel at b_L and U = diag(b_L)^-1*G*P_L its error covariance is
+    P_L - alpha**2*(1 - alpha**2)*sigma_n2*U^H*U: the squared row norms of Y_L
+    less that multiple of the squared column norms of U.  G*P_L is formed one bit
+    depth at a time and its squared entries weighted by 1/b_L**2.
+    """
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    b = np.asarray(c_delta, dtype=float) + (sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2)
+    Y = _inverse_factor(G, alpha, sigma_s2, b)
+    var = np.sum(Y.real**2 + Y.imag**2, axis=-1)
+    if legacy_eq21:
+        spread = np.empty_like(var)
+        for i in np.ndindex(var.shape[:-1]):
+            GP = G @ (Y[i] @ Y[i].conj().T)
+            spread[i] = (1.0 / b[i] ** 2) @ (GP.real**2 + GP.imag**2)
+        var -= alpha**2 * (1.0 - alpha**2) * sigma_n2 * spread
+    return var
 
 
 def per_user_sinr(error_var, sigma_s2):

@@ -295,14 +295,16 @@ class TestMmseWeights:
         # Entrywise agreement degrades with the conditioning of the M x M
         # observation covariance for both forms alike, so the gap is
         # measured against the largest entry.  The library forms no legacy
-        # receiver, so that variant is checked through its error covariance.
+        # receiver, so that variant is checked through its error variances.
         conds = []
         for G, alpha, sigma_n2, beta, gap, sigma_s2 in direct_form_cases():
             c_delta = distortion_covariance(beta, gap, sigma_s2, sigma_n2)
             ref = direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
             if legacy_eq21:
-                got = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
-                ref = error_covariance_for_weights(ref, G, alpha, sigma_s2, sigma_n2, c_delta)
+                got = error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
+                ref = np.real(np.diag(
+                    error_covariance_for_weights(ref, G, alpha, sigma_s2, sigma_n2, c_delta)
+                ))
             else:
                 got = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2)
             assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-9
@@ -437,35 +439,64 @@ class TestErrorCovariance:
             np.diag(error_covariance_for_weights(W_legacy, G, alpha, 1.0, SIGMA_N2, c_delta))
         )
         assert np.all(legacy >= base - 1e-15)
-        library = np.real(
-            np.diag(error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True))
-        )
+        library = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
         assert np.all(library >= base - 1e-15)
 
+    @pytest.mark.filterwarnings("ignore::cfquant.FlatObjectiveWarning")  # the 1-bit row
     def test_legacy_matches_direct_receiver(self):
-        # The legacy covariance comes from the K x K kernel alone; the
+        # The legacy variances come from the K x K kernel alone; the
         # reference forms that receiver from the M x M observation covariance
         # and evaluates the general quadratic form.  Cases: stacks of bit
-        # depths at K = 1 and 5, and the badly conditioned direct-form case.
-        G, alpha, sigma_n2, beta, gap, sigma_s2 = direct_form_cases()[-1]
-        c_delta = distortion_covariance(beta, gap, sigma_s2, sigma_n2)
-        cases = [(G, np.array([alpha]), sigma_n2, c_delta[None], sigma_s2)]
+        # depths from 1 to 14 and unquantized, at three noise powers, on
+        # K = 1 and 5 draws and on the direct-form cases.
+        rows = [factors_at_optimum(bits) for bits in (1, 2, 4, 8, 12, 14)] + [(1.0, 0.0)]
+        alpha = np.array([a for a, _ in rows])
+        rng = np.random.default_rng(42)
+        networks = [random_network(rng, 30, k_users) + (1.0,) for k_users in (1, 5)]
+        networks += [(beta, G, sigma_s2) for G, _, _, beta, _, sigma_s2 in direct_form_cases()]
+        worst = 0.0
+        for sigma_n2 in (1e-6, SIGMA_N2, 1.0):
+            for beta, G, sigma_s2 in networks:
+                c_delta = np.stack(
+                    [distortion_covariance(beta, gap, sigma_s2, sigma_n2) for _, gap in rows]
+                )
+                var = error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
+                for a, c, got in zip(alpha, c_delta, var):
+                    W = direct_mmse_weights(G, a, sigma_n2, c, sigma_s2, legacy_eq21=True)
+                    cov = error_covariance_for_weights(W, G, a, sigma_s2, sigma_n2, c)
+                    ref = np.real(np.diag(cov))
+                    worst = max(worst, np.max(np.abs(got - ref) / ref))
+        assert worst < 1e-13
+
+    def test_legacy_never_forms_the_error_covariance(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("error_covariance called")
+
+        monkeypatch.setattr(detection, "error_covariance", forbidden)
+        G, alpha, c_delta = TestBitDepthStack.stack(np.random.default_rng(44), 5)
+        var = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
+        assert var.shape == (4, 5)
+
+    def test_legacy_unquantized_equals_default_bitwise(self):
+        # At alpha = 1 both receivers share b and the correction is zero,
+        # whatever the distortion diagonal.
+        rng = np.random.default_rng(45)
+        _, gap = factors_at_optimum(6)
         for k_users in (1, 5):
-            G, alpha, c_delta = TestBitDepthStack.stack(np.random.default_rng(42), k_users)
-            cases.append((G, alpha, SIGMA_N2, c_delta, 1.0))
-        for G, alpha, sigma_n2, c_delta, sigma_s2 in cases:
-            cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
-            for a, c, got in zip(alpha, c_delta, cov):
-                W = direct_mmse_weights(G, a, sigma_n2, c, sigma_s2, legacy_eq21=True)
-                ref = error_covariance_for_weights(W, G, a, sigma_s2, sigma_n2, c)
-                assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
+            beta, G = random_network(rng, 30, k_users)
+            for c_delta in (np.zeros(30), distortion_covariance(beta, gap, 1.0, SIGMA_N2)):
+                np.testing.assert_array_equal(
+                    error_variances(G, 1.0, 1.0, SIGMA_N2, c_delta, legacy_eq21=True),
+                    error_variances(G, 1.0, 1.0, SIGMA_N2, c_delta),
+                )
 
     def test_singular_corner(self):
         rng = np.random.default_rng(19)
         _, G = random_network(rng, 5, 2)
-        for legacy_eq21 in (False, True):
-            with pytest.raises(np.linalg.LinAlgError):
-                error_covariance(G, 1.0, 1.0, 0.0, np.zeros(5), legacy_eq21=legacy_eq21)
+        with pytest.raises(np.linalg.LinAlgError):
+            error_covariance(G, 1.0, 1.0, 0.0, np.zeros(5))
+        with pytest.raises(np.linalg.LinAlgError):
+            error_variances(G, 1.0, 1.0, 0.0, np.zeros(5), legacy_eq21=True)
 
 
 class TestPerUserSinr:
@@ -535,19 +566,20 @@ class TestBitDepthStack:
     @pytest.mark.parametrize("legacy_eq21", [False, True])
     @pytest.mark.parametrize("k_users", [1, 5])
     def test_weights_and_their_covariance(self, k_users, legacy_eq21):
-        # The library never forms the legacy receiver: its covariance comes
-        # from error_covariance, which must stack exactly too.
+        # The library never forms the legacy receiver: its error variances
+        # come from error_variances, which must stack exactly too.
         G, alpha, c_delta = self.stack(np.random.default_rng(41), k_users)
         if legacy_eq21:
-            cov = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
+            cov = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
+            assert cov.shape == (4, k_users)
         else:
             W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
             assert W.shape == (4, k_users, 30)
             cov = error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)
-        assert cov.shape == (4, k_users, k_users)
+            assert cov.shape == (4, k_users, k_users)
         for i, (a, c) in enumerate(zip(alpha, c_delta)):
             if legacy_eq21:
-                expected = error_covariance(G, float(a), 1.0, SIGMA_N2, c, legacy_eq21=True)
+                expected = error_variances(G, float(a), 1.0, SIGMA_N2, c, legacy_eq21=True)
             else:
                 w = mmse_weights(G, float(a), SIGMA_N2, c)
                 np.testing.assert_array_equal(W[i], w)
