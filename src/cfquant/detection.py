@@ -12,9 +12,12 @@ legacy receiver, whose noise term is not scaled by alpha**2, reads its
 variances from the same factor at its own diagonal, less a correction
 read from G*Y*Y^H.  No campaign path forms an error covariance.
 
-The kernel calls LAPACK's zherk, zpotrf and ztrtri through ctypes in the
-OpenBLAS that numpy bundles, so no array wrapper runs per call and the
-interpreter lock is released while they run.  Where numpy has no such
+The kernel calls LAPACK's zherk, Cholesky factor and triangular inverse
+through ctypes in the OpenBLAS that numpy bundles, so no array wrapper runs
+per call and the interpreter lock is released while they run.  Below
+K = 64 it calls the unblocked zpotf2 and ztrti2, which took three quarters
+of the time of the blocked zpotrf and ztrtri at K = 40; from K = 64 on it
+calls the blocked ones (``_UNBLOCKED_BELOW``).  Where numpy has no such
 library, it takes the inverse of numpy's Cholesky factor instead.
 """
 
@@ -79,16 +82,23 @@ _SYMBOLS = {
     "zherk": ("scipy_zherk_64_", [_CHAR, _CHAR] + [_P] * 8 + [_LEN] * 2, None),
     "zpotrf": ("scipy_zpotrf_64_", [_CHAR] + [_P] * 4 + [_LEN], None),
     "ztrtri": ("scipy_ztrtri_64_", [_CHAR, _CHAR] + [_P] * 4 + [_LEN] * 2, None),
+    "zpotf2": ("scipy_zpotf2_64_", [_CHAR] + [_P] * 4 + [_LEN], None),
+    "ztrti2": ("scipy_ztrti2_64_", [_CHAR, _CHAR] + [_P] * 4 + [_LEN] * 2, None),
 }
 _OpenBLAS = namedtuple("_OpenBLAS", _SYMBOLS)
+# The unblocked zpotf2 and ztrti2 serve K below this, the blocked zpotrf and
+# ztrtri the rest.  The switch is not tuned: timed alone, the unblocked pair took
+# less time up to K of about 128 and more above it, but no benchmark workload has
+# K >= 64 to show which is faster end to end, so K >= 64 stays on the blocked pair.
+_UNBLOCKED_BELOW = 64
 
 
 @cache
 def _openblas():
     """The ``scipy_openblas64_`` library that numpy wheels bundle in
-    ``numpy.libs``, opened once: its thread-count functions and the three
-    routines of the receiver kernel, or None where numpy has no such library
-    (numpy 1.x wheels, MKL or Accelerate builds)."""
+    ``numpy.libs``, opened once: its thread-count functions and the
+    routines of the receiver kernel, or None unless all of them resolve (numpy
+    1.x wheels, MKL or Accelerate builds have no such library)."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("lib*openblas*.so*")):
         lib = ctypes.CDLL(str(path))
@@ -110,10 +120,11 @@ def _inverse_factor(G, alpha, sigma_s2, b):
     and the error variances.  Real when G is real; on the numpy fallback, triangular
     only up to rounding.
 
-    For each b, S = diag(b)^-1/2 * G is formed in C order, so that LAPACK's column
-    order sees S^T: zherk adds alpha**2 * S^T * conj(S), the conjugate information
-    matrix, onto I/sigma_s2 in the lower triangle, zpotrf factors it as L*L^H and
-    ztrtri inverts L in place.  The buffer, read in C order, is then Y = L^-T.
+    For each b, S = diag(b)^-1/2 * G is formed in one C-order (M, K) scratch, so
+    that LAPACK's column order sees S^T: zherk adds alpha**2 * S^T * conj(S), the
+    conjugate information matrix, onto I/sigma_s2 in the lower triangle, zpotf2
+    (zpotrf from K = 64 on) factors it as L*L^H and ztrti2 (ztrtri) inverts L in
+    place.  The buffer, read in C order, is then Y = L^-T.
     """
     if np.any(b <= 0.0):
         raise np.linalg.LinAlgError(
@@ -122,26 +133,33 @@ def _inverse_factor(G, alpha, sigma_s2, b):
         )
     m, k = G.shape
     lead = b.shape[:-1]
-    S = np.multiply(G, (1.0 / np.sqrt(b))[..., None], dtype=complex, order="C").reshape(-1, m, k)
+    weights = (1.0 / np.sqrt(b)).reshape(-1, m, 1)
     alpha2 = np.broadcast_to(np.asarray(alpha, dtype=float) ** 2, lead + (1,)).ravel()
-    Y = np.zeros((len(S), k, k), dtype=complex)
-    Y[:, range(k), range(k)] = 1.0 / sigma_s2
+    Y = np.zeros((len(weights), k, k), dtype=complex)
+    Y.reshape(len(Y), k * k)[:, :: k + 1] = 1.0 / sigma_s2
+    S = np.empty((m, k), dtype=complex)
     lib = _openblas()
     if lib is None:
-        information = alpha2[:, None, None] * (S.conj().swapaxes(-1, -2) @ S) + Y
-        Y = np.linalg.inv(np.linalg.cholesky(information)).conj().swapaxes(-1, -2)
+        for y, w, alpha2_i in zip(Y, weights, alpha2):
+            np.multiply(G, w, out=S)
+            y += alpha2_i * (S.conj().T @ S)
+        Y = np.linalg.inv(np.linalg.cholesky(Y)).conj().swapaxes(-1, -2)
     else:
+        unblocked = k < _UNBLOCKED_BELOW
+        factor, invert = (lib.zpotf2, lib.ztrti2) if unblocked else (lib.zpotrf, lib.ztrtri)
         scale, status = ctypes.c_double(), ctypes.c_int64()
         n, depth, ld, one, a2, info = map(ctypes.byref, (
             ctypes.c_int64(k), ctypes.c_int64(m), ctypes.c_int64(max(k, 1)),
             ctypes.c_double(1.0), scale, status))
-        for i, alpha2_i in enumerate(alpha2.tolist()):
+        s = S.ctypes.data
+        for i, (w, alpha2_i) in enumerate(zip(weights, alpha2.tolist())):
+            np.multiply(G, w, out=S)
             scale.value = alpha2_i
-            s, y = S.ctypes.data + i * S.strides[0], Y.ctypes.data + i * Y.strides[0]
+            y = Y.ctypes.data + i * Y.strides[0]
             lib.zherk(b"L", b"N", n, depth, a2, s, ld, one, y, ld, 1, 1)
-            lib.zpotrf(b"L", n, y, ld, info, 1)
+            factor(b"L", n, y, ld, info, 1)
             if status.value == 0:
-                lib.ztrtri(b"L", b"N", n, y, ld, info, 1, 1)
+                invert(b"L", b"N", n, y, ld, info, 1, 1)
             if status.value != 0:
                 raise np.linalg.LinAlgError(
                     f"information matrix is not positive definite (LAPACK info {status.value})"
@@ -198,7 +216,9 @@ def error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
     alpha = np.asarray(alpha, dtype=float)[..., None]
     b = np.asarray(c_delta, dtype=float) + (sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2)
     Y = _inverse_factor(G, alpha, sigma_s2, b)
-    var = np.sum(Y.real**2 + Y.imag**2, axis=-1)
+    squares = Y.real**2
+    squares += Y.imag**2
+    var = squares.sum(axis=-1)
     if legacy_eq21:
         spread = np.empty_like(var)
         for i in np.ndindex(var.shape[:-1]):

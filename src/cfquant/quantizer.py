@@ -16,6 +16,7 @@ solver take the step at unit input variance.
 import math
 import warnings
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -146,22 +147,65 @@ def bussgang_alpha(levels, step):
     """Linear gain E[x*g(x)] of the L-level quantizer g with step ``step``
     for a unit-variance Gaussian input x; for an input of std sigma, pass
     step/sigma.  ``step`` may be an array."""
-    d = _valid_steps(levels, step)
-    ls = np.arange(1, levels // 2, dtype=float)
-    series = 2.0 * np.exp(-0.5 * np.multiply.outer(ls**2, d**2)).sum(axis=0)
-    out = d / math.sqrt(2.0 * math.pi) * (series + 1.0)
-    return out if np.ndim(step) else float(out)
+    return _coefficient(levels, step, 0)
 
 
 def power_gain_gamma(levels, step):
     """Output power E[g(x)**2] of the L-level quantizer g with step ``step``
     for a unit-variance Gaussian input x; for an input of std sigma, pass
     step/sigma.  ``step`` may be an array."""
+    return _coefficient(levels, step, 1)
+
+
+def _coefficient(levels, step, which):
+    """alpha (``which`` 0) or gamma (1) at each step: 1 - (1 - alpha) and
+    alpha + (gamma - alpha) from ``_terms`` where it sums the overload tails
+    and 1 - alpha <= 1/4, so that 1 - alpha does not cancel, nor does
+    gamma - alpha >= alpha**2 - alpha >= -alpha/4 (gamma >= alpha**2); else,
+    in deep overload far below the optimum or above the solver's bracket, the
+    direct series.  ``_terms`` gives each step the value it gives that step
+    alone, so at the row's step these are the row's alpha and gamma to the bit."""
     d = _valid_steps(levels, step)
-    ls = np.arange(1, levels // 2, dtype=float)
-    tail = 0.5 * _erfc(np.multiply.outer(d, ls) / math.sqrt(2.0))
-    out = d**2 * (0.25 + 4.0 * (tail @ ls))
+    flat = d.ravel()
+    # |g(x)| <= (L - 1)*d/2, so alpha <= (L - 1)*d/sqrt(2*pi): below 3/4 no tail is
+    # summed.  At 2 levels the direct series are the closed forms d/sqrt(2*pi), d**2/4.
+    reach = 0.75 * math.sqrt(2.0 * math.pi) / (levels - 1)
+    ends = np.array(
+        [_tail_end(levels, x) if levels > 2 and x >= reach else 0 for x in flat.tolist()],
+        dtype=int,
+    )
+    tails = np.flatnonzero(ends)
+    tails = tails[np.argsort(ends[tails], kind="stable")]
+    terms = _terms(levels, flat[tails], ends[tails], gamma=which == 1)
+    terms = np.array(terms).reshape(len(tails), 6 if which else 1)
+    holds = terms[:, 0] <= 0.25
+    value = 1.0 - terms[:, 0]
+    if which:
+        value += terms[:, 1]
+    summed = tails[holds]
+    out = np.empty(flat.shape)
+    out[summed] = value[holds]
+    direct = np.ones(flat.shape, dtype=bool)
+    direct[summed] = False
+    out[direct] = (_direct_alpha, _direct_gamma)[which](levels, flat[direct])
+    out = out.reshape(d.shape)
     return out if np.ndim(step) else float(out)
+
+
+def _direct_alpha(levels, d):
+    """alpha at the steps ``d`` (1-D) from its direct series over the orders
+    l = 1..L/2 - 1, d*sqrt(2/pi)*(1/2 + sum(exp(-(l*d)**2/2))): only where
+    ``_terms`` would sum longer tails or cancel, or above the bracket."""
+    ld = np.multiply.outer(d, np.arange(1.0, levels // 2))
+    return d / math.sqrt(2.0 * math.pi) * (2.0 * np.exp(-0.5 * ld * ld).sum(axis=1) + 1.0)
+
+
+def _direct_gamma(levels, d):
+    """gamma at the steps ``d`` (1-D) from its direct series,
+    d**2*(1/4 + 2*sum(l*erfc(l*d/sqrt(2)))), where ``_direct_alpha`` applies."""
+    ls = np.arange(1.0, levels // 2)
+    tails = (ls * _erfc(np.multiply.outer(d / math.sqrt(2.0), ls))).sum(axis=1)
+    return d * d * (0.25 + 2.0 * tails)
 
 
 def distortion_power(gap, sigma_x2):
@@ -206,43 +250,93 @@ def _excess(levels, d):
     +-(L/2)*d, by the overload tails T_alpha = 2*d*sum(phi(l*d)) and
     T_gamma = 4*d**2*sum(l*Q(l*d)) over l >= L/2: 1 - alpha = T_alpha - 2*S0
     and gamma - alpha = G - O, with O = T_gamma - T_alpha.  Every term is
-    small, so nothing cancels.  The estimate is a Newton step on ln(G/O) in
-    ln d, which is close to quadratic in d; its slope comes from the same
-    sums.  Where the tail would be longer than _MAX_TERMS orders, the terms
-    come from the direct series (``bussgang_alpha``, ``power_gain_gamma``)
-    instead, with no estimate.
+    small, so nothing cancels (``_terms`` sums them).  The estimate is a
+    Newton step on ln(G/O) in ln d, which is close to quadratic in d; its
+    slope comes from the same sums.  Where the tail would be longer than
+    _MAX_TERMS orders, or the step is above the bracket, the terms come from
+    the direct series instead, with no estimate.
     """
-    half = levels // 2
-    tail_end = math.ceil(math.sqrt((half * d) ** 2 + _TAIL_DECAY) / d)
-    if tail_end - half >= _MAX_TERMS:
-        alpha = bussgang_alpha(levels, d)
-        one_minus_alpha, excess = 1.0 - alpha, power_gain_gamma(levels, d) - alpha
+    tail_end = _tail_end(levels, d)
+    if not tail_end:
+        alpha, gamma = (float(f(levels, np.array([d]))[0]) for f in (_direct_alpha, _direct_gamma))
+        one_minus_alpha, excess = 1.0 - alpha, gamma - alpha
         return one_minus_alpha, excess, excess + one_minus_alpha * alpha, math.nan
-    ls = np.arange(half, tail_end + 1.0)
-    z = ls * (d / math.sqrt(2.0))  # phi(l*d) = exp(-z**2)/sqrt(2*pi), Q(l*d) = erfc(z)/2
-    e = np.exp(-z * z)
-    c = math.sqrt(2.0 / math.pi)
-    t_alpha, t_gamma = c * d * e.sum(), 2.0 * d * d * (ls * _erfc(z)).sum()
-    psi = np.exp(-2.0 * (math.pi / d) ** 2 * _PSI_ORDERS**2)
-    s0, s2 = psi.sum(), (psi / _PSI_ORDERS**2).sum()
-    granular = d * d / 12.0 + 2.0 * s0 + (d / math.pi) ** 2 * s2
-    overload = t_gamma - t_alpha
-    one_minus_alpha = t_alpha - 2.0 * s0
-    excess = granular - overload
+    # Python floats: granular / overload overflows to inf, unwarned, far above the optimum.
+    [(one_minus_alpha, excess, granular, overload, d_granular, d_overload)] = _terms(
+        levels, np.array([d]), np.array([tail_end])
+    )
     newton = math.nan
     if overload > 0.0:  # d*G'(d) and d*O'(d) give the slope of ln(G/O) in ln d
-        d_granular = (
-            d * d / 6.0
-            + 8.0 * (math.pi / d) ** 2 * (_PSI_ORDERS**2 * psi).sum()
-            + 2.0 * (d / math.pi) ** 2 * s2
-            + 4.0 * s0
-        )
-        d_overload = 2.0 * t_gamma - t_alpha - c * d**3 * (ls * ls * e).sum()
         slope = d_granular / granular - d_overload / overload
         if slope > 0.0:
             newton = d + d * math.expm1(-math.log(granular / overload) / slope)
     gap = excess + one_minus_alpha * (1.0 - one_minus_alpha)
-    return float(one_minus_alpha), float(excess), float(gap), newton
+    return one_minus_alpha, excess, gap, newton
+
+
+def _terms(levels, d, ends, gamma=True):
+    """(1 - alpha, gamma - alpha, G, O, d*G'(d), d*O'(d)) of ``_excess`` at each
+    of the steps ``d`` (1-D), whose overload tails end at the orders ``ends``
+    (non-decreasing): a list of tuples of Python floats, (1 - alpha,) alone
+    with ``gamma`` false, which sums no erfc.  The tails lie end to end in one
+    run of orders, and the tails of one length are summed as the rows of one
+    block, so each step's terms are the same to the bit whichever steps share
+    the call."""
+    counts = ends - levels // 2 + 1
+    starts = np.cumsum(counts) - counts
+    ls = (np.arange(counts.sum()) - np.repeat(starts - levels // 2, counts)).astype(float)
+    # phi(l*d) = exp(-z**2)/sqrt(2*pi), Q(l*d) = erfc(z)/2
+    z = ls * np.repeat(d / math.sqrt(2.0), counts)
+    e = np.exp(-z * z)
+    tails = np.array([e, ls * ls * e, ls * _erfc(z)] if gamma else [e])
+    sums = np.empty((len(tails), len(d)))
+    first = start = 0
+    for length, run in groupby(counts.tolist()):
+        n = len(list(run))
+        block = tails[:, start : start + n * length].reshape(len(tails), n, length)
+        sums[:, first : first + n] = block.sum(axis=2)
+        first, start = first + n, start + n * length
+    steps = d.tolist()
+    psi = np.exp(np.multiply.outer([-2.0 * (math.pi / x) ** 2 for x in steps], _PSI_ORDERS**2))
+    columns = [steps, sums[0].tolist(), psi.sum(axis=1).tolist()]
+    if gamma:
+        columns += [
+            *sums[1:].tolist(),
+            (psi / _PSI_ORDERS**2).sum(axis=1).tolist(),
+            (_PSI_ORDERS**2 * psi).sum(axis=1).tolist(),
+        ]
+    return [_step_terms(*column) for column in zip(*columns)]
+
+
+def _step_terms(d, e_sum, s0, *gamma_sums):
+    """``_terms`` at the step ``d`` from its sums: sum(exp(-z**2)) over the
+    tails and S0, then sum(l**2*exp(-z**2)), sum(l*erfc(z)), S2 and
+    sum(n**2*psi_n) in ``gamma_sums``; (1 - alpha,) alone without them."""
+    c = math.sqrt(2.0 / math.pi)
+    t_alpha = c * d * e_sum
+    one_minus_alpha = t_alpha - 2.0 * s0
+    if not gamma_sums:
+        return (one_minus_alpha,)
+    l2e_sum, lerfc_sum, s2, n2_psi = gamma_sums
+    t_gamma = 2.0 * d * d * lerfc_sum
+    granular = d * d / 12.0 + 2.0 * s0 + (d / math.pi) ** 2 * s2
+    overload = t_gamma - t_alpha
+    d_granular = (
+        d * d / 6.0 + 8.0 * (math.pi / d) ** 2 * n2_psi + 2.0 * (d / math.pi) ** 2 * s2 + 4.0 * s0
+    )
+    d_overload = 2.0 * t_gamma - t_alpha - c * d**3 * l2e_sum
+    return one_minus_alpha, granular - overload, granular, overload, d_granular, d_overload
+
+
+def _tail_end(levels, d):
+    """The last order of the overload tails at the step ``d``, or 0 where they
+    would be longer than _MAX_TERMS orders or the step is above the bracket,
+    where _PSI_ORDERS no longer holds."""
+    half = levels // 2
+    if d > _BRACKET[1]:
+        return 0
+    tail_end = math.ceil(math.sqrt((half * d) ** 2 + _TAIL_DECAY) / d)
+    return 0 if tail_end - half >= _MAX_TERMS else tail_end
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ import numbers
 import os
 import threading
 import typing
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -272,7 +272,8 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     """Per-user SINR samples (dB) for one geometry draw, pooled over the
     small-scale fading draws, assuming perfect channel knowledge: shape
     (bits, K * n_smallscale) in table order.  Each fading draw makes one
-    error-variance call for the stack of bit depths."""
+    error-variance call for the stack of bit depths; the SINRs of all draws
+    are formed at once."""
     beta = _draw_gains(cfg, trial)
     sigma_n2 = cfg.sigma_n2
     alpha = np.array([row["alpha"] for row in table.values()])
@@ -280,20 +281,21 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
         distortion_covariance(beta, row["gap"], cfg.sigma_s2, sigma_n2)
         for row in table.values()
     ])
-    out = []
+    gain = np.sqrt(beta)
+    var = np.empty((cfg.n_smallscale, len(table), cfg.k_users))
     for fade in range(cfg.n_smallscale):
-        h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
-        G = h * np.sqrt(beta)
-        var = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
-        sinr = per_user_sinr(var, cfg.sigma_s2)
-        zero = np.any(sinr == 0.0, axis=-1)
-        if zero.any():
-            raise ValueError(
-                f"zero SINR in geometry trial {trial}, fading draw {fade}, "
-                f"bits={list(table)[np.argmax(zero)]}: no finite dB value"
-            )
-        out.append(10.0 * np.log10(sinr))
-    return np.concatenate(out, axis=-1)
+        G = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, trial, fade))
+        G *= gain
+        var[fade] = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
+    sinr = per_user_sinr(var, cfg.sigma_s2)
+    zero = np.any(sinr == 0.0, axis=-1)
+    if zero.any():
+        fade, first = np.argwhere(zero)[0]
+        raise ValueError(
+            f"zero SINR in geometry trial {trial}, fading draw {fade}, "
+            f"bits={list(table)[first]}: no finite dB value"
+        )
+    return (10.0 * np.log10(sinr)).swapaxes(0, 1).reshape(len(table), -1)
 
 
 def _run_campaign(trial, cfg, default_bits, n_workers, *args):
@@ -332,15 +334,21 @@ def write_cdf_csv(series, out_dir, campaign="cdf", cfg=None, **extra):
 
     Files are named ``{campaign}_b{label}.csv`` with header ``value,cum_prob`` and
     9 significant digits, rows in ascending value order, the i-th of N at
-    cumulative probability i/N, written in chunks of ``_CSV_ROWS`` rows.
+    cumulative probability i/N.  The files are open side by side and written chunk by
+    chunk, ``_CSV_ROWS`` rows of each, the i/N text of a chunk formatted once per N.
     ``{campaign}_manifest.json`` holds the campaign, the fields of ``cfg``, the
     labels as ``bits_list``, their ``bussgang_table`` and ``extra``.  A series that
-    is not a 1-D real array, is empty, has a non-finite value or, given ``cfg``, is
-    not labelled with a bit depth is a ValueError before any file is written.
+    is not a 1-D real array, is empty, has a non-finite value, repeats an earlier
+    series' label (and so its file) or, given ``cfg``, is not labelled with a bit
+    depth is a ValueError before any file is written.
     """
     if not series:
         raise ValueError("no CDF series to write")
+    labels = set()
     for entry in series:
+        if entry.label in labels:
+            raise ValueError(f"series {entry.label!r} repeats a label")
+        labels.add(entry.label)
         if entry.values.ndim != 1 or np.iscomplexobj(entry.values):
             raise ValueError(f"series {entry.label!r} is not a 1-D real array")
         if entry.values.size == 0:
@@ -358,26 +366,39 @@ def write_cdf_csv(series, out_dir, campaign="cdf", cfg=None, **extra):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OSError(f"cannot create output directory {out_dir}: {exc}") from exc
-    paths = []
-    for entry in series:
-        path = out_dir / f"{campaign}_b{entry.label}.csv"
-        values, n = entry.values, entry.values.size
-        try:
-            with open(path, "w", newline="\n") as handle:
-                handle.write("value,cum_prob\n")
-                for start in range(0, n, _CSV_ROWS):
-                    stop = min(start + _CSV_ROWS, n)
-                    # arange / n is the correctly rounded i / n; % formats as f"{x:.9g}".
-                    rows = np.column_stack((values[start:stop], np.arange(start + 1, stop + 1) / n))
-                    handle.write(("%.9g,%.9g\n" * (stop - start)) % tuple(rows.ravel().tolist()))
-        except OSError as exc:
-            raise OSError(f"cannot write CDF file {path}: {exc}") from exc
-        paths.append(path)
+    paths = [out_dir / f"{campaign}_b{entry.label}.csv" for entry in series]
+    try:
+        with ExitStack() as files:
+            handles = []
+            for path in paths:
+                handles.append(files.enter_context(open(path, "w", newline="\n")))
+                handles[-1].write("value,cum_prob\n")
+            for start in range(0, max(entry.values.size for entry in series), _CSV_ROWS):
+                formats = {}  # N -> the chunk's row format, its i/N text formatted once per N
+                for entry, path, handle in zip(series, paths, handles):
+                    n = entry.values.size
+                    if start < n:
+                        if n not in formats:
+                            formats[n] = _row_format(start, n)
+                        chunk = entry.values[start : start + _CSV_ROWS].tolist()
+                        handle.write(formats[n] % tuple(chunk))
+            for path, handle in zip(paths, handles):
+                handle.close()
+    except OSError as exc:
+        raise OSError(f"cannot write CDF file {path}: {exc}") from exc
     if cfg is not None:
         manifest_path = out_dir / f"{campaign}_manifest.json"
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         paths.append(manifest_path)
     return paths
+
+
+def _row_format(start, n):
+    """The %-format of the CSV rows from row ``start`` of a series of N, at most
+    _CSV_ROWS of them: "%.9g," for the value, then the row's i/N as text.  arange / n
+    is the correctly rounded i / n, and % formats as f"{x:.9g}"."""
+    cum_prob = np.arange(start + 1, min(start + _CSV_ROWS, n) + 1) / n
+    return ("%%.9g,%.9g\n" * cum_prob.size) % tuple(cum_prob.tolist())
 
 
 @dataclass(frozen=True)

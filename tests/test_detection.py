@@ -618,6 +618,8 @@ class TestInverseCholeskyKernel:
         "fewer_aps_than_users": (3, 6, np.array([[0.9], [1.0]]), 2),
         "real_channel": (15, 4, np.array([[0.9], [0.99], [1.0]]), 3),
         "column_major_channel": (15, 4, 0.9, None),
+        "unblocked_k63": (80, 63, np.array([[0.9], [1.0]]), 2),
+        "blocked_k64": (80, 64, np.array([[0.9], [1.0]]), 2),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -639,13 +641,40 @@ class TestInverseCholeskyKernel:
         np.testing.assert_allclose(var, np.real(np.diagonal(ref, axis1=-2, axis2=-1)), rtol=1e-12)
 
     def test_factor_is_upper_triangular(self):
+        # Through the unblocked routines (K < 64) and the blocked ones.
         if detection._openblas() is None:
             pytest.skip("numpy bundles no scipy_openblas64_ library here")
         rng = np.random.default_rng(61)
-        G = crandn(rng, 20, 6)
-        Y = detection._inverse_factor(G, 0.9, 1.0, rng.uniform(0.01, 0.1, size=(2, 20)))
-        assert Y.shape == (2, 6, 6)
-        assert np.all(np.tril(Y, -1) == 0.0)
+        for m, k in [(20, 6), (80, 63), (80, 64)]:
+            G = crandn(rng, m, k)
+            Y = detection._inverse_factor(G, 0.9, 1.0, rng.uniform(0.01, 0.1, size=(2, m)))
+            assert Y.shape == (2, k, k)
+            assert np.all(np.tril(Y, -1) == 0.0)
+
+    @pytest.mark.parametrize(
+        "k, unused", [(63, ("zpotrf", "ztrtri")), (64, ("zpotf2", "ztrti2"))], ids=["63", "64"]
+    )
+    def test_routines_chosen_by_order(self, monkeypatch, k, unused):
+        # Below K = 64 the unblocked routines, from 64 on the blocked ones: the
+        # others are never called.
+        lib = detection._openblas()
+        if lib is None:
+            pytest.skip("numpy bundles no scipy_openblas64_ library here")
+
+        def forbidden(*args):
+            raise AssertionError(f"a blocked or unblocked routine called at K = {k}")
+
+        monkeypatch.setattr(
+            detection, "_openblas", lambda: lib._replace(**dict.fromkeys(unused, forbidden))
+        )
+        rng = np.random.default_rng(62)
+        G = crandn(rng, 80, k)
+        c_delta = rng.uniform(0.0, 0.05, size=(2, 80))
+        alpha = np.array([[0.9], [1.0]])
+        ref = information_inverse_oracle(G, alpha, 1.0, c_delta + alpha**2 * SIGMA_N2)
+        alpha = alpha.ravel()  # (B,): the kernel sees (B, 1)
+        var = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta)
+        np.testing.assert_allclose(var, np.real(np.diagonal(ref, axis1=-2, axis2=-1)), rtol=1e-12)
 
     def test_indefinite_information_raises(self, kernel_path):
         # sigma_s2 < 0 with no channel: the information matrix is -I.

@@ -66,6 +66,17 @@ def assert_excess_terms_match_mpmath(levels, d):
     assert abs(gap - oracle[2]) <= 1e-14 * oracle[2]
 
 
+def assert_coefficients_within_ulps(levels, d, ulps):
+    """``bussgang_alpha`` and ``power_gain_gamma`` at the step ``d`` within ``ulps``
+    ulps of the oracle's alpha and gamma."""
+    one_minus_alpha, excess, _ = mpmath_terms(levels, d)
+    with mpmath.workdps(50):
+        alpha = 1 - one_minus_alpha
+        for value, exact in [(bussgang_alpha(levels, d), alpha),
+                             (power_gain_gamma(levels, d), alpha + excess)]:
+            assert abs(value - exact) <= ulps * math.ulp(value)
+
+
 # A dense log grid over the solver's bracket, and the oracles' alpha and gamma
 # on it, per level count, evaluated in runs of at most ~2e6 series terms.
 DENSE_GRID = np.geomspace(*_BRACKET, 4001)
@@ -303,18 +314,30 @@ class TestClosedForms:
     @pytest.mark.parametrize("factor", [bussgang_alpha, power_gain_gamma])
     def test_step_array_of_any_shape(self, factor):
         steps = np.array([[0.05, 0.3, 1.1], [2.0, 0.7, 4.5]])
+        # Each entry is the bits of its step alone, whichever steps share the call.
         expected = [[factor(64, float(step)) for step in row] for row in steps]
-        np.testing.assert_allclose(factor(64, steps), expected, rtol=1e-15)
+        np.testing.assert_array_equal(factor(64, steps), expected)
 
     def test_scalar_matches_untruncated_series(self):
         # Within a few ulps: the oracle's gamma takes scipy's erfc, the
-        # library's libm's.
+        # library's libm's.  Above the solver's bracket (8.5 and up) the terms
+        # of the overload tails no longer hold, and the direct series answer.
         for levels in (4, 100, 2**10, 2**14):
-            for d in (1e-6, 1e-4, 0.3, 0.8, 2.5, 7.9):
+            for d in (1e-6, 1e-4, 0.3, 0.8, 2.5, 7.9, 8.5, 20.0, 100.0):
                 alpha = untruncated_alpha(levels, np.array([d]))[0]
                 gamma = untruncated_gamma(levels, np.array([d]))[0]
                 assert abs(bussgang_alpha(levels, d) - alpha) <= 4 * math.ulp(alpha)
                 assert abs(power_gain_gamma(levels, d) - gamma) <= 4 * math.ulp(gamma)
+
+    @pytest.mark.parametrize(
+        "levels, step", [(64, 1.1849045434468677), (1024, 0.07472797155458294)]
+    )
+    def test_no_warning_where_the_overload_vanishes(self, levels, step):
+        # The overload beyond the last level is a few tiny terms there, so the
+        # granular-to-overload ratio of the step solver's estimate overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < bussgang_alpha(levels, step) < power_gain_gamma(levels, step)
 
     def test_alpha_against_sampling_oracle(self, unit_normal_pool):
         # alpha is the correlation estimate E[x*g(x)]/var(x).
@@ -525,6 +548,19 @@ class TestOptimalStep:
     def test_excess_terms_against_mpmath_on_step_grid(self, levels):
         for factor in (0.95, 1.05, 1.5, 2.0):
             assert_excess_terms_match_mpmath(levels, factor * optimal_step(levels))
+
+    @pytest.mark.parametrize("levels", [4, 6, 16, 64, 256, 1024])
+    def test_coefficients_against_mpmath_on_step_grid(self, levels):
+        # alpha and gamma read the cancellation-free terms there, within an ulp of
+        # 50 digits; the direct series were off by up to 2.3 and 6.9 ulps.
+        for factor in (0.95, 1.05, 1.5, 2.0):
+            assert_coefficients_within_ulps(levels, factor * optimal_step(levels), 1.0)
+
+    @pytest.mark.parametrize("bits", range(1, 15))
+    def test_coefficients_against_mpmath_at_solved_steps(self, bits):
+        # Within an ulp at every optimum (at 2 levels from the direct series, whose
+        # 1 - alpha is 0.36); the direct series were off by up to 2.5 and 3.5 ulps.
+        assert_coefficients_within_ulps(2**bits, opt_step_quiet(2**bits), 1.0)
 
     def test_cold_solve_evaluation_count(self, monkeypatch):
         # The solver's evaluations of gamma - alpha per power-of-two level count,

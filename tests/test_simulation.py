@@ -322,16 +322,19 @@ class TestWriteCsv:
     )
     def test_bytes_across_chunk_boundaries(self, tmp_path, n):
         # Two series of one length N in one call: floats at the extremes of the
-        # double range, signed zero and integer values, and an integer array.
+        # double range, signed zero and integer values, and an integer array; and a
+        # third series of another length, one and a half chunks, in the same call.
         pattern = [-1.7e308, -0.0, 5e-324, 0.1, 2.0 / 3.0, 3.0, 2.0**53 + 2.0, -12345.0]
         series = [
             CdfSeries("4", np.resize(pattern, n)),
             CdfSeries("8", np.arange(n, dtype=np.int64) * 7_919 - 2**60),
+            CdfSeries("10", np.resize(pattern[::-1], 3 * _CSV_ROWS // 2)),
         ]
         paths = write_cdf_csv(series, tmp_path, campaign="sinr")
         for entry, path in zip(series, paths, strict=True):
+            size = entry.values.size
             rows = "".join(
-                f"{v:.9g},{i / n:.9g}\n" for i, v in enumerate(entry.values.tolist(), start=1)
+                f"{v:.9g},{i / size:.9g}\n" for i, v in enumerate(entry.values.tolist(), start=1)
             )
             assert path.read_bytes() == ("value,cum_prob\n" + rows).encode()
 
@@ -340,6 +343,10 @@ class TestWriteCsv:
         # Whole-series Python strings and floats would take about 40 MB.
         (series,) = make_cdf(np.random.default_rng(4).lognormal(size=(1, 400_000)), ["4"])
         assert _traced_peak(partial(write_cdf_csv, [series], tmp_path)) < 2e6
+        # The six files of a sinr-cdf campaign at the reference scenario, 50 geometries
+        # of 10 draws of 40 users each, written side by side: about 3.6 MB of text.
+        series = make_cdf(np.random.default_rng(5).lognormal(size=(6, 20_000)), range(6))
+        assert _traced_peak(partial(write_cdf_csv, series, tmp_path)) < 2e6
 
     @pytest.mark.parametrize(
         "bad", [np.ones((2, 2)), np.array([0.1, 0.2j])], ids=["two-dimensional", "complex"]
@@ -361,6 +368,13 @@ class TestWriteCsv:
         series = [*make_cdf([[0.1, 0.2], [0.3, 0.4]], [4, 6]), CdfSeries("8", np.empty(0))]
         with pytest.raises(ValueError, match="series '8' is empty"):
             write_cdf_csv(series, tmp_path, campaign="nmse", cfg=SMALL)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_label_rejected_before_any_file(self, tmp_path):
+        # Both series would go to one file, sinr_b4.csv.
+        series = [*make_cdf([[0.1, 0.2], [0.3, 0.4]], [4, 6]), CdfSeries("4", np.array([0.5]))]
+        with pytest.raises(ValueError, match="series '4' repeats a label"):
+            write_cdf_csv(series, tmp_path, campaign="sinr")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -421,17 +435,15 @@ class TestBussgangRow:
     @pytest.mark.parametrize("levels", [4, 6, 100, 10_000, 16_384])
     def test_bit_identical_to_primitives(self, levels):
         # The step to the bit, and Python floats, as the manifests record them.
-        # alpha and gamma come from the cancellation-free terms, within 0.5 ulp
-        # of 50-digit mpmath; the direct series are off by up to 3.5 ulps in
-        # gamma, hence its wider bound.
+        # alpha and gamma at the step read the same cancellation-free terms as the
+        # row, so they are its alpha and gamma to the bit.
         step = optimal_step(levels)
         row = bussgang_row(levels)
         assert list(row) == ["step", "alpha", "gamma", "gap"]
         assert all(type(value) is float for value in row.values())
         assert repr(row["step"]) == repr(step)
-        alpha, gamma = bussgang_alpha(levels, step), power_gain_gamma(levels, step)
-        assert abs(row["alpha"] - alpha) <= 2 * math.ulp(alpha)
-        assert abs(row["gamma"] - gamma) <= 4 * math.ulp(gamma)
+        assert row["alpha"] == bussgang_alpha(levels, step)
+        assert row["gamma"] == power_gain_gamma(levels, step)
         assert 0.0 < row["gap"] < row["gamma"]
 
     def test_steps_independent_of_blas_threads(self):
