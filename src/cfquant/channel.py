@@ -141,9 +141,10 @@ def complex_normal_runs(rng, shape, scale, rows, real):
 
     All real parts are drawn at the first run, times ``scale``, into the float
     buffer ``real`` (its first prod(shape) values); each run's imaginary parts
-    are drawn as the run is yielded.  So the runs, concatenated, are the bits
-    of ``complex_normal``, and a block's working set is one float per value
-    plus one run.  Each run is yielded in one complex buffer that the next run
+    are drawn as the run is yielded, over the rows of ``real`` that its real
+    parts were just copied out of.  So the runs, concatenated, are the bits of
+    ``complex_normal``, and a block's working set is one float per value plus
+    one run.  Each run is yielded in one complex buffer that the next run
     overwrites; the rows of ``real`` behind it are not read again, so the
     caller may reuse them.
     """
@@ -157,14 +158,16 @@ def complex_normal_runs(rng, shape, scale, rows, real):
 
 
 def _runs(rng, scale, rows, real):
-    """The generator of ``complex_normal_runs``, once its arguments are checked."""
-    run = np.empty(_RUN)
-    _draw_scaled(rng, real, scale, run, add=False)
+    """The generator of ``complex_normal_runs``, once its arguments are checked.
+    Every draw lands in contiguous rows of ``real``, so no buffer of draws is
+    needed: one ``standard_normal`` call gives the values of the same count
+    drawn in several, and each part is scaled as ``_draw_scaled`` scales it."""
+    np.multiply(rng.standard_normal(out=real), scale, out=real)
     out = np.empty((min(rows, len(real)), *real.shape[1:]), dtype=complex)
     for start in range(0, len(real), rows):
-        z = out[: len(real) - start]
-        z.real = real[start : start + rows]
-        _draw_scaled(rng, z.imag, scale[start : start + rows], run, add=False)
+        z, part = out[: len(real) - start], real[start : start + rows]
+        z.real = part
+        np.multiply(rng.standard_normal(out=part), scale[start : start + rows], out=z.imag)
         yield z
 
 

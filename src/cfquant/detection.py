@@ -220,11 +220,13 @@ def error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):
     squares += Y.imag**2
     var = squares.sum(axis=-1)
     if legacy_eq21:
-        spread = np.empty_like(var)
+        weight = np.broadcast_to(alpha**2 * (1.0 - alpha**2) * sigma_n2, var.shape[:-1] + (1,))
+        spread = np.zeros_like(var)
         for i in np.ndindex(var.shape[:-1]):
-            GP = G @ (Y[i] @ Y[i].conj().T)
-            spread[i] = (1.0 / b[i] ** 2) @ (GP.real**2 + GP.imag**2)
-        var -= alpha**2 * (1.0 - alpha**2) * sigma_n2 * spread
+            if weight[i][0] != 0.0:  # the unquantized row (alpha = 1) takes no correction
+                GP = G @ (Y[i] @ Y[i].conj().T)
+                spread[i] = (1.0 / b[i] ** 2) @ (GP.real**2 + GP.imag**2)
+        var -= weight * spread
     return var
 
 

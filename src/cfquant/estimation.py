@@ -62,6 +62,7 @@ def simulate_pilot_phase(G, pilots, sigma_n2, bits, noise_samples, beta):
         raise ValueError(f"noise_samples must be a complex array of shape {clean.shape}")
     clean *= math.sqrt(tau)
     noise_samples += clean  # the bits of clean + noise_samples, without a third array
+    del clean  # before the quantizer's pass over the samples
     variance = received_variance(beta, 1.0, sigma_n2)
     return fronthaul(noise_samples, bits, variance, out=noise_samples)
 

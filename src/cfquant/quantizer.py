@@ -112,9 +112,10 @@ def quantize(x, levels, step, out=None):
     dst = out[..., None].view(float)
     np.divide(parts, steps, out=dst)
     np.ceil(dst, out=dst)
-    dst -= 1.0
-    np.clip(dst, -half, half - 1, out=dst)
-    dst += 0.5
+    # The level is l + 1/2 for the bin index l = ceil(x/step) - 1 clipped to
+    # [-L/2, L/2 - 1]: ceil(x/step) clipped to [1 - L/2, L/2], less 1/2, exactly.
+    np.clip(dst, 1 - half, half, out=dst)
+    dst -= 0.5
     dst *= steps
     return out if out.ndim else kind(out)
 

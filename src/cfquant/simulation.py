@@ -77,10 +77,14 @@ _GEOMETRY, _SHADOWING, _FADING, _NOISE, _SYMBOLS = range(5)
 # (channel.complex_normal) are part of the random-stream contract: changing either
 # changes every Monte Carlo statistic and the README's 40-seed false-alarm table.
 _MC_CHUNK = 10_000
-# Trials per run inside an estimation block.  A check holds one block of real parts
-# and one run of complex arrays (channels, pilot observations, correlations), so this
-# bounds its working set; it is not part of the stream contract.
-_CORRELATE_ROWS = 1_000
+# Trials per run inside an estimation block; not part of the stream contract, so it
+# changes no draw.  A check holds one block of real parts (6.4 MB at the validate
+# defaults) and one run of three complex arrays, its channels, pilot observations and
+# one product: 0.48 MB in runs of 250 trials, for a tracemalloc peak of 7.0e6 bytes.
+# In runs of 500 or 400 trials, some `sim validate` processes peaked about 2.4 MB
+# higher: the helper thread's glibc arena grew to 9.5-9.8 MB instead of 7.3 (in about
+# one process in four, in runs of 500).
+_CORRELATE_ROWS = 250
 # Rows per write of a CDF file, which bounds the writer's working set whatever N is.
 _CSV_ROWS = 4_096
 
@@ -564,17 +568,18 @@ def _detection_checks(cfg, bits, alpha, gap, n_trials, stop):
         # data-phase variance is what simulate_uplink applies at ``bits``.
         x = simulate_uplink(G, s, cfg.sigma_s2, sigma_n2, 0, rng_n, beta)
         y = complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None], add_to=alpha * x)
-        e = W @ y
-        e -= s
-        model.add(np.abs(e) ** 2)
-        np.conjugate(y, out=y)
-        product = np.empty_like(y)
-        for user, e_k in enumerate(e):
-            orthogonality.add(np.multiply(e_k, y, out=product), user)
-        del y, product  # before the next block draws
+        # The quantized pipeline runs over x, then the model pipeline over y into the
+        # same error array, and each user's error-observation products over the spent x.
         e = W @ fronthaul(x, bits, sigma_m2, out=x)
         e -= s
         quantized.add(np.abs(e) ** 2)
+        np.matmul(W, y, out=e)
+        e -= s
+        model.add(np.abs(e) ** 2)
+        np.conjugate(y, out=y)
+        for user, e_k in enumerate(e):
+            orthogonality.add(np.multiply(e_k, y, out=x), user)
+        del x, y  # before the next block draws
     if stop.is_set():
         return []
 

@@ -490,6 +490,22 @@ class TestErrorCovariance:
                     error_variances(G, 1.0, 1.0, SIGMA_N2, c_delta),
                 )
 
+    def test_legacy_correction_skipped_only_where_zero(self):
+        # The unquantized row, where alpha**2 * (1 - alpha**2) = 0, forms no G*Y*Y^H
+        # spread; the stack keeps the bits of correcting every row, as formed here.
+        G, alpha, c_delta = TestBitDepthStack.stack(np.random.default_rng(46), 5)
+        a, b = alpha[:, None], c_delta + SIGMA_N2
+        Y = detection._inverse_factor(G, a, 1.0, b)
+        ref = (Y.real**2 + Y.imag**2).sum(axis=-1)
+        spread = np.empty_like(ref)
+        for i, y in enumerate(Y):
+            GP = G @ (y @ y.conj().T)
+            spread[i] = (1.0 / b[i] ** 2) @ (GP.real**2 + GP.imag**2)
+        ref -= a**2 * (1.0 - a**2) * SIGMA_N2 * spread
+        got = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
+        assert alpha[-1] == 1.0
+        np.testing.assert_array_equal(got, ref)
+
     def test_singular_corner(self):
         rng = np.random.default_rng(19)
         _, G = random_network(rng, 5, 2)

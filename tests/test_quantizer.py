@@ -144,6 +144,27 @@ class TestQuantize:
         out = quantize(x, 8, 0.7)
         assert np.all(np.diff(out) >= 0.0)
 
+    @pytest.mark.parametrize("bits", range(1, 15))
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    def test_one_clip_pass_matches_shifted_form_bitwise(self, bits):
+        # quantize's clip(ceil(x/d), 1 - L/2, L/2) - 1/2 against the bin index form
+        # clip(ceil(x/d) - 1, -L/2, L/2 - 1) + 1/2, both times d, bit for bit: on every
+        # bin edge and an ulp to either side, at +-0.0 and the smallest subnormals, in
+        # saturation, and where x/d overflows to +-inf.
+        levels = 2**bits
+        half = levels // 2
+        rng = np.random.default_rng(bits)
+        for step in (0.37, 1e-10):
+            edges = np.arange(-half - 2, half + 3) * step
+            x = np.concatenate([
+                edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+                rng.normal(scale=half * step, size=1000),
+            ])
+            shifted = (np.clip(np.ceil(x / step) - 1.0, -half, half - 1) + 0.5) * step
+            got = quantize(x, levels, step)
+            np.testing.assert_array_equal(got.view(np.int64), shifted.view(np.int64))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):

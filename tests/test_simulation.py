@@ -948,23 +948,39 @@ class TestValidation:
 
     def test_estimation_check_memory_bounded(self):
         # tracemalloc peak of one check at the validate defaults: one block of fading
-        # and pilot-noise real parts (3.2e6 bytes each) and one run of complex arrays,
-        # 8.7e6 bytes, or 9.5e6 when the first call's imports are traced too.  It was
-        # 14.1e6 with the block's draws held as complex arrays.
-        assert _check_peak(_estimation_check, 4) <= 10e6
+        # and pilot-noise real parts (3.2e6 bytes each) and one run of 250 trials'
+        # channels, pilot observations and one product, 7.0e6 bytes, or 7.7e6 when the
+        # first call's imports are traced too.  It was 8.7e6 (9.4e6) with runs of 1,000
+        # trials and a draw buffer per run stream, and 14.1e6 with the block's draws
+        # held as complex arrays.
+        assert _check_peak(_estimation_check, 4) <= 8e6
 
     def test_detection_check_memory_bounded(self):
-        # 6.7e6 bytes at the validate defaults; 9.8e6 with the noisy, conjugated
-        # and quantized observations and each user's products out of place.
-        assert _check_peak(_detection_checks, 6) <= 7.5e6
+        # 5.5e6 bytes at the validate defaults, or 6.1e6 with the imports; 6.7e6 with
+        # the products in an array of their own, 9.8e6 with the noisy, conjugated and
+        # quantized observations and each user's products out of place.
+        assert _check_peak(_detection_checks, 6) <= 6.5e6
 
     def test_validate_memory_bounded(self, monkeypatch):
-        # The six checks two at a time, as on two cores: 17.5e6 bytes, and 28.2e6
-        # with the checks' block-sized complex arrays.
+        # The six checks two at a time, as on two cores: 14.1e6 bytes, 14.7e6 on the
+        # first call; 17.5e6 with runs of 1,000 trials, and 28.2e6 with the checks'
+        # block-sized complex arrays.
         monkeypatch.setattr(simulation, "_run_tasks", partial(simulation._run_tasks, n_workers=2))
         cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
         bussgang_table((4, 6, 8, 10, 12, 14))  # the steps are cached, not traced
-        assert _traced_peak(partial(validate_closed_forms, cfg)) <= 21e6
+        assert _traced_peak(partial(validate_closed_forms, cfg)) <= 15.5e6
+
+    def test_statistics_do_not_depend_on_the_run_length(self, monkeypatch):
+        # The estimation checks' run length is not part of the random-stream contract:
+        # runs of 1,000, 500 and 400 trials, of the default length and of 333, which
+        # does not divide the block, give the same bits, over two full blocks and a
+        # partial one.
+        cfg = SimulationConfig(**_VALIDATE_DEFAULTS)
+        results = []
+        for rows in (1_000, 500, 400, _CORRELATE_ROWS, 333):
+            monkeypatch.setattr(simulation, "_CORRELATE_ROWS", rows)
+            results.append(validate_closed_forms(cfg, n_trials=2 * _MC_CHUNK + 4_321))
+        assert all(result == results[0] for result in results)
 
     def test_identity_checks_are_tight(self):
         cfg = SimulationConfig(m_aps=5, k_users=2, n_geometries=1, seed=4)
