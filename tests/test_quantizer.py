@@ -145,12 +145,11 @@ class TestQuantize:
         assert np.all(np.diff(out) >= 0.0)
 
     @pytest.mark.parametrize("bits", range(1, 15))
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     def test_one_clip_pass_matches_shifted_form_bitwise(self, bits):
         # quantize's clip(ceil(x/d), 1 - L/2, L/2) - 1/2 against the bin index form
         # clip(ceil(x/d) - 1, -L/2, L/2 - 1) + 1/2, both times d, bit for bit: on every
         # bin edge and an ulp to either side, at +-0.0 and the smallest subnormals, in
-        # saturation, and where x/d overflows to +-inf.
+        # saturation, and where x/d overflows to +-inf, which quantize does unwarned.
         levels = 2**bits
         half = levels // 2
         rng = np.random.default_rng(bits)
@@ -161,8 +160,11 @@ class TestQuantize:
                 [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
                 rng.normal(scale=half * step, size=1000),
             ])
-            shifted = (np.clip(np.ceil(x / step) - 1.0, -half, half - 1) + 0.5) * step
-            got = quantize(x, levels, step)
+            with np.errstate(over="ignore"):
+                shifted = (np.clip(np.ceil(x / step) - 1.0, -half, half - 1) + 0.5) * step
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = quantize(x, levels, step)
             np.testing.assert_array_equal(got.view(np.int64), shifted.view(np.int64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -333,11 +335,14 @@ class TestClosedForms:
                 assert g - a * a >= -1e-12
 
     @pytest.mark.parametrize("factor", [bussgang_alpha, power_gain_gamma])
-    def test_step_array_of_any_shape(self, factor):
-        steps = np.array([[0.05, 0.3, 1.1], [2.0, 0.7, 4.5]])
-        # Each entry is the bits of its step alone, whichever steps share the call.
-        expected = [[factor(64, float(step)) for step in row] for row in steps]
-        np.testing.assert_array_equal(factor(64, steps), expected)
+    def test_takes_one_step(self, factor):
+        # An array of steps is rejected, 1-D or 2-D; a numpy scalar step is the step.
+        for steps in (np.array([0.3, 1.1]), np.array([[0.05, 0.3], [2.0, 0.7]])):
+            with pytest.raises(ValueError, match="one step"):
+                factor(64, steps)
+        for d in (0.05, 0.3, 1.1, 4.5, 20.0):
+            value = factor(64, np.float64(d))
+            assert type(value) is float and value == factor(64, d)
 
     def test_scalar_matches_untruncated_series(self):
         # Within a few ulps: the oracle's gamma takes scipy's erfc, the

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import signal
 import threading
 import time
 import tracemalloc
@@ -1025,10 +1026,13 @@ class TestRunTasks:
     def test_interrupt_sets_stop(self, caller):
         # A helper interrupts the calling thread, then waits on stop: the interrupt
         # propagates and sets stop, whether it reaches the caller in its own task
-        # or while it waits for the helper.
+        # or while it waits for the helper.  interrupt_main does nothing while SIGINT
+        # is ignored (a background job of a non-interactive shell), so the test
+        # installs Python's own handler, and a lost interrupt fails after 10 s.
         stop, seen = threading.Event(), []
         caller_running, helper_running = threading.Event(), threading.Event()
         calling_thread = threading.current_thread()
+        deadline = time.monotonic() + 10.0
 
         def task():
             if threading.current_thread() is calling_thread:
@@ -1036,8 +1040,9 @@ class TestRunTasks:
                 if caller == "joining":
                     helper_running.wait(10)  # so the helper holds the other task
                     return
-                while True:
+                while time.monotonic() < deadline:
                     time.sleep(0.01)  # until the interrupt arrives
+                return
             helper_running.set()
             caller_running.wait(10)
             if caller == "joining":
@@ -1045,6 +1050,10 @@ class TestRunTasks:
             _thread.interrupt_main()
             seen.append(stop.wait(10))
 
-        with pytest.raises(KeyboardInterrupt):
-            simulation._run_tasks([task, task], n_workers=2, stop=stop)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                simulation._run_tasks([task, task], n_workers=2, stop=stop)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert seen == [True]
