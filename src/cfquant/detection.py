@@ -12,13 +12,14 @@ legacy receiver, whose noise term is not scaled by alpha**2, reads its
 variances from the same factor at its own diagonal, less a correction
 read from G*Y*Y^H.  No campaign path forms an error covariance.
 
-The kernel calls LAPACK's zherk, Cholesky factor and triangular inverse
-through ctypes in the OpenBLAS that numpy bundles, so no array wrapper runs
-per call and the interpreter lock is released while they run.  Below
-K = 64 it calls the unblocked zpotf2 and ztrti2, which took three quarters
-of the time of the blocked zpotrf and ztrtri at K = 40; from K = 64 on it
-calls the blocked ones (``_UNBLOCKED_BELOW``).  Where numpy has no such
-library, it takes the inverse of numpy's Cholesky factor instead.
+The kernel calls LAPACK's zherk and the unblocked Cholesky factor zpotf2 and
+triangular inverse ztrti2 through ctypes in the OpenBLAS that numpy bundles,
+so no array wrapper runs per call and the interpreter lock is released while
+they run.  At K = 40 the unblocked pair took three quarters of the time of
+LAPACK's blocked pair.  At large K the blocked pair is faster: at M = 400 a
+SINR campaign took about 5% longer at K = 200 and 16% longer at K = 400.
+Where numpy has no such library, the kernel takes the inverse of numpy's
+Cholesky factor instead.
 """
 
 import ctypes
@@ -80,17 +81,10 @@ _SYMBOLS = {
     "get_num_threads": ("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
     "set_num_threads": ("scipy_openblas_set_num_threads64_", [ctypes.c_int], None),
     "zherk": ("scipy_zherk_64_", [_CHAR, _CHAR] + [_P] * 8 + [_LEN] * 2, None),
-    "zpotrf": ("scipy_zpotrf_64_", [_CHAR] + [_P] * 4 + [_LEN], None),
-    "ztrtri": ("scipy_ztrtri_64_", [_CHAR, _CHAR] + [_P] * 4 + [_LEN] * 2, None),
     "zpotf2": ("scipy_zpotf2_64_", [_CHAR] + [_P] * 4 + [_LEN], None),
     "ztrti2": ("scipy_ztrti2_64_", [_CHAR, _CHAR] + [_P] * 4 + [_LEN] * 2, None),
 }
 _OpenBLAS = namedtuple("_OpenBLAS", _SYMBOLS)
-# The unblocked zpotf2 and ztrti2 serve K below this, the blocked zpotrf and
-# ztrtri the rest.  The switch is not tuned: timed alone, the unblocked pair took
-# less time up to K of about 128 and more above it, but no benchmark workload has
-# K >= 64 to show which is faster end to end, so K >= 64 stays on the blocked pair.
-_UNBLOCKED_BELOW = 64
 
 
 @cache
@@ -123,13 +117,13 @@ def _inverse_factor(G, alpha, sigma_s2, b):
     For each b, S = diag(b)^-1/2 * G is formed in one C-order (M, K) scratch, so
     that LAPACK's column order sees S^T: zherk adds alpha**2 * S^T * conj(S), the
     conjugate information matrix, onto I/sigma_s2 in the lower triangle, zpotf2
-    (zpotrf from K = 64 on) factors it as L*L^H and ztrti2 (ztrtri) inverts L in
-    place.  The buffer, read in C order, is then Y = L^-T.
+    factors it as L*L^H and ztrti2 inverts L in place.  The buffer, read in C
+    order, is then Y = L^-T.
     """
-    if np.any(b <= 0.0):
+    if not np.all(b > 0.0):
         raise np.linalg.LinAlgError(
             "noise-plus-distortion diagonal is singular (distortion-free and "
-            "noiseless corner); no MMSE receiver exists"
+            "noiseless corner) or not a number; no MMSE receiver exists"
         )
     m, k = G.shape
     lead = b.shape[:-1]
@@ -145,8 +139,6 @@ def _inverse_factor(G, alpha, sigma_s2, b):
             y += alpha2_i * (S.conj().T @ S)
         Y = np.linalg.inv(np.linalg.cholesky(Y)).conj().swapaxes(-1, -2)
     else:
-        unblocked = k < _UNBLOCKED_BELOW
-        factor, invert = (lib.zpotf2, lib.ztrti2) if unblocked else (lib.zpotrf, lib.ztrtri)
         scale, status = ctypes.c_double(), ctypes.c_int64()
         n, depth, ld, one, a2, info = map(ctypes.byref, (
             ctypes.c_int64(k), ctypes.c_int64(m), ctypes.c_int64(max(k, 1)),
@@ -157,9 +149,9 @@ def _inverse_factor(G, alpha, sigma_s2, b):
             scale.value = alpha2_i
             y = Y.ctypes.data + i * Y.strides[0]
             lib.zherk(b"L", b"N", n, depth, a2, s, ld, one, y, ld, 1, 1)
-            factor(b"L", n, y, ld, info, 1)
+            lib.zpotf2(b"L", n, y, ld, info, 1)
             if status.value == 0:
-                invert(b"L", b"N", n, y, ld, info, 1, 1)
+                lib.ztrti2(b"L", b"N", n, y, ld, info, 1, 1)
             if status.value != 0:
                 raise np.linalg.LinAlgError(
                     f"information matrix is not positive definite (LAPACK info {status.value})"
@@ -239,6 +231,6 @@ def per_user_sinr(error_var, sigma_s2):
     user.  Variances of shape (..., K) give SINRs of the same shape.
     """
     var = np.asarray(error_var, dtype=float)
-    if np.any(var <= 0.0) or np.any(var > sigma_s2 * (1.0 + 1e-9)):
+    if not np.all((var > 0.0) & (var <= sigma_s2 * (1.0 + 1e-9))):
         raise ValueError("error variances must lie in (0, sigma_s2]")
     return np.maximum(sigma_s2 / var - 1.0, 0.0)

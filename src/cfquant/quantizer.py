@@ -148,53 +148,22 @@ def bussgang_alpha(levels, step):
     """Linear gain E[x*g(x)] of the L-level quantizer g with step ``step``
     for a unit-variance Gaussian input x; for an input of std sigma, pass
     step/sigma."""
-    return _coefficient(levels, step, 0)
+    return _excess(levels, _one_step(levels, step))[0]
 
 
 def power_gain_gamma(levels, step):
     """Output power E[g(x)**2] of the L-level quantizer g with step ``step``
     for a unit-variance Gaussian input x; for an input of std sigma, pass
     step/sigma."""
-    return _coefficient(levels, step, 1)
+    return _excess(levels, _one_step(levels, step))[1]
 
 
-def _coefficient(levels, step, which):
-    """alpha (``which`` 0) or gamma (1) at one step: 1 - (1 - alpha) and
-    alpha + (gamma - alpha) from ``_terms`` where it sums the overload tails
-    and 1 - alpha <= 1/4, so that 1 - alpha does not cancel, nor does
-    gamma - alpha >= alpha**2 - alpha >= -alpha/4 (gamma >= alpha**2); else,
-    in deep overload far below the optimum or above the solver's bracket, the
-    direct series.  ``_terms`` is the step solver's own sum, so at the row's
-    step these are the row's alpha and gamma to the bit."""
+def _one_step(levels, step):
+    """``step`` as a Python float, once it is one step of an L-level quantizer."""
     d = _valid_steps(levels, step)
     if d.ndim:
         raise ValueError(f"step must be one step, got an array of shape {d.shape}")
-    d = float(d)
-    # |g(x)| <= (L - 1)*d/2, so alpha <= (L - 1)*d/sqrt(2*pi): below 3/4 no tail is
-    # summed.  At 2 levels the direct series are the closed forms d/sqrt(2*pi), d**2/4.
-    if levels > 2 and d >= 0.75 * math.sqrt(2.0 * math.pi) / (levels - 1):
-        tail_end = _tail_end(levels, d)
-        if tail_end:
-            one_minus_alpha, excess, *_ = _terms(levels, d, tail_end)
-            if one_minus_alpha <= 0.25:
-                alpha = 1.0 - one_minus_alpha
-                return alpha + excess if which else alpha
-    return (_direct_alpha, _direct_gamma)[which](levels, d)
-
-
-def _direct_alpha(levels, d):
-    """alpha at the step ``d`` from its direct series over the orders
-    l = 1..L/2 - 1, d*sqrt(2/pi)*(1/2 + sum(exp(-(l*d)**2/2))): only where
-    ``_terms`` would sum longer tails or cancel, or above the bracket."""
-    ld = d * np.arange(1.0, levels // 2)
-    return d / math.sqrt(2.0 * math.pi) * (2.0 * float(np.exp(-0.5 * ld * ld).sum()) + 1.0)
-
-
-def _direct_gamma(levels, d):
-    """gamma at the step ``d`` from its direct series,
-    d**2*(1/4 + 2*sum(l*erfc(l*d/sqrt(2)))), where ``_direct_alpha`` applies."""
-    ls = np.arange(1.0, levels // 2)
-    return d * d * (0.25 + 2.0 * float((ls * _erfc(d / math.sqrt(2.0) * ls)).sum()))
+    return float(d)
 
 
 def distortion_power(gap, sigma_x2):
@@ -228,9 +197,10 @@ def _checked_gap(gap):
 
 
 def _excess(levels, d):
-    """(1 - alpha, gamma - alpha, gamma - alpha**2) of the L-level quantizer at
-    the normalized step ``d``, and a Newton estimate of the root of
-    gamma - alpha (nan where there is none).
+    """(alpha, gamma, 1 - alpha, gamma - alpha, gamma - alpha**2, newton) of the
+    L-level quantizer at the normalized step ``d``, with newton a Newton estimate
+    of the root of gamma - alpha (nan where there is none): the one evaluation
+    behind the row, its step solver and the two primitives.
 
     The quantizer with infinitely many levels has gamma - alpha = G, with
     Sheppard's d**2/12 in the granular part G = d**2/12 + 2*S0 + d**2*S2/pi**2
@@ -241,26 +211,39 @@ def _excess(levels, d):
     and gamma - alpha = G - O, with O = T_gamma - T_alpha.  Every term is
     small, so nothing cancels (``_terms`` sums them).  The estimate is a
     Newton step on ln(G/O) in ln d, which is close to quadratic in d; its
-    slope comes from the same sums.  Where the tail would be longer than
-    _MAX_TERMS orders, or the step is above the bracket, the terms come from
-    the direct series instead, with no estimate.
+    slope comes from the same sums.
+
+    The terms serve where ``_tail_end`` gives the tails an end and the summed
+    1 - alpha is at most 1/4, so that alpha = 1 - (1 - alpha) does not cancel,
+    nor does gamma = alpha + (gamma - alpha), as gamma - alpha >= alpha**2 -
+    alpha >= -alpha/4 (gamma >= alpha**2).  That holds at every row's step, so
+    the primitives there are the row's alpha and gamma to the bit.  Elsewhere
+    (deep overload far below the optimum, 2 levels, steps above the bracket)
+    alpha and gamma come from their direct series over the orders
+    l = 1..L/2 - 1, d*sqrt(2/pi)*(1/2 + sum(exp(-(l*d)**2/2))) and
+    d**2*(1/4 + 2*sum(l*erfc(l*d/sqrt(2)))), with no estimate.
     """
     tail_end = _tail_end(levels, d)
-    if not tail_end:
-        alpha, gamma = _direct_alpha(levels, d), _direct_gamma(levels, d)
-        one_minus_alpha, excess = 1.0 - alpha, gamma - alpha
-        return one_minus_alpha, excess, excess + one_minus_alpha * alpha, math.nan
-    # Python floats: granular / overload overflows to inf, unwarned, far above the optimum.
-    one_minus_alpha, excess, granular, overload, d_granular, d_overload = _terms(
-        levels, d, tail_end
-    )
-    newton = math.nan
-    if overload > 0.0:  # d*G'(d) and d*O'(d) give the slope of ln(G/O) in ln d
-        slope = d_granular / granular - d_overload / overload
-        if slope > 0.0:
-            newton = d + d * math.expm1(-math.log(granular / overload) / slope)
-    gap = excess + one_minus_alpha * (1.0 - one_minus_alpha)
-    return one_minus_alpha, excess, gap, newton
+    if tail_end:
+        # Python floats: granular / overload overflows to inf, unwarned, far above the optimum.
+        one_minus_alpha, excess, granular, overload, d_granular, d_overload = _terms(
+            levels, d, tail_end
+        )
+        if one_minus_alpha <= 0.25:
+            newton = math.nan
+            if overload > 0.0:  # d*G'(d) and d*O'(d) give the slope of ln(G/O) in ln d
+                slope = d_granular / granular - d_overload / overload
+                if slope > 0.0:
+                    newton = d + d * math.expm1(-math.log(granular / overload) / slope)
+            alpha = 1.0 - one_minus_alpha
+            gap = excess + one_minus_alpha * alpha
+            return alpha, alpha + excess, one_minus_alpha, excess, gap, newton
+    ls = np.arange(1.0, levels // 2)
+    ld = d * ls
+    alpha = d / math.sqrt(2.0 * math.pi) * (2.0 * float(np.exp(-0.5 * ld * ld).sum()) + 1.0)
+    gamma = d * d * (0.25 + 2.0 * float((ls * _erfc(d / math.sqrt(2.0) * ls)).sum()))
+    one_minus_alpha, excess = 1.0 - alpha, gamma - alpha
+    return alpha, gamma, one_minus_alpha, excess, excess + one_minus_alpha * alpha, math.nan
 
 
 def _terms(levels, d, end):
@@ -286,11 +269,15 @@ def _terms(levels, d, end):
 
 
 def _tail_end(levels, d):
-    """The last order of the overload tails at the step ``d``, or 0 where they
-    would be longer than _MAX_TERMS orders or the step is above the bracket,
-    where _PSI_ORDERS no longer holds."""
+    """The last order of the overload tails that ``_excess`` sums at the step
+    ``d``, or 0 where it takes the direct series instead: at 2 levels, where
+    they are the closed forms d/sqrt(2*pi) and d**2/4; below the 3/4 reach
+    (L - 1)*d < 0.75*sqrt(2*pi), where |g(x)| <= (L - 1)*d/2 bounds alpha by
+    (L - 1)*d/sqrt(2*pi) < 3/4, so that 1 - alpha > 1/4; where the tails would
+    be longer than _MAX_TERMS orders; and above the bracket, where _PSI_ORDERS
+    no longer holds."""
     half = levels // 2
-    if d > _BRACKET[1]:
+    if half == 1 or d > _BRACKET[1] or d < 0.75 * math.sqrt(2.0 * math.pi) / (levels - 1):
         return 0
     tail_end = math.ceil(math.sqrt((half * d) ** 2 + _TAIL_DECAY) / d)
     return 0 if tail_end - half >= _MAX_TERMS else tail_end
@@ -311,19 +298,18 @@ def _solved_row(levels):
         gain = 2.0 / math.pi
         return 2.0 * math.sqrt(gain), gain, gain, gain - gain * gain
     step = _excess_root(levels)
-    one_minus_alpha, excess, gap, _ = _excess(levels, step)
-    alpha = 1.0 - one_minus_alpha
-    return step, alpha, alpha + excess, gap
+    alpha, gamma, _, _, gap, _ = _excess(levels, step)
+    return step, alpha, gamma, gap
 
 
 def _excess_root(levels):
     """The one root of gamma - alpha at L >= 4 levels, by safeguarded Newton."""
     lo, hi = _BRACKET
-    if not _excess(levels, lo)[1] < 0.0 < _excess(levels, hi)[1]:
+    if not _excess(levels, lo)[3] < 0.0 < _excess(levels, hi)[3]:
         raise ValueError(f"the step bracket {_BRACKET} does not hold the optimum at {levels} levels")
     d = _FIRST_OVERLOAD_POINT / (levels // 2)
     while True:
-        _, excess, _, newton = _excess(levels, d)
+        *_, excess, _, newton = _excess(levels, d)
         if abs(newton - d) <= 1e-10 * d:  # Newton's error after so short a step is far below an ulp
             return newton
         if excess < 0.0:

@@ -59,7 +59,7 @@ def mpmath_terms(levels, d):
 def assert_excess_terms_match_mpmath(levels, d):
     """The solver's 1 - alpha and gap within 1e-14 relative of the oracle's, and
     its gamma - alpha within 1e-14 of the gap."""
-    one_minus_alpha, excess, gap, _ = quantizer._excess(levels, d)
+    _, _, one_minus_alpha, excess, gap, _ = quantizer._excess(levels, d)
     oracle = mpmath_terms(levels, d)
     assert abs(one_minus_alpha - oracle[0]) <= 1e-14 * abs(oracle[0])
     assert abs(excess - oracle[1]) <= 1e-14 * oracle[2]
@@ -556,7 +556,7 @@ class TestOptimalStep:
         levels = 2**bits
         step = optimal_step(levels)
         excess = [
-            quantizer._excess(levels, d)[1] for d in step + math.ulp(step) * np.arange(-4, 5)
+            quantizer._excess(levels, d)[3] for d in step + math.ulp(step) * np.arange(-4, 5)
         ]
         assert min(excess) < 0.0 <= max(excess)
 
@@ -655,3 +655,75 @@ class TestRowGap:
         row = bussgang_row(2**12)
         assert distortion_power(row["gap"], 3.0) == 3.0 * row["gap"]
         assert sdnr(row["alpha"], row["gap"]) == row["alpha"] ** 2 / row["gap"]
+
+
+class TestBussgangBitsPinned:
+    """The rows and the two primitives to the last bit, as float.hex literals,
+    so that a refactor of the sums that moves any bit fails here and not only
+    in the 9 digits of the campaign CSVs."""
+
+    # bits: (step, alpha, gamma, gap)
+    ROWS = {
+        1: ("0x1.9884533d43651p+0", "0x1.45f306dc9c883p-1", "0x1.45f306dc9c883p-1", "0x1.d9c62f2e193cap-3"),
+        2: ("0x1.fdcaa53261458p-1", "0x1.c3269c48aee8ep-1", "0x1.c3269c48aee8ep-1", "0x1.acf0a05a0232dp-4"),
+        3: ("0x1.2c0abd7fa3d25p-1", "0x1.ecd4b57eae181p-1", "0x1.ecd4b57eae181p-1", "0x1.2739050aa437cp-5"),
+        4: ("0x1.573ed44bfe03cp-2", "0x1.fa170d11bb4f7p-1", "0x1.fa170d11bb4f7p-1", "0x1.75df0cc089cd8p-7"),
+        5: ("0x1.814ee8fae3d7fp-3", "0x1.fe35e02b04fadp-1", "0x1.fe35e02b04fadp-1", "0x1.c885ea060178fp-9"),
+        6: ("0x1.aa3df9646dbd8p-4", "0x1.ff77adddf73c9p-1", "0x1.ff77adddf73c9p-1", "0x1.105bacb303ce2p-10"),
+        7: ("0x1.d1dc27229eb2cp-5", "0x1.ffd81c4967880p-1", "0x1.ffd81c4967880p-1", "0x1.3f04d813009e7p-12"),
+        8: ("0x1.f802ce273abf9p-6", "0x1.fff481bd66452p-1", "0x1.fff481bd66452p-1", "0x1.6fc011b76db81p-14"),
+        9: ("0x1.0e51a61684973p-6", "0x1.fffcbbdb2a4d5p-1", "0x1.fffcbbdb2a4d5p-1", "0x1.a20fc01930604p-16"),
+        10: ("0x1.1fe1d187272bfp-7", "0x1.ffff15382eda3p-1", "0x1.ffff15382eda3p-1", "0x1.d58ecaf9bb5f8p-18"),
+        11: ("0x1.30bb66a040716p-8", "0x1.ffffbec19e4fap-1", "0x1.ffffbec19e4fap-1", "0x1.04f965800649ep-19"),
+        12: ("0x1.40eb0b1041159p-9", "0x1.ffffee07c6b38p-1", "0x1.ffffee07c6b38p-1", "0x1.1f838ab049e88p-21"),
+        13: ("0x1.507e546214ed9p-10", "0x1.fffffb16b2718p-1", "0x1.fffffb16b2718p-1", "0x1.3a53609cd680fp-23"),
+        14: ("0x1.5f82843276e77p-11", "0x1.fffffeaaa4249p-1", "0x1.fffffeaaa4249p-1", "0x1.555bda925065cp-25"),
+    }
+
+    # (levels, step, alpha, gamma) at steps 1% and 1 and 3 ulps either side of
+    # two boundaries: the 3/4 reach (L - 1)*d = 0.75*sqrt(2*pi), below which
+    # alpha < 3/4 bounds the summed 1 - alpha away from 1/4, and the step where
+    # the summed 1 - alpha crosses 1/4, below which the direct series apply.
+    PRIMITIVES = [
+        (4, "0x1.3da3d2c712182p-1", "0x1.4fcb15ebad183p-1", "0x1.041edba53151ap-1"),
+        (4, "0x1.40d931ff62702p-1", "0x1.525c911d0ffe3p-1", "0x1.07bf22e370d00p-1"),
+        (4, "0x1.40d931ff62704p-1", "0x1.525c911d0ffe5p-1", "0x1.07bf22e370d02p-1"),
+        (4, "0x1.40d931ff62705p-1", "0x1.525c911d0ffe6p-1", "0x1.07bf22e370d03p-1"),
+        (4, "0x1.40d931ff62706p-1", "0x1.525c911d0ffe7p-1", "0x1.07bf22e370d04p-1"),
+        (4, "0x1.40d931ff62708p-1", "0x1.525c911d0ffe8p-1", "0x1.07bf22e370d07p-1"),
+        (4, "0x1.440e9137b2c88p-1", "0x1.54e888c5c88a3p-1", "0x1.0b5da94a36d16p-1"),
+        (4, "0x1.7b7659743b75ep-1", "0x1.7d70760ad2457p-1", "0x1.4842fcdd8173ap-1"),
+        (4, "0x1.7f4b95d51545cp-1", "0x1.8000000000000p-1", "0x1.4c544acce4350p-1"),
+        (4, "0x1.7f4b95d51545ep-1", "0x1.8000000000001p-1", "0x1.4c544acce4352p-1"),
+        (4, "0x1.7f4b95d51545fp-1", "0x1.8000000000000p-1", "0x1.4c544acce4352p-1"),
+        (4, "0x1.7f4b95d515460p-1", "0x1.8000000000002p-1", "0x1.4c544acce4354p-1"),
+        (4, "0x1.7f4b95d515462p-1", "0x1.8000000000002p-1", "0x1.4c544acce4356p-1"),
+        (4, "0x1.8320d235ef160p-1", "0x1.82877366e6f46p-1", "0x1.505fce0d7dfa0p-1"),
+        (64, "0x1.e405d3787d18ap-6", "0x1.4bc00d8cf7ef5p-1", "0x1.e2a7b3e06f6c8p-2"),
+        (64, "0x1.e8e970c21c18bp-6", "0x1.4e3ae07da8d19p-1", "0x1.e8f3d67243249p-2"),
+        (64, "0x1.e8e970c21c18dp-6", "0x1.4e3ae07da8d1ap-1", "0x1.e8f3d6724324cp-2"),
+        (64, "0x1.e8e970c21c18ep-6", "0x1.4e3ae07da8d1bp-1", "0x1.e8f3d6724324ep-2"),
+        (64, "0x1.e8e970c21c18fp-6", "0x1.4e3ae07da8d1bp-1", "0x1.e8f3d6724324cp-2"),
+        (64, "0x1.e8e970c21c191p-6", "0x1.4e3ae07da8d1dp-1", "0x1.e8f3d67243250p-2"),
+        (64, "0x1.edcd0e0bbb192p-6", "0x1.50b01df9dc43bp-1", "0x1.ef39ba6ac2b65p-2"),
+        (64, "0x1.2827e14b2f2e2p-5", "0x1.7d8f0da91e53ap-1", "0x1.338ae96c1ceb8p-1"),
+        (64, "0x1.2b25b27025500p-5", "0x1.7ffffffffffffp-1", "0x1.36f2685682a0fp-1"),
+        (64, "0x1.2b25b27025502p-5", "0x1.8000000000002p-1", "0x1.36f2685682a13p-1"),
+        (64, "0x1.2b25b27025503p-5", "0x1.8000000000000p-1", "0x1.36f2685682a10p-1"),
+        (64, "0x1.2b25b27025504p-5", "0x1.8000000000001p-1", "0x1.36f2685682a12p-1"),
+        (64, "0x1.2b25b27025506p-5", "0x1.8000000000002p-1", "0x1.36f2685682a13p-1"),
+        (64, "0x1.2e2383951b724p-5", "0x1.8268bb7f6be74p-1", "0x1.3a5226c555f02p-1"),
+    ]
+
+    @pytest.mark.parametrize("bits", sorted(ROWS))
+    def test_row_bits(self, bits):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FlatObjectiveWarning)
+            row = bussgang_row(2**bits)
+        assert tuple(row[k].hex() for k in ("step", "alpha", "gamma", "gap")) == self.ROWS[bits]
+
+    @pytest.mark.parametrize("levels, step, alpha, gamma", PRIMITIVES)
+    def test_primitive_bits_at_boundaries(self, levels, step, alpha, gamma):
+        d = float.fromhex(step)
+        assert bussgang_alpha(levels, d).hex() == alpha
+        assert power_gain_gamma(levels, d).hex() == gamma
