@@ -4,8 +4,9 @@ points forward uniformly quantized baseband samples over a fronthaul.
 The package models the quantizer through its Bussgang linearization,
 estimates channels with per-coefficient LMMSE scaling of pilot
 correlations, detects data with an MMSE receiver that accounts for the
-quantization distortion, and runs Monte Carlo campaigns producing
-empirical CDFs of normalized estimation MSE and per-user SINR.
+quantization distortion (``mmse_receiver``, with its error covariance),
+and runs Monte Carlo campaigns producing empirical CDFs of normalized
+estimation MSE and per-user SINR.
 """
 
 from .quantizer import (
@@ -37,10 +38,8 @@ from .estimation import (
     simulate_pilot_phase,
 )
 from .detection import (
-    distortion_covariance,
-    error_covariance,
     error_variances,
-    mmse_weights,
+    mmse_receiver,
     per_user_sinr,
     simulate_uplink,
 )

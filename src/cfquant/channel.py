@@ -41,14 +41,14 @@ class PathLossModel:
     def __post_init__(self):
         if not (0.0 < self.d0 < self.d1):
             raise ValueError(f"need 0 < d0 < d1, got d0={self.d0}, d1={self.d1}")
-        if self.gamma0 <= 0.0 or self.gamma1 <= 0.0:
+        if not (self.gamma0 > 0.0 and self.gamma1 > 0.0):
             raise ValueError("path loss exponents must be positive")
 
 
 def path_loss(d, model):
     """Linear gain of the three-slope model at distance(s) ``d`` in meters."""
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0.0):
+    if not np.all(d >= 0.0):
         raise ValueError("distance must be nonnegative")
     with np.errstate(divide="ignore"):
         mid = (d / model.d0) ** (-model.gamma0)
@@ -93,7 +93,7 @@ def large_scale_gains(ap, ut, model, sigma_sh_db, rng):
     i.i.d. zero-mean normal of standard deviation sigma_sh_db, independent
     across all AP-UT pairs.
     """
-    if sigma_sh_db < 0.0:
+    if not sigma_sh_db >= 0.0:
         raise ValueError("sigma_sh_db must be nonnegative")
     diff = ap[:, None, :] - ut[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))
@@ -197,7 +197,7 @@ def received_variance(beta_row, sigma_s2, sigma_n2):
     large-scale gains being known there.
     """
     beta_row = np.asarray(beta_row, dtype=float)
-    if np.any(beta_row < 0.0):
+    if not np.all(beta_row >= 0.0):
         raise ValueError("gains must be nonnegative")
     total = sigma_s2 * beta_row.sum(axis=-1) + sigma_n2
     return total if np.ndim(total) else float(total)

@@ -2,15 +2,18 @@
 
 With every AP quantizing at the same bit depth, the forwarded vector obeys
 the linearized model y = alpha*G*s + alpha*n + d, where the distortion d
-has a diagonal covariance set by the per-AP received variance.  The
-central unit applies the MMSE receiver for this model.  One K x K kernel
-serves receiver, error covariance and SINR: it factors the Hermitian
-positive definite information matrix by Cholesky and inverts the factor,
-giving an upper-triangular Y with Y*Y^H the error covariance.  Per-user
-SINR reads only the error variances, the squared row norms of Y.  The
-legacy receiver, whose noise term is not scaled by alpha**2, reads its
-variances from the same factor at its own diagonal, less a correction
-read from G*Y*Y^H.  No campaign path forms an error covariance.
+has a diagonal covariance c_delta, ``distortion_power(gap,
+received_variance(beta, sigma_s2, sigma_n2))`` at each AP.  The central
+unit applies the MMSE receiver for this model.  One K x K kernel serves
+receiver, error covariance and SINR: it factors the Hermitian positive
+definite information matrix by Cholesky and inverts the factor, giving an
+upper-triangular Y with Y*Y^H the error covariance.  Per-user SINR reads
+only the error variances, the squared row norms of Y.  The legacy
+receiver, whose noise term is not scaled by alpha**2, reads its variances
+from the same factor at its own diagonal, less a correction read from
+G*Y*Y^H.  No campaign path forms an error covariance: only ``sim
+validate`` forms the receiver and its error covariance, both from one
+``mmse_receiver`` call.
 
 The kernel calls LAPACK's zherk and the unblocked Cholesky factor zpotf2 and
 triangular inverse ztrti2 through ctypes in the OpenBLAS that numpy bundles,
@@ -30,13 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import _check_powers, complex_normal, received_variance
-from .quantizer import distortion_power, fronthaul
+from .quantizer import fronthaul
 
 __all__ = [
     "simulate_uplink",
-    "distortion_covariance",
-    "mmse_weights",
-    "error_covariance",
+    "mmse_receiver",
     "error_variances",
     "per_user_sinr",
 ]
@@ -60,17 +61,6 @@ def simulate_uplink(G, symbols, sigma_s2, sigma_n2, bits, rng, beta):
     complex_normal(rng, x.shape, np.sqrt(sigma_n2 / 2.0), add_to=x)
     y = fronthaul(x, bits, received_variance(beta, sigma_s2, sigma_n2), out=x)
     return y[:, 0] if vector else y
-
-
-def distortion_covariance(beta, gap, sigma_s2, sigma_n2):
-    """Diagonal of the quantization distortion covariance, shape (M,).
-
-    Entry m is the row's gap gamma - alpha**2 (``bussgang_row``) times the
-    received variance at AP m; the distortion is uncorrelated across APs, so
-    the diagonal fully describes the covariance.  All entries are zero in
-    the distortion-free limit gap == 0.
-    """
-    return distortion_power(gap, received_variance(beta, sigma_s2, sigma_n2))
 
 
 # Symbol, argument types and result type of each routine.  The BLAS and
@@ -160,36 +150,25 @@ def _inverse_factor(G, alpha, sigma_s2, b):
     return Y if np.iscomplexobj(G) else Y.real
 
 
-def mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2=1.0):
-    """MMSE receive matrix W, shape (K, M), for the linearized model.
+def mmse_receiver(G, alpha, sigma_s2, sigma_n2, c_delta):
+    """MMSE receive matrix W, shape (K, M), and its error covariance P, shape
+    (K, K), for the linearized model.
 
-    alpha*sigma_s2*G^H times the inverse M x M observation covariance,
-    computed by the Woodbury identity as alpha*P*G^H*diag(b)^-1 with P the
-    K x K information-form inverse (``error_covariance``) and
-    b = c_delta + alpha**2*sigma_n2.  Raises LinAlgError unless b > 0.  A
-    stack of bit depths, ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, M).
-    """
-    P = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta)
-    alpha = np.asarray(alpha, dtype=float)[..., None]
-    b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
-    return alpha[..., None] * (P @ G.conj().T) * (1.0 / b)[..., None, :]
-
-
-def error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta):
-    """Error covariance of the MMSE detector given the channel, shape (K, K).
-
-    Uses the K x K information form
+    P is the K x K information form
     (I/sigma_s2 + alpha**2 * G^H * diag(b)^-1 * G)^-1 with b = c_delta +
     alpha**2*sigma_n2 the noise-plus-distortion diagonal, which stays well
-    conditioned whenever b is nonsingular.  Hermitian positive semidefinite
-    with diagonal in (0, sigma_s2].  A stack of bit depths, ``alpha`` (B,) and
-    ``c_delta`` (B, M), gives (B, K, K).
+    conditioned whenever b is nonsingular: Hermitian positive semidefinite
+    with diagonal in (0, sigma_s2].  W, alpha*sigma_s2*G^H times the inverse
+    M x M observation covariance, is alpha*P*G^H*diag(b)^-1 by the Woodbury
+    identity.  Raises LinAlgError unless b > 0.  A stack of bit depths,
+    ``alpha`` (B,) and ``c_delta`` (B, M), gives (B, K, M) and (B, K, K).
     """
     alpha = np.asarray(alpha, dtype=float)[..., None]
     b = np.asarray(c_delta, dtype=float) + alpha**2 * sigma_n2
     Y = _inverse_factor(G, alpha, sigma_s2, b)
     P = Y @ Y.conj().swapaxes(-1, -2)
-    return 0.5 * (P + P.conj().swapaxes(-1, -2))
+    P = 0.5 * (P + P.conj().swapaxes(-1, -2))
+    return alpha[..., None] * (P @ G.conj().T) * (1.0 / b)[..., None, :], P
 
 
 def error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=False):

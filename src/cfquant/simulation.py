@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantizer import MAX_LEVELS, bussgang_row, fronthaul
+from .quantizer import MAX_LEVELS, bussgang_row, distortion_power, fronthaul
 from .channel import (
     PathLossModel,
     _check_powers,
@@ -43,10 +43,8 @@ from .estimation import (
 )
 from .detection import (
     _openblas,
-    distortion_covariance,
-    error_covariance,
     error_variances,
-    mmse_weights,
+    mmse_receiver,
     per_user_sinr,
     simulate_uplink,
 )
@@ -281,10 +279,8 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     beta = _draw_gains(cfg, trial)
     sigma_n2 = cfg.sigma_n2
     alpha = np.array([row["alpha"] for row in table.values()])
-    c_delta = np.stack([
-        distortion_covariance(beta, row["gap"], cfg.sigma_s2, sigma_n2)
-        for row in table.values()
-    ])
+    variance = received_variance(beta, cfg.sigma_s2, sigma_n2)
+    c_delta = np.stack([distortion_power(row["gap"], variance) for row in table.values()])
     gain = np.sqrt(beta)
     var = np.empty((cfg.n_smallscale, len(table), cfg.k_users))
     for fade in range(cfg.n_smallscale):
@@ -552,10 +548,10 @@ def _detection_checks(cfg, bits, alpha, gap, n_trials, stop):
     sigma_n2 = cfg.sigma_n2
     phases = substream(cfg.seed, _FADING, 200, bits).uniform(size=(cfg.m_aps, cfg.k_users))
     G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
-    c_delta = distortion_covariance(beta, gap, cfg.sigma_s2, sigma_n2)
-    W = mmse_weights(G, alpha, sigma_n2, c_delta, cfg.sigma_s2)
-    diag = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta)
     sigma_m2 = received_variance(beta, cfg.sigma_s2, sigma_n2)
+    c_delta = distortion_power(gap, sigma_m2)
+    W, _ = mmse_receiver(G, alpha, cfg.sigma_s2, sigma_n2, c_delta)
+    diag = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta)
 
     rng_s = substream(cfg.seed, _SYMBOLS, 200, bits)
     rng_n = substream(cfg.seed, _NOISE, 200, bits)
@@ -751,7 +747,7 @@ def _unquantized_detection_identity(cfg):
     sigma_n2 = cfg.sigma_n2
     h = draw_small_scale(cfg.m_aps, cfg.k_users, substream(cfg.seed, _FADING, 300))
     G = h * np.sqrt(beta)
-    cov = error_covariance(G, 1.0, 1.0, sigma_n2, np.zeros(cfg.m_aps))
+    _, cov = mmse_receiver(G, 1.0, 1.0, sigma_n2, np.zeros(cfg.m_aps))
     A = G @ G.conj().T + sigma_n2 * np.eye(cfg.m_aps)
     textbook = np.eye(cfg.k_users) - G.conj().T @ np.linalg.solve(A, G)
     err = np.max(np.abs(cov - textbook))

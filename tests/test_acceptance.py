@@ -229,9 +229,9 @@ def test_criterion_6_mmse_detection():
     worst_orth = 0.0
     for bits in (6, 10, 14):
         alpha, gap = factors(bits)
-        c_delta = cq.distortion_covariance(beta, gap, 1.0, sigma_n2)
-        W = cq.mmse_weights(G, alpha, sigma_n2, c_delta)
-        diag = np.real(np.diagonal(cq.error_covariance(G, alpha, 1.0, sigma_n2, c_delta)))
+        c_delta = cq.distortion_power(gap, cq.received_variance(beta, 1.0, sigma_n2))
+        W, cov = cq.mmse_receiver(G, alpha, 1.0, sigma_n2, c_delta)
+        diag = np.real(np.diagonal(cov))
         rng = np.random.default_rng(6000 + bits)
         err = np.zeros(k_users)
         err_sq = np.zeros(k_users)
@@ -269,10 +269,9 @@ def test_criterion_6_mmse_detection():
     rng_wc = np.random.default_rng(61)
     G_wc = crandn(rng_wc, m_aps, k_users) * np.sqrt(rng_wc.uniform(0.05, 1.0, size=(m_aps, k_users)))
     sn2_wc = 0.05
-    W_unq = cq.mmse_weights(G_wc, 1.0, sn2_wc, np.zeros(m_aps))
+    W_unq, cov_unq = cq.mmse_receiver(G_wc, 1.0, 1.0, sn2_wc, np.zeros(m_aps))
     A = G_wc @ G_wc.conj().T + sn2_wc * np.eye(m_aps)
     W_ref = G_wc.conj().T @ np.linalg.inv(A)
-    cov_unq = cq.error_covariance(G_wc, 1.0, 1.0, sn2_wc, np.zeros(m_aps))
     cov_ref = np.eye(k_users) - G_wc.conj().T @ np.linalg.solve(A, G_wc)
     textbook_gap = max(float(np.max(np.abs(W_unq - W_ref))), float(np.max(np.abs(cov_unq - cov_ref))))
     report(
@@ -337,7 +336,7 @@ def test_criterion_9_jensen_diagnostics():
     beta = cq.large_scale_gains(ap, ut, cq.PathLossModel(), 8.0, rng_net)
     alpha, gap = factors(6)
     sigma_n2 = cq.noise_variance(cq.PathLossModel(), 1000.0, 100.0)  # 20 dB edge SNR
-    c_delta = cq.distortion_covariance(beta, gap, 1.0, sigma_n2)
+    c_delta = cq.distortion_power(gap, cq.received_variance(beta, 1.0, sigma_n2))
     bound_gram, _ = jensen_bound_diagonals(beta, c_delta)
     rng = np.random.default_rng(91)
     acc = np.zeros(k_users)

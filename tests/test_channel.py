@@ -59,11 +59,21 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss(-1.0, model)
 
+    def test_rejects_nan_distance(self, model):
+        # NaN compares false both ways, so it is not a nonnegative distance.
+        with pytest.raises(ValueError, match="distance must be nonnegative"):
+            path_loss(np.array([10.0, np.nan]), model)
+
     def test_invalid_model(self):
         with pytest.raises(ValueError):
             PathLossModel(d0=100.0, d1=10.0)
         with pytest.raises(ValueError):
             PathLossModel(gamma0=-1.0)
+
+    @pytest.mark.parametrize("field", ["gamma0", "gamma1"])
+    def test_rejects_nan_exponent(self, field):
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            PathLossModel(**{field: math.nan})
 
 
 class TestNoiseVariance:
@@ -204,6 +214,13 @@ class TestLargeScaleGains:
         ap, ut = draw_geometry(2, 2, 100.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             large_scale_gains(ap, ut, model, -1.0, np.random.default_rng(0))
+
+    def test_rejects_nan_sigma(self, model):
+        # A NaN spread must not fall through to the no-shadowing branch,
+        # which returns the path loss alone.
+        ap, ut = draw_geometry(2, 2, 100.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sigma_sh_db must be nonnegative"):
+            large_scale_gains(ap, ut, model, math.nan, np.random.default_rng(0))
 
 
 class TestSmallScaleFading:
@@ -392,3 +409,7 @@ class TestReceivedVariance:
     def test_rejects_negative_gain(self):
         with pytest.raises(ValueError):
             received_variance(np.array([-0.1]), 1.0, 0.1)
+
+    def test_rejects_nan_gain(self):
+        with pytest.raises(ValueError, match="gains must be nonnegative"):
+            received_variance(np.array([[0.2, np.nan], [0.1, 0.3]]), 1.0, 0.1)

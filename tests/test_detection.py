@@ -6,15 +6,8 @@ import pytest
 
 from cfquant import detection
 from cfquant.channel import received_variance
-from cfquant.detection import (
-    distortion_covariance,
-    error_covariance,
-    error_variances,
-    mmse_weights,
-    per_user_sinr,
-    simulate_uplink,
-)
-from cfquant.quantizer import bussgang_row, fronthaul, optimal_step
+from cfquant.detection import error_variances, mmse_receiver, per_user_sinr, simulate_uplink
+from cfquant.quantizer import bussgang_row, distortion_power, fronthaul, optimal_step
 
 SIGMA_N2 = 1e-3
 
@@ -37,8 +30,7 @@ def detect(W, y):
 
 def detection_result(G, sigma_s2, sigma_n2, c_delta, alpha, y):
     """Bundle receiver, estimates, error covariance and SINR for one block."""
-    W = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2)
-    cov = error_covariance(G, alpha, sigma_s2, sigma_n2, c_delta)
+    W, cov = mmse_receiver(G, alpha, sigma_s2, sigma_n2, c_delta)
     var = error_variances(G, alpha, sigma_s2, sigma_n2, c_delta)
     return DetectionResult(detect(W, y), W, cov, per_user_sinr(var, sigma_s2))
 
@@ -65,7 +57,7 @@ def random_network(rng, m_aps, k_users, unit_modulus=False):
 
 def observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2=1.0, legacy_eq21=False):
     """M x M covariance of the linearized observation, with the same noise
-    scaling as ``mmse_weights``."""
+    scaling as ``mmse_receiver``."""
     noise_scale = sigma_n2 if legacy_eq21 else alpha**2 * sigma_n2
     return alpha**2 * sigma_s2 * (G @ G.conj().T) + np.diag(c_delta + noise_scale)
 
@@ -85,7 +77,7 @@ def error_covariance_for_weights(W, G, alpha, sigma_s2, sigma_n2, c_delta):
     sigma_n2*I + C_delta) W^H; used for receiver perturbation checks and
     as the reference for the legacy noise-scaling variant, where W is not
     the exact MMSE receiver of the linearized model.  Takes the stacks of
-    ``mmse_weights``.
+    ``mmse_receiver``'s W.
     """
     alpha = np.asarray(alpha, dtype=float)[..., None]
     bias = alpha[..., None] * (W @ G) - np.eye(G.shape[1])
@@ -171,12 +163,12 @@ class TestDistortionCovariance:
     def test_zero_in_distortion_free_limit(self):
         beta = np.ones((3, 2))
         np.testing.assert_array_equal(
-            distortion_covariance(beta, 0.0, 1.0, 0.1), np.zeros(3)
+            distortion_power(0.0, received_variance(beta, 1.0, 0.1)), np.zeros(3)
         )
 
     def test_single_ap_value(self):
         row = bussgang_row(4)
-        out = distortion_covariance(np.array([[1.0]]), row["gap"], 1.0, 0.1)
+        out = distortion_power(row["gap"], received_variance(np.array([[1.0]]), 1.0, 0.1))
         assert out[0] == pytest.approx((row["gamma"] - row["alpha"] ** 2) * 1.1, rel=1e-12)
 
     def test_empirical_distortion_power(self):
@@ -190,7 +182,7 @@ class TestDistortionCovariance:
         beta, G = random_network(rng, m_aps, k_users, unit_modulus=True)
         bits = 3
         alpha, gap = factors_at_optimum(bits)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
         sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
@@ -232,20 +224,20 @@ class TestDistortionCovariance:
         # A negative gap (gamma below alpha**2), or one that is not a finite number.
         for gap in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="distortion gap"):
-                distortion_covariance(np.ones((2, 2)), gap, 1.0, 0.1)
+                distortion_power(gap, received_variance(np.ones((2, 2)), 1.0, 0.1))
 
 
 class TestMmseWeights:
     def test_textbook_limit(self):
         rng = np.random.default_rng(9)
         _, G = random_network(rng, 6, 3)
-        W = mmse_weights(G, 1.0, SIGMA_N2, np.zeros(6))
+        W = mmse_receiver(G, 1.0, 1.0, SIGMA_N2, np.zeros(6))[0]
         A = G @ G.conj().T + SIGMA_N2 * np.eye(6)
         np.testing.assert_allclose(W, G.conj().T @ np.linalg.inv(A), atol=1e-12)
 
     def test_scalar_case(self):
         g = np.array([[0.6 - 0.8j]])
-        W = mmse_weights(g, 1.0, 0.5, np.zeros(1))
+        W = mmse_receiver(g, 1.0, 1.0, 0.5, np.zeros(1))[0]
         assert W[0, 0] == pytest.approx(np.conj(g[0, 0]) / (abs(g[0, 0]) ** 2 + 0.5))
 
     def test_orthogonality_principle(self):
@@ -255,8 +247,8 @@ class TestMmseWeights:
         m_aps, k_users, trials = 5, 3, 100_000
         beta, G = random_network(rng, m_aps, k_users)
         alpha, gap = factors_at_optimum(2)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
-        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+        W = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)[0]
         resid = np.zeros((k_users, m_aps), dtype=complex)
         re_sq = np.zeros((k_users, m_aps))
         im_sq = np.zeros((k_users, m_aps))
@@ -280,7 +272,7 @@ class TestMmseWeights:
         rng = np.random.default_rng(11)
         _, G = random_network(rng, 6, 2)
         with pytest.raises(np.linalg.LinAlgError):
-            mmse_weights(G, 1.0, 0.0, np.zeros(6))
+            mmse_receiver(G, 1.0, 1.0, 0.0, np.zeros(6))
 
     def test_singular_diagonal_reported_with_invertible_observation_covariance(self):
         # With no more APs than users, G G^H is invertible on its own, but
@@ -288,7 +280,7 @@ class TestMmseWeights:
         rng = np.random.default_rng(24)
         _, G = random_network(rng, 2, 4)
         with pytest.raises(np.linalg.LinAlgError):
-            mmse_weights(G, 1.0, 0.0, np.zeros(2))
+            mmse_receiver(G, 1.0, 1.0, 0.0, np.zeros(2))
 
     @pytest.mark.parametrize("legacy_eq21", [False, True])
     def test_matches_direct_form(self, legacy_eq21):
@@ -298,7 +290,7 @@ class TestMmseWeights:
         # receiver, so that variant is checked through its error variances.
         conds = []
         for G, alpha, sigma_n2, beta, gap, sigma_s2 in direct_form_cases():
-            c_delta = distortion_covariance(beta, gap, sigma_s2, sigma_n2)
+            c_delta = distortion_power(gap, received_variance(beta, sigma_s2, sigma_n2))
             ref = direct_mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
             if legacy_eq21:
                 got = error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
@@ -306,7 +298,7 @@ class TestMmseWeights:
                     error_covariance_for_weights(ref, G, alpha, sigma_s2, sigma_n2, c_delta)
                 ))
             else:
-                got = mmse_weights(G, alpha, sigma_n2, c_delta, sigma_s2)
+                got = mmse_receiver(G, alpha, sigma_s2, sigma_n2, c_delta)[0]
             assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-9
             A = observation_covariance(G, alpha, sigma_n2, c_delta, sigma_s2, legacy_eq21)
             conds.append(np.linalg.cond(A))
@@ -319,12 +311,10 @@ class TestMmseWeights:
         rng = np.random.default_rng(31)
         beta, G = random_network(rng, 12, k_users)
         alpha, gap = factors_at_optimum(6)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
-        P = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+        W, P = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)
         b = c_delta + alpha**2 * SIGMA_N2
-        np.testing.assert_array_equal(
-            mmse_weights(G, alpha, SIGMA_N2, c_delta), alpha * (P @ G.conj().T) / b
-        )
+        np.testing.assert_array_equal(W, alpha * (P @ G.conj().T) / b)
 
 
 class TestDetect:
@@ -337,7 +327,7 @@ class TestDetect:
         _, G = random_network(rng, 30, 3)
         s = crandn(rng, 3)
         for sn2 in (1e-4, 1e-6, 1e-8):
-            W = mmse_weights(G, 1.0, sn2, np.zeros(30))
+            W = mmse_receiver(G, 1.0, 1.0, sn2, np.zeros(30))[0]
             err = np.linalg.norm(W @ (G @ s) - s) / np.linalg.norm(s)
             assert err < math.sqrt(sn2) * 50
 
@@ -357,9 +347,8 @@ class TestDetect:
         G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
         bits = 6
         alpha, gap = factors_at_optimum(bits)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
-        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
-        cov = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+        W, cov = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)
         acc = np.zeros(k_users)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
@@ -371,7 +360,7 @@ class TestDetect:
 class TestErrorCovariance:
     def test_scalar_unquantized(self):
         g = np.array([[0.7 + 0.4j]])
-        cov = error_covariance(g, 1.0, 1.0, 0.2, np.zeros(1))
+        cov = mmse_receiver(g, 1.0, 1.0, 0.2, np.zeros(1))[1]
         expected = 0.2 / (abs(g[0, 0]) ** 2 + 0.2)
         assert cov[0, 0].real == pytest.approx(expected, rel=1e-12)
 
@@ -380,8 +369,8 @@ class TestErrorCovariance:
         for sigma_s2 in (1.0, 2.5):
             beta, G = random_network(rng, 10, 4)
             alpha, gap = factors_at_optimum(3)
-            c_delta = distortion_covariance(beta, gap, sigma_s2, SIGMA_N2)
-            cov = error_covariance(G, alpha, sigma_s2, SIGMA_N2, c_delta)
+            c_delta = distortion_power(gap, received_variance(beta, sigma_s2, SIGMA_N2))
+            cov = mmse_receiver(G, alpha, sigma_s2, SIGMA_N2, c_delta)[1]
             np.testing.assert_allclose(cov, cov.conj().T, atol=1e-14)
             eigs = np.linalg.eigvalsh(cov)
             assert np.all(eigs > 0.0)
@@ -392,8 +381,8 @@ class TestErrorCovariance:
         for _ in range(10):
             beta, G = random_network(rng, 12, 5)
             alpha, gap = factors_at_optimum(int(rng.integers(2, 8)))
-            c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
-            a = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+            c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+            a = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)[1]
             W = direct_mmse_weights(G, alpha, SIGMA_N2, c_delta)
             b = np.eye(5) - alpha * (W @ G)
             assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-9
@@ -402,9 +391,8 @@ class TestErrorCovariance:
         rng = np.random.default_rng(16)
         beta, G = random_network(rng, 9, 4)
         alpha, gap = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
-        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
-        direct = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+        W, direct = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)
         general = error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)
         np.testing.assert_allclose(general, direct, atol=1e-12)
 
@@ -412,8 +400,8 @@ class TestErrorCovariance:
         rng = np.random.default_rng(17)
         beta, G = random_network(rng, 9, 4)
         alpha, gap = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
-        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+        W = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)[0]
         base = np.real(np.diag(error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)))
         for eps in (0.01, -0.01):
             perturbed = np.real(
@@ -430,11 +418,11 @@ class TestErrorCovariance:
         rng = np.random.default_rng(18)
         beta, G = random_network(rng, 9, 4)
         alpha, gap = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
         W_legacy = direct_mmse_weights(G, alpha, SIGMA_N2, c_delta, legacy_eq21=True)
-        W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
+        W = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)[0]
         assert np.max(np.abs(W - W_legacy)) > 0.0
-        base = np.real(np.diag(error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)))
+        base = np.real(np.diag(mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)[1]))
         legacy = np.real(
             np.diag(error_covariance_for_weights(W_legacy, G, alpha, 1.0, SIGMA_N2, c_delta))
         )
@@ -457,9 +445,8 @@ class TestErrorCovariance:
         worst = 0.0
         for sigma_n2 in (1e-6, SIGMA_N2, 1.0):
             for beta, G, sigma_s2 in networks:
-                c_delta = np.stack(
-                    [distortion_covariance(beta, gap, sigma_s2, sigma_n2) for _, gap in rows]
-                )
+                variance = received_variance(beta, sigma_s2, sigma_n2)
+                c_delta = np.stack([distortion_power(gap, variance) for _, gap in rows])
                 var = error_variances(G, alpha, sigma_s2, sigma_n2, c_delta, legacy_eq21=True)
                 for a, c, got in zip(alpha, c_delta, var):
                     W = direct_mmse_weights(G, a, sigma_n2, c, sigma_s2, legacy_eq21=True)
@@ -470,9 +457,9 @@ class TestErrorCovariance:
 
     def test_legacy_never_forms_the_error_covariance(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("error_covariance called")
+            raise AssertionError("mmse_receiver called")
 
-        monkeypatch.setattr(detection, "error_covariance", forbidden)
+        monkeypatch.setattr(detection, "mmse_receiver", forbidden)
         G, alpha, c_delta = TestBitDepthStack.stack(np.random.default_rng(44), 5)
         var = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
         assert var.shape == (4, 5)
@@ -484,7 +471,8 @@ class TestErrorCovariance:
         _, gap = factors_at_optimum(6)
         for k_users in (1, 5):
             beta, G = random_network(rng, 30, k_users)
-            for c_delta in (np.zeros(30), distortion_covariance(beta, gap, 1.0, SIGMA_N2)):
+            distorted = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+            for c_delta in (np.zeros(30), distorted):
                 np.testing.assert_array_equal(
                     error_variances(G, 1.0, 1.0, SIGMA_N2, c_delta, legacy_eq21=True),
                     error_variances(G, 1.0, 1.0, SIGMA_N2, c_delta),
@@ -510,7 +498,7 @@ class TestErrorCovariance:
         rng = np.random.default_rng(19)
         _, G = random_network(rng, 5, 2)
         with pytest.raises(np.linalg.LinAlgError):
-            error_covariance(G, 1.0, 1.0, 0.0, np.zeros(5))
+            mmse_receiver(G, 1.0, 1.0, 0.0, np.zeros(5))
         with pytest.raises(np.linalg.LinAlgError):
             error_variances(G, 1.0, 1.0, 0.0, np.zeros(5), legacy_eq21=True)
 
@@ -545,7 +533,7 @@ class TestPerUserSinr:
         prev = np.zeros(4)
         for bits in range(4, 15):
             alpha, gap = factors_at_optimum(bits)
-            c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
+            c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
             var = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta)
             sinr = per_user_sinr(var, 1.0)
             assert np.all(sinr >= prev)
@@ -575,19 +563,19 @@ class TestBitDepthStack:
         rows = [factors_at_optimum(bits) for bits in (6, 10, 14)] + [(1.0, 0.0)]
         alpha = np.array([a for a, _ in rows])
         c_delta = np.stack(
-            [distortion_covariance(beta, gap, 1.0, SIGMA_N2) for _, gap in rows]
+            [distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2)) for _, gap in rows]
         )
         return G, alpha, c_delta
 
     @pytest.mark.parametrize("k_users", [1, 5])
     def test_error_covariance_and_sinr(self, k_users):
         G, alpha, c_delta = self.stack(np.random.default_rng(40), k_users)
-        stacked = error_covariance(G, alpha, 1.0, SIGMA_N2, c_delta)
+        stacked = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)[1]
         assert stacked.shape == (4, k_users, k_users)
         sinr = per_user_sinr(error_variances(G, alpha, 1.0, SIGMA_N2, c_delta), 1.0)
         assert sinr.shape == (4, k_users)
         for i, (a, c) in enumerate(zip(alpha, c_delta)):
-            cov = error_covariance(G, float(a), 1.0, SIGMA_N2, c)
+            cov = mmse_receiver(G, float(a), 1.0, SIGMA_N2, c)[1]
             np.testing.assert_array_equal(stacked[i], cov)
             var = error_variances(G, float(a), 1.0, SIGMA_N2, c)
             np.testing.assert_array_equal(sinr[i], per_user_sinr(var, 1.0))
@@ -602,7 +590,7 @@ class TestBitDepthStack:
             cov = error_variances(G, alpha, 1.0, SIGMA_N2, c_delta, legacy_eq21=True)
             assert cov.shape == (4, k_users)
         else:
-            W = mmse_weights(G, alpha, SIGMA_N2, c_delta)
+            W = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)[0]
             assert W.shape == (4, k_users, 30)
             cov = error_covariance_for_weights(W, G, alpha, 1.0, SIGMA_N2, c_delta)
             assert cov.shape == (4, k_users, k_users)
@@ -610,7 +598,7 @@ class TestBitDepthStack:
             if legacy_eq21:
                 expected = error_variances(G, float(a), 1.0, SIGMA_N2, c, legacy_eq21=True)
             else:
-                w = mmse_weights(G, float(a), SIGMA_N2, c)
+                w = mmse_receiver(G, float(a), 1.0, SIGMA_N2, c)[0]
                 np.testing.assert_array_equal(W[i], w)
                 expected = error_covariance_for_weights(w, G, float(a), 1.0, SIGMA_N2, c)
             np.testing.assert_array_equal(cov[i], expected)
@@ -667,7 +655,7 @@ class TestInverseCholeskyKernel:
         sigma_s2 = 1.5
         ref = information_inverse_oracle(G, alpha, sigma_s2, c_delta + np.square(alpha) * SIGMA_N2)
         alpha_arg = np.ravel(alpha) if n_bits else alpha  # (B,): the kernel sees (B, 1)
-        cov = error_covariance(G, alpha_arg, sigma_s2, SIGMA_N2, c_delta)
+        cov = mmse_receiver(G, alpha_arg, sigma_s2, SIGMA_N2, c_delta)[1]
         var = error_variances(G, alpha_arg, sigma_s2, SIGMA_N2, c_delta)
         assert cov.shape == ref.shape and var.shape == ref.shape[:-1]
         assert np.iscomplexobj(cov) == np.iscomplexobj(G)
@@ -725,7 +713,7 @@ class TestJensenBounds:
         m_aps, k_users, draws = 50, 4, 10_000
         beta = rng.uniform(0.05, 1.0, size=(m_aps, k_users))
         alpha, gap = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
         bound_gram, bound_distortion = jensen_bound_diagonals(beta, c_delta)
         sqrt_beta = np.sqrt(beta)
         acc_gram = np.zeros(k_users)
@@ -745,7 +733,7 @@ class TestJensenBounds:
         m_aps, k_users, draws = 50, 4, 10_000
         beta = rng.uniform(0.05, 1.0, size=(m_aps, k_users))
         alpha, gap = factors_at_optimum(3)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
         total = np.zeros((k_users, k_users), dtype=complex)
         total_re = np.zeros((k_users, k_users))
         total_im = np.zeros((k_users, k_users))
@@ -773,7 +761,7 @@ class TestDetectionResult:
         rng = np.random.default_rng(23)
         beta, G = random_network(rng, 10, 3)
         alpha, gap = factors_at_optimum(4)
-        c_delta = distortion_covariance(beta, gap, 1.0, SIGMA_N2)
+        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
         s = crandn(rng, 3)
         y = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, rng, beta)
         result = detection_result(G, 1.0, SIGMA_N2, c_delta, alpha, y)

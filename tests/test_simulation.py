@@ -14,17 +14,14 @@ import numpy as np
 import pytest
 
 from cfquant import detection, quantizer, simulation
-from cfquant.channel import draw_small_scale
+from cfquant.channel import draw_small_scale, received_variance
 from cfquant.cli import _VALIDATE_DEFAULTS
-from cfquant.detection import (
-    distortion_covariance,
-    error_variances,
-    per_user_sinr,
-)
+from cfquant.detection import error_variances, per_user_sinr
 from cfquant.quantizer import (
     FlatObjectiveWarning,
     bussgang_alpha,
     bussgang_row,
+    distortion_power,
     optimal_step,
     power_gain_gamma,
 )
@@ -86,7 +83,7 @@ def per_draw_sinr_trial(cfg, table, legacy_eq21, trial):
         G = h * np.sqrt(beta)
         for bits, row in table.items():
             alpha = row["alpha"]
-            c_delta = distortion_covariance(beta, row["gap"], cfg.sigma_s2, sigma_n2)
+            c_delta = distortion_power(row["gap"], received_variance(beta, cfg.sigma_s2, sigma_n2))
             var = error_variances(G, alpha, cfg.sigma_s2, sigma_n2, c_delta, legacy_eq21)
             out[bits].append(10.0 * np.log10(per_user_sinr(var, cfg.sigma_s2)))
     return {bits: np.concatenate(chunks) for bits, chunks in out.items()}
@@ -536,7 +533,6 @@ class TestSinrCampaign:
         )
         series = run_sinr_campaign(cfg)
         from cfquant.channel import draw_small_scale
-        from cfquant.detection import distortion_covariance, per_user_sinr
         from cfquant.simulation import _draw_gains, _FADING, bussgang_table
 
         beta = _draw_gains(cfg, 0)
@@ -544,7 +540,7 @@ class TestSinrCampaign:
         row = bussgang_table((6,))[6]
         alpha = row["alpha"]
         sigma_n2 = cfg.sigma_n2
-        c_delta = distortion_covariance(beta, row["gap"], 1.0, sigma_n2)
+        c_delta = distortion_power(row["gap"], received_variance(beta, 1.0, sigma_n2))
         var = error_variances(h * np.sqrt(beta), alpha, 1.0, sigma_n2, c_delta)
         expected = 10.0 * np.log10(per_user_sinr(var, 1.0))
         assert series[0].values[0] == pytest.approx(expected[0], abs=1e-9)
@@ -585,7 +581,7 @@ class TestSinrCampaign:
             raise AssertionError("called by the SINR campaign")
 
         for module, name in [(np.linalg, "inv"), (np.linalg, "cholesky"),
-                             (simulation, "error_covariance")]:
+                             (simulation, "mmse_receiver")]:
             monkeypatch.setattr(module, name, forbidden)
         series = run_sinr_campaign(SMALL)
         assert [s.label for s in series] == [str(b) for b in SINR_DEFAULT_BITS]
