@@ -11,12 +11,10 @@ estimation MSE and per-user SINR.
 
 from .quantizer import (
     FlatObjectiveWarning,
-    bussgang_alpha,
     bussgang_row,
     distortion_power,
     fronthaul,
     optimal_step,
-    power_gain_gamma,
     quantize,
     sdnr,
 )

@@ -20,7 +20,6 @@ __all__ = [
     "large_scale_gains",
     "draw_small_scale",
     "complex_normal",
-    "complex_normal_runs",
     "received_variance",
 ]
 
@@ -39,10 +38,10 @@ class PathLossModel:
     gamma1: float = 3.5
 
     def __post_init__(self):
-        if not (0.0 < self.d0 < self.d1):
-            raise ValueError(f"need 0 < d0 < d1, got d0={self.d0}, d1={self.d1}")
-        if not (self.gamma0 > 0.0 and self.gamma1 > 0.0):
-            raise ValueError("path loss exponents must be positive")
+        if not (0.0 < self.d0 < self.d1 < math.inf):
+            raise ValueError(f"need 0 < d0 < d1 < inf, got d0={self.d0}, d1={self.d1}")
+        if not (0.0 < self.gamma0 < math.inf and 0.0 < self.gamma1 < math.inf):
+            raise ValueError("path loss exponents must be positive and finite")
 
 
 def path_loss(d, model):
@@ -77,10 +76,12 @@ def _check_powers(sigma_n2, sigma_s2=1.0):
 
 
 def draw_geometry(m_aps, k_users, l_serv, rng):
-    """AP and UT positions (ap, ut), shapes (M, 2) and (K, 2) in meters,
-    dropped i.i.d. uniformly over the square service area, APs first."""
+    """AP and UT positions (ap, ut), shapes (M, 2) and (K, 2) in meters, dropped
+    i.i.d. uniformly over the square service area of side ``l_serv``, APs first."""
     if m_aps < 1 or k_users < 1:
         raise ValueError("need at least one AP and one user")
+    if not 0.0 < l_serv < math.inf:
+        raise ValueError(f"l_serv must be positive and finite, got {l_serv}")
     ap = rng.uniform(0.0, l_serv, size=(m_aps, 2))
     ut = rng.uniform(0.0, l_serv, size=(k_users, 2))
     return ap, ut
@@ -93,8 +94,8 @@ def large_scale_gains(ap, ut, model, sigma_sh_db, rng):
     i.i.d. zero-mean normal of standard deviation sigma_sh_db, independent
     across all AP-UT pairs.
     """
-    if not sigma_sh_db >= 0.0:
-        raise ValueError("sigma_sh_db must be nonnegative")
+    if not 0.0 <= sigma_sh_db < math.inf:
+        raise ValueError("sigma_sh_db must be nonnegative and finite")
     diff = ap[:, None, :] - ut[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))
     shadow_db = rng.normal(0.0, sigma_sh_db, size=d.shape) if sigma_sh_db > 0.0 else np.zeros(d.shape)
@@ -136,38 +137,25 @@ def complex_normal(rng, shape, scale, add_to=None):
     return out
 
 
-def complex_normal_runs(rng, shape, scale, rows, real):
-    """``complex_normal(rng, shape, scale)`` in runs of ``rows`` leading-axis rows.
+def _runs(rng, real, scale, rows):
+    """``complex_normal(rng, real.shape, scale)`` for one scalar ``scale``, in runs
+    of ``rows`` leading-axis rows, drawn through the C-contiguous float array ``real``.
 
-    All real parts are drawn at the first run, times ``scale``, into the float
-    buffer ``real`` (its first prod(shape) values); each run's imaginary parts
-    are drawn as the run is yielded, over the rows of ``real`` that its real
-    parts were just copied out of.  So the runs, concatenated, are the bits of
-    ``complex_normal``, and a block's working set is one float per value plus
-    one run.  Each run is yielded in one complex buffer that the next run
-    overwrites; the rows of ``real`` behind it are not read again, so the
-    caller may reuse them.
+    All real parts are drawn at the first run, times ``scale``, into ``real``;
+    each run's imaginary parts are drawn as the run is yielded, over the rows of
+    ``real`` that its real parts were just copied out of.  So the runs,
+    concatenated, are the bits of ``complex_normal``: one ``standard_normal``
+    call gives the values of the same count drawn in several.  A block's working
+    set is one float per value plus one run, and no buffer of draws.  Each run
+    is yielded in one complex buffer that the next run overwrites; the rows of
+    ``real`` behind it are not read again, so the caller may reuse them.
     """
-    shape = tuple(shape)
-    if real.dtype != float or not real.flags.c_contiguous or real.size < math.prod(shape):
-        raise ValueError(
-            f"real must be a C-contiguous float array of at least {math.prod(shape)} values"
-        )
-    real = real.reshape(-1)[: math.prod(shape)].reshape(shape)
-    return _runs(rng, np.broadcast_to(scale, shape), rows, real)
-
-
-def _runs(rng, scale, rows, real):
-    """The generator of ``complex_normal_runs``, once its arguments are checked.
-    Every draw lands in contiguous rows of ``real``, so no buffer of draws is
-    needed: one ``standard_normal`` call gives the values of the same count
-    drawn in several, and each part is scaled as ``_draw_scaled`` scales it."""
     np.multiply(rng.standard_normal(out=real), scale, out=real)
     out = np.empty((min(rows, len(real)), *real.shape[1:]), dtype=complex)
     for start in range(0, len(real), rows):
         z, part = out[: len(real) - start], real[start : start + rows]
         z.real = part
-        np.multiply(rng.standard_normal(out=part), scale[start : start + rows], out=z.imag)
+        np.multiply(rng.standard_normal(out=part), scale, out=z.imag)
         yield z
 
 
@@ -197,7 +185,7 @@ def received_variance(beta_row, sigma_s2, sigma_n2):
     large-scale gains being known there.
     """
     beta_row = np.asarray(beta_row, dtype=float)
-    if not np.all(beta_row >= 0.0):
-        raise ValueError("gains must be nonnegative")
+    if not np.all((beta_row >= 0.0) & (beta_row < math.inf)):
+        raise ValueError("gains must be nonnegative and finite")
     total = sigma_s2 * beta_row.sum(axis=-1) + sigma_n2
     return total if np.ndim(total) else float(total)

@@ -47,7 +47,7 @@ def simulate_pilot_phase(G, pilots, sigma_n2, bits, noise_samples, beta):
     sample at AP m and symbol t is sqrt(tau) * sum_k g_mk * pilots[t, k];
     ``noise_samples``, the complex receiver noise of that shape, is added to
     it: for example ``complex_normal(rng, shape, sqrt(sigma_n2 / 2))``,
-    or one run of ``complex_normal_runs``.  Pilot symbols have unit power, so
+    which the Monte Carlo check draws in runs.  Pilot symbols have unit power, so
     each AP quantizes at the step optimal for its pilot-phase variance
     sum_k beta_mk + sigma_n2, from the large-scale gains ``beta``;
     ``bits == 0`` leaves the samples unquantized.

@@ -2,15 +2,14 @@
 
 An L-level uniform quantizer applied to a zero-mean Gaussian input can be
 written as g(x) = alpha*x + d, where the distortion d is uncorrelated with
-the input.  This module provides the quantizer transfer function, closed
-forms for the linear gain alpha and the output power ratio gamma, the
-resulting distortion power and SDNR, and the Bussgang row of each level
-count: the SDNR-optimal step, solved once, with alpha, gamma and the
-distortion gap gamma - alpha**2 there.  The gap is summed without
-cancellation, and every closed form that reads it takes it from the row.
-A quantizer is its level count and its step.  The coefficients depend on
-the step only through the normalized step delta/sigma, so they and the
-solver take the step at unit input variance.
+the input.  This module provides the quantizer transfer function, the
+Bussgang row of each level count: the SDNR-optimal step, solved once, with
+the linear gain alpha, the output power ratio gamma and the distortion gap
+gamma - alpha**2 there, and the distortion power and SDNR of a row.  The
+gap is summed without cancellation, and every closed form that reads it
+takes it from the row.  A quantizer is its level count and its step.  The
+coefficients depend on the step only through the normalized step
+delta/sigma, so the row and its solver take the step at unit input variance.
 """
 
 import math
@@ -23,8 +22,6 @@ __all__ = [
     "FlatObjectiveWarning",
     "quantize",
     "fronthaul",
-    "bussgang_alpha",
-    "power_gain_gamma",
     "distortion_power",
     "sdnr",
     "optimal_step",
@@ -68,15 +65,6 @@ def _check_levels(levels):
         raise ValueError(f"levels must be even and >= 2, got {levels}")
 
 
-def _valid_steps(levels, step):
-    """``step`` as a float array, once it and ``levels`` name a quantizer."""
-    _check_levels(levels)
-    step = np.asarray(step, dtype=float)
-    if not np.all(np.isfinite(step) & (step > 0.0)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    return step
-
-
 def quantize(x, levels, step, out=None):
     """The L-level midrise quantizer with step ``step``, applied to real
     samples, or to the in-phase and quadrature rails of complex ones.
@@ -90,7 +78,10 @@ def quantize(x, levels, step, out=None):
     of the result's shape and of the input's kind, real or complex, which
     may be ``x`` itself); a 0-d input gives a Python scalar.
     """
-    steps = _valid_steps(levels, step)[..., None]
+    _check_levels(levels)
+    steps = np.asarray(step, dtype=float)[..., None]
+    if not np.all(np.isfinite(steps) & (steps > 0.0)):
+        raise ValueError(f"step must be positive and finite, got {step}")
     kind = complex if np.iscomplexobj(x) else float
     parts = np.asarray(x, dtype=kind)[..., None].view(float)
     if not np.all(np.isfinite(parts)):
@@ -144,28 +135,6 @@ def fronthaul(x, bits, variance, out=None):
     return quantize(x, levels, steps[:, None], out)
 
 
-def bussgang_alpha(levels, step):
-    """Linear gain E[x*g(x)] of the L-level quantizer g with step ``step``
-    for a unit-variance Gaussian input x; for an input of std sigma, pass
-    step/sigma."""
-    return _excess(levels, _one_step(levels, step))[0]
-
-
-def power_gain_gamma(levels, step):
-    """Output power E[g(x)**2] of the L-level quantizer g with step ``step``
-    for a unit-variance Gaussian input x; for an input of std sigma, pass
-    step/sigma."""
-    return _excess(levels, _one_step(levels, step))[1]
-
-
-def _one_step(levels, step):
-    """``step`` as a Python float, once it is one step of an L-level quantizer."""
-    d = _valid_steps(levels, step)
-    if d.ndim:
-        raise ValueError(f"step must be one step, got an array of shape {d.shape}")
-    return float(d)
-
-
 def distortion_power(gap, sigma_x2):
     """Variance of the Bussgang distortion term, sigma_x2*gap, for the gap
     gamma - alpha**2 of a row (``bussgang_row``) and one input variance or
@@ -200,7 +169,7 @@ def _excess(levels, d):
     """(alpha, gamma, 1 - alpha, gamma - alpha, gamma - alpha**2, newton) of the
     L-level quantizer at the normalized step ``d``, with newton a Newton estimate
     of the root of gamma - alpha (nan where there is none): the one evaluation
-    behind the row, its step solver and the two primitives.
+    behind the row and its step solver.
 
     The quantizer with infinitely many levels has gamma - alpha = G, with
     Sheppard's d**2/12 in the granular part G = d**2/12 + 2*S0 + d**2*S2/pi**2
@@ -216,8 +185,7 @@ def _excess(levels, d):
     The terms serve where ``_tail_end`` gives the tails an end and the summed
     1 - alpha is at most 1/4, so that alpha = 1 - (1 - alpha) does not cancel,
     nor does gamma = alpha + (gamma - alpha), as gamma - alpha >= alpha**2 -
-    alpha >= -alpha/4 (gamma >= alpha**2).  That holds at every row's step, so
-    the primitives there are the row's alpha and gamma to the bit.  Elsewhere
+    alpha >= -alpha/4 (gamma >= alpha**2); every row's step is such a step.  Elsewhere
     (deep overload far below the optimum, 2 levels, steps above the bracket)
     alpha and gamma come from their direct series over the orders
     l = 1..L/2 - 1, d*sqrt(2/pi)*(1/2 + sum(exp(-(l*d)**2/2))) and

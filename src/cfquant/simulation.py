@@ -26,8 +26,8 @@ from .quantizer import MAX_LEVELS, bussgang_row, distortion_power, fronthaul
 from .channel import (
     PathLossModel,
     _check_powers,
+    _runs,
     complex_normal,
-    complex_normal_runs,
     draw_geometry,
     draw_small_scale,
     large_scale_gains,
@@ -329,8 +329,8 @@ def run_sinr_campaign(cfg, n_workers=None, legacy_eq21=False):
     return _run_campaign(_sinr_trial, cfg, SINR_DEFAULT_BITS, n_workers, legacy_eq21)
 
 
-def write_cdf_csv(series, out_dir, campaign="cdf", cfg=None, **extra):
-    """Write one CSV per series and, given ``cfg``, the run's manifest; return their paths.
+def write_cdf_csv(series, out_dir, campaign, cfg, **extra):
+    """Write one CSV per series and the run's manifest; return their paths.
 
     Files are named ``{campaign}_b{label}.csv`` with header ``value,cum_prob`` and
     9 significant digits, rows in ascending value order, the i-th of N at
@@ -339,8 +339,8 @@ def write_cdf_csv(series, out_dir, campaign="cdf", cfg=None, **extra):
     ``{campaign}_manifest.json`` holds the campaign, the fields of ``cfg``, the
     labels as ``bits_list``, their ``bussgang_table`` and ``extra``.  A series that
     is not a 1-D real array, is empty, has a non-finite value, repeats an earlier
-    series' label (and so its file) or, given ``cfg``, is not labelled with a bit
-    depth is a ValueError before any file is written.
+    series' label (and so its file) or is not labelled with a bit depth that has a
+    Bussgang row is a ValueError before any file is written.
     """
     if not series:
         raise ValueError("no CDF series to write")
@@ -355,12 +355,11 @@ def write_cdf_csv(series, out_dir, campaign="cdf", cfg=None, **extra):
             raise ValueError(f"series {entry.label!r} is empty")
         if not np.isfinite(entry.values).all():
             raise ValueError(f"series {entry.label!r} has a non-finite value")
-        if cfg is not None and not entry.label.isdecimal():
+        if not entry.label.isdecimal():
             raise ValueError(f"series {entry.label!r} is not labelled with a bit depth")
-    if cfg is not None:
-        bits_list = [int(entry.label) for entry in series]
-        manifest = {"campaign": campaign, **asdict(cfg), "bits_list": bits_list,
-                    "bussgang_table": bussgang_table(bits_list), **extra}
+    bits_list = [int(entry.label) for entry in series]
+    manifest = {"campaign": campaign, **asdict(cfg), "bits_list": bits_list,
+                "bussgang_table": bussgang_table(bits_list), **extra}
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,11 +385,9 @@ def write_cdf_csv(series, out_dir, campaign="cdf", cfg=None, **extra):
                 handle.close()
     except OSError as exc:
         raise OSError(f"cannot write CDF file {path}: {exc}") from exc
-    if cfg is not None:
-        manifest_path = out_dir / f"{campaign}_manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        paths.append(manifest_path)
-    return paths
+    manifest_path = out_dir / f"{campaign}_manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return [*paths, manifest_path]
 
 
 def _row_format(start, n):
@@ -496,14 +493,9 @@ def _estimation_check(cfg, bits, alpha, gap, n_trials, stop):
     fading_re = np.empty((_MC_CHUNK, *beta.shape))
     noise_re = np.empty((_MC_CHUNK, cfg.m_aps, tau))
     for block in _blocks(n_trials, stop):
-        fading = complex_normal_runs(
-            rng_h, (block, *beta.shape), 1.0 / math.sqrt(2.0), _CORRELATE_ROWS, fading_re
-        )
-        pilot_noise = complex_normal_runs(
-            rng_n, (block, cfg.m_aps, tau), math.sqrt(sigma_n2 / 2.0), _CORRELATE_ROWS,
-            noise_re,
-        )
         err = fading_re[:block]
+        fading = _runs(rng_h, err, 1.0 / math.sqrt(2.0), _CORRELATE_ROWS)
+        pilot_noise = _runs(rng_n, noise_re[:block], math.sqrt(sigma_n2 / 2.0), _CORRELATE_ROWS)
         for start, g, n in zip(range(0, block, _CORRELATE_ROWS), fading, pilot_noise):
             g *= sqrt_beta
             d = correlate_all(simulate_pilot_phase(g, pilots, sigma_n2, bits, n, beta), pilots)

@@ -13,6 +13,7 @@ import pytest
 from scipy.special import erfc
 
 import cfquant as cq
+from cfquant.quantizer import _excess
 from cfquant.simulation import substream
 
 SEC = {"c1": 120.0, "c7": 600.0, "c8": 900.0}
@@ -78,8 +79,9 @@ def test_criterion_1_closed_forms_vs_sampling(unit_normal_pool):
             gx = cq.quantize(x, levels, step)
             prod = x * gx
             sq = gx * gx
-            alpha_err = abs(prod.mean() - cq.bussgang_alpha(levels, step))
-            gamma_err = abs(sq.mean() - cq.power_gain_gamma(levels, step))
+            alpha, gamma = _excess(levels, float(step))[:2]
+            alpha_err = abs(prod.mean() - alpha)
+            gamma_err = abs(sq.mean() - gamma)
             alpha_tol = max(2e-3, 4.0 * prod.std() / math.sqrt(x.size))
             gamma_tol = max(2e-3, 4.0 * sq.std() / math.sqrt(x.size))
             worst = max(worst, alpha_err / alpha_tol, gamma_err / gamma_tol)
@@ -98,7 +100,7 @@ def test_criterion_2_two_level_sdnr_flat():
     expected = (2.0 / math.pi) / (1.0 - 2.0 / math.pi)
     worst = 0.0
     for step in (0.5, 1.0, 2.0):
-        alpha, gamma = cq.bussgang_alpha(2, step), cq.power_gain_gamma(2, step)
+        alpha, gamma = _excess(2, step)[:2]
         value = cq.sdnr(alpha, gamma - alpha**2)
         worst = max(worst, abs(value - expected))
     report(2, worst <= 1e-9, f"max deviation {worst:.2e} from {expected:.6f} (tol 1e-9)")
@@ -381,7 +383,9 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
         outputs = []
         for tag, workers in (("a", 1), ("b", 2), ("c", 1)):
             series = runner(cfg, n_workers=workers)
-            paths = cq.write_cdf_csv(series, tmp_path / f"{campaign}_{tag}", campaign=campaign)
+            paths = cq.write_cdf_csv(
+                series, tmp_path / f"{campaign}_{tag}", campaign=campaign, cfg=cfg
+            )
             outputs.append(b"".join(sorted(p.read_bytes() for p in paths)))
         all_equal = all_equal and outputs[0] == outputs[1] == outputs[2]
     report(10, all_equal, "nmse and sinr CSV outputs identical across reruns and 1 vs 2 workers")

@@ -7,8 +7,8 @@ import pytest
 
 from cfquant.channel import (
     PathLossModel,
+    _runs,
     complex_normal,
-    complex_normal_runs,
     draw_geometry,
     draw_small_scale,
     large_scale_gains,
@@ -74,6 +74,17 @@ class TestPathLoss:
     def test_rejects_nan_exponent(self, field):
         with pytest.raises(ValueError, match="exponents must be positive"):
             PathLossModel(**{field: math.nan})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"gamma0": math.inf}, "exponents must be positive and finite"),
+         ({"gamma1": math.inf}, "exponents must be positive and finite"),
+         ({"d1": math.inf}, "need 0 < d0 < d1 < inf")],
+        ids=["gamma0", "gamma1", "d1"],
+    )
+    def test_rejects_infinite_parameter(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PathLossModel(**kwargs)
 
 
 class TestNoiseVariance:
@@ -173,6 +184,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             draw_geometry(0, 4, 100.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("l_serv", [math.inf, -100.0, 0.0, math.nan])
+    def test_rejects_side_not_positive_and_finite(self, l_serv):
+        # An infinite side ended in numpy's OverflowError, a negative one drew silently.
+        with pytest.raises(ValueError, match="l_serv must be positive and finite"):
+            draw_geometry(2, 2, l_serv, np.random.default_rng(0))
+
 
 class TestLargeScaleGains:
     def test_no_shadowing_reduces_to_path_loss(self, model):
@@ -221,6 +238,12 @@ class TestLargeScaleGains:
         ap, ut = draw_geometry(2, 2, 100.0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="sigma_sh_db must be nonnegative"):
             large_scale_gains(ap, ut, model, math.nan, np.random.default_rng(0))
+
+    def test_rejects_infinite_sigma(self, model):
+        # An infinite spread gave gains of inf and 0.
+        ap, ut = draw_geometry(2, 2, 100.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sigma_sh_db must be nonnegative and finite"):
+            large_scale_gains(ap, ut, model, math.inf, np.random.default_rng(0))
 
 
 class TestSmallScaleFading:
@@ -324,15 +347,14 @@ class TestComplexNormal:
 class TestComplexNormalRuns:
     @pytest.mark.parametrize("rows", [3, 7, 20])
     def test_runs_concatenate_to_one_draw(self, rows):
-        # Ragged runs over 7 leading rows with a per-AP-row scale; each run, and its
-        # rows of the real buffer, are overwritten as soon as it is yielded.
+        # Ragged runs over 7 leading rows of the first values of a longer buffer;
+        # each run, and its rows of the real buffer, are overwritten as soon as it
+        # is yielded.
         shape = (7, 4, 5)
-        scale = np.array([0.5, 2.0, 1e-3, 1.0])[:, None]
-        expected = complex_normal(np.random.default_rng(5), shape, scale)
-        real = np.empty(200)
-        real_rows = real[: math.prod(shape)].reshape(shape)
+        expected = complex_normal(np.random.default_rng(5), shape, 0.5)
+        real_rows = np.empty((10, 4, 5))[: shape[0]]
         got, start = [], 0
-        for run in complex_normal_runs(np.random.default_rng(5), shape, scale, rows, real):
+        for run in _runs(np.random.default_rng(5), real_rows, 0.5, rows):
             assert run.shape == (min(rows, shape[0] - start), *shape[1:])
             got.append(run.copy())
             run[...] = np.nan
@@ -342,33 +364,21 @@ class TestComplexNormalRuns:
         np.testing.assert_array_equal(np.concatenate(got), expected)
 
     def test_runs_longer_than_the_buffer(self):
-        # Each leading row holds 20,000 values, more than the 16,384-value buffer,
-        # and the per-AP-row scale is read through its broadcast view.
+        # Each leading row holds 20,000 values, more than complex_normal's
+        # 16,384-value buffer.
         shape = (5, 40, 500)
-        scale = np.linspace(0.5, 2.0, 40)[:, None]
-        expected = complex_normal(np.random.default_rng(7), shape, scale)
-        runs = complex_normal_runs(
-            np.random.default_rng(7), shape, scale, 2, np.empty(math.prod(shape))
-        )
+        expected = complex_normal(np.random.default_rng(7), shape, 1.5)
+        runs = _runs(np.random.default_rng(7), np.empty(shape), 1.5, 2)
         np.testing.assert_array_equal(np.concatenate([run.copy() for run in runs]), expected)
 
     def test_real_parts_fill_the_buffer(self):
         # The rows ahead of a yielded run hold their real parts; the run's own rows
         # were drawn over once its real parts were copied out.
         real = np.empty((10, 2))
-        runs = complex_normal_runs(np.random.default_rng(2), (3, 2), 0.5, 2, real)
+        runs = _runs(np.random.default_rng(2), real[:3], 0.5, 2)
         next(runs)
         ahead = real[2].copy()
         np.testing.assert_array_equal(ahead, next(runs)[0].real)
-
-    @pytest.mark.parametrize(
-        "real",
-        [np.empty(5), np.empty(12, dtype=complex), np.empty((4, 6)).T],
-        ids=["small", "complex", "strided"],
-    )
-    def test_rejects_unfit_buffers(self, real):
-        with pytest.raises(ValueError, match="real"):
-            complex_normal_runs(np.random.default_rng(2), (3, 4), 1.0, 2, real)
 
 
 class TestReceivedVariance:
@@ -413,3 +423,7 @@ class TestReceivedVariance:
     def test_rejects_nan_gain(self):
         with pytest.raises(ValueError, match="gains must be nonnegative"):
             received_variance(np.array([[0.2, np.nan], [0.1, 0.3]]), 1.0, 0.1)
+
+    def test_rejects_infinite_gain(self):
+        with pytest.raises(ValueError, match="gains must be nonnegative and finite"):
+            received_variance(np.array([math.inf, 1.0]), 1.0, 0.1)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -300,13 +301,52 @@ class TestValidateCommand:
         assert "checks passed" not in capsys.readouterr().out
 
 
-def run_fresh(*args, **kwargs):
-    """``python ARGS`` in a fresh interpreter that imports this checkout's cfquant."""
+def run_fresh(*args, env=None, **kwargs):
+    """``python ARGS`` in a fresh interpreter that imports this checkout's cfquant,
+    in the environment ``env`` (by default this process's)."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, text=True, **kwargs
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+# Runs two small campaigns through cli.main into the directory argv[2]; with
+# argv[1] == "fallback", on the numpy receiver kernel, as without the bundled OpenBLAS.
+_TWO_CAMPAIGNS = """
+import sys
+from cfquant import cli, detection, simulation
+if sys.argv[1] == "fallback":
+    detection._openblas = simulation._openblas = lambda: None
+small = ["--m-aps", "8", "--k-users", "3", "--geoms", "2", "--workers", "1", "--out", sys.argv[2]]
+cli.main(["sinr-cdf", "--smallscale", "2", *small])
+cli.main(["nmse-cdf", *small])
+"""
+
+
+class TestBlasCores:
+    def test_csvs_identical_across_cores_and_the_fallback(self, tmp_path):
+        # The CSVs and manifests of both campaigns do not depend on the kernels
+        # OpenBLAS picks for the CPU (SkylakeX on AVX-512 machines, Haswell on
+        # AVX2 ones) nor on whether the receiver kernel runs on numpy instead.
+        base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        variants = {
+            "default": (base, "openblas"),
+            "Haswell": ({**base, "OPENBLAS_CORETYPE": "Haswell"}, "openblas"),
+            "fallback": (base, "fallback"),
+        }
+        digests = {}
+        for name, (env, kernel) in variants.items():
+            out = tmp_path / name
+            result = run_fresh("-c", _TWO_CAMPAIGNS, kernel, str(out), env=env,
+                               capture_output=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            digests[name] = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.iterdir())
+            }
+        assert len(digests["default"]) == 15  # 6 sinr and 7 nmse CSVs, 2 manifests
+        assert digests["Haswell"] == digests["default"]
+        assert digests["fallback"] == digests["default"]
 
 
 class TestEntryPoint:

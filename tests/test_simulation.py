@@ -19,11 +19,10 @@ from cfquant.cli import _VALIDATE_DEFAULTS
 from cfquant.detection import error_variances, per_user_sinr
 from cfquant.quantizer import (
     FlatObjectiveWarning,
-    bussgang_alpha,
+    _excess,
     bussgang_row,
     distortion_power,
     optimal_step,
-    power_gain_gamma,
 )
 from cfquant.simulation import (
     _CORRELATE_ROWS,
@@ -258,9 +257,9 @@ def csv_columns(path):
 
 class TestCdf:
     def test_sorting_and_probabilities(self, tmp_path):
-        (series,) = make_cdf([[0.2, 0.1, 0.3]], ["x"])
+        (series,) = make_cdf([[0.2, 0.1, 0.3]], ["4"])
         np.testing.assert_allclose(series.values, [0.1, 0.2, 0.3])
-        _, probs = csv_columns(write_cdf_csv([series], tmp_path)[0])
+        _, probs = csv_columns(write_cdf_csv([series], tmp_path, campaign="nmse", cfg=SMALL)[0])
         np.testing.assert_allclose(probs, [1 / 3, 2 / 3, 1.0])
 
     def test_empty_rejected(self):
@@ -269,9 +268,9 @@ class TestCdf:
 
     def test_monotone_invariants(self, tmp_path):
         rng = np.random.default_rng(0)
-        (series,) = make_cdf(rng.normal(size=(1, 1000)), ["n"])
+        (series,) = make_cdf(rng.normal(size=(1, 1000)), ["4"])
         assert np.all(np.diff(series.values) >= 0.0)
-        _, probs = csv_columns(write_cdf_csv([series], tmp_path)[0])
+        _, probs = csv_columns(write_cdf_csv([series], tmp_path, campaign="sinr", cfg=SMALL)[0])
         assert np.all(np.diff(probs) > 0.0)
         assert probs[0] == pytest.approx(1e-3)
         assert probs[-1] == 1.0
@@ -294,8 +293,8 @@ class TestCdf:
 class TestWriteCsv:
     def test_file_contents(self, tmp_path):
         series = make_cdf([[0.2, 0.1, 0.3]], ["4"])
-        paths = write_cdf_csv(series, tmp_path, campaign="nmse")
-        assert [p.name for p in paths] == ["nmse_b4.csv"]
+        paths = write_cdf_csv(series, tmp_path, campaign="nmse", cfg=SMALL)
+        assert [p.name for p in paths] == ["nmse_b4.csv", "nmse_manifest.json"]
         lines = paths[0].read_text().splitlines()
         assert lines[0] == "value,cum_prob"
         assert lines[1].startswith("0.1,")
@@ -309,8 +308,8 @@ class TestWriteCsv:
             CdfSeries("6", values * 1.5),
             CdfSeries("8", values[:3] + 1.0),
         ]
-        paths = write_cdf_csv(series, tmp_path, campaign="sinr")
-        for entry, path in zip(series, paths, strict=True):
+        paths = write_cdf_csv(series, tmp_path, campaign="sinr", cfg=SMALL)
+        for entry, path in zip(series, paths[:-1], strict=True):
             n = entry.values.size
             rows = "".join(f"{v:.9g},{i / n:.9g}\n" for i, v in enumerate(entry.values, start=1))
             assert path.read_bytes() == ("value,cum_prob\n" + rows).encode()
@@ -328,8 +327,8 @@ class TestWriteCsv:
             CdfSeries("8", np.arange(n, dtype=np.int64) * 7_919 - 2**60),
             CdfSeries("10", np.resize(pattern[::-1], 3 * _CSV_ROWS // 2)),
         ]
-        paths = write_cdf_csv(series, tmp_path, campaign="sinr")
-        for entry, path in zip(series, paths, strict=True):
+        paths = write_cdf_csv(series, tmp_path, campaign="sinr", cfg=SMALL)
+        for entry, path in zip(series, paths[:-1], strict=True):
             size = entry.values.size
             rows = "".join(
                 f"{v:.9g},{i / size:.9g}\n" for i, v in enumerate(entry.values.tolist(), start=1)
@@ -340,11 +339,11 @@ class TestWriteCsv:
         # One nmse-cdf file at the reference scenario: 50 geometries of 200 x 40 pairs.
         # Whole-series Python strings and floats would take about 40 MB.
         (series,) = make_cdf(np.random.default_rng(4).lognormal(size=(1, 400_000)), ["4"])
-        assert _traced_peak(partial(write_cdf_csv, [series], tmp_path)) < 2e6
+        assert _traced_peak(partial(write_cdf_csv, [series], tmp_path, "nmse", SMALL)) < 2e6
         # The six files of a sinr-cdf campaign at the reference scenario, 50 geometries
         # of 10 draws of 40 users each, written side by side: about 3.6 MB of text.
-        series = make_cdf(np.random.default_rng(5).lognormal(size=(6, 20_000)), range(6))
-        assert _traced_peak(partial(write_cdf_csv, series, tmp_path)) < 2e6
+        series = make_cdf(np.random.default_rng(5).lognormal(size=(6, 20_000)), SINR_DEFAULT_BITS)
+        assert _traced_peak(partial(write_cdf_csv, series, tmp_path, "sinr", SMALL)) < 2e6
 
     @pytest.mark.parametrize(
         "bad", [np.ones((2, 2)), np.array([0.1, 0.2j])], ids=["two-dimensional", "complex"]
@@ -352,7 +351,7 @@ class TestWriteCsv:
     def test_malformed_series_rejected_before_any_file(self, tmp_path, bad):
         series = [CdfSeries("4", np.array([0.1, 0.2])), CdfSeries("8", bad)]
         with pytest.raises(ValueError, match="series '8' is not a 1-D real array"):
-            write_cdf_csv(series, tmp_path, campaign="sinr")
+            write_cdf_csv(series, tmp_path, campaign="sinr", cfg=SMALL)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -372,7 +371,7 @@ class TestWriteCsv:
         # Both series would go to one file, sinr_b4.csv.
         series = [*make_cdf([[0.1, 0.2], [0.3, 0.4]], [4, 6]), CdfSeries("4", np.array([0.5]))]
         with pytest.raises(ValueError, match="series '4' repeats a label"):
-            write_cdf_csv(series, tmp_path, campaign="sinr")
+            write_cdf_csv(series, tmp_path, campaign="sinr", cfg=SMALL)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -407,41 +406,40 @@ class TestWriteCsv:
 
     def test_rerun_identical(self, tmp_path):
         series = make_cdf(np.random.default_rng(1).normal(size=(1, 100)), ["8"])
-        first = write_cdf_csv(series, tmp_path / "a", campaign="sinr")[0].read_bytes()
-        second = write_cdf_csv(series, tmp_path / "b", campaign="sinr")[0].read_bytes()
+        first = write_cdf_csv(series, tmp_path / "a", campaign="sinr", cfg=SMALL)[0].read_bytes()
+        second = write_cdf_csv(series, tmp_path / "b", campaign="sinr", cfg=SMALL)[0].read_bytes()
         assert first == second
 
     def test_empty_series_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_cdf_csv([], tmp_path)
+            write_cdf_csv([], tmp_path, campaign="nmse", cfg=SMALL)
 
     def test_unwritable_path_reports_filename(self, tmp_path):
         (tmp_path / "nmse_b4.csv").mkdir()  # occupies the target filename
         series = make_cdf([[1.0]], ["4"])
         with pytest.raises(OSError, match="nmse_b4.csv"):
-            write_cdf_csv(series, tmp_path, campaign="nmse")
+            write_cdf_csv(series, tmp_path, campaign="nmse", cfg=SMALL)
 
     def test_uncreatable_directory_reported(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         series = make_cdf([[1.0]], ["4"])
         with pytest.raises(OSError, match="blocker"):
-            write_cdf_csv(series, blocker / "sub", campaign="nmse")
+            write_cdf_csv(series, blocker / "sub", campaign="nmse", cfg=SMALL)
 
 
 class TestBussgangRow:
     @pytest.mark.parametrize("levels", [4, 6, 100, 10_000, 16_384])
     def test_bit_identical_to_primitives(self, levels):
         # The step to the bit, and Python floats, as the manifests record them.
-        # alpha and gamma at the step read the same cancellation-free terms as the
-        # row, so they are its alpha and gamma to the bit.
+        # One ``_excess`` at the step gives alpha and gamma from the same
+        # cancellation-free terms as the row, so they are its alpha and gamma to the bit.
         step = optimal_step(levels)
         row = bussgang_row(levels)
         assert list(row) == ["step", "alpha", "gamma", "gap"]
         assert all(type(value) is float for value in row.values())
         assert repr(row["step"]) == repr(step)
-        assert row["alpha"] == bussgang_alpha(levels, step)
-        assert row["gamma"] == power_gain_gamma(levels, step)
+        assert (row["alpha"], row["gamma"]) == _excess(levels, step)[:2]
         assert 0.0 < row["gap"] < row["gamma"]
 
     def test_steps_independent_of_blas_threads(self):
@@ -464,8 +462,7 @@ class TestBussgangRow:
         with pytest.warns(FlatObjectiveWarning):
             first = bussgang_table(bits_list)
         computed = []
-        for name in ("bussgang_alpha", "power_gain_gamma"):
-            monkeypatch.setattr(quantizer, name, lambda *args, name=name: computed.append(name))
+        monkeypatch.setattr(quantizer, "_excess", lambda *args: computed.append(args))
         with pytest.warns(FlatObjectiveWarning):  # at 2 levels on every call
             second = bussgang_table(bits_list)
         assert computed == []
@@ -504,8 +501,8 @@ class TestNmseCampaign:
         second = run_nmse_campaign(SMALL, n_workers=2)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.values, b.values)
-        bytes_a = write_cdf_csv(first, tmp_path / "a", campaign="nmse")[0].read_bytes()
-        bytes_b = write_cdf_csv(second, tmp_path / "b", campaign="nmse")[0].read_bytes()
+        bytes_a = write_cdf_csv(first, tmp_path / "a", campaign="nmse", cfg=SMALL)[0].read_bytes()
+        bytes_b = write_cdf_csv(second, tmp_path / "b", campaign="nmse", cfg=SMALL)[0].read_bytes()
         assert bytes_a == bytes_b
 
     def test_custom_bits_list(self):
@@ -718,8 +715,12 @@ def test_campaign_csv_bytes_pinned(tmp_path, case):
         "sinr": lambda: run_sinr_campaign(cfg),
         "sinr-legacy": lambda: run_sinr_campaign(cfg, legacy_eq21=True),
     }[campaign]()
-    paths = write_cdf_csv(series, tmp_path, campaign=campaign.split("-")[0])
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    paths = write_cdf_csv(series, tmp_path, campaign=campaign.split("-")[0], cfg=cfg)
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in paths
+        if path.suffix == ".csv"
+    }
     assert got == PINNED_CSV[case]
 
 
