@@ -96,6 +96,8 @@ def large_scale_gains(ap, ut, model, sigma_sh_db, rng):
     """
     if not 0.0 <= sigma_sh_db < math.inf:
         raise ValueError("sigma_sh_db must be nonnegative and finite")
+    if not (np.isfinite(ap).all() and np.isfinite(ut).all()):
+        raise ValueError("AP and UT coordinates must be finite")
     diff = ap[:, None, :] - ut[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))
     shadow_db = rng.normal(0.0, sigma_sh_db, size=d.shape) if sigma_sh_db > 0.0 else np.zeros(d.shape)

@@ -83,8 +83,9 @@ _MC_CHUNK = 10_000
 # higher: the helper thread's glibc arena grew to 9.5-9.8 MB instead of 7.3 (in about
 # one process in four, in runs of 500).
 _CORRELATE_ROWS = 250
-# Rows per write of a CDF file, which bounds the writer's working set whatever N is.
-_CSV_ROWS = 4_096
+# Rows per write of a CDF file, which bounds the writer's working set whatever N is:
+# the six 20,000-row sinr-cdf files at the reference scenario peak at 0.13 MB traced.
+_CSV_ROWS = 1_024
 
 
 def substream(seed, stream, *keys):
@@ -298,12 +299,38 @@ def _sinr_trial(cfg, table, legacy_eq21, trial):
     return (10.0 * np.log10(sinr)).swapaxes(0, 1).reshape(len(table), -1)
 
 
-def _run_campaign(trial, cfg, default_bits, n_workers, *args):
-    """One CDF per bit depth, pooling ``trial(cfg, table, *args, t)`` over the trials t."""
+def _run_campaign(trial, cfg, default_bits, n_workers, per_trial, *args):
+    """One CDF per bit depth, pooling ``trial(cfg, table, *args, t)``, a (bits,
+    ``per_trial``) array, over the trials t.  The pool is one (bits, N) float64
+    array, N = n_geometries * per_trial, allocated before the first trial: each
+    trial is copied into its own columns, and the pool is sorted in place.  A pool
+    larger than the machine's physical memory is a ValueError before any trial."""
     bits_list = cfg.resolved_bits(default_bits)
+    shape = (len(bits_list), cfg.n_geometries * per_trial)
+    _check_fits(shape)
     table = bussgang_table(bits_list)
-    tasks = [partial(trial, cfg, table, *args, t) for t in range(cfg.n_geometries)]
-    return make_cdf(np.concatenate(_run_tasks(tasks, n_workers), axis=1), bits_list)
+    pool = np.empty(shape)
+
+    def pooled(t):
+        pool[:, t * per_trial : (t + 1) * per_trial] = trial(cfg, table, *args, t)
+
+    _run_tasks([partial(pooled, t) for t in range(cfg.n_geometries)], n_workers)
+    return make_cdf(pool, bits_list)
+
+
+def _check_fits(shape):
+    """A ValueError when a float64 array of ``shape`` is larger than the machine's
+    physical memory; nothing where ``os.sysconf`` cannot tell its size."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return
+    size = 8 * math.prod(shape)
+    if 0 < physical < size:
+        raise ValueError(
+            f"the campaign pools {shape[0]} x {shape[1]} float64 values, {size / 1e9:.3g} GB, "
+            f"more than this machine's {physical / 1e9:.3g} GB of physical memory"
+        )
 
 
 def run_nmse_campaign(cfg, n_workers=None):
@@ -314,7 +341,7 @@ def run_nmse_campaign(cfg, n_workers=None):
     trials run on ``n_workers`` threads, by default the usable cores
     (``_run_tasks``); the CDFs do not depend on it.
     """
-    return _run_campaign(_nmse_trial, cfg, NMSE_DEFAULT_BITS, n_workers)
+    return _run_campaign(_nmse_trial, cfg, NMSE_DEFAULT_BITS, n_workers, cfg.m_aps * cfg.k_users)
 
 
 def run_sinr_campaign(cfg, n_workers=None, legacy_eq21=False):
@@ -326,7 +353,9 @@ def run_sinr_campaign(cfg, n_workers=None, legacy_eq21=False):
     ``n_workers`` threads, by default the usable cores (``_run_tasks``);
     the CDFs do not depend on it.
     """
-    return _run_campaign(_sinr_trial, cfg, SINR_DEFAULT_BITS, n_workers, legacy_eq21)
+    return _run_campaign(
+        _sinr_trial, cfg, SINR_DEFAULT_BITS, n_workers, cfg.k_users * cfg.n_smallscale, legacy_eq21
+    )
 
 
 def write_cdf_csv(series, out_dir, campaign, cfg, **extra):

@@ -245,6 +245,16 @@ class TestLargeScaleGains:
         with pytest.raises(ValueError, match="sigma_sh_db must be nonnegative and finite"):
             large_scale_gains(ap, ut, model, math.inf, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("side", ["ap", "ut"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_coordinate(self, model, side, bad):
+        # An infinite coordinate gave a gain of exactly 0; a NaN one failed only in
+        # path_loss, as a negative distance.
+        positions = dict(zip(["ap", "ut"], draw_geometry(2, 2, 100.0, np.random.default_rng(0))))
+        positions[side][1, 0] = bad
+        with pytest.raises(ValueError, match="AP and UT coordinates must be finite"):
+            large_scale_gains(*positions.values(), model, 0.0, np.random.default_rng(0))
+
 
 class TestSmallScaleFading:
     def test_unit_power(self):

@@ -124,6 +124,20 @@ class TestCampaignCommands:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    def test_pool_larger_than_memory_rejected_before_output(self, monkeypatch, tmp_path):
+        # 10**9 geometries of 200 x 40 pairs at 7 bit depths, against 4 GiB of memory
+        # that the patched sysconf reports; nothing of that size is allocated.
+        memory = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["nmse-cdf", "--geoms", str(10**9), "--out", str(out)])
+        assert exc.value.code == (
+            "nmse-cdf: the campaign pools 7 x 8000000000000 float64 values, 4.48e+05 GB, "
+            "more than this machine's 4.29 GB of physical memory"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,flags,message",
         [

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -509,6 +510,74 @@ class TestNmseCampaign:
         cfg = SimulationConfig(m_aps=8, k_users=3, n_geometries=2, bits_list=(5, 0), seed=2)
         series = run_nmse_campaign(cfg)
         assert [s.label for s in series] == ["5", "0"]
+
+    def test_pool_memory_bounded(self):
+        # One copy of the pooled samples: trials listed and then concatenated held two.
+        cfg = SimulationConfig(m_aps=50, k_users=10, n_geometries=40, seed=3)
+        pool_bytes = 8 * len(NMSE_DEFAULT_BITS) * cfg.n_geometries * cfg.m_aps * cfg.k_users
+        run_nmse_campaign(SMALL)  # the cached steps and numpy.random's import, untraced
+        assert _traced_peak(partial(run_nmse_campaign, cfg, n_workers=1)) < 1.3 * pool_bytes
+
+    def test_pool_filled_by_many_threads(self):
+        # Four workers on fewer cores, switching every microsecond, each copying its
+        # trials into its own columns of the one pool: the serial run's values.
+        cfg = SimulationConfig(m_aps=6, k_users=3, n_geometries=64, seed=8)
+        serial = run_nmse_campaign(cfg, n_workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_nmse_campaign(cfg, n_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded, strict=True):
+            np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestPoolFits:
+    """A campaign whose pool is larger than the physical memory is refused before
+    its first trial; the memory size is patched, and nothing that large is allocated."""
+
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        ran = []
+        for name in ("_nmse_trial", "_sinr_trial"):
+            trial = getattr(simulation, name)
+            monkeypatch.setattr(
+                simulation, name, lambda *args, trial=trial: ran.append(args[-1]) or trial(*args)
+            )
+        return ran
+
+    @staticmethod
+    def physical_memory(pages, page_size=4096):
+        return {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page_size}.__getitem__
+
+    @pytest.mark.parametrize(
+        "campaign,shape",
+        [(run_nmse_campaign, "7 x 10800 float64 values, 0.000605 GB"),
+         (run_sinr_campaign, "6 x 1440 float64 values, 6.91e-05 GB")],
+        ids=["nmse", "sinr"],
+    )
+    def test_refused_before_any_trial(self, monkeypatch, trials, campaign, shape):
+        cfg = SimulationConfig(m_aps=15, k_users=6, n_geometries=120, n_smallscale=2, seed=11)
+        monkeypatch.setattr(simulation.os, "sysconf", self.physical_memory(2))
+        message = f"the campaign pools {shape}, more than this machine's 8.19e-06 GB of physical"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            campaign(cfg)
+        assert trials == []
+
+    def test_pool_as_large_as_memory_runs(self, monkeypatch, trials):
+        # 7 x 360 float64 values: 20,160 bytes, exactly the memory.
+        monkeypatch.setattr(simulation.os, "sysconf", self.physical_memory(5, 4032))
+        assert len(run_nmse_campaign(SMALL)) == len(NMSE_DEFAULT_BITS)
+        assert sorted(trials) == list(range(SMALL.n_geometries))
+
+    def test_runs_where_memory_size_is_unknown(self, monkeypatch, trials):
+        def unknown(name):
+            raise ValueError("unrecognized configuration name")
+
+        monkeypatch.setattr(simulation.os, "sysconf", unknown)
+        assert len(run_sinr_campaign(SMALL)) == len(SINR_DEFAULT_BITS)
+        assert sorted(trials) == list(range(SMALL.n_geometries))
 
 
 class TestSinrCampaign:
