@@ -15,10 +15,12 @@ from cfquant import (
     draw_geometry,
     draw_small_scale,
     estimation_mse,
+    fronthaul,
     large_scale_gains,
     lmmse_coefficient,
     make_pilot_book,
     noise_variance,
+    received_variance,
     simulate_pilot_phase,
 )
 
@@ -36,7 +38,9 @@ G = h * np.sqrt(beta)
 
 # Every AP quantizes with the same normalized step; the absolute step
 # follows its own received variance, so the linearization coefficients
-# are shared across APs.
+# are shared across APs.  Pilot symbols have unit power, so that variance
+# is sum_k beta_mk + sigma_n2.
+sigma_m2 = received_variance(beta, 1.0, sigma_n2)
 row = bussgang_row(LEVELS)
 alpha, gap = row["alpha"], row["gap"]  # gap: gamma - alpha**2, summed without cancellation
 print(f"{BITS}-bit fronthaul: alpha={alpha:.5f}, gamma={row['gamma']:.5f}")
@@ -49,12 +53,12 @@ pilots = make_pilot_book(K, tau)  # the (tau, K) pilot matrix
 c = lmmse_coefficient(beta, tau, alpha, gap, sigma_n2)
 mse, nmse = estimation_mse(beta, tau, alpha, gap, sigma_n2)
 # The receiver noise of one pilot block, (M, tau) complex samples of variance
-# sigma_n2, is drawn here; the pilot phase adds it to the clean samples and
-# quantizes the sum in place.
+# sigma_n2, is drawn here; the pilot phase adds it to the clean samples in
+# place, and the fronthaul quantizes that sum, also in place.
 noise_block = (M, tau)
 noise_scale = np.sqrt(sigma_n2 / 2.0)
 n = complex_normal(rng, noise_block, noise_scale)
-y = simulate_pilot_phase(G, pilots, sigma_n2, BITS, n, beta)
+y = fronthaul(simulate_pilot_phase(G, pilots, n), BITS, sigma_m2, out=n)
 g_hat = c * correlate_all(y, pilots)
 
 realized = np.abs(g_hat - G) ** 2
@@ -71,7 +75,7 @@ for _ in range(trials):
     h = draw_small_scale(M, K, rng)
     G = h * np.sqrt(beta)
     n = complex_normal(rng, noise_block, noise_scale)
-    y = simulate_pilot_phase(G, pilots, sigma_n2, BITS, n, beta)
+    y = fronthaul(simulate_pilot_phase(G, pilots, n), BITS, sigma_m2, out=n)
     acc += np.abs(c * correlate_all(y, pilots) - G) ** 2
 ratio = (acc / trials) / mse
 print(f"\nempirical/closed-form MSE ratio over {trials} pilot phases: "

@@ -32,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import _check_powers, complex_normal, received_variance
-from .quantizer import fronthaul
+from .channel import _check_powers, complex_normal
 
 __all__ = [
     "simulate_uplink",
@@ -43,24 +42,19 @@ __all__ = [
 ]
 
 
-def simulate_uplink(G, symbols, sigma_s2, sigma_n2, bits, rng, beta):
-    """Uplink observation as forwarded over a ``bits``-bit fronthaul,
-    shape (M,) or (..., M, T).
+def simulate_uplink(G, symbols, sigma_n2, rng):
+    """Unquantized uplink observation G*s + n, shape (M,) or (..., M, T).
 
-    ``symbols`` holds one transmit vector (K,) or blocks (..., K, T) of
-    power sigma_s2; ``G`` may carry the same leading trial axes.  Receiver
-    noise of variance sigma_n2 is drawn from ``rng`` and each AP quantizes at
-    the step optimal for its data-phase variance sigma_s2 * sum_k beta_mk +
-    sigma_n2, from the large-scale gains ``beta``; ``bits == 0`` leaves the
-    samples unquantized.
+    ``symbols`` holds one transmit vector (K,) or blocks (..., K, T); ``G`` may carry
+    the same leading trial axes, and ``rng`` draws the noise n of variance sigma_n2.
+    The caller sizes each AP's fronthaul at ``received_variance(beta, sigma_s2, sigma_n2)``.
     """
-    _check_powers(sigma_n2, sigma_s2)
+    _check_powers(sigma_n2)
     symbols = np.asarray(symbols)
     vector = symbols.ndim == 1
     x = (G @ (symbols[:, None] if vector else symbols)).astype(complex, copy=False)
     complex_normal(rng, x.shape, np.sqrt(sigma_n2 / 2.0), add_to=x)
-    y = fronthaul(x, bits, received_variance(beta, sigma_s2, sigma_n2), out=x)
-    return y[:, 0] if vector else y
+    return x[:, 0] if vector else x
 
 
 # Symbol, argument types and result type of each routine.  The BLAS and

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .channel import _check_powers, received_variance
-from .quantizer import _checked_gap, fronthaul
+from .quantizer import _checked_gap
 
 __all__ = [
     "make_pilot_book",
@@ -38,21 +37,18 @@ def make_pilot_book(k_users, tau):
     return np.exp(-2j * math.pi * np.outer(t, t[:k_users]) / tau) / math.sqrt(tau)
 
 
-def simulate_pilot_phase(G, pilots, sigma_n2, bits, noise_samples, beta):
-    """Pilot observations as forwarded over a ``bits``-bit fronthaul,
-    shape (..., M, tau), formed in place in ``noise_samples`` and returned.
+def simulate_pilot_phase(G, pilots, noise_samples):
+    """Unquantized pilot observations, shape (..., M, tau), formed in place in
+    ``noise_samples`` and returned.
 
     ``G`` is one (M, K) channel draw or a stack (..., M, K) of them, and
     ``pilots`` the (tau, K) pilot matrix of ``make_pilot_book``.  The clean
     sample at AP m and symbol t is sqrt(tau) * sum_k g_mk * pilots[t, k];
-    ``noise_samples``, the complex receiver noise of that shape, is added to
-    it: for example ``complex_normal(rng, shape, sqrt(sigma_n2 / 2))``,
-    which the Monte Carlo check draws in runs.  Pilot symbols have unit power, so
-    each AP quantizes at the step optimal for its pilot-phase variance
-    sum_k beta_mk + sigma_n2, from the large-scale gains ``beta``;
-    ``bits == 0`` leaves the samples unquantized.
+    ``noise_samples``, the complex receiver noise of that shape, is added to it: for
+    example ``complex_normal(rng, shape, sqrt(sigma_n2 / 2))``, drawn in runs by the
+    Monte Carlo check.  Pilot symbols have unit power, so the caller sizes each AP's
+    fronthaul at its pilot-phase variance ``received_variance(beta, 1.0, sigma_n2)``.
     """
-    _check_powers(sigma_n2)
     k_users = G.shape[-1]
     tau, k_pilots = pilots.shape
     if k_pilots != k_users:
@@ -62,9 +58,7 @@ def simulate_pilot_phase(G, pilots, sigma_n2, bits, noise_samples, beta):
         raise ValueError(f"noise_samples must be a complex array of shape {clean.shape}")
     clean *= math.sqrt(tau)
     noise_samples += clean  # the bits of clean + noise_samples, without a third array
-    del clean  # before the quantizer's pass over the samples
-    variance = received_variance(beta, 1.0, sigma_n2)
-    return fronthaul(noise_samples, bits, variance, out=noise_samples)
+    return noise_samples
 
 
 def correlate_all(y, pilots):

@@ -382,7 +382,7 @@ def write_cdf_csv(series, out_dir, campaign, cfg, **extra):
             raise ValueError(f"series {entry.label!r} is not a 1-D real array")
         if entry.values.size == 0:
             raise ValueError(f"series {entry.label!r} is empty")
-        if not np.isfinite(entry.values).all():
+        if not (math.isfinite(entry.values.min()) and math.isfinite(entry.values.max())):
             raise ValueError(f"series {entry.label!r} has a non-finite value")
         if not entry.label.isdecimal():
             raise ValueError(f"series {entry.label!r} is not labelled with a bit depth")
@@ -510,6 +510,7 @@ def _estimation_check(cfg, bits, alpha, gap, n_trials, stop):
     sigma_n2 = cfg.sigma_n2
     tau = cfg.tau
     pilots = make_pilot_book(cfg.k_users, tau)
+    variance = received_variance(beta, 1.0, sigma_n2)  # unit-power pilot symbols
     c = lmmse_coefficient(beta, tau, alpha, gap, sigma_n2)
     mse, _ = estimation_mse(beta, tau, alpha, gap, sigma_n2)
     sqrt_beta = np.sqrt(beta)
@@ -527,7 +528,8 @@ def _estimation_check(cfg, bits, alpha, gap, n_trials, stop):
         pilot_noise = _runs(rng_n, noise_re[:block], math.sqrt(sigma_n2 / 2.0), _CORRELATE_ROWS)
         for start, g, n in zip(range(0, block, _CORRELATE_ROWS), fading, pilot_noise):
             g *= sqrt_beta
-            d = correlate_all(simulate_pilot_phase(g, pilots, sigma_n2, bits, n, beta), pilots)
+            fronthaul(simulate_pilot_phase(g, pilots, n), bits, variance, out=n)
+            d = correlate_all(n, pilots)
             d *= c
             d -= g
             np.abs(d, out=err[start : start + len(g)])
@@ -581,9 +583,7 @@ def _detection_checks(cfg, bits, alpha, gap, n_trials, stop):
     orthogonality = _Moments((k, m), axis=1, dtype=complex)  # row k: e_k * conj(y)
     for block in _blocks(n_trials, stop):
         s = complex_normal(rng_s, (k, block), math.sqrt(cfg.sigma_s2 / 2.0))
-        # One unquantized observation feeds both pipelines; fronthaul at the
-        # data-phase variance is what simulate_uplink applies at ``bits``.
-        x = simulate_uplink(G, s, cfg.sigma_s2, sigma_n2, 0, rng_n, beta)
+        x = simulate_uplink(G, s, sigma_n2, rng_n)  # unquantized: it feeds both pipelines
         y = complex_normal(rng_n, x.shape, np.sqrt(c_delta / 2.0)[:, None], add_to=alpha * x)
         # The quantized pipeline runs over x, then the model pipeline over y into the
         # same error array, and each user's error-observation products over the spent x.

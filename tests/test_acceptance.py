@@ -168,8 +168,8 @@ def test_criterion_4_lmmse_identity_and_optimality():
 
 
 def test_criterion_5_sample_level_estimation():
-    """Pilot-phase pipeline (the shipped simulate_pilot_phase, then
-    correlate and scale) against the closed-form MSE at 10 APs and 4 users.
+    """Pilot-phase pipeline (the shipped simulate_pilot_phase and fronthaul,
+    then correlate and scale) against the closed-form MSE at 10 APs and 4 users.
 
     The users are co-located, so every AP sees equal gains; that is the
     condition under which the quantization distortion is white across
@@ -185,6 +185,7 @@ def test_criterion_5_sample_level_estimation():
     beta = np.repeat(cq.path_loss(dist, cq.PathLossModel())[:, None], k_users, axis=1)
     tau = k_users
     book = cq.make_pilot_book(k_users, tau)
+    sigma_m2 = cq.received_variance(beta, 1.0, sigma_n2)
     worst = 0.0
     for bits in (4, 8, 12):
         alpha, gap = factors(bits)
@@ -196,7 +197,7 @@ def test_criterion_5_sample_level_estimation():
         for _ in range(trials // 10_000):
             g = crandn(rng, 10_000, m_aps, k_users) * np.sqrt(beta)
             n = cq.complex_normal(rng, (10_000, m_aps, tau), math.sqrt(sigma_n2 / 2.0))
-            y = cq.simulate_pilot_phase(g, book, sigma_n2, bits, n, beta)
+            y = cq.fronthaul(cq.simulate_pilot_phase(g, book, n), bits, sigma_m2)
             err = np.abs(c * cq.correlate_all(y, book) - g) ** 2
             total += err.sum(axis=0)
             total_sq += (err**2).sum(axis=0)

@@ -109,7 +109,7 @@ class TestSimulateUplink:
         rng = np.random.default_rng(0)
         beta, G = random_network(rng, 5, 3)
         s = crandn(np.random.default_rng(1), 3)
-        y = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, np.random.default_rng(2), beta)
+        y = simulate_uplink(G, s, SIGMA_N2, np.random.default_rng(2))
         rng2 = np.random.default_rng(2)
         n = rng2.normal(size=5) + 1j * rng2.normal(size=5)
         np.testing.assert_allclose(y, G @ s + math.sqrt(SIGMA_N2 / 2.0) * n)
@@ -119,9 +119,11 @@ class TestSimulateUplink:
         # the data-phase variance.
         rng = np.random.default_rng(3)
         beta, G = random_network(rng, 4, 2)
-        zero = np.zeros(2, dtype=complex)
-        y = simulate_uplink(G, zero, 1.0, SIGMA_N2, 4, np.random.default_rng(4), beta)
-        steps = optimal_step(16) * np.sqrt(received_variance(beta, 1.0, SIGMA_N2) / 2.0)
+        zero = np.zeros((2, 1), dtype=complex)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
+        x = simulate_uplink(G, zero, SIGMA_N2, np.random.default_rng(4))
+        y = fronthaul(x, 4, sigma_m2)[:, 0]
+        steps = optimal_step(16) * np.sqrt(sigma_m2 / 2.0)
         assert y.shape == (4,)
         np.testing.assert_allclose(
             np.abs(y.real) / steps - 0.5, np.round(np.abs(y.real) / steps - 0.5), atol=1e-9
@@ -132,14 +134,13 @@ class TestSimulateUplink:
         rng = np.random.default_rng(24)
         beta, G = random_network(rng, 3, 2)
         s = crandn(rng, 5, 2, 7)
-        y = simulate_uplink(G, s, 1.0, SIGMA_N2, 6, np.random.default_rng(25), beta)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
+        y = fronthaul(simulate_uplink(G, s, SIGMA_N2, np.random.default_rng(25)), 6, sigma_m2)
         rng2 = np.random.default_rng(25)
         n = rng2.normal(size=(5, 3, 7)) + 1j * rng2.normal(size=(5, 3, 7))
         x = G @ s + np.sqrt(SIGMA_N2 / 2.0) * n
         assert y.shape == (5, 3, 7)
-        np.testing.assert_array_equal(
-            y, fronthaul(x, 6, received_variance(beta, 1.0, SIGMA_N2))
-        )
+        np.testing.assert_array_equal(y, fronthaul(x, 6, sigma_m2))
 
     def test_output_power_matches_gamma(self):
         # With unit-modulus fading the received variance at each AP equals
@@ -154,7 +155,7 @@ class TestSimulateUplink:
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            y = simulate_uplink(G, s, 1.0, SIGMA_N2, bits, rng, beta)
+            y = fronthaul(simulate_uplink(G, s, SIGMA_N2, rng), bits, sigma_m2)
             acc += np.mean(np.abs(y) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), gamma * sigma_m2, rtol=0.02)
 
@@ -187,7 +188,7 @@ class TestDistortionCovariance:
         acc = np.zeros(m_aps)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            x = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, rng, beta)
+            x = simulate_uplink(G, s, SIGMA_N2, rng)
             y = fronthaul(x, bits, sigma_m2)
             acc += np.mean(np.abs(y - alpha * x) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), c_delta, rtol=0.03)
@@ -207,7 +208,7 @@ class TestDistortionCovariance:
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             s = crandn(rng, 10_000, k_users, 1)
-            x = simulate_uplink(h * np.sqrt(beta), s, 1.0, SIGMA_N2, 0, rng, beta)
+            x = simulate_uplink(h * np.sqrt(beta), s, SIGMA_N2, rng)
             d = (fronthaul(x, bits, sigma_m2) - alpha * x)[..., 0]
             prod = d[:, :, None] * d.conj()[:, None, :]
             cross += prod.sum(axis=0)
@@ -347,12 +348,13 @@ class TestDetect:
         G = np.exp(2j * math.pi * phases) * np.sqrt(beta)
         bits = 6
         alpha, gap = factors_at_optimum(bits)
-        c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
+        c_delta = distortion_power(gap, sigma_m2)
         W, cov = mmse_receiver(G, alpha, 1.0, SIGMA_N2, c_delta)
         acc = np.zeros(k_users)
         for _ in range(trials // 10_000):
             s = crandn(rng, k_users, 10_000)
-            y = simulate_uplink(G, s, 1.0, SIGMA_N2, bits, rng, beta)
+            y = fronthaul(simulate_uplink(G, s, SIGMA_N2, rng), bits, sigma_m2)
             acc += np.mean(np.abs(W @ y - s) ** 2, axis=1)
         np.testing.assert_allclose(acc / (trials // 10_000), np.real(np.diag(cov)), rtol=0.03)
 
@@ -763,7 +765,7 @@ class TestDetectionResult:
         alpha, gap = factors_at_optimum(4)
         c_delta = distortion_power(gap, received_variance(beta, 1.0, SIGMA_N2))
         s = crandn(rng, 3)
-        y = simulate_uplink(G, s, 1.0, SIGMA_N2, 0, rng, beta)
+        y = simulate_uplink(G, s, SIGMA_N2, rng)
         result = detection_result(G, 1.0, SIGMA_N2, c_delta, alpha, y)
         np.testing.assert_allclose(result.s_hat, result.weights @ y)
         np.testing.assert_allclose(

@@ -78,7 +78,7 @@ class TestSimulatePilotPhase:
         G = crandn(rng, 6, 3) * 0.4
         phi = make_pilot_book(3, 3)
         n = pilot_noise(np.random.default_rng(77), G, phi)
-        assert simulate_pilot_phase(G, phi, SIGMA_N2, 0, n, np.abs(G) ** 2) is n
+        assert simulate_pilot_phase(G, phi, n) is n
         rng2 = np.random.default_rng(77)
         clean = math.sqrt(3) * (G @ phi.T)
         noise = rng2.normal(size=(6, 3)) + 1j * rng2.normal(size=(6, 3))
@@ -87,23 +87,9 @@ class TestSimulatePilotPhase:
     def test_rejects_unfit_noise_samples(self):
         G = np.ones((6, 3), dtype=complex)
         phi = make_pilot_book(3, 4)
-        beta = np.ones((6, 3))
         for n in [np.zeros((6, 3), dtype=complex), np.zeros((6, 4))]:
             with pytest.raises(ValueError, match="noise_samples"):
-                simulate_pilot_phase(G, phi, SIGMA_N2, 4, n, beta)
-
-    def test_matches_vectorized_kernel(self):
-        # Quantized pilots are the unquantized ones through the fronthaul,
-        # sized at the pilot-phase (unit symbol power) variance.
-        rng = np.random.default_rng(1)
-        G = crandn(rng, 5, 2) * 0.3
-        beta = np.abs(G) ** 2
-        phi = make_pilot_book(2, 2)
-        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
-        n = pilot_noise(np.random.default_rng(5), G, phi)
-        x = simulate_pilot_phase(G, phi, SIGMA_N2, 0, n.copy(), beta)
-        y = simulate_pilot_phase(G, phi, SIGMA_N2, 4, n, beta)
-        np.testing.assert_array_equal(y, fronthaul(x, 4, sigma_m2))
+                simulate_pilot_phase(G, phi, n)
 
     def test_leading_trial_axis(self):
         rng = np.random.default_rng(17)
@@ -111,7 +97,7 @@ class TestSimulatePilotPhase:
         G = crandn(rng, 6, 3, 2) * np.sqrt(beta)
         phi = make_pilot_book(2, 4)
         n = pilot_noise(np.random.default_rng(18), G, phi)
-        y = simulate_pilot_phase(G, phi, SIGMA_N2, 5, n, beta)
+        y = fronthaul(simulate_pilot_phase(G, phi, n), 5, received_variance(beta, 1.0, SIGMA_N2))
         rng2 = np.random.default_rng(18)
         noise = rng2.normal(size=(6, 3, 4)) + 1j * rng2.normal(size=(6, 3, 4))
         x = 2.0 * (G @ phi.T) + math.sqrt(SIGMA_N2 / 2.0) * noise
@@ -130,7 +116,7 @@ class TestSimulatePilotPhase:
         G = crandn(rng, *lead, m_aps, k_users) * np.sqrt(beta)
         phi = make_pilot_book(k_users, tau)
         n = pilot_noise(np.random.default_rng(22), G, phi)
-        y = simulate_pilot_phase(G, phi, SIGMA_N2, 5, n, beta)
+        y = fronthaul(simulate_pilot_phase(G, phi, n), 5, received_variance(beta, 1.0, SIGMA_N2))
         clean = np.array([math.sqrt(tau) * (g @ phi.T) for g in G.reshape(6, m_aps, k_users)])
         rng2 = np.random.default_rng(22)
         shape = (*lead, m_aps, tau)
@@ -149,11 +135,12 @@ class TestSimulatePilotPhase:
         G = np.zeros((m_aps, 0), dtype=complex)
         phi = make_pilot_book(0, tau)
         gamma = bussgang_row(16)["gamma"]
+        sigma_m2 = received_variance(np.zeros((m_aps, 0)), 1.0, SIGMA_N2)
         rng = np.random.default_rng(2)
         powers = np.empty(trials)
         for t in range(trials):
             n = pilot_noise(rng, G, phi)
-            y = simulate_pilot_phase(G, phi, SIGMA_N2, 4, n, np.zeros((m_aps, 0)))
+            y = fronthaul(simulate_pilot_phase(G, phi, n), 4, sigma_m2)
             powers[t] = np.mean(np.abs(y) ** 2)
         se = powers.std() / math.sqrt(trials)
         assert abs(powers.mean() - gamma * SIGMA_N2) < 4.0 * se
@@ -214,12 +201,13 @@ class TestPilotCorrelate:
         tau = 4
         phi = make_pilot_book(1, tau)
         alpha, _ = factors_at_optimum(3)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         trials = 100_000
         samples = np.empty(trials, dtype=complex)
         for start in range(0, trials, 10_000):
             h = crandn(rng, 10_000, 1, 1)
             g = h * np.sqrt(beta)
-            y = simulate_pilot_phase(g, phi, SIGMA_N2, 3, pilot_noise(rng, g, phi), beta)
+            y = fronthaul(simulate_pilot_phase(g, phi, pilot_noise(rng, g, phi)), 3, sigma_m2)
             samples[start : start + 10_000] = (y @ phi.conj())[:, 0, 0] * np.conj(h[:, 0, 0])
         expected = alpha * math.sqrt(tau * beta[0, 0])
         z_re = abs(samples.real.mean() - expected) / (samples.real.std() / math.sqrt(trials))
@@ -307,12 +295,13 @@ class TestEstimateChannel:
         alpha, gap = factors_at_optimum(8)
         c = lmmse_coefficient(beta, tau, alpha, gap, SIGMA_N2)
         mse, _ = estimation_mse(beta, tau, alpha, gap, SIGMA_N2)
+        sigma_m2 = received_variance(beta, 1.0, SIGMA_N2)
         total = np.zeros((m_aps, k_users))
         trials = 100_000
         for _ in range(trials // 10_000):
             h = crandn(rng, 10_000, m_aps, k_users)
             g = h * np.sqrt(beta)
-            y = simulate_pilot_phase(g, phi, SIGMA_N2, 8, pilot_noise(rng, g, phi), beta)
+            y = fronthaul(simulate_pilot_phase(g, phi, pilot_noise(rng, g, phi)), 8, sigma_m2)
             g_hat = c * (y @ phi.conj())
             total += np.sum(np.abs(g_hat - g) ** 2, axis=0)
         np.testing.assert_allclose(total / trials, mse, rtol=0.02)
@@ -407,7 +396,7 @@ class TestEstimateFromPilots:
         g = crandn(rng, 5, 3) * np.sqrt(beta)
         phi = make_pilot_book(3, 3)
         alpha, gap = factors_at_optimum(6)
-        y = simulate_pilot_phase(g, phi, SIGMA_N2, 0, pilot_noise(rng, g, phi), beta)
+        y = simulate_pilot_phase(g, phi, pilot_noise(rng, g, phi))
         c = lmmse_coefficient(beta, len(phi), alpha, gap, SIGMA_N2)
         mse, nmse = estimation_mse(beta, len(phi), alpha, gap, SIGMA_N2)
         assert (c * correlate_all(y, phi)).shape == c.shape == nmse.shape == (5, 3)

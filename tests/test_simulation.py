@@ -346,6 +346,12 @@ class TestWriteCsv:
         series = make_cdf(np.random.default_rng(5).lognormal(size=(6, 20_000)), SINR_DEFAULT_BITS)
         assert _traced_peak(partial(write_cdf_csv, series, tmp_path, "sinr", SMALL)) < 2e6
 
+    def test_finiteness_check_allocates_no_mask(self, tmp_path):
+        # A bool mask of the 400,000 values would take 0.4 MB on its own; the writer's
+        # chunks and their text take about 0.11 MB.
+        (series,) = make_cdf(np.random.default_rng(4).lognormal(size=(1, 400_000)), ["4"])
+        assert _traced_peak(partial(write_cdf_csv, [series], tmp_path, "nmse", SMALL)) < 0.2e6
+
     @pytest.mark.parametrize(
         "bad", [np.ones((2, 2)), np.array([0.1, 0.2j])], ids=["two-dimensional", "complex"]
     )
@@ -983,17 +989,18 @@ class TestValidation:
     def test_error_in_one_check_stops_the_others(self, monkeypatch):
         # The 4-bit check fails once the 8- and 12-bit checks have each drawn a
         # block; they must then end at their next block instead of drawing all 50.
-        # Blocks are counted through the pilot phase, which runs once per row run.
+        # Blocks are counted through the fronthaul, which an estimation check calls
+        # once per row run; the detection checks run at other bit depths.
         runs = collections.Counter()
         both_drawing = threading.Event()
-        pilot_phase = simulation.simulate_pilot_phase
+        fronthaul = simulation.fronthaul
         estimation_check = simulation._estimation_check
 
-        def counting_pilot_phase(G, pilots, sigma_n2, bits, *args):
+        def counting_fronthaul(x, bits, *args, **kwargs):
             runs[bits] += 1
             if runs[8] and runs[12]:
                 both_drawing.set()
-            return pilot_phase(G, pilots, sigma_n2, bits, *args)
+            return fronthaul(x, bits, *args, **kwargs)
 
         def failing_at_4_bits(cfg, bits, *args):
             if bits == 4:
@@ -1001,7 +1008,7 @@ class TestValidation:
                 raise RuntimeError("check failed")
             return estimation_check(cfg, bits, *args)
 
-        monkeypatch.setattr(simulation, "simulate_pilot_phase", counting_pilot_phase)
+        monkeypatch.setattr(simulation, "fronthaul", counting_fronthaul)
         monkeypatch.setattr(simulation, "_estimation_check", failing_at_4_bits)
         # A thread per check, so the three estimation checks run at once on any machine.
         monkeypatch.setattr(simulation, "_run_tasks", partial(simulation._run_tasks, n_workers=6))
